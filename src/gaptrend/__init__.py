@@ -9,7 +9,6 @@ a Monte Carlo harness that validates all of it on synthetic data.
 
 from .awb import (
     AwbConfig,
-    MultiplierPath,
     bootstrap_errors,
     default_gamma,
     dependence_length,
@@ -59,10 +58,7 @@ from .seasonal import SeasonalFit, deseasonalize, fit_seasonal, fourier_design
 from .series import (
     IngestSummary,
     ObservedSeries,
-    TimeIndex,
     ingest_csv,
-    observed_subset,
-    time_index,
     write_canonical_csv,
 )
 from .shapetests import (
@@ -94,7 +90,6 @@ __all__ = [
     "McDesign",
     "McvResult",
     "MonotonicityResult",
-    "MultiplierPath",
     "NoInteriorExtremumError",
     "ObservedSeries",
     "ParamCi",
@@ -104,7 +99,6 @@ __all__ = [
     "SingularDesignError",
     "SlopeCis",
     "SmoothTransitionSpec",
-    "TimeIndex",
     "TrendAnchor",
     "TrimmingSet",
     "bandwidth_grid",
@@ -132,7 +126,6 @@ __all__ = [
     "mcv_scan",
     "monotonicity_tests",
     "nw_estimate",
-    "observed_subset",
     "pilot_bandwidth",
     "pointwise_bands",
     "run_panel",
@@ -140,7 +133,6 @@ __all__ = [
     "simulate_series",
     "simultaneous_bands",
     "slope_cis",
-    "time_index",
     "trend_minimum",
     "trimming_set",
     "u_stat_bandwidth",

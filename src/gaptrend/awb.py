@@ -65,19 +65,12 @@ class AwbConfig:
         return self.gamma if self.gamma is not None else default_gamma(n_time, self.theta)
 
 
-@dataclass(frozen=True)
-class MultiplierPath:
-    """One AR(1) multiplier path with N(0,1) marginals at every position."""
-
-    xi: np.ndarray
-
-
 def _stream(seed: int, replicate_id: int) -> np.random.Generator:
     key = np.array([seed % _KEY_MOD, replicate_id % _KEY_MOD], dtype=_UINT64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> MultiplierPath:
+def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> np.ndarray:
     """Generate the multiplier path for one replicate.
 
     The path starts from a standard normal draw and evolves as an AR(1)
@@ -90,51 +83,52 @@ def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> Multipli
     z = _stream(cfg.seed, replicate_id).standard_normal(n_time)
     scale = np.sqrt(1.0 - gamma * gamma)
     driving = np.concatenate([z[:1], scale * z[1:]])
-    xi = lfilter([1.0], [1.0, -gamma], driving)
-    return MultiplierPath(xi=xi)
+    return lfilter([1.0], [1.0, -gamma], driving)
 
 
 def bootstrap_errors(
-    residuals: np.ndarray, mask: np.ndarray, path: MultiplierPath
+    residuals: np.ndarray, mask: np.ndarray, multipliers: np.ndarray
 ) -> np.ndarray:
     """Masked wild-bootstrap errors: mask * multiplier * residual."""
     residuals = np.asarray(residuals, dtype=np.float64)
     mask = np.asarray(mask)
-    if residuals.shape != mask.shape or residuals.shape != path.xi.shape:
+    if residuals.shape != mask.shape or residuals.shape != multipliers.shape:
         raise ValueError("residuals, mask, and multipliers must share one length")
-    return mask * path.xi * residuals
+    return mask * multipliers * residuals
 
 
 def run_replicates(
     cfg: AwbConfig,
-    n_time: int,
-    kernel: Callable[[int, np.ndarray], object],
-    n_boot: int | None = None,
+    base: np.ndarray,
+    residuals: np.ndarray,
+    mask: np.ndarray,
+    statistic: Callable[[np.ndarray], object],
     threads: int = 1,
 ) -> np.ndarray:
-    """Evaluate ``kernel(replicate_id, multipliers)`` for ids 0..B-1.
+    """Evaluate ``statistic`` on the replicate series of ids 0..B-1.
 
-    Results are collected in replicate-id order; the output is identical
-    for any thread count because each replicate depends only on its own
-    counter-based stream. A kernel failure is re-raised as
-    ``ReplicateError`` carrying the replicate id.
+    Replicate b is the series ``base + bootstrap_errors(residuals, mask,
+    xi_b)`` with ``xi_b`` the multiplier path of id b; this is the only
+    place a replicate series is built. Results are collected in
+    replicate-id order; the output is identical for any thread count
+    because each replicate depends only on its own counter-based stream.
+    A statistic failure is re-raised as ``ReplicateError`` carrying the
+    replicate id.
     """
-    B = cfg.n_boot if n_boot is None else int(n_boot)
-    if B < 1:
-        raise ValueError("need at least 1 replicate")
+    n_time = base.shape[0]
 
     def one(b: int) -> object:
-        path = draw_multipliers(cfg, n_time, b)
+        series = base + bootstrap_errors(residuals, mask, draw_multipliers(cfg, n_time, b))
         try:
-            return kernel(b, path.xi)
+            return statistic(series)
         except Exception as exc:  # noqa: BLE001 - re-raised with context
             raise ReplicateError(b, str(exc)) from exc
 
     if threads <= 1:
-        results = [one(b) for b in range(B)]
+        results = [one(b) for b in range(cfg.n_boot)]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(B)))
+            results = list(pool.map(one, range(cfg.n_boot)))
     return np.asarray(results, dtype=np.float64)
 
 

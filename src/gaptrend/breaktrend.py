@@ -111,7 +111,8 @@ class BreakTestResult:
 
 @dataclass(frozen=True)
 class BreakDateCi:
-    """Confidence interval for the break position, in grid and calendar units."""
+    """Confidence interval for the break position, in grid and calendar units,
+    with the slope intervals of the same bootstrap replicates."""
 
     break_index: int
     break_date: dt.date
@@ -121,6 +122,7 @@ class BreakDateCi:
     upper_date: dt.date
     level: float
     bootstrap_indices: np.ndarray
+    slopes: SlopeCis
 
     @property
     def length(self) -> int:
@@ -241,7 +243,8 @@ class BreakScan:
         Returns a dict with keys ``ssr0`` (no-break SSR), ``f_stat``
         (largest SSR reduction over candidates), ``best`` (position of
         the winning candidate, ties to the smallest), ``beta0`` (no-break
-        coefficients, internal scaling), and ``ym``/``yy`` intermediates.
+        coefficients, internal scaling), and the ``num``/``yy``
+        intermediates that :meth:`coefficients_at` reuses.
         """
         m = self._m
         ym = y * m
@@ -269,7 +272,6 @@ class BreakScan:
             "ssr0": ssr0,
             "f_stat": float(red[best]),
             "best": int(self.candidates[best]),
-            "best_pos": best,
             "beta0": beta0,
             "num": num,
             "yy": yy,
@@ -398,11 +400,10 @@ def break_test(
     else:
         u_hat = series.mask * (y - fitted0)
 
-    def kernel(_b: int, xi: np.ndarray) -> float:
-        y_star = fitted0 + xi * u_hat
+    def statistic(y_star: np.ndarray) -> float:
         return scan.scan(y_star)["f_stat"]
 
-    stats = run_replicates(cfg, len(series), kernel, threads=threads)
+    stats = run_replicates(cfg, fitted0, u_hat, series.mask, statistic, threads=threads)
     p_value = (1.0 + float((stats >= f_stat).sum())) / (cfg.n_boot + 1.0)
     critical = empirical_quantile(stats, 1.0 - alpha)
     return BreakTestResult(
@@ -415,14 +416,6 @@ def break_test(
     )
 
 
-def _break_resample_parts(
-    series: ObservedSeries, fit: BrokenTrendFit
-) -> tuple[np.ndarray, np.ndarray]:
-    fitted = fit.fitted_values()
-    u_hat = series.mask * (series.values - fitted)
-    return fitted, u_hat
-
-
 def break_ci(
     series: ObservedSeries,
     fit: BrokenTrendFit,
@@ -431,73 +424,27 @@ def break_ci(
     trim: TrimmingSet | None = None,
     threads: int = 1,
 ) -> BreakDateCi:
-    """Bootstrap confidence interval for the break position.
+    """Bootstrap confidence intervals for the break position and the slopes.
 
     Samples are regenerated with the estimated break imposed; each
-    replicate re-estimates the break over the full candidate scan. The
-    interval comes from the quantiles of the centered replicate
-    positions: [T1 - q(1-a/2), T1 - q(a/2)].
+    replicate re-estimates the break over the full candidate scan of
+    ``trim`` and reads off its coefficients at that break, so the
+    uncertainty of the break location flows into the slope intervals.
+    Every interval comes from the quantiles of the centered replicate
+    values; for the break position that is [T1 - q(1-a/2), T1 - q(a/2)].
     """
     cfg = cfg or AwbConfig()
     trim = trim or trimming_set(len(series), DEFAULT_TRIM_FRACTION)
     scan = _scan_for(series, trim.candidates, fit.seasonal.n_harmonics)
-    fitted, u_hat = _break_resample_parts(series, fit)
+    fitted = fit.fitted_values()
+    u_hat = series.mask * (series.values - fitted)
 
-    def kernel(_b: int, xi: np.ndarray) -> float:
-        return scan.scan(fitted + xi * u_hat)["best"]
-
-    locs = run_replicates(cfg, len(series), kernel, threads=threads)
-    a = 1.0 - level
-    centered = locs - fit.break_index
-    lower = fit.break_index - empirical_quantile(centered, 1.0 - a / 2.0)
-    upper = fit.break_index - empirical_quantile(centered, a / 2.0)
-    lower_i, upper_i = int(round(lower)), int(round(upper))
-    return BreakDateCi(
-        break_index=fit.break_index,
-        break_date=series.date_at(fit.break_index),
-        lower_index=lower_i,
-        upper_index=upper_i,
-        lower_date=series.date_at(lower_i),
-        upper_date=series.date_at(upper_i),
-        level=level,
-        bootstrap_indices=locs.astype(np.int64),
-    )
-
-
-def slope_cis(
-    series: ObservedSeries,
-    fit: BrokenTrendFit,
-    cfg: AwbConfig | None = None,
-    level: float = 0.95,
-    trim: TrimmingSet | None = None,
-    refit_break: bool = True,
-    threads: int = 1,
-) -> SlopeCis:
-    """Bootstrap intervals for the trend coefficients.
-
-    Replicates regenerate the series with the break imposed. By default
-    each replicate re-estimates its own break position before reading
-    off the coefficients, so the uncertainty of the break location flows
-    into the slope intervals; with ``refit_break=False`` the
-    coefficients are re-fit at the original position, which conditions
-    that uncertainty away and undercovers when the break is estimated.
-    """
-    cfg = cfg or AwbConfig()
-    if refit_break:
-        trim = trim or trimming_set(len(series), DEFAULT_TRIM_FRACTION)
-        scan = _scan_for(series, trim.candidates, fit.seasonal.n_harmonics)
-    else:
-        scan = _scan_for(series, np.array([fit.break_index]), fit.seasonal.n_harmonics)
-    fitted, u_hat = _break_resample_parts(series, fit)
-
-    def kernel(_b: int, xi: np.ndarray) -> tuple[float, float, float]:
-        y_star = fitted + xi * u_hat
+    def statistic(y_star: np.ndarray) -> tuple[int, float, float, float]:
         state = scan.scan(y_star)
-        at = state["best"] if refit_break else fit.break_index
-        coef = scan.coefficients_at(y_star, at, state)
-        return coef["alpha"], coef["beta"], coef["delta"]
+        coef = scan.coefficients_at(y_star, state["best"], state)
+        return state["best"], coef["alpha"], coef["beta"], coef["delta"]
 
-    draws = run_replicates(cfg, len(series), kernel, threads=threads)
+    draws = run_replicates(cfg, fitted, u_hat, series.mask, statistic, threads=threads)
     a = 1.0 - level
 
     def centered_ci(estimate: float, boot: np.ndarray) -> ParamCi:
@@ -508,10 +455,36 @@ def slope_cis(
             upper=estimate - empirical_quantile(centered, a / 2.0),
         )
 
-    return SlopeCis(
-        intercept=centered_ci(fit.alpha, draws[:, 0]),
-        slope_before=centered_ci(fit.beta, draws[:, 1]),
-        slope_change=centered_ci(fit.delta, draws[:, 2]),
-        slope_after=centered_ci(fit.beta + fit.delta, draws[:, 1] + draws[:, 2]),
+    locs, alphas, betas, deltas = draws.T
+    position = centered_ci(fit.break_index, locs)
+    lower_i, upper_i = int(round(position.lower)), int(round(position.upper))
+    return BreakDateCi(
+        break_index=fit.break_index,
+        break_date=series.date_at(fit.break_index),
+        lower_index=lower_i,
+        upper_index=upper_i,
+        lower_date=series.date_at(lower_i),
+        upper_date=series.date_at(upper_i),
         level=level,
+        bootstrap_indices=locs.astype(np.int64),
+        slopes=SlopeCis(
+            intercept=centered_ci(fit.alpha, alphas),
+            slope_before=centered_ci(fit.beta, betas),
+            slope_change=centered_ci(fit.delta, deltas),
+            slope_after=centered_ci(fit.beta + fit.delta, betas + deltas),
+            level=level,
+        ),
     )
+
+
+def slope_cis(
+    series: ObservedSeries,
+    fit: BrokenTrendFit,
+    cfg: AwbConfig | None = None,
+    level: float = 0.95,
+    trim: TrimmingSet | None = None,
+    threads: int = 1,
+) -> SlopeCis:
+    """Bootstrap intervals for the trend coefficients; see :func:`break_ci`,
+    whose replicates they come from."""
+    return break_ci(series, fit, cfg, level, trim, threads).slopes

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .awb import AwbConfig
-from .breaktrend import break_ci, break_test, estimate_break, slope_cis, trimming_set
-from .exceptions import NoInteriorExtremumError, SingularDesignError
+from .breaktrend import break_ci, break_test, estimate_break, trimming_set
+from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .kerneltrend import (
     KernelTrendFit,
     bandwidth_grid,
@@ -149,7 +149,7 @@ def _write_fit_artifact(out_dir: Path, eps: ObservedSeries, fit: KernelTrendFit)
         "series": _series_payload(eps),
         "fit": {
             "h": fit.h,
-            "kernel": fit.kernel,
+            "kernel": "epanechnikov",
             "g_hat": [float(v) if np.isfinite(v) else None for v in fit.g_hat],
         },
     }
@@ -164,7 +164,7 @@ def load_fit_artifact(path: str) -> tuple[ObservedSeries, KernelTrendFit]:
         raise ValueError(f"{path}: not a trend-fit artifact")
     eps = _series_from_payload(payload["series"])
     g = np.array([np.nan if v is None else float(v) for v in payload["fit"]["g_hat"]])
-    return eps, KernelTrendFit(g_hat=g, h=payload["fit"]["h"], kernel=payload["fit"]["kernel"])
+    return eps, KernelTrendFit(g_hat=g, h=payload["fit"]["h"])
 
 
 def _interval_to_positions(series: ObservedSeries, spec: str) -> tuple[int, int]:
@@ -292,7 +292,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     test = break_test(series, trim, cfg, n_harmonics, alpha, threads=threads)
     fit = estimate_break(series, trim, n_harmonics)
     ci = break_ci(series, fit, cfg, level, trim, threads=threads)
-    slopes = slope_cis(series, fit, cfg, level, threads=threads)
+    slopes = ci.slopes
     per_year = slopes.per_year(series.grid_step)
 
     trend = fit.trend_values()
@@ -569,10 +569,10 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except click.exceptions.Abort:
         return EXIT_VALIDATION
-    except (ValueError, FileNotFoundError, NoInteriorExtremumError) as exc:
+    except VALIDATION_ERRORS as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_VALIDATION
-    except (SingularDesignError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except NUMERICAL_ERRORS as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         return EXIT_NUMERICAL
 

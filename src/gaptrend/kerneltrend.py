@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.ndimage import correlate1d
 
 from .awb import AwbConfig, run_replicates
 from .series import ObservedSeries
-
-EPANECHNIKOV = "epanechnikov"
 
 
 def _kernel_weights(h: float, n_time: int) -> np.ndarray:
@@ -32,19 +31,40 @@ def _kernel_weights(h: float, n_time: int) -> np.ndarray:
     return np.maximum(w, 0.0)
 
 
-def _nw_parts(mask_f: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kernel weight vector and per-position observed weight sums."""
-    w = _kernel_weights(h, mask_f.shape[0])
-    den = correlate1d(mask_f, w, mode="constant", cval=0.0)
-    return w, den
+def _window_sums(x: np.ndarray, h: float, leave_out: int | None = None) -> np.ndarray:
+    """Kernel-weighted sums of ``x`` over the window around every grid position.
+
+    With ``leave_out = k`` the positions within k grid steps of the
+    centre are dropped from each window. This is the one place kernel
+    sums are formed.
+    """
+    w = _kernel_weights(h, x.shape[0])
+    sums = correlate1d(x, w, mode="constant", cval=0.0)
+    if leave_out is not None:
+        half = (w.shape[0] - 1) // 2
+        hole = w[max(half - leave_out, 0): half + leave_out + 1]
+        sums = sums - correlate1d(x, hole, mode="constant", cval=0.0)
+    return sums
 
 
-def _nw_apply(masked_values: np.ndarray, w: np.ndarray, den: np.ndarray) -> np.ndarray:
-    num = correlate1d(masked_values, w, mode="constant", cval=0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = num / den
-    g[den <= 0.0] = np.nan
-    return g
+def nw_smoother(mask: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Local-constant smoother at bandwidth ``h`` for series on one mask.
+
+    The observed-weight sums are formed once, so smoothing many series
+    that share the mask (bootstrap replicates) costs one window sum each.
+    The returned function takes masked values (zero where unobserved) and
+    gives NaN wherever the kernel window holds no observation.
+    """
+    den = _window_sums(mask.astype(np.float64), h)
+    undefined = den <= 0.0
+
+    def smooth(masked_values: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = _window_sums(masked_values, h) / den
+        g[undefined] = np.nan
+        return g
+
+    return smooth
 
 
 @dataclass(frozen=True)
@@ -57,21 +77,16 @@ class KernelTrendFit:
 
     g_hat: np.ndarray
     h: float
-    kernel: str = EPANECHNIKOV
 
     @property
     def defined(self) -> np.ndarray:
         return np.isfinite(self.g_hat)
 
 
-def nw_estimate(eps: ObservedSeries, h: float, kernel: str = EPANECHNIKOV) -> KernelTrendFit:
+def nw_estimate(eps: ObservedSeries, h: float) -> KernelTrendFit:
     """Kernel-weighted local average of the observed points at t/T, t = 1..T."""
-    if kernel != EPANECHNIKOV:
-        raise ValueError(f"unsupported kernel {kernel!r}")
-    mask_f = eps.mask.astype(np.float64)
-    w, den = _nw_parts(mask_f, h)
-    g = _nw_apply(eps.masked_values(), w, den)
-    return KernelTrendFit(g_hat=g, h=float(h), kernel=kernel)
+    g = nw_smoother(eps.mask, h)(eps.masked_values())
+    return KernelTrendFit(g_hat=g, h=float(h))
 
 
 def default_leave_out(n_time: int) -> int:
@@ -128,15 +143,8 @@ def mcv_scan(eps: ObservedSeries, grid: np.ndarray, k: int | None = None) -> Mcv
     obs = eps.mask == 1
     scores = np.empty(grid.size)
     for i, h in enumerate(grid):
-        w = _kernel_weights(h, T)
-        half = (w.shape[0] - 1) // 2
-        hole = w[max(half - k, 0): half + k + 1]
-        num = correlate1d(mval, w, mode="constant", cval=0.0) - correlate1d(
-            mval, hole, mode="constant", cval=0.0
-        )
-        den = correlate1d(mask_f, w, mode="constant", cval=0.0) - correlate1d(
-            mask_f, hole, mode="constant", cval=0.0
-        )
+        num = _window_sums(mval, h, leave_out=k)
+        den = _window_sums(mask_f, h, leave_out=k)
         ok = obs & (den > 0.0)
         if not ok.any():
             warnings.warn(
@@ -192,11 +200,21 @@ class BandResult:
     deviations: np.ndarray = field(repr=False, default=None)
 
 
-def _column_quantiles(paths: np.ndarray, alpha: float) -> np.ndarray:
-    """Per-column left-continuous empirical quantiles of a (B, T) matrix."""
-    B = paths.shape[0]
-    idx = min(max(int(np.ceil(alpha * B)) - 1, 0), B - 1)
-    return np.sort(paths, axis=0)[idx]
+def _order_row(alpha: float, n: int) -> int:
+    """Row of a sorted (n, T) matrix holding each column's left-continuous
+    empirical alpha-quantile."""
+    return min(max(int(np.ceil(alpha * n)) - 1, 0), n - 1)
+
+
+def pilot_residuals(eps: ObservedSeries, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oversmoothed pilot fit at bandwidth 0.5 * h^(5/9) and its residuals.
+
+    Returns (pilot values, residuals), the residuals zero at unobserved
+    positions. Every bootstrap of the kernel trend and the shape tests
+    resamples these residuals.
+    """
+    pilot = nw_smoother(eps.mask, pilot_bandwidth(h))(eps.masked_values())
+    return pilot, np.where(eps.mask == 1, eps.values - pilot, 0.0)
 
 
 def trend_bootstrap_paths(
@@ -215,19 +233,12 @@ def trend_bootstrap_paths(
 
     Returns (pilot values, (B, T) matrix of replicate trend estimates).
     """
-    T = len(eps)
-    mask_f = eps.mask.astype(np.float64)
-    pilot = _nw_apply(eps.masked_values(), *_nw_parts(mask_f, pilot_bandwidth(fit.h)))
-    u_hat = np.where(eps.mask == 1, eps.values - pilot, 0.0)
+    pilot, u_hat = pilot_residuals(eps, fit.h)
     trend = pilot if regenerate_trend is None else np.asarray(regenerate_trend, dtype=np.float64)
     trend_masked = np.where(eps.mask == 1, trend, 0.0)
-    w, den = _nw_parts(mask_f, fit.h)
-
-    def kernel(_b: int, xi: np.ndarray) -> np.ndarray:
-        eps_star = trend_masked + mask_f * xi * u_hat
-        return _nw_apply(eps_star, w, den)
-
-    paths = run_replicates(cfg, T, kernel, threads=threads)
+    paths = run_replicates(
+        cfg, trend_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h), threads=threads
+    )
     return pilot, paths
 
 
@@ -249,10 +260,10 @@ def pointwise_bands(
     pilot, paths = trend_bootstrap_paths(eps, fit, cfg, threads=threads)
     deviations = paths - pilot
     a = 1.0 - level
-    lo = _column_quantiles(deviations, a / 2.0)
-    hi = _column_quantiles(deviations, 1.0 - a / 2.0)
-    lower = fit.g_hat - hi
-    upper = fit.g_hat - lo
+    B = deviations.shape[0]
+    ordered = np.sort(deviations, axis=0)
+    lower = fit.g_hat - ordered[_order_row(1.0 - a / 2.0, B)]
+    upper = fit.g_hat - ordered[_order_row(a / 2.0, B)]
     return BandResult(
         level=level,
         alpha_s=a,
@@ -273,7 +284,8 @@ def simultaneous_bands(band: BandResult, level: float | None = None) -> BandResu
     per-point intervals at every defined position simultaneously. The
     rate whose joint coverage is closest to the target becomes alpha_s
     (ties to the widest band). If even 1/B under-covers, the widest band
-    is returned with a warning.
+    is returned with a warning. Positions where the trend or any
+    deviation path is undefined get NaN bands.
     """
     if band.deviations is None:
         raise ValueError("band result carries no bootstrap deviations")
@@ -296,14 +308,12 @@ def simultaneous_bands(band: BandResult, level: float | None = None) -> BandResu
     elif grid[-1] < alpha:
         grid.append(alpha)
 
-    def row(a: float, upper_tail: bool) -> np.ndarray:
-        q = 1.0 - a / 2.0 if upper_tail else a / 2.0
-        idx = min(max(int(np.ceil(q * B)) - 1, 0), B - 1)
-        return Ds[idx]
+    def rows(a: float) -> tuple[np.ndarray, np.ndarray]:
+        return Ds[_order_row(a / 2.0, B)], Ds[_order_row(1.0 - a / 2.0, B)]
 
     best_ap, best_score, best_cov = None, np.inf, 0.0
     for ap in grid:
-        lo, hi = row(ap, False), row(ap, True)
+        lo, hi = rows(ap)
         inside = ((D >= lo) & (D <= hi)).all(axis=1).mean()
         score = abs(inside - level)
         if score < best_score:
@@ -315,14 +325,17 @@ def simultaneous_bands(band: BandResult, level: float | None = None) -> BandResu
             stacklevel=2,
         )
 
-    lo = _column_quantiles(dev, best_ap / 2.0)
-    hi = _column_quantiles(dev, 1.0 - best_ap / 2.0)
+    lower = np.full(band.g_hat.shape, np.nan)
+    upper = np.full(band.g_hat.shape, np.nan)
+    lo, hi = rows(best_ap)
+    lower[defined] = band.g_hat[defined] - hi
+    upper[defined] = band.g_hat[defined] - lo
     return BandResult(
         level=level,
         alpha_s=float(best_ap),
         g_hat=band.g_hat,
-        lower=band.g_hat - hi,
-        upper=band.g_hat - lo,
+        lower=lower,
+        upper=upper,
         pointwise_lower=band.pointwise_lower,
         pointwise_upper=band.pointwise_upper,
         deviations=dev,

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import datetime as dt
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.signal import lfilter
 
-from .awb import AwbConfig
+from .awb import AwbConfig, _stream
 from .breaktrend import break_ci, break_test, estimate_break, trimming_set
+from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS, ReplicateError
 from .kerneltrend import nw_estimate
 from .series import ObservedSeries
 from .shapetests import linearity_test, monotonicity_tests, trend_minimum
@@ -55,12 +57,6 @@ def _mix64(*parts: int) -> int:
         x = x * 0x94D049BB133111EB % 2**64
         x ^= x >> 31
     return x
-
-
-def _stream(*key: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(key=np.array([_mix64(*key), 0], dtype=np.uint64))
-    )
 
 
 @dataclass(frozen=True)
@@ -199,8 +195,8 @@ def gen_mask(mode: str, n_time: int, rng: np.random.Generator) -> np.ndarray:
 
 def simulate_series(design: McDesign, draw: int) -> ObservedSeries:
     """Generate one synthetic series; draws are independent and re-runnable."""
-    mask_rng = _stream(design.seed, _MASK_SALT, draw)
-    err_rng = _stream(design.seed, _DGP_SALT, draw)
+    mask_rng = _stream(_mix64(design.seed, _MASK_SALT, draw), 0)
+    err_rng = _stream(_mix64(design.seed, _DGP_SALT, draw), 0)
     mask = gen_mask(design.missing, design.n_time, mask_rng)
     y = gen_trend(design.trend, design.n_time) + gen_errors(design, design.n_time, err_rng)
     return ObservedSeries(np.where(mask == 1, y, 0.0), mask, dt.date(2000, 1, 1))
@@ -220,117 +216,116 @@ def true_break_position(design: McDesign) -> int:
 @dataclass(frozen=True)
 class CellResult:
     """Aggregated outcome of one design cell. ``estimates`` maps statistic
-    name to (value, Monte Carlo standard error)."""
+    name to (value, Monte Carlo standard error); both are NaN when no draw
+    of the cell could be analysed."""
 
     estimates: dict[str, tuple[float, float]]
     n_effective: int
     failures: int
 
 
-def _rate(hits: int, n: int) -> tuple[float, float]:
-    p = hits / n
-    return p, float(np.sqrt(p * (1.0 - p) / n))
+# A draw that raises one of these (directly or inside a bootstrap replicate)
+# is one the procedure refuses, such as a trimming set with too few observed
+# days; it counts as a failed draw. Any other exception is a fault and
+# propagates.
+_DRAW_ERRORS = VALIDATION_ERRORS + NUMERICAL_ERRORS
+
+
+def _estimate(values: list) -> tuple[float, float]:
+    """Mean over draws with its Monte Carlo standard error: binomial for
+    hit indicators, from the sample spread for measurements."""
+    n = len(values)
+    if n == 0:
+        return float("nan"), float("nan")
+    x = np.asarray(values)
+    if x.dtype == bool:
+        p = int(x.sum()) / n
+        return p, float(np.sqrt(p * (1.0 - p) / n))
+    x = x.astype(np.float64)
+    return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+
+
+def _run_cell(
+    design: McDesign,
+    statistics: tuple[str, ...],
+    outcome: Callable[[ObservedSeries, AwbConfig], tuple],
+) -> CellResult:
+    """Apply ``outcome`` to every draw of the cell; it returns one value
+    per name in ``statistics``, and each statistic is averaged over draws."""
+    values: dict[str, list] = {name: [] for name in statistics}
+    fails = 0
+    for draw in range(design.replications):
+        try:
+            result = outcome(simulate_series(design, draw), bootstrap_config(design, draw))
+        except _DRAW_ERRORS:
+            fails += 1
+            continue
+        except ReplicateError as exc:
+            if not isinstance(exc.__cause__, _DRAW_ERRORS):
+                raise
+            fails += 1
+            continue
+        for name, value in zip(statistics, result):
+            values[name].append(value)
+    estimates = {name: _estimate(v) for name, v in values.items()}
+    return CellResult(estimates, design.replications - fails, fails)
+
+
+def _require_bandwidth(design: McDesign) -> float:
+    if design.h is None:
+        raise ValueError("design needs a bandwidth h")
+    return design.h
 
 
 def run_break_test_cell(design: McDesign, threads: int = 1) -> CellResult:
     """Empirical rejection rate of the break test at the design's alpha."""
     trim = trimming_set(design.n_time, design.trim_fraction)
-    hits, fails = 0, 0
-    for draw in range(design.replications):
-        try:
-            s = simulate_series(design, draw)
-            res = break_test(
-                s, trim, bootstrap_config(design, draw),
-                n_harmonics=design.n_harmonics, alpha=design.alpha, threads=threads,
-            )
-            hits += int(res.reject)
-        except Exception:
-            fails += 1
-    n = design.replications - fails
-    return CellResult({"rejection_rate": _rate(hits, n)}, n, fails)
+
+    def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool]:
+        res = break_test(s, trim, cfg, n_harmonics=design.n_harmonics, alpha=design.alpha,
+                         threads=threads)
+        return (res.reject,)
+
+    return _run_cell(design, ("rejection_rate",), outcome)
 
 
 def run_break_ci_cell(design: McDesign, threads: int = 1) -> CellResult:
     """Coverage and mean length of the break-date interval."""
     trim = trimming_set(design.n_time, design.trim_fraction)
     truth = true_break_position(design)
-    covered, lengths, fails = 0, [], 0
-    for draw in range(design.replications):
-        try:
-            s = simulate_series(design, draw)
-            fit = estimate_break(s, trim, design.n_harmonics)
-            ci = break_ci(
-                s, fit, bootstrap_config(design, draw),
-                level=design.level, trim=trim, threads=threads,
-            )
-            covered += int(ci.lower_index <= truth <= ci.upper_index)
-            lengths.append(ci.length)
-        except Exception:
-            fails += 1
-    n = design.replications - fails
-    lengths_arr = np.asarray(lengths, dtype=np.float64)
-    return CellResult(
-        {
-            "coverage": _rate(covered, n),
-            "mean_length": (
-                float(lengths_arr.mean()),
-                float(lengths_arr.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-            ),
-        },
-        n,
-        fails,
-    )
+
+    def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, int]:
+        fit = estimate_break(s, trim, design.n_harmonics)
+        ci = break_ci(s, fit, cfg, level=design.level, trim=trim, threads=threads)
+        return ci.lower_index <= truth <= ci.upper_index, ci.length
+
+    return _run_cell(design, ("coverage", "mean_length"), outcome)
 
 
 def run_linearity_cell(design: McDesign, threads: int = 1) -> CellResult:
     """Rejection rates of both shape statistics, anchored at the trend minimum."""
-    if design.h is None:
-        raise ValueError("design needs a bandwidth h")
-    hits_ave, hits_sup, fails = 0, 0, 0
-    for draw in range(design.replications):
-        try:
-            s = simulate_series(design, draw)
-            fit = nw_estimate(s, design.h)
-            res = linearity_test(
-                s, fit, trend_minimum(fit), bootstrap_config(design, draw),
-                alpha=design.alpha, threads=threads,
-            )
-            hits_ave += int(res.reject_ave)
-            hits_sup += int(res.reject_sup)
-        except Exception:
-            fails += 1
-    n = design.replications - fails
-    return CellResult(
-        {"rejection_rate_ave": _rate(hits_ave, n), "rejection_rate_sup": _rate(hits_sup, n)},
-        n,
-        fails,
-    )
+    h = _require_bandwidth(design)
+
+    def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
+        fit = nw_estimate(s, h)
+        res = linearity_test(s, fit, trend_minimum(fit), cfg, alpha=design.alpha,
+                             threads=threads)
+        return res.reject_ave, res.reject_sup
+
+    return _run_cell(design, ("rejection_rate_ave", "rejection_rate_sup"), outcome)
 
 
 def run_monotonicity_cell(design: McDesign, threads: int = 1) -> CellResult:
     """Rejection rates of the sign and magnitude tests on the post-minimum range."""
-    if design.h is None:
-        raise ValueError("design needs a bandwidth h")
-    hits1, hits2, fails = 0, 0, 0
-    for draw in range(design.replications):
-        try:
-            s = simulate_series(design, draw)
-            fit = nw_estimate(s, design.h)
-            anchor = trend_minimum(fit)
-            res = monotonicity_tests(
-                s, (anchor.location, design.n_time), bootstrap_config(design, draw),
-                h=design.h, alpha=design.alpha, threads=threads,
-            )
-            hits1 += int(res.reject_sign)
-            hits2 += int(res.reject_magnitude)
-        except Exception:
-            fails += 1
-    n = design.replications - fails
-    return CellResult(
-        {"rejection_rate_sign": _rate(hits1, n), "rejection_rate_magnitude": _rate(hits2, n)},
-        n,
-        fails,
-    )
+    h = _require_bandwidth(design)
+
+    def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
+        fit = nw_estimate(s, h)
+        interval = (trend_minimum(fit).location, design.n_time)
+        res = monotonicity_tests(s, interval, cfg, h=h, alpha=design.alpha, threads=threads)
+        return res.reject_sign, res.reject_magnitude
+
+    return _run_cell(design, ("rejection_rate_sign", "rejection_rate_magnitude"), outcome)
 
 
 # ---------------------------------------------------------------------------

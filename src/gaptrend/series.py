@@ -106,18 +106,6 @@ class ObservedSeries:
 
 
 @dataclass(frozen=True)
-class TimeIndex:
-    """Grid positions in rescaled (0, 1] time and in fractional calendar years."""
-
-    rescaled: np.ndarray
-    calendar: np.ndarray
-
-
-def time_index(series: ObservedSeries) -> TimeIndex:
-    return TimeIndex(rescaled=series.rescaled_time(), calendar=series.calendar_years())
-
-
-@dataclass(frozen=True)
 class IngestSummary:
     n_grid: int
     n_observed: int
@@ -242,12 +230,3 @@ def write_canonical_csv(series: ObservedSeries, path: str) -> None:
             else:
                 writer.writerow([day.isoformat(), "", 0])
 
-
-def observed_subset(series: ObservedSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Return (positions, values) of the observed points, in grid order.
-
-    Positions are 1-based, matching the t = 1..T convention used by all
-    estimators in this package.
-    """
-    idx = np.flatnonzero(series.mask == 1)
-    return idx + 1, series.values[idx]

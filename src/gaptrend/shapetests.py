@@ -16,13 +16,7 @@ import numpy as np
 
 from .awb import AwbConfig, empirical_quantile, run_replicates
 from .exceptions import NoInteriorExtremumError
-from .kerneltrend import (
-    KernelTrendFit,
-    _nw_apply,
-    _nw_parts,
-    pilot_bandwidth,
-    trend_bootstrap_paths,
-)
+from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals, trend_bootstrap_paths
 from .series import ObservedSeries
 
 
@@ -252,20 +246,17 @@ def linearity_test(
 
     composite = fit.g_hat.copy()
     composite[window] = line
-    mask_f = eps.mask.astype(np.float64)
     composite_masked = np.where(eps.mask == 1, composite, 0.0)
-    pilot = _nw_apply(eps.masked_values(), *_nw_parts(mask_f, pilot_bandwidth(fit.h)))
-    u_hat = np.where(eps.mask == 1, eps.values - pilot, 0.0)
-    w, den = _nw_parts(mask_f, fit.h)
+    _, u_hat = pilot_residuals(eps, fit.h)
+    smooth = nw_smoother(eps.mask, fit.h)
 
-    def kernel(_b: int, xi: np.ndarray) -> tuple[float, float]:
-        eps_star = composite_masked + mask_f * xi * u_hat
-        g_star = _nw_apply(eps_star, w, den)
+    def statistic(eps_star: np.ndarray) -> tuple[float, float]:
+        g_star = smooth(eps_star)
         pin_star = int(hunt[np.argmin(g_star[hunt])])
         ave, sup, _, _ = gap_stats(eps_star, g_star, pin_star)
         return ave, sup
 
-    stats = run_replicates(cfg, T, kernel, threads=threads)
+    stats = run_replicates(cfg, composite_masked, u_hat, eps.mask, statistic, threads=threads)
     B = stats.shape[0]
     p_ave = (1.0 + float((stats[:, 0] >= q_ave).sum())) / (B + 1.0)
     p_sup = (1.0 + float((stats[:, 1] >= q_sup).sum())) / (B + 1.0)
@@ -432,16 +423,14 @@ def monotonicity_tests(
     prof1, prof2 = engine.profiles(eps.values[obs_pos])
     u1, u2 = float(prof1.max()), float(prof2.max())
 
-    mask_f = eps.mask.astype(np.float64)
-    pilot = _nw_apply(eps.masked_values(), *_nw_parts(mask_f, pilot_bandwidth(h)))
-    u_hat = np.where(eps.mask == 1, eps.values - pilot, 0.0)
+    _, u_hat = pilot_residuals(eps, h)
 
-    def kernel(_b: int, xi: np.ndarray) -> tuple[float, float]:
-        star_obs = (xi * u_hat)[obs_pos]
-        p1, p2 = engine.profiles(star_obs)
+    def statistic(y_star: np.ndarray) -> tuple[float, float]:
+        p1, p2 = engine.profiles(y_star[obs_pos])
         return float(p1.max()), float(p2.max())
 
-    stats = run_replicates(cfg, T, kernel, threads=threads)
+    # The null trend is zero: no decreasing segment.
+    stats = run_replicates(cfg, np.zeros(T), u_hat, eps.mask, statistic, threads=threads)
     B = stats.shape[0]
     return MonotonicityResult(
         u1=u1,

@@ -243,7 +243,7 @@ def test_criterion_8_invariant_property_suites():
     from gaptrend import draw_multipliers
 
     cfg = AwbConfig(seed=8, gamma=0.8)
-    draws = np.stack([draw_multipliers(cfg, 30, b).xi for b in range(40_000)])
+    draws = np.stack([draw_multipliers(cfg, 30, b) for b in range(40_000)])
     var_dev = max(abs(draws[:, 0].var() - 1.0), abs(draws[:, -1].var() - 1.0))
     corr = np.corrcoef(draws[:, 14], draws[:, 15])[0, 1]
     checks["multiplier moments"] = var_dev < 0.02 and abs(corr - 0.8) < 0.01

@@ -42,7 +42,7 @@ class TestGammaDefault:
 class TestMultipliers:
     def test_iid_limit_variance(self):
         cfg = AwbConfig(seed=11, gamma=1e-12)
-        xi = draw_multipliers(cfg, 10**6, 0).xi
+        xi = draw_multipliers(cfg, 10**6, 0)
         assert xi.var() == pytest.approx(1.0, rel=0.01)
 
     def test_unit_marginal_variance_beginning_middle_end(self):
@@ -51,7 +51,7 @@ class TestMultipliers:
         T, B = 40, 100_000
         cols = np.empty((B, 3))
         for b in range(B):
-            xi = draw_multipliers(cfg, T, b).xi
+            xi = draw_multipliers(cfg, T, b)
             cols[b] = xi[0], xi[T // 2], xi[-1]
         tol = 3.0 * np.sqrt(2.0 / B)
         for j in range(3):
@@ -62,7 +62,7 @@ class TestMultipliers:
         B = 100_000
         pairs = np.empty((B, 2))
         for b in range(B):
-            xi = draw_multipliers(cfg, 12, b).xi
+            xi = draw_multipliers(cfg, 12, b)
             pairs[b] = xi[5], xi[6]
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert corr == pytest.approx(0.7, abs=0.01)
@@ -73,7 +73,7 @@ class TestMultipliers:
         first = np.empty(B)
         last = np.empty(B)
         for b in range(B):
-            xi = draw_multipliers(cfg, 25, b).xi
+            xi = draw_multipliers(cfg, 25, b)
             first[b], last[b] = xi[0], xi[-1]
         qs = np.linspace(0.1, 0.9, 9)
         for sample in (first, last):
@@ -82,9 +82,9 @@ class TestMultipliers:
 
     def test_counter_keyed_determinism(self):
         cfg = AwbConfig(seed=42, gamma=0.5)
-        a = draw_multipliers(cfg, 64, 3).xi
-        b = draw_multipliers(cfg, 64, 3).xi
-        c = draw_multipliers(cfg, 64, 4).xi
+        a = draw_multipliers(cfg, 64, 3)
+        b = draw_multipliers(cfg, 64, 3)
+        c = draw_multipliers(cfg, 64, 4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -104,52 +104,67 @@ class TestMultipliers:
 
 class TestBootstrapErrors:
     def test_trivial_cases(self):
-        path = draw_multipliers(AwbConfig(seed=1, gamma=0.5), 4, 0)
-        assert np.all(bootstrap_errors(np.zeros(4), np.ones(4), path) == 0.0)
-        assert np.all(bootstrap_errors(np.ones(4), np.zeros(4), path) == 0.0)
+        xi = draw_multipliers(AwbConfig(seed=1, gamma=0.5), 4, 0)
+        assert np.all(bootstrap_errors(np.zeros(4), np.ones(4), xi) == 0.0)
+        assert np.all(bootstrap_errors(np.ones(4), np.zeros(4), xi) == 0.0)
 
     def test_direct_product(self):
-        from gaptrend.awb import MultiplierPath
-
-        path = MultiplierPath(xi=np.array([0.5, -2.0]))
-        out = bootstrap_errors(np.array([1.0, 1.0]), np.array([1, 1]), path)
+        xi = np.array([0.5, -2.0])
+        out = bootstrap_errors(np.array([1.0, 1.0]), np.array([1, 1]), xi)
         assert out.tolist() == [0.5, -2.0]
 
     def test_length_mismatch(self):
-        path = draw_multipliers(AwbConfig(seed=1, gamma=0.5), 4, 0)
+        xi = draw_multipliers(AwbConfig(seed=1, gamma=0.5), 4, 0)
         with pytest.raises(ValueError, match="length"):
-            bootstrap_errors(np.zeros(5), np.ones(5), path)
+            bootstrap_errors(np.zeros(5), np.ones(5), xi)
 
 
 class TestRunReplicates:
+    @staticmethod
+    def run(cfg, n_time, statistic, threads=1):
+        """Replicate series equal to the multiplier paths themselves."""
+        ones = np.ones(n_time)
+        return run_replicates(cfg, np.zeros(n_time), ones, ones, statistic, threads=threads)
+
     def test_constant_kernel(self):
         cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
-        out = run_replicates(cfg, 8, lambda b, xi: 2.5)
+        out = self.run(cfg, 8, lambda y: 2.5)
         assert out.tolist() == [2.5, 2.5, 2.5]
+
+    def test_replicate_series_is_base_plus_masked_errors(self, rng):
+        # Oracle: each replicate rebuilt from its own multiplier path.
+        cfg = AwbConfig(seed=4, gamma=0.6, n_boot=6)
+        base, residuals = rng.normal(size=20), rng.normal(size=20)
+        mask = (rng.random(20) < 0.6).astype(np.uint8)
+        out = run_replicates(cfg, base, residuals, mask, lambda y: y)
+        for b in range(cfg.n_boot):
+            expected = base + mask * draw_multipliers(cfg, 20, b) * residuals
+            assert np.array_equal(out[b], expected)
 
     def test_same_seed_identical(self):
         cfg = AwbConfig(seed=9, gamma=0.4, n_boot=16)
-        kernel = lambda b, xi: float(xi.sum())  # noqa: E731
-        assert np.array_equal(run_replicates(cfg, 30, kernel), run_replicates(cfg, 30, kernel))
+        kernel = lambda y: float(y.sum())  # noqa: E731
+        assert np.array_equal(self.run(cfg, 30, kernel), self.run(cfg, 30, kernel))
 
     def test_threaded_matches_serial(self):
         # Oracle: the serial run defines the contract for any schedule.
         cfg = AwbConfig(seed=9, gamma=0.4, n_boot=24)
-        kernel = lambda b, xi: float((xi**2).sum() + b)  # noqa: E731
-        serial = run_replicates(cfg, 50, kernel, threads=1)
+        kernel = lambda y: float((y**2).sum())  # noqa: E731
+        serial = self.run(cfg, 50, kernel, threads=1)
         for threads in (2, 5):
-            assert np.array_equal(serial, run_replicates(cfg, 50, kernel, threads=threads))
+            assert np.array_equal(serial, self.run(cfg, 50, kernel, threads=threads))
 
     def test_kernel_failure_carries_replicate_id(self):
         cfg = AwbConfig(seed=1, gamma=0.5, n_boot=5)
+        third = draw_multipliers(cfg, 10, 3)
 
-        def kernel(b, xi):
-            if b == 3:
+        def kernel(y):
+            if np.array_equal(y, third):
                 raise RuntimeError("boom")
             return 0.0
 
         with pytest.raises(ReplicateError, match="replicate 3"):
-            run_replicates(cfg, 10, kernel)
+            self.run(cfg, 10, kernel)
 
 
 class TestEmpiricalQuantile:

@@ -9,6 +9,8 @@ from gaptrend import (
     AwbConfig,
     break_ci,
     break_test,
+    draw_multipliers,
+    empirical_quantile,
     estimate_break,
     fit_given_break,
     fourier_design,
@@ -272,6 +274,42 @@ class TestBreakCi:
 
 
 class TestSlopeCis:
+    def test_one_pass_matches_replicates_rebuilt_by_hand(self, rng):
+        # Oracle: every replicate rebuilt from its multiplier path and rescanned.
+        values = kinked_line(150, beta=-0.3, delta=0.5, kink=90) + rng.normal(0, 2.0, 150)
+        mask = (rng.random(150) < 0.7).astype(np.uint8)
+        series = make_series(values, mask)
+        trim = trimming_set(150, 0.2)
+        fit = estimate_break(series, trim, n_harmonics=1)
+        cfg = AwbConfig(seed=12, n_boot=9)
+        ci = break_ci(series, fit, cfg, level=0.8, trim=trim)
+
+        scan = BreakScan(series.mask, series.calendar_years(), trim.candidates, 1)
+        fitted = fit.fitted_values()
+        u_hat = series.mask * (series.values - fitted)
+        rows = []
+        for b in range(cfg.n_boot):
+            y = fitted + series.mask * draw_multipliers(cfg, 150, b) * u_hat
+            state = scan.scan(y)
+            coef = scan.coefficients_at(y, state["best"], state)
+            rows.append((state["best"], coef["alpha"], coef["beta"], coef["delta"]))
+        best, alphas, betas, deltas = np.array(rows).T
+        assert ci.bootstrap_indices.tolist() == best.astype(int).tolist()
+
+        def interval(estimate, boot):
+            centered = boot - estimate
+            return (estimate - empirical_quantile(centered, 0.9),
+                    estimate - empirical_quantile(centered, 0.1))
+
+        for got, estimate, boot in (
+            (ci.slopes.intercept, fit.alpha, alphas),
+            (ci.slopes.slope_before, fit.beta, betas),
+            (ci.slopes.slope_change, fit.delta, deltas),
+            (ci.slopes.slope_after, fit.beta + fit.delta, betas + deltas),
+        ):
+            assert (got.lower, got.upper) == interval(estimate, boot)
+        assert slope_cis(series, fit, cfg, level=0.8, trim=trim) == ci.slopes
+
     def test_noiseless_zero_width_at_truth(self):
         series = make_series(kinked_line(100, alpha=2.0, beta=-0.4, delta=0.9, kink=60))
         fit = estimate_break(series, n_harmonics=0)

@@ -106,6 +106,36 @@ class TestArtifacts:
         assert rows[0] == "date,observed,trend,trend_plus_seasonal"
         assert len(rows) == 421
 
+    def test_break_slope_intervals_use_lambda(self, tmp_path):
+        from gaptrend import AwbConfig, estimate_break, ingest_csv, slope_cis, trimming_set
+        from gaptrend.mcharness import LinearTrendSpec, McDesign, simulate_series
+
+        design = McDesign(n_time=666, sigma_eta=26.0, seed=5,
+                          trend=LinearTrendSpec(4000.0, -0.5, 0.1, 0.6, "grid"))
+        draw = simulate_series(design, 0)
+        data = tmp_path / "draw.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", "value"])
+            for i in np.flatnonzero(draw.mask):
+                writer.writerow([draw.date_at(i + 1).isoformat(), repr(float(draw.values[i]))])
+        assert run(["--out", str(tmp_path), "--seed", "5", "break", "--input", str(data),
+                    "--lambda", "0.3", "--fourier", "0", "--B", "199"]) == 0
+        reported = json.loads((tmp_path / "break_report.json").read_text())
+        reported = reported["results"]["slopes_per_year"]["slope_change"]["ci"]
+
+        series, _ = ingest_csv(str(data))
+        trim = trimming_set(len(series), 0.3)
+        fit = estimate_break(series, trim, n_harmonics=0)
+        cfg = AwbConfig(seed=5, n_boot=199)
+
+        def change_ci(cis):
+            ci = cis.per_year(series.grid_step)["slope_change"]
+            return [ci.lower, ci.upper]
+
+        assert reported == change_ci(slope_cis(series, fit, cfg, trim=trim))
+        assert reported != change_ci(slope_cis(series, fit, cfg))
+
     def test_mc_panel_table(self, tmp_path):
         assert run(["--out", str(tmp_path), "--seed", "1", "mc", "--panel", "B",
                     "--replications", "2", "--B", "19"]) == 0

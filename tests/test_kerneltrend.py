@@ -122,8 +122,6 @@ class TestNwEstimate:
         series = random_masked_series(rng, 30)
         with pytest.raises(ValueError):
             nw_estimate(series, 0.0)
-        with pytest.raises(ValueError):
-            nw_estimate(series, 0.1, kernel="gaussian")
 
 
 class TestMcv:

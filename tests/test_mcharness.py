@@ -15,6 +15,7 @@ from gaptrend import (
     run_panel,
     simulate_series,
 )
+from gaptrend.exceptions import ReplicateError, SingularDesignError
 from gaptrend.mcharness import (
     PANEL_FIELDS,
     logistic_transition,
@@ -158,6 +159,34 @@ class TestSimulation:
         result = run_break_test_cell(design)
         rate = result.estimates["rejection_rate"][0]
         assert rate in (0.0, 1.0)
+
+
+class TestCells:
+    def test_cell_without_usable_draws_reports_nan(self):
+        # Every draw leaves too few observed days beyond the trimming edge.
+        design = McDesign(n_time=20, missing="70%", replications=3, n_boot=19)
+        result = run_break_test_cell(design)
+        assert (result.n_effective, result.failures) == (0, 3)
+        assert np.isnan(result.estimates["rejection_rate"]).all()
+
+    def test_only_domain_errors_count_as_failed_draws(self, monkeypatch):
+        import gaptrend.mcharness as mc
+
+        design = McDesign(n_time=120, replications=2, n_boot=19, seed=3)
+
+        def failing_replicate(cause):
+            def fake(*_args, **_kwargs):
+                raise ReplicateError(0, str(cause)) from cause
+            return fake
+
+        monkeypatch.setattr(mc, "break_test", failing_replicate(SingularDesignError("singular")))
+        assert run_break_test_cell(design).failures == 2
+        monkeypatch.setattr(mc, "break_test", failing_replicate(TypeError("bug")))
+        with pytest.raises(ReplicateError):
+            run_break_test_cell(design)
+        monkeypatch.setattr(mc, "break_test", lambda *_args, **_kwargs: {}["bug"])
+        with pytest.raises(KeyError):
+            run_break_test_cell(design)
 
 
 class TestPanels:

@@ -7,7 +7,7 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gaptrend import ObservedSeries, ingest_csv, observed_subset, time_index, write_canonical_csv
+from gaptrend import ObservedSeries, ingest_csv, write_canonical_csv
 
 from conftest import make_series
 
@@ -118,21 +118,6 @@ class TestCanonicalRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-class TestObservedSubset:
-    def test_examples(self):
-        idx, vals = observed_subset(make_series([1.0, 0.0, 3.0], [1, 0, 1]))
-        assert idx.tolist() == [1, 3]
-        assert vals.tolist() == [1.0, 3.0]
-
-        idx, _ = observed_subset(make_series(np.arange(5.0)))
-        assert idx.tolist() == [1, 2, 3, 4, 5]
-
-        mask = np.zeros(8, dtype=np.uint8)
-        mask[[4, 6]] = 1
-        idx, _ = observed_subset(make_series(np.ones(8), mask))
-        assert idx.tolist() == [5, 7]
-
-
 class TestContainer:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="length mismatch"):
@@ -153,11 +138,11 @@ class TestContainer:
 
     def test_time_index(self):
         series = make_series(np.arange(4.0))
-        ti = time_index(series)
-        assert ti.rescaled[-1] == 1.0
-        assert np.all(np.diff(ti.rescaled) > 0)
-        assert np.all(np.diff(ti.calendar) > 0)
-        assert np.allclose(np.diff(ti.calendar), series.grid_step)
+        rescaled, calendar = series.rescaled_time(), series.calendar_years()
+        assert rescaled[-1] == 1.0
+        assert np.all(np.diff(rescaled) > 0)
+        assert np.all(np.diff(calendar) > 0)
+        assert np.allclose(np.diff(calendar), series.grid_step)
 
     def test_calendar_anchor(self):
         series = make_series(np.arange(3.0), t0=dt.date(2000, 1, 1))
