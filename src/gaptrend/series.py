@@ -115,13 +115,18 @@ class IngestSummary:
 
 
 def _parse_date(text: str, row_number: int) -> dt.date:
+    """Calendar date of an ISO date or timestamp, as written.
+
+    A timestamp keeps the date written in it, also when it carries a UTC
+    offset: ``2020-01-01T23:30:00-05:00`` is 2020-01-01, not the UTC date
+    2020-01-02. A station's measurements belong to its local day.
+    """
     text = text.strip()
     try:
         return dt.date.fromisoformat(text)
     except ValueError:
         pass
     try:
-        # Sub-daily timestamps collapse to their calendar date.
         return dt.datetime.fromisoformat(text).date()
     except ValueError:
         raise ValueError(f"row {row_number}: unparseable date {text!r}") from None
@@ -135,7 +140,9 @@ def ingest_csv(
     """Read a CSV of dated measurements onto a complete daily grid.
 
     Multiple rows falling on one calendar date are averaged into a daily
-    mean. Every day between the earliest and latest date becomes a grid
+    mean. A timestamp falls on the date written in it; a UTC offset does
+    not move it to another day (``2020-01-01T23:30:00-05:00`` is
+    2020-01-01), so a station's rows keep their local day. Every day between the earliest and latest date becomes a grid
     position; days without a value get ``mask == 0``. Rows with an empty
     value field contribute to the grid span but not to the observations,
     which makes ingestion of the canonical output an exact round trip.

@@ -46,10 +46,18 @@ def trend_minimum(fit: KernelTrendFit) -> TrendAnchor:
 
 
 def local_extrema(values: np.ndarray, kind: str = "min") -> np.ndarray:
-    """1-based positions of interior local extrema of the defined subsequence.
+    """1-based positions of interior local extrema of the defined values.
 
-    A plateau counts once, at its earliest position: the test is strict
-    against the left neighbour and non-strict against the right.
+    Undefined (NaN) positions split the values into defined runs. A point
+    is compared with its nearest defined neighbours, but a neighbour
+    across an undefined stretch counts only for a point of a flat run: a
+    run whose values still change cannot show whether the trend keeps
+    falling (rising) into the stretch, so its first and last points are
+    never extrema. A flat run is what the smoother gives around
+    observations spaced wider than its window; such a run is one level,
+    compared with the levels on either side. A plateau counts once, at
+    its earliest position: the test is strict against the left neighbour
+    and non-strict against the right.
     """
     if kind not in ("min", "max"):
         raise ValueError("kind must be 'min' or 'max'")
@@ -61,6 +69,13 @@ def local_extrema(values: np.ndarray, kind: str = "min") -> np.ndarray:
         hit = (v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])
     else:
         hit = (v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])
+    if idx[-1] - idx[0] >= idx.size:  # undefined positions between defined ones
+        jump = np.diff(idx) > 1
+        at_gap = jump[:-1] | jump[1:]
+        run_start = np.flatnonzero(np.r_[True, jump])
+        run = np.cumsum(np.r_[False, jump])
+        flat = np.minimum.reduceat(v, run_start) == np.maximum.reduceat(v, run_start)
+        hit &= ~at_gap | flat[run[1:-1]]
     return idx[1:-1][hit] + 1
 
 
@@ -97,27 +112,31 @@ def extremum_ci(
     level: float = 0.95,
     threads: int = 1,
 ) -> ExtremumResult:
-    """Bootstrap interval for the position of the global trend extremum.
+    """Bootstrap interval for the position of the trend extremum.
 
-    Each replicate re-smooths a bootstrap series and records the interior
-    local extremum of its trend nearest to the original position (a
-    replicate trend without one falls back to its global extremum). The
-    interval is read from the empirical quantiles of those positions.
+    The estimate is the interior local extremum (see ``local_extrema``)
+    with the lowest value for a minimum, the highest for a maximum; ties
+    go to the earliest. Each replicate re-smooths a bootstrap series and
+    records the interior local extremum of its trend nearest to the
+    estimate (a replicate trend without one falls back to its global
+    extremum). The interval is read from the empirical quantiles of those
+    positions.
 
     Raises
     ------
     NoInteriorExtremumError
-        The estimated trend is monotone over its defined range.
+        The estimated trend has no interior local extremum of this kind.
     """
     cfg = cfg or AwbConfig()
     g = fit.g_hat
-    if local_extrema(g, kind).size == 0:
+    cands = local_extrema(g, kind)
+    if cands.size == 0:
         raise NoInteriorExtremumError(
             f"trend has no interior local {kind}imum; it looks monotone"
         )
-    pos = int(np.nanargmin(g) if kind == "min" else np.nanargmax(g))
-    t_ext = pos + 1
-    value = float(g[pos])
+    at = g[cands - 1]
+    t_ext = int(cands[np.argmin(at) if kind == "min" else np.argmax(at)])
+    value = float(g[t_ext - 1])
 
     _, paths = trend_bootstrap_paths(eps, fit, cfg, threads=threads)
     locs = np.empty(paths.shape[0], dtype=np.int64)
@@ -281,15 +300,56 @@ def linearity_test(
 # Monotonicity tests
 
 
+# Band entries per pass of the sign computation: 2**15 float64 values
+# (256 KB) keep a pass in cache.
+_BAND_CHUNK = 1 << 15
+# Evaluation positions per block of the u2 coefficient matrix.
+_U2_BLOCK = 32
+
+
+def _windows(x: np.ndarray, width: int) -> np.ndarray:
+    """View of a contiguous 1-D array whose row i is ``x[i : i + width]``."""
+    step = x.strides[0]
+    return np.ndarray((x.shape[0] - width + 1, width), x.dtype, x, 0, (step, step))
+
+
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges ``[s, s + c)`` and, per entry, the index of its range."""
+    owner = np.repeat(np.arange(counts.shape[0]), counts)
+    offset = np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner]
+    return starts[owner] + offset, owner
+
+
 class UStatEngine:
     """Kernel-weighted pairwise sums over observed pairs, for many centres.
 
     For each evaluation position t the statistic is a bilinear form
-    sum_{i<j} f(y_j - y_i) * w(i, t) * w(j, t) over observed grid
-    positions within the kernel window. Evaluation positions are
-    processed in blocks so the pair matrices stay small; the weight
-    blocks depend only on the mask and are precomputed once, which makes
-    repeated evaluation on bootstrap values cheap.
+    sum_{i<j} f(y_j - y_i) * w(i, t) * w(j, t) over the observed points in
+    the kernel window of t, with f the sign (u1) or the identity (u2).
+    Everything that depends only on the mask is built once, so evaluating
+    bootstrap values costs O(m * K) each, with m the observed points the
+    windows touch and K the most points in one window.
+
+    u2 is linear in the values: sum_{i<j} (y_j - y_i) w_i w_j equals
+    sum_k y_k w_k (2 C_k + w_k - W), with C_k the window weight before k
+    and W the window total, so it is one product with a precomputed
+    coefficient matrix, stored in blocks of evaluation positions.
+
+    u1 uses that the Epanechnikov weight is quadratic in position. With an
+    integer origin c, x = o - c and tau = t - c, the weight is proportional
+    to (r^2 - tau^2) + 2 tau x - x^2 = a(t) . (1, x, x^2) for r = h_u T, so
+    u1(t) is proportional to a(t)' M(t) a(t) with
+    M = sum_{i<j in window} sign(y_j - y_i) phi_i phi_j', phi = (1, x, x^2).
+    M changes only where a point leaves or enters the window. A point
+    leaving removes its pairs with the later points of the previous window;
+    a point entering adds its pairs with the earlier points of the new
+    window. Each such event adds the rank-one term -D phi' (only the
+    symmetric part enters the quadratic form), where D sums
+    sign(y_partner - y_point) phi_partner over the event's band of
+    partners. The origin restarts every h_u T positions, where the window's
+    points are added in order; this keeps x and tau small against r, so
+    the quadratic form loses few digits. Only signs enter u1, and the band
+    sums of sign * o^p are exact integers in floating point (K T^2 < 2^53).
     """
 
     def __init__(
@@ -298,44 +358,129 @@ class UStatEngine:
         eval_positions: np.ndarray,
         n_time: int,
         h_u: float,
-        block: int = 64,
     ):
+        """``obs_positions`` and ``eval_positions`` are ascending 0-based grid positions."""
         if h_u <= 0:
             raise ValueError("bandwidth must be positive")
-        self.n_time = n_time
-        self.h_u = h_u
-        self.n_eval = eval_positions.shape[0]
-        self._scale = -2.0 / (n_time * (n_time - 1.0))
-        radius = h_u * n_time
-        self._blocks: list[tuple[int, int, np.ndarray]] = []
-        for start in range(0, self.n_eval, block):
-            t_blk = eval_positions[start: start + block]
-            lo = int(np.searchsorted(obs_positions, t_blk[0] - radius, side="left"))
-            hi = int(np.searchsorted(obs_positions, t_blk[-1] + radius, side="right"))
-            o = obs_positions[lo:hi]
-            z = (o[None, :] - t_blk[:, None]) / n_time / h_u
+        o = np.asarray(obs_positions, dtype=np.int64)
+        t = np.asarray(eval_positions, dtype=np.int64)
+        self.n_eval = n = t.shape[0]
+        scale = -2.0 / (n_time * (n_time - 1.0))
+        r = h_u * n_time
+        # Window of position k: observed indices lo[k] <= i < hi[k].
+        lo = np.searchsorted(o, t - r, side="right")
+        hi = np.searchsorted(o, t + r, side="left")
+
+        # u2 coefficients, one (block, window) matrix per block of positions.
+        n_blocks = -(-n // _U2_BLOCK)
+        first = np.arange(n_blocks) * _U2_BLOCK
+        last = np.minimum(first + _U2_BLOCK, n) - 1
+        self._block_lo = lo[first]
+        self._span = span = max(int((hi[last] - lo[first]).max()), 1)
+        coef = np.zeros((n_blocks * _U2_BLOCK, span))
+        for b in range(n_blocks):
+            tb = t[first[b]: last[b] + 1]
+            ob = o[lo[first[b]]: hi[last[b]]]
+            z = (ob[None, :] - tb[:, None]) / n_time / h_u
             w = np.maximum(0.75 * (1.0 - z * z), 0.0) / h_u
-            self._blocks.append((lo, hi, w))
+            before = np.cumsum(w, axis=1) - w
+            total = w.sum(axis=1, keepdims=True)
+            coef[first[b]: last[b] + 1, : ob.shape[0]] = w * (2.0 * before + w - total)
+        coef *= scale
+        self._u2_coef = coef.reshape(n_blocks, _U2_BLOCK, span)
+
+        # u1 events. A segment starts where the origin restarts; there the
+        # previous window counts as empty and every window point is added.
+        seg_len = max(int(r), 1)
+        seg = (t - t[0]) // seg_len
+        restart = np.ones(n, dtype=bool)
+        restart[1:] = seg[1:] != seg[:-1]
+        origin = t[0] + seg * seg_len + seg_len // 2
+        prev_lo = np.where(restart, lo, np.roll(lo, 1))
+        prev_hi = np.where(restart, lo, np.roll(hi, 1))
+        n_leave = np.maximum(np.minimum(lo, prev_hi) - prev_lo, 0)
+        first_enter = np.maximum(prev_hi, lo)
+        leave, leave_at = _concat_ranges(prev_lo, n_leave)
+        enter, enter_at = _concat_ranges(first_enter, hi - first_enter)
+        point = np.concatenate((leave, enter))
+        at = np.concatenate((leave_at, enter_at))
+        band_start = np.concatenate((leave + 1, lo[enter_at]))
+        band_len = np.concatenate((prev_hi[leave_at], enter)) - band_start
+        keep = np.flatnonzero(band_len > 0)
+        keep = keep[np.argsort(at[keep], kind="stable")]
+        point, at, band_start, band_len = point[keep], at[keep], band_start[keep], band_len[keep]
+
+        # M(t) is the sum of the events from its segment's start through t.
+        self._through = np.searchsorted(at, np.arange(n), side="right")
+        seg_first = np.searchsorted(at, np.flatnonzero(restart), side="left")
+        self._before = seg_first[np.cumsum(restart) - 1]
+        self._origin = origin[at].astype(np.float64)
+        x = (o[point] - origin[at]).astype(np.float64)
+        self._phi = np.stack((np.ones_like(x), x, x * x), axis=1)
+        tau = (t - origin).astype(np.float64)
+        a = np.stack((r * r - tau * tau, 2.0 * tau, -np.ones(n)), axis=1)
+        form = (a[:, :, None] * a[:, None, :]).reshape(n, 9)
+        form *= -scale * (0.75 / (h_u * r * r)) ** 2
+        form[hi - lo < 2] = 0.0  # no pair: exactly zero
+        self._form = form
+
+        # Band passes run over events sorted by band length, in chunks; a
+        # chunk reads each band over its longest band's width, and the part
+        # past its shortest band is masked.
+        by_len = np.argsort(band_len, kind="stable")
+        self._time_order = np.argsort(by_len)
+        self._point = point[by_len]
+        self._band_start = band_start[by_len]
+        band_len = band_len[by_len]
+        width_max = int(band_len[-1]) if band_len.shape[0] else 1
+        rows = max(_BAND_CHUNK // width_max, 1)
+        self._pad = np.zeros(max(width_max, span))
+        pos = np.concatenate((o.astype(np.float64), self._pad))
+        pos2 = pos * pos
+        self._chunks = []
+        for e0 in range(0, band_len.shape[0], rows):
+            e1 = min(e0 + rows, band_len.shape[0])
+            full, width = int(band_len[e0]), int(band_len[e1 - 1])
+            tail = (np.arange(full, width) < band_len[e0:e1, None]).astype(np.float64)
+            self._chunks.append(
+                (e0, e1, width, full, tail, _windows(pos, width), _windows(pos2, width))
+            )
 
     def profiles(self, y_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sign-based and magnitude-based profiles at every evaluation position."""
-        u1 = np.empty(self.n_eval)
-        u2 = np.empty(self.n_eval)
-        out = 0
-        for lo, hi, w in self._blocks:
-            nt = w.shape[0]
-            v = y_obs[lo:hi]
-            if v.shape[0] < 2:
-                u1[out: out + nt] = 0.0
-                u2[out: out + nt] = 0.0
-                out += nt
-                continue
-            diff = np.triu(v[None, :] - v[:, None], k=1)
-            sgn = np.sign(diff)
-            u1[out: out + nt] = self._scale * ((w @ sgn) * w).sum(axis=1)
-            u2[out: out + nt] = self._scale * ((w @ diff) * w).sum(axis=1)
-            out += nt
-        return u1, u2
+        y_pad = np.concatenate((y_obs, self._pad))
+        # A window's u2 coefficients sum to zero, so shifting its values by
+        # their first one changes nothing but the rounding.
+        yb = _windows(y_pad, self._span)[self._block_lo]
+        yb -= yb[:, :1]
+        u2 = np.matmul(self._u2_coef, yb[:, :, None]).reshape(-1)[: self.n_eval]
+
+        # Band sums of sign * o^p for p = 0, 1, 2.
+        sums = np.empty((self._point.shape[0], 3))
+        y_point = y_obs[self._point]
+        for e0, e1, width, full, tail, pos, pos2 in self._chunks:
+            start = self._band_start[e0:e1]
+            sgn = _windows(y_pad, width)[start]
+            sgn -= y_point[e0:e1, None]
+            np.sign(sgn, out=sgn)
+            sgn[:, full:] *= tail
+            sums[e0:e1, 0] = sgn.sum(axis=1)
+            sums[e0:e1, 1] = np.einsum("ek,ek->e", sgn, pos[start])
+            sums[e0:e1, 2] = np.einsum("ek,ek->e", sgn, pos2[start])
+
+        # D = band sums of sign * (1, x, x^2) about the segment origin c.
+        d = sums[self._time_order]
+        s0, s1, s2 = d.T
+        c = self._origin
+        d1 = s1 - c * s0
+        d[:, 2] = s2 - c * (s1 + d1)
+        d[:, 1] = d1
+        steps = (d[:, :, None] * self._phi[:, None, :]).reshape(-1, 9)
+        cum = np.zeros((steps.shape[0] + 1, 9))
+        np.cumsum(steps, axis=0, out=cum[1:])
+        moments = cum[self._through]
+        moments -= cum[self._before]
+        return np.einsum("nk,nk->n", self._form, moments), u2
 
 
 @dataclass(frozen=True)
@@ -368,10 +513,10 @@ class MonotonicityResult:
         return self.u2 > self.cv2
 
 
-def u_stat_profiles(
-    eps: ObservedSeries, interval: tuple[int, int], h_u: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise-test profiles at every grid position of ``interval`` (1-based)."""
+def _pairwise_setup(
+    eps: ObservedSeries, interval: tuple[int, int], h_u: float | None
+) -> tuple[tuple[int, int], float, np.ndarray, UStatEngine]:
+    """Checked interval, bandwidth, observed positions and engine of the pairwise tests."""
     T = len(eps)
     lo, hi = int(interval[0]), int(interval[1])
     if not (1 <= lo <= hi <= T):
@@ -379,7 +524,14 @@ def u_stat_profiles(
     if h_u is None:
         h_u = u_stat_bandwidth(T)
     obs_pos = np.flatnonzero(eps.mask == 1)
-    engine = UStatEngine(obs_pos, np.arange(lo - 1, hi), T, h_u)
+    return (lo, hi), h_u, obs_pos, UStatEngine(obs_pos, np.arange(lo - 1, hi), T, h_u)
+
+
+def u_stat_profiles(
+    eps: ObservedSeries, interval: tuple[int, int], h_u: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise-test profiles at every grid position of ``interval`` (1-based)."""
+    _, _, obs_pos, engine = _pairwise_setup(eps, interval, h_u)
     return engine.profiles(eps.values[obs_pos])
 
 
@@ -411,15 +563,7 @@ def monotonicity_tests(
         Pairwise-test bandwidth; defaults to 0.5 * T^(-1/5).
     """
     cfg = cfg or AwbConfig()
-    T = len(eps)
-    lo, hi = int(interval[0]), int(interval[1])
-    if not (1 <= lo <= hi <= T):
-        raise ValueError("interval outside the sample")
-    if h_u is None:
-        h_u = u_stat_bandwidth(T)
-
-    obs_pos = np.flatnonzero(eps.mask == 1)
-    engine = UStatEngine(obs_pos, np.arange(lo - 1, hi), T, h_u)
+    interval, h_u, obs_pos, engine = _pairwise_setup(eps, interval, h_u)
     prof1, prof2 = engine.profiles(eps.values[obs_pos])
     u1, u2 = float(prof1.max()), float(prof2.max())
 
@@ -430,7 +574,7 @@ def monotonicity_tests(
         return float(p1.max()), float(p2.max())
 
     # The null trend is zero: no decreasing segment.
-    stats = run_replicates(cfg, np.zeros(T), u_hat, eps.mask, statistic, threads=threads)
+    stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, eps.mask, statistic, threads=threads)
     B = stats.shape[0]
     return MonotonicityResult(
         u1=u1,
@@ -440,7 +584,7 @@ def monotonicity_tests(
         p1=(1.0 + float((stats[:, 0] >= u1).sum())) / (B + 1.0),
         p2=(1.0 + float((stats[:, 1] >= u2).sum())) / (B + 1.0),
         h_u=float(h_u),
-        interval=(lo, hi),
+        interval=interval,
         alpha=alpha,
         u1_profile=prof1,
         u2_profile=prof2,

@@ -66,6 +66,15 @@ class TestIngest:
         assert len(series) == 2
         assert series.values[0] == 3.0
 
+    def test_offset_timestamps_keep_the_local_date(self, tmp_path):
+        path = write_csv(tmp_path / "a.csv",
+                         ["2020-01-01T23:30:00-05:00,2.0", "2020-01-02T01:00:00+09:00,4.0",
+                          "2020-01-03T12:00:00Z,6.0"])
+        series, summary = ingest_csv(path)
+        assert summary.first_date == dt.date(2020, 1, 1)
+        assert summary.last_date == dt.date(2020, 1, 3)
+        assert series.values.tolist() == [2.0, 4.0, 6.0]
+
     def test_observed_count_equals_distinct_dates(self, tmp_path, rng):
         days = rng.choice(200, size=60, replace=False)
         rows = []

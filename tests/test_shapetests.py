@@ -51,6 +51,36 @@ def naive_u_profiles(obs_pos, y_obs, eval_pos, T, h_u):
     return u1, u2
 
 
+def direct_u_profiles(obs_pos, y_obs, eval_pos, T, h_u):
+    """Oracle at realistic sizes: the pair sum of each window, one position at a time."""
+    u1 = np.empty(eval_pos.shape[0])
+    u2 = np.empty(eval_pos.shape[0])
+    scale = -2.0 / (T * (T - 1.0))
+    for k, t in enumerate(eval_pos):
+        sel = np.abs(obs_pos - t) < h_u * T
+        x = (obs_pos[sel] - t) / T / h_u
+        w = 0.75 * (1.0 - x * x) / h_u
+        diff = np.triu(y_obs[sel][None, :] - y_obs[sel][:, None], k=1)  # y_j - y_i, i < j
+        ww = np.outer(w, w)
+        u1[k] = scale * (np.sign(diff) * ww).sum()
+        u2[k] = scale * (diff * ww).sum()
+    return u1, u2
+
+
+def gappy_series(rng, T, observed_fraction, gaps=(), singles=(), decimals=None):
+    """Random series with unobserved stretches, lone observed days inside them, and
+    values rounded to ``decimals`` (many ties) when given."""
+    mask = (rng.random(T) < observed_fraction).astype(np.uint8)
+    for lo, hi in gaps:
+        mask[lo:hi] = 0
+    mask[list(singles)] = 1
+    mask[0] = mask[-1] = 1
+    values = 2.0 + np.sin(np.arange(T) / 200.0) + rng.normal(0.0, 0.3, T)
+    if decimals is not None:
+        values = np.round(values, decimals)
+    return make_series(values, mask)
+
+
 class TestBandwidth:
     def test_reference_values(self):
         assert round(u_stat_bandwidth(2935), 3) == 0.101
@@ -84,6 +114,15 @@ class TestLocalExtrema:
     def test_nan_gaps_use_defined_neighbours(self):
         g = np.array([3.0, np.nan, 1.0, np.nan, 2.0])
         assert local_extrema(g, "min").tolist() == [3]
+
+    def test_run_edge_next_to_undefined_stretch_is_not_an_extremum(self):
+        # The trend may keep falling (rising) inside the undefined stretch.
+        g = np.array([3.0, 2.0, 1.0, np.nan, np.nan, 2.0, 3.0])
+        assert local_extrema(g, "min").size == 0
+        assert local_extrema(-g, "max").size == 0
+        # Inside a run the usual test applies.
+        g = np.array([3.0, 1.0, 2.0, np.nan, 4.0, 0.5, 5.0])
+        assert local_extrema(g, "min").tolist() == [2, 6]
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -125,6 +164,43 @@ class TestExtremumCi:
         res = extremum_ci(series, fit, AwbConfig(seed=2, n_boot=29), kind="max")
         assert res.location == res.lower_index == res.upper_index
         assert res.value == 4.0
+
+    def test_no_extremum_beside_an_undefined_run(self):
+        # A V whose bottom falls in a long gap: the trend is undefined at
+        # 120-231 and falls into that stretch from the left.
+        T = 400
+        mask = np.ones(T, dtype=np.uint8)
+        mask[100:250] = 0
+        series = make_series(np.abs(np.arange(1, T + 1) - 175.0) / T, mask)
+        fit = nw_estimate(series, 0.05)
+        assert np.isnan(fit.g_hat[119:231]).all()
+        assert local_extrema(fit.g_hat, "min").size == 0
+        with pytest.raises(NoInteriorExtremumError):
+            extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+
+    def test_estimate_is_lowest_interior_extremum(self):
+        # The trend is lowest at the sample end, which is no interior minimum.
+        T = 300
+        t = np.arange(1, T + 1) / T
+        series = make_series(np.cos(3.0 * np.pi * t) * (1.0 - 0.1 * t) - 0.8 * t)
+        fit = nw_estimate(series, 0.05)
+        assert int(np.nanargmin(fit.g_hat)) + 1 == T
+        cands = local_extrema(fit.g_hat, "min")
+        lowest = int(cands[np.argmin(fit.g_hat[cands - 1])])
+        res = extremum_ci(series, fit, AwbConfig(seed=1, n_boot=49), kind="min")
+        assert res.location == lowest
+        assert res.value == fit.g_hat[lowest - 1]
+        assert res.lower_index <= res.location <= res.upper_index
+        flipped = make_series(-series.values)
+        res_max = extremum_ci(flipped, nw_estimate(flipped, 0.05), AwbConfig(seed=1, n_boot=49),
+                              kind="max")
+        assert res_max.location == lowest
+
+    def test_estimate_ties_go_to_the_earliest(self):
+        series = isolated_series([3.0, 1.0, 2.0, 1.0, 3.0])
+        fit = nw_estimate(series, 0.03)
+        res = extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+        assert res.location == local_extrema(fit.g_hat, "min")[0] < 100
 
     def test_interval_orders_and_dates(self, rng):
         T = 300
@@ -230,6 +306,37 @@ class TestUStatistics:
             np.testing.assert_allclose(p1, o1, atol=1e-12)
             np.testing.assert_allclose(p2, o2, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "T, fraction, h_u, gaps, singles, decimals, interval",
+        [
+            # Default bandwidth (origin restarts every 218 positions).
+            (2000, 0.5, None, [], [], None, (700, 2000)),
+            # Gaps longer than the window (2 h_u T = 240) leave windows with
+            # no point or one point; values on a 0.1 grid tie often.
+            (2400, 0.4, 0.05, [(800, 1150), (1500, 1800)], [1650], 1, (300, 2300)),
+        ],
+    )
+    def test_matches_direct_sums_at_realistic_size(
+        self, T, fraction, h_u, gaps, singles, decimals, interval
+    ):
+        rng = np.random.default_rng(T)
+        series = gappy_series(rng, T, fraction, gaps, singles, decimals)
+        if h_u is None:
+            h_u = u_stat_bandwidth(T)
+        lo, hi = interval
+        assert hi - lo >= 3 * h_u * T  # crosses at least three origin restarts
+        p1, p2 = u_stat_profiles(series, interval, h_u)
+        obs = np.flatnonzero(series.mask == 1)
+        eval_pos = np.arange(lo - 1, hi)
+        o1, o2 = direct_u_profiles(obs, series.values[obs], eval_pos, T, h_u)
+        np.testing.assert_allclose(p1, o1, rtol=0, atol=1e-12 * np.abs(o1).max())
+        np.testing.assert_allclose(p2, o2, rtol=0, atol=1e-12 * np.abs(o2).max())
+        counts = (np.abs(obs[None, :] - eval_pos[:, None]) < h_u * T).sum(axis=1)
+        assert np.all(p1[counts < 2] == 0.0) and np.all(p2[counts < 2] == 0.0)
+        if gaps:
+            assert (counts == 0).any() and (counts == 1).any()
+            assert np.unique(series.values[obs]).size < obs.size
+
     def test_masked_points_contribute_nothing(self, rng):
         # Doubling the grid with masked filler leaves the observed-pair sums
         # intact once the kernel rescaling of the denser grid is applied.
@@ -301,4 +408,12 @@ class TestMonotonicityTests:
         cfg = AwbConfig(seed=5, n_boot=24)
         a = monotonicity_tests(series, (15, 135), cfg, h=0.1, threads=1)
         b = monotonicity_tests(series, (15, 135), cfg, h=0.1, threads=3)
+        assert np.array_equal(a.bootstrap_stats, b.bootstrap_stats)
+
+    def test_threads_identical_at_realistic_size(self):
+        rng = np.random.default_rng(7)
+        series = gappy_series(rng, 2000, 0.4, gaps=[(900, 1200)])
+        cfg = AwbConfig(seed=6, n_boot=19)
+        a = monotonicity_tests(series, (600, 2000), cfg, h=0.08, threads=1)
+        b = monotonicity_tests(series, (600, 2000), cfg, h=0.08, threads=2)
         assert np.array_equal(a.bootstrap_stats, b.bootstrap_stats)
