@@ -4,7 +4,13 @@ pointwise intervals calibrated into simultaneous confidence bands.
 
 All smoothing runs in rescaled time t/T with an Epanechnikov kernel. Grid
 positions whose kernel window contains no observation (long gaps wider than
-the window) are reported as undefined rather than filled in.
+the window) are reported as undefined rather than filled in, and a window
+holding one observation gives that observation exactly.
+
+Every kernel sum (smoothing, the cross-validation windows, bootstrap
+re-smoothing) comes from block-local prefix sums of x, o*x and o^2*x: the
+kernel is quadratic in the offset o, so a window sum costs O(1) and a whole
+pass O(T), whatever the bandwidth.
 """
 
 from __future__ import annotations
@@ -14,53 +20,97 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .awb import AwbConfig, run_replicates
 from .series import ObservedSeries
 
 
-def _kernel_weights(h: float, n_time: int) -> np.ndarray:
-    """Epanechnikov weights at integer grid offsets covering |offset| <= h*T."""
+def _reach(h: float, n_time: int) -> int:
+    """Widest grid offset with positive Epanechnikov weight, |offset| < h*T,
+    capped at T - 1 (no window reaches further than the grid)."""
     if h <= 0:
         raise ValueError("bandwidth must be positive")
-    m = h * n_time
-    half = int(np.floor(m))
-    j = np.arange(-half, half + 1, dtype=np.float64)
-    w = 0.75 * (1.0 - (j / m) ** 2)
-    return np.maximum(w, 0.0)
+    return min(int(np.ceil(h * n_time)) - 1, n_time - 1)
 
 
 def _window_sums(x: np.ndarray, h: float, leave_out: int | None = None) -> np.ndarray:
-    """Kernel-weighted sums of ``x`` over the window around every grid position.
+    """Epanechnikov-weighted sums of ``x`` over the window around every grid position.
 
-    With ``leave_out = k`` the positions within k grid steps of the
-    centre are dropped from each window. This is the one place kernel
-    sums are formed.
+    The weight 0.75 * (1 - (d/m)^2) at offset d, m = h*T, is quadratic in
+    d, so a window sum is a fixed combination of the window moments
+    S_p = sum x_j o_j^p, p = 0, 1, 2. The grid is cut into blocks of
+    L = q + 1 centres, q = r - 1 for r the widest offset with positive
+    weight. Each block reads its L + 2q values as one row and takes
+    row-wise cumulative sums of x, o*x and o^2*x, with o counted from the
+    block's first centre; centre i of the block then gets
+    0.75/m^2 * [(m^2 - i^2) S0 + 2i S1 - S2] over the offsets |d| <= q.
+    The block-local origin keeps |o| <= 2q, so the cumulative sums keep
+    their digits at any T. The two outermost offsets +-r are added on
+    their own: their weight is as small as rounding when hT lies just above
+    an integer, too small to survive the cancellation in the moment
+    combination. The cost is O(T) for any h.
+
+    With ``leave_out = k`` the positions within k grid steps of the centre
+    are dropped: the moments are summed over the two sides of that hole
+    before the weights are applied, so a window whose nonzero values all
+    lie in the hole, like one with none at all, reads exactly 0.
+    This is the one place kernel sums are formed.
     """
-    w = _kernel_weights(h, x.shape[0])
-    sums = correlate1d(x, w, mode="constant", cval=0.0)
-    if leave_out is not None:
-        half = (w.shape[0] - 1) // 2
-        hole = w[max(half - leave_out, 0): half + leave_out + 1]
-        sums = sums - correlate1d(x, hole, mode="constant", cval=0.0)
+    T = x.shape[0]
+    r = _reach(h, T)
+    m = h * T
+    q = max(r - 1, 0)
+    L = q + 1
+    n_blocks = -(-T // L)
+    xp = np.zeros(n_blocks * L + 2 * q)
+    xp[q: q + T] = x
+    rows = np.lib.stride_tricks.sliding_window_view(xp, L + 2 * q)[::L]
+    o = np.arange(-q, L + q, dtype=np.float64)
+    cum = np.zeros((3, n_blocks, L + 2 * q + 1))
+    np.cumsum(rows * np.stack([np.ones_like(o), o, o * o])[:, None, :], axis=2,
+              out=cum[:, :, 1:])
+    if leave_out is None:
+        s = cum[:, :, 2 * q + 1:] - cum[:, :, :L]
+    else:
+        k = min(leave_out, q)
+        s = ((cum[:, :, 2 * q + 1:] - cum[:, :, q + k + 1: q + k + 1 + L])
+             + (cum[:, :, q - k: q - k + L] - cum[:, :, :L]))
+    i = np.arange(L, dtype=np.float64)
+    sums = (0.75 / (m * m)) * ((m * m - i * i) * s[0] + 2.0 * i * s[1] - s[2])
+    sums = sums.reshape(-1)[:T]
+    if r > q and (leave_out is None or leave_out < r):
+        edges = np.zeros(T)
+        edges[r:] += x[:T - r]
+        edges[:T - r] += x[r:]
+        sums += (0.75 * (m - r) * (m + r) / (m * m)) * edges
     return sums
 
 
 def nw_smoother(mask: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray]:
     """Local-constant smoother at bandwidth ``h`` for series on one mask.
 
-    The observed-weight sums are formed once, so smoothing many series
-    that share the mask (bootstrap replicates) costs one window sum each.
-    The returned function takes masked values (zero where unobserved) and
-    gives NaN wherever the kernel window holds no observation.
+    The observed-weight sums and the observation count of every window
+    are formed once, so smoothing many series that share the mask
+    (bootstrap replicates) costs one window sum each. The returned
+    function takes masked values (zero where unobserved) and gives NaN
+    wherever the kernel window holds no observation, and the observation
+    itself, exactly, wherever it holds one.
     """
+    T = mask.shape[0]
+    r = _reach(h, T)
+    pos = np.flatnonzero(mask)
+    centres = np.arange(T)
+    first = np.searchsorted(pos, centres - r)
+    count = np.searchsorted(pos, centres + r, side="right") - first
+    undefined = count == 0
+    single = np.flatnonzero(count == 1)
+    source = pos[first[single]]
     den = _window_sums(mask.astype(np.float64), h)
-    undefined = den <= 0.0
 
     def smooth(masked_values: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             g = _window_sums(masked_values, h) / den
+        g[single] = masked_values[source]
         g[undefined] = np.nan
         return g
 

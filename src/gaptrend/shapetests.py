@@ -48,16 +48,19 @@ def trend_minimum(fit: KernelTrendFit) -> TrendAnchor:
 def local_extrema(values: np.ndarray, kind: str = "min") -> np.ndarray:
     """1-based positions of interior local extrema of the defined values.
 
-    Undefined (NaN) positions split the values into defined runs. A point
+    Each run of equal defined values is one level; a level is a minimum
+    (maximum) when it lies strictly below (above) the levels on both sides
+    of it, and it is reported at its first position. The first and last
+    levels are never extrema, so a staircase has none.
+
+    Undefined (NaN) positions split the values into defined runs. A level
     is compared with its nearest defined neighbours, but a neighbour
-    across an undefined stretch counts only for a point of a flat run: a
-    run whose values still change cannot show whether the trend keeps
-    falling (rising) into the stretch, so its first and last points are
-    never extrema. A flat run is what the smoother gives around
-    observations spaced wider than its window; such a run is one level,
-    compared with the levels on either side. A plateau counts once, at
-    its earliest position: the test is strict against the left neighbour
-    and non-strict against the right.
+    across an undefined stretch counts only for a flat run: a run whose
+    values still change cannot show whether the trend keeps falling
+    (rising) into the stretch, so a level at its edge is never an
+    extremum. A flat run is what the smoother gives around observations
+    spaced wider than its window; such a run is one level, compared with
+    the levels on either side.
     """
     if kind not in ("min", "max"):
         raise ValueError("kind must be 'min' or 'max'")
@@ -65,18 +68,22 @@ def local_extrema(values: np.ndarray, kind: str = "min") -> np.ndarray:
     if idx.size < 3:
         return np.empty(0, dtype=np.int64)
     v = np.asarray(values, dtype=np.float64)[idx]
+    first = np.flatnonzero(np.r_[True, v[1:] != v[:-1]])
+    last = np.r_[first[1:] - 1, v.size - 1]
+    level = v[first]
     if kind == "min":
-        hit = (v[1:-1] < v[:-2]) & (v[1:-1] <= v[2:])
+        hit = (level[1:-1] < level[:-2]) & (level[1:-1] < level[2:])
     else:
-        hit = (v[1:-1] > v[:-2]) & (v[1:-1] >= v[2:])
+        hit = (level[1:-1] > level[:-2]) & (level[1:-1] > level[2:])
+    first, last = first[1:-1][hit], last[1:-1][hit]
     if idx[-1] - idx[0] >= idx.size:  # undefined positions between defined ones
         jump = np.diff(idx) > 1
-        at_gap = jump[:-1] | jump[1:]
         run_start = np.flatnonzero(np.r_[True, jump])
         run = np.cumsum(np.r_[False, jump])
         flat = np.minimum.reduceat(v, run_start) == np.maximum.reduceat(v, run_start)
-        hit &= ~at_gap | flat[run[1:-1]]
-    return idx[1:-1][hit] + 1
+        keep = (~jump[first - 1] | flat[run[first]]) & (~jump[last] | flat[run[last]])
+        first = first[keep]
+    return idx[first] + 1
 
 
 def nearest_extremum(candidates: np.ndarray, target: int) -> int:

@@ -11,13 +11,15 @@ from gaptrend import (
     AwbConfig,
     bandwidth_grid,
     confidence_bands,
+    default_leave_out,
+    local_extrema,
     mcv_scan,
     nw_estimate,
     pilot_bandwidth,
     pointwise_bands,
     simultaneous_bands,
 )
-from gaptrend.kerneltrend import BandResult
+from gaptrend.kerneltrend import BandResult, _window_sums
 
 from conftest import make_series, random_masked_series
 
@@ -60,6 +62,104 @@ def naive_mcv(values, mask, h, k, T):
     return total / T if any_defined else np.inf
 
 
+def direct_window_sums(x, h, leave_out=None, chunk=256):
+    """Oracle at realistic sizes: every window's weighted sums formed directly,
+    a block of centres at a time.
+
+    Returns the kernel sums of x, of |x| (the scale of x's sums) and of the
+    indicator x != 0 (zero where no nonzero value carries weight).
+    """
+    T = x.shape[0]
+    m = h * T
+    reach = min(int(np.floor(m)), T - 1)
+    cols = np.stack([x, np.abs(x), (x != 0).astype(np.float64)], axis=1)
+    out = np.empty((T, 3))
+    for lo in range(0, T, chunk):
+        centres = np.arange(lo, min(lo + chunk, T))
+        near = np.arange(max(lo - reach, 0), min(centres[-1] + reach + 1, T))
+        d = near[None, :] - centres[:, None]
+        w = np.where(np.abs(d) <= m, 0.75 * (1.0 - (d / m) ** 2), 0.0)
+        if leave_out is not None:
+            w[np.abs(d) <= leave_out] = 0.0
+        out[centres] = w @ cols[near]
+    return out[:, 0], out[:, 1], out[:, 2]
+
+
+def direct_mcv(values, mask, h, k):
+    """Oracle at realistic sizes: the leave-(2k+1)-out score from direct window sums."""
+    T = values.shape[0]
+    num = direct_window_sums(np.where(mask == 1, values, 0.0), h, k)[0]
+    den = direct_window_sums(mask.astype(np.float64), h, k)[0]
+    ok = (mask == 1) & (den > 0)
+    if not ok.any():
+        return np.inf
+    return float(((num[ok] / den[ok] - values[ok]) ** 2).sum()) / T
+
+
+class TestWindowSums:
+    T = 12000
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        # A 25%-observed mask with two long gaps, each holding one lone
+        # observed day, so that empty windows and windows holding only
+        # leave-out observations occur at the smaller bandwidths.
+        rng = np.random.default_rng(12000)
+        mask = (rng.random(self.T) < 0.25).astype(np.float64)
+        mask[2000:2600] = 0.0
+        mask[5000:6400] = 0.0
+        mask[[2300, 5700]] = 1.0
+        return {
+            "mask": mask,
+            "positive": mask * rng.uniform(0.5, 3.0, self.T),
+            "signed": mask * rng.normal(0.0, 1.0, self.T),
+        }
+
+    # hT = 120, 600 and 3000 exactly; 0.035 * 12000 lies just above 420, so
+    # the outermost offsets +-420 carry a weight of about 1e-16.
+    @pytest.mark.parametrize("h", [0.01, 0.035, 0.05, 0.25])
+    @pytest.mark.parametrize("leave_out", [None, "default"])
+    def test_matches_direct_sums_at_realistic_size(self, inputs, h, leave_out):
+        k = default_leave_out(self.T) if leave_out == "default" else None
+        for name, x in inputs.items():
+            got = _window_sums(x, h, k)
+            want, scale, support = direct_window_sums(x, h, k)
+            err = np.abs(got - want)
+            assert np.all(err <= 1e-10 * scale), (name, float(np.max(err / np.maximum(scale, 1e-300))))
+            assert np.all(got[support == 0] == 0.0), name
+        if h == 0.01:
+            assert (support == 0).any()  # the exact-zero check was exercised
+
+    def test_window_of_two_outermost_observations(self):
+        # hT = 105 + 1.4e-14: two observations 210 days apart with none
+        # between are the only ones in the window of their midpoint, both
+        # at weight ~1e-16, far below the rounding of the moment sums.
+        T, h = 3000, 0.035
+        mask = np.zeros(T, dtype=np.uint8)
+        mask[:1000:3] = 1
+        mask[[1000, 1210]] = 1
+        mask[1213::3] = 1
+        values = np.where(mask == 1, 2.0, 0.0)
+        values[[1000, 1210]] = 1.3, 2.9
+        fit = nw_estimate(make_series(values, mask), h)
+        assert fit.g_hat[1105] == pytest.approx(2.1, abs=1e-12)
+
+    def test_mcv_matches_direct_sums_at_realistic_size(self):
+        rng = np.random.default_rng(2400)
+        T = 2400
+        mask = (rng.random(T) < 0.4).astype(np.uint8)
+        mask[600:900] = 0
+        mask[[0, 750, T - 1]] = 1
+        t = np.arange(1, T + 1) / T
+        series = make_series(np.sin(4.0 * t) + rng.normal(0.0, 0.3, T), mask)
+        grid = np.array([0.02, 0.05, 0.1, 0.25])
+        res = mcv_scan(series, grid)
+        assert res.k == default_leave_out(T)
+        for h, score in zip(grid, res.scores):
+            oracle = direct_mcv(series.values, series.mask, h, res.k)
+            assert score == pytest.approx(oracle, rel=1e-10)
+
+
 class TestNwEstimate:
     def test_constant_series(self, rng):
         series = random_masked_series(rng, 80)
@@ -78,6 +178,23 @@ class TestNwEstimate:
         assert fit.g_hat[10] == 3.0
         assert fit.g_hat[90] == -1.5
         assert np.isnan(fit.g_hat[50])  # desert gap flagged, not fabricated
+
+    def test_one_observation_windows_return_the_observation(self):
+        # Observations 200 days apart, windows of 59 days each side: every
+        # defined position sees one observation, so the trend is a
+        # staircase of the observed values with one minimum, the run
+        # around day 801.
+        T = 3000
+        mask = np.zeros(T, dtype=np.uint8)
+        mask[::200] = 1
+        t = np.linspace(0.0, 1.0, T)
+        series = make_series(t * t - t / 2.0, mask)
+        fit = nw_estimate(series, 0.02)
+        at = np.flatnonzero(fit.defined)
+        nearest = np.round(at / 200.0).astype(np.int64) * 200
+        assert np.array_equal(fit.g_hat[at], series.values[nearest])
+        assert local_extrema(fit.g_hat, "min").tolist() == [801 - 59]
+        assert local_extrema(fit.g_hat, "max").size == 0
 
     def test_toy_matches_hand_table(self):
         series = make_series([1.0, 2.0, 0.0, 4.0, 5.0], [1, 1, 0, 1, 1])

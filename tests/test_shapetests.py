@@ -111,6 +111,17 @@ class TestLocalExtrema:
         assert local_extrema(np.arange(6.0), "min").size == 0
         assert local_extrema(np.arange(6.0)[::-1], "min").size == 0
 
+    def test_staircases_have_no_extrema(self):
+        down = np.array([3.0, 3.0, 2.0, 2.0, 2.0, 1.0, 1.0])
+        for g in (down, down[::-1], -down, -down[::-1]):
+            assert local_extrema(g, "min").size == 0
+            assert local_extrema(g, "max").size == 0
+
+    def test_plateau_between_higher_levels_is_one_minimum(self):
+        g = np.array([2.0, 1.0, 1.0, 1.0, 3.0, 3.0, 0.5, 0.5])
+        assert local_extrema(g, "min").tolist() == [2]
+        assert local_extrema(g, "max").tolist() == [5]
+
     def test_nan_gaps_use_defined_neighbours(self):
         g = np.array([3.0, np.nan, 1.0, np.nan, 2.0])
         assert local_extrema(g, "min").tolist() == [3]
@@ -157,6 +168,18 @@ class TestExtremumCi:
         fit = nw_estimate(series, 0.03)
         with pytest.raises(NoInteriorExtremumError):
             extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+
+    def test_decreasing_trend_raises(self):
+        series = isolated_series([5.0, 4.0, 3.0, 2.0, 1.0])
+        fit = nw_estimate(series, 0.03)
+        with pytest.raises(NoInteriorExtremumError):
+            extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+
+    def test_monotone_trend_raises_for_maximum(self):
+        series = isolated_series([1.0, 2.0, 3.0, 4.0, 5.0])
+        fit = nw_estimate(series, 0.03)
+        with pytest.raises(NoInteriorExtremumError):
+            extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="max")
 
     def test_maximum_kind(self):
         series = isolated_series([1.0, 2.0, 4.0, 2.0, 1.0])
