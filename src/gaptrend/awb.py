@@ -6,16 +6,18 @@ and a replicate runner whose output is deterministic for a given seed no
 matter how the replicates are scheduled. Multipliers come from a
 counter-based generator keyed by (seed, replicate id), so replicate b is
 the same whether it runs first, last, serially, or on a worker thread.
+The AR(1) recursion itself is a scaled prefix sum, computed row by row of
+positions with ``numpy.cumsum`` from weights built once per (T, gamma).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .exceptions import ReplicateError
 
@@ -24,6 +26,8 @@ DEFAULT_N_BOOT = 999
 
 _UINT64 = np.uint64
 _KEY_MOD = 2**64
+# A row of the AR(1) prefix-sum recursion keeps gamma^-i below 1e150.
+_ROW_LOG_RANGE = np.log(1e150)
 
 
 def dependence_length(n_time: int) -> float:
@@ -70,20 +74,60 @@ def _stream(seed: int, replicate_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+@lru_cache(maxsize=32)
+def _ar1_factors(
+    n_time: int, gamma: float | None, theta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only factors of the multiplier recursion for one (T, gamma).
+
+    The recursion xi_i = gamma xi_(i-1) + x_i, with x_0 = z_0 and
+    x_i = sqrt(1 - gamma^2) z_i, is read as rows of L = floor(ln(1e150) /
+    -ln(gamma)) positions (at least 1, at most T), so that gamma^-i stays
+    below 1e150 within a row. A row is a scaled prefix sum, xi_i = gamma^i
+    sum_(k<=i) gamma^-k x_k, plus the previous row's last value times
+    gamma^(i+1); that last value may leave out the carry from the row
+    before it, because gamma^(L+1) < 1e-150 puts that below rounding.
+    Returns the (rows, L) weights gamma^-i sqrt(1 - gamma^2), with 1 at
+    the very first position, and the row factors gamma^i and gamma^(i+1).
+    gamma is resolved here, once per run; all paths of a run, on any
+    thread, share the factors.
+    """
+    if gamma is None:
+        gamma = default_gamma(n_time, theta)
+    width = int(min(n_time, max(1, _ROW_LOG_RANGE // -np.log(gamma))))
+    i = np.arange(width, dtype=np.float64)
+    weights = np.empty((-(-n_time // width), width))
+    weights[:] = gamma**-i * np.sqrt(1.0 - gamma * gamma)
+    weights[0, 0] = 1.0
+    decay = gamma**i
+    carry = decay * gamma
+    for arr in (weights, decay, carry):
+        arr.flags.writeable = False
+    return weights, decay, carry
+
+
 def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> np.ndarray:
     """Generate the multiplier path for one replicate.
 
-    The path starts from a standard normal draw and evolves as an AR(1)
-    recursion with innovation variance 1 - gamma^2, so the marginal
-    variance is exactly 1 at every position. Identical (seed,
-    replicate_id) keys give identical paths regardless of execution
-    order or worker count.
+    The path starts from a standard normal draw z_0 and evolves as
+    xi_i = gamma xi_(i-1) + sqrt(1 - gamma^2) z_i, so the marginal
+    variance is exactly 1 at every position. The recursion runs as
+    blocked scaled prefix sums (see ``_ar1_factors``): one cumulative sum
+    per row of positions and one vectorised carry into every row, which
+    agrees with the direct recursion to rounding. Identical (seed,
+    replicate_id) keys give identical paths regardless of execution order
+    or worker count.
     """
-    gamma = cfg.resolve_gamma(n_time)
-    z = _stream(cfg.seed, replicate_id).standard_normal(n_time)
-    scale = np.sqrt(1.0 - gamma * gamma)
-    driving = np.concatenate([z[:1], scale * z[1:]])
-    return lfilter([1.0], [1.0, -gamma], driving)
+    weights, decay, carry = _ar1_factors(n_time, cfg.gamma, cfg.theta)
+    buf = np.zeros(weights.size)
+    _stream(cfg.seed, replicate_id).standard_normal(out=buf[:n_time])
+    xi = buf.reshape(weights.shape)
+    xi *= weights
+    np.cumsum(xi, axis=1, out=xi)
+    xi *= decay
+    if xi.shape[0] > 1:
+        xi[1:] += xi[:-1, -1:] * carry
+    return buf[:n_time]
 
 
 def bootstrap_errors(

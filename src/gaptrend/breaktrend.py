@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .awb import AwbConfig, empirical_quantile, run_replicates
 from .exceptions import SingularDesignError
@@ -191,9 +190,11 @@ class BreakScan:
         self._Z = Z
         self._Zm = Z * m[:, None]
 
-        gram = Z.T @ self._Zm
+        # The Cholesky factor G = L L^T of the fixed-column Gram matrix
+        # fails on a singular G. L^-1 is p0 x p0, so each scan solves for
+        # the no-break coefficients with two small matvecs.
         try:
-            self._cho = cho_factor(gram)
+            self._chol_inv = np.linalg.inv(np.linalg.cholesky(Z.T @ self._Zm))
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError(f"fixed design is singular: {exc}") from exc
 
@@ -209,14 +210,16 @@ class BreakScan:
         s_m = suffix(m)
         s_mt = suffix(m * tau)
         s_mtt = suffix(m * tau * tau)
-        self._suffix_m = s_m
 
         # Hinge cross products for every candidate at once.
-        self._Zd = s_mtz[c] - tau_c[:, None] * s_mz[c]          # (n_cand, p0)
+        Zd = s_mtz[c] - tau_c[:, None] * s_mz[c]                # (n_cand, p0)
         dd = s_mtt[c] - 2.0 * tau_c * s_mt[c] + tau_c**2 * s_m[c]
-        self._dd = dd
-        self._W = cho_solve(self._cho, self._Zd.T)              # (p0, n_cand)
-        schur = dd - np.einsum("cp,pc->c", self._Zd, self._W)
+        # Hinge cross products in the whitened basis, V = L^-1 Zd'. The
+        # Schur complement dd - |V|^2 cancels most of dd, so it is formed
+        # from V rather than from G^-1 Zd', which loses digits there.
+        self._V = self._chol_inv @ Zd.T                        # (p0, n_cand)
+        self._W = self._chol_inv.T @ self._V                   # G^-1 Zd'
+        schur = dd - np.einsum("pc,pc->c", self._V, self._V)
         self._schur = schur
         self._valid = schur > np.maximum(dd, 1e-300) * _SCHUR_RTOL
         if not self._valid.any():
@@ -249,9 +252,9 @@ class BreakScan:
         m = self._m
         ym = y * m
         yy = float(ym @ y)
-        zy = self._Zm.T @ y
-        beta0 = cho_solve(self._cho, zy)
-        ssr0 = max(yy - float(zy @ beta0), 0.0)
+        u = self._chol_inv @ (self._Zm.T @ y)
+        beta0 = self._chol_inv.T @ u
+        ssr0 = max(yy - float(u @ u), 0.0)
 
         T = self.n_time
         tau = self._tau
@@ -262,7 +265,7 @@ class BreakScan:
         c = self.candidates
         dy = sty[c] - (c / T) * sy[c]
 
-        num = dy - self._Zd @ beta0
+        num = dy - u @ self._V
         with np.errstate(divide="ignore", invalid="ignore"):
             red = np.where(self._valid, num * num / self._schur, -np.inf)
         red[self._valid & (red < yy * _NOISE_FLOOR)] = 0.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -365,11 +366,12 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
     except ValueError:
         raise ValueError(f"--mcv-grid must be lo:hi:step, got {mcv_grid!r}") from None
     scan = mcv_scan(eps, bandwidth_grid(lo, hi, step), mcv_k)
+    minima_set = set(scan.local_minima.tolist())
     _write_csv(
         out_dir, "mcv_scores.csv", ["bandwidth", "score", "is_local_minimum"],
         [
-            [repr(float(h)), repr(float(s)), int(i in set(scan.local_minima.tolist()))]
-            for i, (h, s) in enumerate(zip(scan.grid, scan.scores))
+            [repr(h), repr(s), int(i in minima_set)]
+            for i, (h, s) in enumerate(zip(scan.grid.tolist(), scan.scores.tolist()))
         ],
     )
     if svg:
@@ -391,16 +393,14 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
     cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=n_boot)
     bands = confidence_bands(eps, fit, cfg, level, threads=threads)
 
-    rows = []
-    for i in range(len(series)):
-        def fmt(arr):
-            return repr(float(arr[i])) if np.isfinite(arr[i]) else None
-        rows.append([
-            eps.date_at(i + 1).isoformat(),
-            repr(float(eps.values[i])) if eps.mask[i] else None,
-            fmt(fit.g_hat), fmt(bands.pointwise_lower), fmt(bands.pointwise_upper),
-            fmt(bands.lower), fmt(bands.upper),
-        ])
+    columns = [
+        [repr(v) if math.isfinite(v) else None for v in arr.tolist()]
+        for arr in (fit.g_hat, bands.pointwise_lower, bands.pointwise_upper,
+                    bands.lower, bands.upper)
+    ]
+    observed = [repr(v) if m else None for v, m in zip(eps.values.tolist(), eps.mask.tolist())]
+    dates = [eps.date_at(i + 1).isoformat() for i in range(len(series))]
+    rows = zip(dates, observed, *columns)
     _write_csv(
         out_dir, "trend_bands.csv",
         ["date", "deseasonalized", "trend", "pointwise_lower", "pointwise_upper",

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .awb import AwbConfig, _stream
 from .breaktrend import break_ci, break_test, estimate_break, trimming_set
@@ -162,12 +161,22 @@ def gen_errors(design: McDesign, n_time: int, rng: np.random.Generator) -> np.nd
 
     A burn-in of 200 steps is generated and discarded so the recursion
     starts from its stationary regime; the optional volatility profile
-    multiplies the stationary noise pointwise.
+    multiplies the stationary noise pointwise. The recursion runs as a
+    transposed direct-form II filter, one operation at a time in the order
+    of the usual ``lfilter([1, psi], [1, -phi], e)``, so the series match
+    that filter's to the last bit.
     """
     phi, psi = design.phi, design.psi
     var_eps = (1.0 - phi * phi) * design.sigma_eta**2 / (2.0 * (1.0 + psi * psi + 2.0 * phi * psi))
     e = rng.normal(0.0, np.sqrt(var_eps), ARMA_BURN_IN + n_time)
-    eta = lfilter([1.0, psi], [1.0, -phi], e)[ARMA_BURN_IN:]
+    a1 = -phi
+    out = []
+    z = 0.0
+    for x in e.tolist():
+        y = z + x
+        z = x * psi - y * a1
+        out.append(y)
+    eta = np.array(out[ARMA_BURN_IN:])
     if design.heteroskedastic:
         tau = np.arange(1, n_time + 1, dtype=np.float64) / n_time
         return volatility_profile(tau) * eta

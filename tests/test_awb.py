@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from gaptrend import (
     AwbConfig,
@@ -16,6 +19,7 @@ from gaptrend import (
     empirical_quantile,
     run_replicates,
 )
+from gaptrend import awb
 
 
 class TestGammaDefault:
@@ -100,6 +104,88 @@ class TestMultipliers:
             AwbConfig(theta=0.0)
         with pytest.raises(ValueError):
             AwbConfig(n_boot=0)
+
+
+def lfilter_multipliers(cfg, n_time, replicate_id):
+    """Oracle: the AR(1) recursion as a direct-form filter on the same draws."""
+    gamma = cfg.resolve_gamma(n_time)
+    z = awb._stream(cfg.seed, replicate_id).standard_normal(n_time)
+    driving = np.concatenate([z[:1], np.sqrt(1.0 - gamma * gamma) * z[1:]])
+    return signal.lfilter([1.0], [1.0, -gamma], driving)
+
+
+def decimal_multipliers(cfg, n_time, replicate_id):
+    """Oracle: the AR(1) recursion in 40-digit decimal arithmetic."""
+    gamma = cfg.resolve_gamma(n_time)
+    z = awb._stream(cfg.seed, replicate_id).standard_normal(n_time)
+    scale = np.sqrt(1.0 - gamma * gamma)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        g, s = Decimal(gamma), Decimal(float(scale))
+        out, acc = [], Decimal(0)
+        for i, zi in enumerate(z.tolist()):
+            acc = Decimal(zi) if i == 0 else g * acc + s * Decimal(zi)
+            out.append(float(acc))
+    return np.array(out)
+
+
+class TestMultiplierRecursion:
+    """The blocked prefix-sum recursion against direct recursions."""
+
+    @pytest.mark.parametrize("n_time", [285, 666, 3000, 12000, 40000])
+    @pytest.mark.parametrize("gamma", [0.01, 0.3, None, 0.99])
+    def test_matches_lfilter(self, n_time, gamma):
+        cfg = AwbConfig(seed=3, gamma=gamma)
+        for b in range(2):
+            ref = lfilter_multipliers(cfg, n_time, b)
+            xi = draw_multipliers(cfg, n_time, b)
+            assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_time", [285, 3000, 12000, 40000])
+    @pytest.mark.parametrize("gamma", [0.01, None, 0.9999])
+    def test_matches_exact_recursion(self, n_time, gamma):
+        # Near gamma = 1 the rounding of any float recursion, lfilter's
+        # included, grows like sqrt(1 / (1 - gamma)) ulps (lfilter's own
+        # error reaches 9e-15 of the path at 0.9999), so the reference here
+        # is the recursion carried to 40 digits.
+        cfg = AwbConfig(seed=8, gamma=gamma)
+        for b in range(2):
+            ref = decimal_multipliers(cfg, n_time, b)
+            xi = draw_multipliers(cfg, n_time, b)
+            assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_rows_carry_the_recursion(self):
+        # Small gamma cuts the path into rows of 75 positions and the
+        # default into two rows, so the oracles above cover the carry
+        # between rows; the first value is z_0 itself.
+        assert awb._ar1_factors(12000, 0.01, 0.1)[0].shape == (160, 75)
+        assert awb._ar1_factors(12000, None, 0.1)[0].shape[0] == 2
+        cfg = AwbConfig(seed=2, gamma=0.01)
+        z0 = awb._stream(2, 5).standard_normal(1)[0]
+        assert draw_multipliers(cfg, 12000, 5)[0] == z0
+
+    def test_identical_for_any_thread_count_and_order(self):
+        cfg = AwbConfig(seed=12, n_boot=12)
+        T = 12000
+        forward = [draw_multipliers(cfg, T, b) for b in range(cfg.n_boot)]
+        backward = [draw_multipliers(cfg, T, b) for b in reversed(range(cfg.n_boot))]
+        assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
+        ones = np.ones(T)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for threads in (1, 2, 4):
+                # A cold cache lets the threads race to build the weights.
+                awb._ar1_factors.cache_clear()
+                out = run_replicates(cfg, np.zeros(T), ones, ones, lambda y: y, threads=threads)
+                assert np.array_equal(out, np.array(forward))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_weights_are_read_only(self):
+        for arr in awb._ar1_factors(666, 0.9, 0.1):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
 
 class TestBootstrapErrors:

@@ -17,6 +17,7 @@ from gaptrend import (
     slope_cis,
     trimming_set,
 )
+from gaptrend import SingularDesignError, gen_mask
 from gaptrend.breaktrend import BreakScan
 
 from conftest import make_series
@@ -360,3 +361,48 @@ class TestScanInternals:
         scan = BreakScan(series.mask, series.calendar_years(), np.array([20, 30]), 0)
         with pytest.raises(ValueError, match="not among"):
             scan.coefficients_at(series.values, 25)
+
+    @pytest.mark.parametrize("design", ["fewer_days_than_columns", "one_day_of_year"])
+    def test_singular_fixed_design_raises(self, design):
+        if design == "fewer_days_than_columns":
+            T = 400
+            mask = np.zeros(T, dtype=np.uint8)
+            mask[[0, 50, 100, 200, 300, 399]] = 1  # 6 days, 8 fixed columns
+        else:
+            step = 4 * 365 + 1  # leap-cycle spacing keeps the year fraction fixed
+            T = step * 9 + 1
+            mask = np.zeros(T, dtype=np.uint8)
+            mask[::step] = 1
+        series = make_series(np.ones(T), mask)
+        with pytest.raises(SingularDesignError, match="fixed design is singular"):
+            BreakScan(mask, series.calendar_years(), trimming_set(T).candidates, 3)
+
+    def test_null_fit_and_statistic_match_lstsq_on_short_harmonic_design(self):
+        # Oracle: direct least squares on every candidate of a T=285
+        # mcharness-style design with three harmonics, the worst-conditioned
+        # fixed design the break panels use.
+        rng = np.random.default_rng(285)
+        T = 285
+        mask = gen_mask("30%", T, rng)
+        mask[0] = mask[-1] = 1
+        series = make_series(kinked_line(T, delta=0.1, kink=150) + rng.normal(0, 18.0, T), mask)
+        trim = trimming_set(T, 0.1)
+        scan = BreakScan(mask, series.calendar_years(), trim.candidates, 3)
+        state = scan.scan(series.values)
+
+        tau = np.arange(1, T + 1) / T
+        Z = np.column_stack([np.ones(T), tau, fourier_design(series.calendar_years(), 3)])
+        obs = mask == 1
+        y = series.values[obs]
+        beta0, _, _, _ = np.linalg.lstsq(Z[obs], y, rcond=None)
+        r0 = y - Z[obs] @ beta0
+        reductions = []
+        for c in trim.candidates:
+            X = np.column_stack([Z, np.maximum(0.0, tau - c / T)])[obs]
+            coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+            r = y - X @ coef
+            reductions.append(r0 @ r0 - r @ r)
+        assert np.max(np.abs(state["beta0"] - beta0)) <= 1e-10 * np.max(np.abs(beta0))
+        assert state["ssr0"] == pytest.approx(r0 @ r0, rel=1e-10)
+        assert state["f_stat"] == pytest.approx(max(reductions), rel=1e-10)
+        assert state["best"] == trim.candidates[int(np.argmax(reductions))]

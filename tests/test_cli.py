@@ -5,10 +5,15 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gaptrend
 from gaptrend.cli import load_fit_artifact, run
 
 
@@ -194,3 +199,12 @@ class TestDeterminism:
         assert ra["results"]["p_value"] != rb["results"]["p_value"] or (
             ra["results"]["break_ci"] != rb["results"]["break_ci"]
         )
+
+
+def test_cli_import_loads_no_scipy():
+    # Importing scipy costs about a second per call; the package must not.
+    src = str(Path(gaptrend.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gaptrend.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import signal
 
 from gaptrend import (
     LinearTrendSpec,
@@ -60,6 +61,18 @@ class TestErrors:
             volatility_profile(tau[early]) ** 2
         ).mean()
         assert u[late].var() / u[early].var() == pytest.approx(expected, rel=0.1)
+
+    @pytest.mark.parametrize(
+        "phi, psi", [(0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.6, 0.2), (-0.7, 0.3), (0.95, -0.9)]
+    )
+    def test_bit_identical_to_lfilter(self, phi, psi):
+        # Oracle: the ARMA(1,1) filter of scipy on the same innovations.
+        design = McDesign(n_time=666, phi=phi, psi=psi, sigma_eta=26.0)
+        u = gen_errors(design, 666, np.random.default_rng(7))
+        var_eps = (1 - phi * phi) * 26.0**2 / (2 * (1 + psi * psi + 2 * phi * psi))
+        e = np.random.default_rng(7).normal(0.0, np.sqrt(var_eps), 200 + 666)
+        expected = signal.lfilter([1.0, psi], [1.0, -phi], e)[200:]
+        assert np.array_equal(u, expected)
 
     def test_explosive_ar_rejected(self):
         with pytest.raises(ValueError):
