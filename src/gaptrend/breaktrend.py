@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import datetime as dt
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,6 +68,8 @@ class BrokenTrendFit:
     ``beta`` and ``delta`` are per grid step; multiply by 365.25 (or divide
     by the series grid_step) for per-year rates. The fitted trend is
     continuous at ``break_index`` by construction of the hinge regressor.
+    ``scan`` is the candidate scan the fit was chosen on; bootstrap
+    intervals rescan its candidates.
     """
 
     alpha: float
@@ -76,6 +79,7 @@ class BrokenTrendFit:
     seasonal: SeasonalFit
     ssr: float
     n_time: int
+    scan: BreakScan = field(repr=False, compare=False)
 
     def trend_values(self) -> np.ndarray:
         t = np.arange(1, self.n_time + 1, dtype=np.float64)
@@ -94,14 +98,15 @@ class BrokenTrendFit:
 
 @dataclass(frozen=True)
 class BreakTestResult:
-    """Break-test statistic with its bootstrap distribution."""
+    """Break-test statistic with its bootstrap distribution and the best
+    one-break fit of the observed series."""
 
     statistic: float
     bootstrap_stats: np.ndarray
     critical_value: float
     p_value: float
     alpha: float
-    break_index: int
+    fit: BrokenTrendFit
 
     @property
     def reject(self) -> bool:
@@ -152,6 +157,16 @@ class SlopeCis:
             ci: ParamCi = getattr(self, name)
             out[name] = ParamCi(ci.estimate * s, ci.lower * s, ci.upper * s)
         return out
+
+
+class ScanState(NamedTuple):
+    """One scan of a response over every candidate of a :class:`BreakScan`."""
+
+    ssr0: float  # no-break SSR
+    f_stat: float  # largest SSR reduction over the candidates
+    best: int  # position of the winning candidate, ties to the smallest
+    beta0: np.ndarray  # no-break coefficients, internal scaling
+    num: np.ndarray  # per-candidate hinge numerators, read by coefficients_at
 
 
 class BreakScan:
@@ -240,15 +255,8 @@ class BreakScan:
                 "increase the trimming fraction"
             )
 
-    def scan(self, y: np.ndarray) -> dict:
-        """Fit the no-break model and every candidate; return the best break.
-
-        Returns a dict with keys ``ssr0`` (no-break SSR), ``f_stat``
-        (largest SSR reduction over candidates), ``best`` (position of
-        the winning candidate, ties to the smallest), ``beta0`` (no-break
-        coefficients, internal scaling), and the ``num``/``yy``
-        intermediates that :meth:`coefficients_at` reuses.
-        """
+    def scan(self, y: np.ndarray) -> ScanState:
+        """Fit the no-break model and every candidate; return the best break."""
         m = self._m
         ym = y * m
         yy = float(ym @ y)
@@ -271,34 +279,25 @@ class BreakScan:
         red[self._valid & (red < yy * _NOISE_FLOOR)] = 0.0
 
         best = int(np.argmax(red))
-        return {
-            "ssr0": ssr0,
-            "f_stat": float(red[best]),
-            "best": int(self.candidates[best]),
-            "beta0": beta0,
-            "num": num,
-            "yy": yy,
-        }
+        return ScanState(ssr0, float(red[best]), int(self.candidates[best]), beta0, num)
 
-    def coefficients_at(self, y: np.ndarray, break_at: int, scan: dict | None = None) -> dict:
-        """Full coefficient vector of the model with the break at ``break_at``."""
-        if scan is None:
-            scan = self.scan(y)
+    def coefficients_at(self, state: ScanState, break_at: int) -> dict:
+        """Full coefficient vector of the scanned model with the break at ``break_at``."""
         pos = int(np.searchsorted(self.candidates, break_at))
         if pos >= self.candidates.size or self.candidates[pos] != break_at:
             raise ValueError(f"{break_at} is not among the scan candidates")
         if not self._valid[pos]:
             raise SingularDesignError(f"candidate {break_at} is not identified")
-        delta_tau = float(scan["num"][pos] / self._schur[pos])
-        bz = scan["beta0"] - self._W[:, pos] * delta_tau
-        red = delta_tau * scan["num"][pos]
+        delta_tau = float(state.num[pos] / self._schur[pos])
+        bz = state.beta0 - self._W[:, pos] * delta_tau
+        red = delta_tau * state.num[pos]
         T = self.n_time
         return {
             "alpha": float(bz[0]),
             "beta": float(bz[1]) / T,
             "delta": delta_tau / T,
             "harmonics": bz[2:].copy(),
-            "ssr": max(scan["ssr0"] - red, 0.0),
+            "ssr": max(state.ssr0 - red, 0.0),
         }
 
     def null_fitted(self, beta0: np.ndarray) -> np.ndarray:
@@ -316,16 +315,10 @@ class BreakScan:
         )
 
 
-def _scan_for(
-    series: ObservedSeries, candidates: np.ndarray, n_harmonics: int
-) -> BreakScan:
-    return BreakScan(series.mask, series.calendar_years(), candidates, n_harmonics)
-
-
 def _fit_from_scan(
-    series: ObservedSeries, scan: BreakScan, y: np.ndarray, break_at: int, state: dict | None = None
+    series: ObservedSeries, scan: BreakScan, state: ScanState, break_at: int
 ) -> BrokenTrendFit:
-    coef = scan.coefficients_at(y, break_at, state)
+    coef = scan.coefficients_at(state, break_at)
     return BrokenTrendFit(
         alpha=coef["alpha"],
         beta=coef["beta"],
@@ -334,6 +327,7 @@ def _fit_from_scan(
         seasonal=scan.seasonal_fit(coef["harmonics"]),
         ssr=coef["ssr"],
         n_time=len(series),
+        scan=scan,
     )
 
 
@@ -343,8 +337,18 @@ def fit_given_break(
     """Mask-weighted least squares with the break imposed at ``break_at``."""
     if not 1 <= break_at <= len(series) - 1:
         raise ValueError("break position must lie in 1..T-1")
-    scan = _scan_for(series, np.array([break_at]), n_harmonics)
-    return _fit_from_scan(series, scan, series.values, break_at)
+    scan = BreakScan(series.mask, series.calendar_years(), np.array([break_at]), n_harmonics)
+    return _fit_from_scan(series, scan, scan.scan(series.values), break_at)
+
+
+def _best_fit(
+    series: ObservedSeries, trim: TrimmingSet | None, n_harmonics: int
+) -> tuple[BrokenTrendFit, ScanState]:
+    """Best one-break fit over the trimming set, with the scan state it came from."""
+    trim = trim or trimming_set(len(series))
+    scan = BreakScan(series.mask, series.calendar_years(), trim.candidates, n_harmonics)
+    state = scan.scan(series.values)
+    return _fit_from_scan(series, scan, state, state.best), state
 
 
 def estimate_break(
@@ -357,10 +361,7 @@ def estimate_break(
     Ties are broken toward the smallest candidate position. The estimator
     always returns a break; whether it is significant is the test's job.
     """
-    trim = trim or trimming_set(len(series))
-    scan = _scan_for(series, trim.candidates, n_harmonics)
-    state = scan.scan(series.values)
-    return _fit_from_scan(series, scan, series.values, state["best"], state)
+    return _best_fit(series, trim, n_harmonics)[0]
 
 
 def break_test(
@@ -369,7 +370,6 @@ def break_test(
     cfg: AwbConfig | None = None,
     n_harmonics: int = 3,
     alpha: float = 0.05,
-    residuals_from: str = "break",
     threads: int = 1,
 ) -> BreakTestResult:
     """Bootstrap test of a single slope change against a straight trend.
@@ -380,42 +380,30 @@ def break_test(
     each replicate reruns the full candidate scan. Rejection: statistic
     above the (1 - alpha) bootstrap quantile.
 
-    ``residuals_from`` selects the fit whose residuals drive the
-    bootstrap errors. The default "break" takes them from the best
-    one-break fit, which keeps break-like noise patterns out of the
-    resampled errors: with "null" residuals, a draw whose noise happens
-    to look break-like inflates its own critical value, and the test
-    loses both size accuracy and power.
+    The bootstrap errors are the residuals of the best one-break fit,
+    which keeps break-like noise patterns out of the resampled errors:
+    with no-break residuals, a draw whose noise happens to look
+    break-like would inflate its own critical value. That fit, the
+    estimate of :func:`estimate_break`, is returned as ``fit``.
     """
-    if residuals_from not in ("break", "null"):
-        raise ValueError("residuals_from must be 'break' or 'null'")
     cfg = cfg or AwbConfig()
-    trim = trim or trimming_set(len(series))
-    scan = _scan_for(series, trim.candidates, n_harmonics)
-    y = series.values
-    state = scan.scan(y)
-    f_stat = state["f_stat"]
-
-    fitted0 = scan.null_fitted(state["beta0"])
-    if residuals_from == "break":
-        best_fit = _fit_from_scan(series, scan, y, state["best"], state)
-        u_hat = series.mask * (y - best_fit.fitted_values())
-    else:
-        u_hat = series.mask * (y - fitted0)
+    fit, state = _best_fit(series, trim, n_harmonics)
+    u_hat = series.mask * (series.values - fit.fitted_values())
 
     def statistic(y_star: np.ndarray) -> float:
-        return scan.scan(y_star)["f_stat"]
+        return fit.scan.scan(y_star).f_stat
 
-    stats = run_replicates(cfg, fitted0, u_hat, series.mask, statistic, threads=threads)
-    p_value = (1.0 + float((stats >= f_stat).sum())) / (cfg.n_boot + 1.0)
-    critical = empirical_quantile(stats, 1.0 - alpha)
+    stats = run_replicates(
+        cfg, fit.scan.null_fitted(state.beta0), u_hat, series.mask, statistic, threads=threads
+    )
+    p_value = (1.0 + float((stats >= state.f_stat).sum())) / (cfg.n_boot + 1.0)
     return BreakTestResult(
-        statistic=f_stat,
+        statistic=state.f_stat,
         bootstrap_stats=stats,
-        critical_value=critical,
+        critical_value=empirical_quantile(stats, 1.0 - alpha),
         p_value=p_value,
         alpha=alpha,
-        break_index=state["best"],
+        fit=fit,
     )
 
 
@@ -424,28 +412,26 @@ def break_ci(
     fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
-    trim: TrimmingSet | None = None,
     threads: int = 1,
 ) -> BreakDateCi:
     """Bootstrap confidence intervals for the break position and the slopes.
 
     Samples are regenerated with the estimated break imposed; each
-    replicate re-estimates the break over the full candidate scan of
-    ``trim`` and reads off its coefficients at that break, so the
-    uncertainty of the break location flows into the slope intervals.
+    replicate re-estimates the break over the candidates the fit was
+    chosen from (``fit.scan``; for :func:`fit_given_break` that is the
+    imposed break alone) and reads off its coefficients at that break, so
+    the uncertainty of the break location flows into the slope intervals.
     Every interval comes from the quantiles of the centered replicate
     values; for the break position that is [T1 - q(1-a/2), T1 - q(a/2)].
     """
     cfg = cfg or AwbConfig()
-    trim = trim or trimming_set(len(series), DEFAULT_TRIM_FRACTION)
-    scan = _scan_for(series, trim.candidates, fit.seasonal.n_harmonics)
     fitted = fit.fitted_values()
     u_hat = series.mask * (series.values - fitted)
 
     def statistic(y_star: np.ndarray) -> tuple[int, float, float, float]:
-        state = scan.scan(y_star)
-        coef = scan.coefficients_at(y_star, state["best"], state)
-        return state["best"], coef["alpha"], coef["beta"], coef["delta"]
+        state = fit.scan.scan(y_star)
+        coef = fit.scan.coefficients_at(state, state.best)
+        return state.best, coef["alpha"], coef["beta"], coef["delta"]
 
     draws = run_replicates(cfg, fitted, u_hat, series.mask, statistic, threads=threads)
     a = 1.0 - level
@@ -485,9 +471,8 @@ def slope_cis(
     fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
-    trim: TrimmingSet | None = None,
     threads: int = 1,
 ) -> SlopeCis:
     """Bootstrap intervals for the trend coefficients; see :func:`break_ci`,
     whose replicates they come from."""
-    return break_ci(series, fit, cfg, level, trim, threads).slopes
+    return break_ci(series, fit, cfg, level, threads).slopes

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .awb import AwbConfig
-from .breaktrend import break_ci, break_test, estimate_break, trimming_set
+from .breaktrend import break_ci, break_test, trimming_set
 from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .kerneltrend import (
     KernelTrendFit,
@@ -291,8 +291,8 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     trim = trimming_set(len(series), trim_fraction)
 
     test = break_test(series, trim, cfg, n_harmonics, alpha, threads=threads)
-    fit = estimate_break(series, trim, n_harmonics)
-    ci = break_ci(series, fit, cfg, level, trim, threads=threads)
+    fit = test.fit
+    ci = break_ci(series, fit, cfg, level, threads=threads)
     slopes = ci.slopes
     per_year = slopes.per_year(series.grid_step)
 

@@ -271,23 +271,20 @@ def trend_bootstrap_paths(
     eps: ObservedSeries,
     fit: KernelTrendFit,
     cfg: AwbConfig,
-    regenerate_trend: np.ndarray | None = None,
     threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bootstrap trend re-estimates around an oversmoothed pilot.
 
     Residuals are taken from the pilot fit at bandwidth 0.5 * h^(5/9);
-    replicate series are rebuilt as mask * (trend + multiplier * residual),
-    where ``regenerate_trend`` defaults to the pilot itself (pass zeros to
-    impose a flat null), and re-smoothed at the original bandwidth.
+    replicate series are rebuilt as mask * (pilot + multiplier * residual)
+    and re-smoothed at the original bandwidth.
 
     Returns (pilot values, (B, T) matrix of replicate trend estimates).
     """
     pilot, u_hat = pilot_residuals(eps, fit.h)
-    trend = pilot if regenerate_trend is None else np.asarray(regenerate_trend, dtype=np.float64)
-    trend_masked = np.where(eps.mask == 1, trend, 0.0)
+    pilot_masked = np.where(eps.mask == 1, pilot, 0.0)
     paths = run_replicates(
-        cfg, trend_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h), threads=threads
+        cfg, pilot_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h), threads=threads
     )
     return pilot, paths
 
@@ -326,8 +323,9 @@ def pointwise_bands(
     )
 
 
-def simultaneous_bands(band: BandResult, level: float | None = None) -> BandResult:
-    """Calibrate the pointwise error rate until bands hold jointly.
+def simultaneous_bands(band: BandResult) -> BandResult:
+    """Calibrate the pointwise error rate until bands hold jointly at the
+    band's own level.
 
     Scans candidate pointwise rates a_p in [1/B, alpha] and, for each,
     counts the fraction of bootstrap deviation paths lying inside their
@@ -339,7 +337,7 @@ def simultaneous_bands(band: BandResult, level: float | None = None) -> BandResu
     """
     if band.deviations is None:
         raise ValueError("band result carries no bootstrap deviations")
-    level = band.level if level is None else level
+    level = band.level
     alpha = 1.0 - level
     dev = band.deviations
     B = dev.shape[0]

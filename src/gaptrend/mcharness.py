@@ -305,7 +305,7 @@ def run_break_ci_cell(design: McDesign, threads: int = 1) -> CellResult:
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, int]:
         fit = estimate_break(s, trim, design.n_harmonics)
-        ci = break_ci(s, fit, cfg, level=design.level, trim=trim, threads=threads)
+        ci = break_ci(s, fit, cfg, level=design.level, threads=threads)
         return ci.lower_index <= truth <= ci.upper_index, ci.length
 
     return _run_cell(design, ("coverage", "mean_length"), outcome)

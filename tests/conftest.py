@@ -29,5 +29,23 @@ def random_masked_series(rng, n_time, observed_fraction=0.6, scale=1.0):
 
 
 @pytest.fixture
+def scan_calls(monkeypatch):
+    """Counts of ``BreakScan`` constructions and scans made during a test."""
+    from gaptrend.breaktrend import BreakScan
+
+    counts = {"init": 0, "scan": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(BreakScan, "__init__", counted("init", BreakScan.__init__))
+    monkeypatch.setattr(BreakScan, "scan", counted("scan", BreakScan.scan))
+    return counts
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240814)

@@ -182,10 +182,10 @@ def test_criterion_6_oracle_equivalence():
             series.values
         )
         best, best_ssr, ssr0 = naive_scan(series, trim, 0)
-        assert scan_state["best"] == best
+        assert scan_state.best == best
         f_naive = ssr0 - best_ssr
         worst["fstat"] = max(
-            worst["fstat"], abs(scan_state["f_stat"] - f_naive) / max(abs(f_naive), 1.0)
+            worst["fstat"], abs(scan_state.f_stat - f_naive) / max(abs(f_naive), 1.0)
         )
 
         h_u = float(rng.uniform(0.1, 0.3))

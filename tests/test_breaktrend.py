@@ -233,13 +233,13 @@ class TestBreakTest:
         threaded = break_test(series, cfg=cfg, n_harmonics=0, threads=4)
         assert np.array_equal(serial.bootstrap_stats, threaded.bootstrap_stats)
 
-    def test_null_residual_variant_exposed(self, rng):
-        series = make_series(kinked_line(90, kink=50) + rng.normal(0, 1.0, 90))
-        cfg = AwbConfig(seed=2, n_boot=19)
-        res = break_test(series, cfg=cfg, n_harmonics=0, residuals_from="null")
-        assert res.statistic >= 0.0
-        with pytest.raises(ValueError):
-            break_test(series, cfg=cfg, n_harmonics=0, residuals_from="other")
+    def test_returns_the_estimated_fit(self, rng):
+        series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
+        fit = break_test(series, cfg=AwbConfig(seed=1, n_boot=9), n_harmonics=0).fit
+        ref = estimate_break(series, n_harmonics=0)
+        assert (fit.break_index, fit.alpha, fit.beta, fit.delta, fit.ssr) == (
+            ref.break_index, ref.alpha, ref.beta, ref.delta, ref.ssr
+        )
 
 
 class TestBreakCi:
@@ -267,11 +267,19 @@ class TestBreakCi:
         for lam in (0.05, 0.10):
             trim = trimming_set(300, lam)
             fit = estimate_break(series, trim, n_harmonics=0)
-            out[lam] = break_ci(series, fit, cfg, trim=trim)
+            out[lam] = break_ci(series, fit, cfg)
         a, b = out[0.05], out[0.10]
         assert max(a.lower_index, b.lower_index) <= min(a.upper_index, b.upper_index)
         la, lb = max(a.length, 1), max(b.length, 1)
         assert max(la, lb) / min(la, lb) < 3.0
+
+    def test_replicates_rescan_the_fits_candidates(self, rng):
+        # Without a break, replicate breaks spread over whatever set is scanned.
+        series = make_series(0.1 * np.arange(1, 201) + rng.normal(0, 4.0, 200))
+        trim = trimming_set(200, 0.3)
+        fit = estimate_break(series, trim, n_harmonics=0)
+        ci = break_ci(series, fit, AwbConfig(seed=7, n_boot=99))
+        assert set(ci.bootstrap_indices.tolist()) <= set(trim.candidates.tolist())
 
 
 class TestSlopeCis:
@@ -283,7 +291,7 @@ class TestSlopeCis:
         trim = trimming_set(150, 0.2)
         fit = estimate_break(series, trim, n_harmonics=1)
         cfg = AwbConfig(seed=12, n_boot=9)
-        ci = break_ci(series, fit, cfg, level=0.8, trim=trim)
+        ci = break_ci(series, fit, cfg, level=0.8)
 
         scan = BreakScan(series.mask, series.calendar_years(), trim.candidates, 1)
         fitted = fit.fitted_values()
@@ -292,8 +300,8 @@ class TestSlopeCis:
         for b in range(cfg.n_boot):
             y = fitted + series.mask * draw_multipliers(cfg, 150, b) * u_hat
             state = scan.scan(y)
-            coef = scan.coefficients_at(y, state["best"], state)
-            rows.append((state["best"], coef["alpha"], coef["beta"], coef["delta"]))
+            coef = scan.coefficients_at(state, state.best)
+            rows.append((state.best, coef["alpha"], coef["beta"], coef["delta"]))
         best, alphas, betas, deltas = np.array(rows).T
         assert ci.bootstrap_indices.tolist() == best.astype(int).tolist()
 
@@ -309,7 +317,7 @@ class TestSlopeCis:
             (ci.slopes.slope_after, fit.beta + fit.delta, betas + deltas),
         ):
             assert (got.lower, got.upper) == interval(estimate, boot)
-        assert slope_cis(series, fit, cfg, level=0.8, trim=trim) == ci.slopes
+        assert slope_cis(series, fit, cfg, level=0.8) == ci.slopes
 
     def test_noiseless_zero_width_at_truth(self):
         series = make_series(kinked_line(100, alpha=2.0, beta=-0.4, delta=0.9, kink=60))
@@ -350,7 +358,7 @@ class TestSlopeCis:
         for draw in range(design.replications):
             series = simulate_series(design, draw)
             fit = estimate_break(series, trim, n_harmonics=0)
-            cis = slope_cis(series, fit, bootstrap_config(design, draw), trim=trim)
+            cis = slope_cis(series, fit, bootstrap_config(design, draw))
             covered += int(cis.slope_before.lower <= -0.5 <= cis.slope_before.upper)
         assert 0.90 <= covered / design.replications <= 0.98
 
@@ -360,7 +368,7 @@ class TestScanInternals:
         series = make_series(rng.normal(size=60))
         scan = BreakScan(series.mask, series.calendar_years(), np.array([20, 30]), 0)
         with pytest.raises(ValueError, match="not among"):
-            scan.coefficients_at(series.values, 25)
+            scan.coefficients_at(scan.scan(series.values), 25)
 
     @pytest.mark.parametrize("design", ["fewer_days_than_columns", "one_day_of_year"])
     def test_singular_fixed_design_raises(self, design):
@@ -402,7 +410,7 @@ class TestScanInternals:
             coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
             r = y - X @ coef
             reductions.append(r0 @ r0 - r @ r)
-        assert np.max(np.abs(state["beta0"] - beta0)) <= 1e-10 * np.max(np.abs(beta0))
-        assert state["ssr0"] == pytest.approx(r0 @ r0, rel=1e-10)
-        assert state["f_stat"] == pytest.approx(max(reductions), rel=1e-10)
-        assert state["best"] == trim.candidates[int(np.argmax(reductions))]
+        assert np.max(np.abs(state.beta0 - beta0)) <= 1e-10 * np.max(np.abs(beta0))
+        assert state.ssr0 == pytest.approx(r0 @ r0, rel=1e-10)
+        assert state.f_stat == pytest.approx(max(reductions), rel=1e-10)
+        assert state.best == trim.candidates[int(np.argmax(reductions))]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import datetime as dt
+import importlib
 import json
 import os
 import subprocess
@@ -111,6 +113,12 @@ class TestArtifacts:
         assert rows[0] == "date,observed,trend,trend_plus_seasonal"
         assert len(rows) == 421
 
+    def test_break_scans_its_design_once(self, toy_csv, tmp_path, scan_calls):
+        # One scan of the observed series, then one per replicate of the
+        # test and of the interval bootstrap.
+        assert run(["--out", str(tmp_path), "break", "--input", toy_csv, "--B", "19"]) == 0
+        assert scan_calls == {"init": 1, "scan": 2 * 19 + 1}
+
     def test_break_slope_intervals_use_lambda(self, tmp_path):
         from gaptrend import AwbConfig, estimate_break, ingest_csv, slope_cis, trimming_set
         from gaptrend.mcharness import LinearTrendSpec, McDesign, simulate_series
@@ -138,8 +146,9 @@ class TestArtifacts:
             ci = cis.per_year(series.grid_step)["slope_change"]
             return [ci.lower, ci.upper]
 
-        assert reported == change_ci(slope_cis(series, fit, cfg, trim=trim))
-        assert reported != change_ci(slope_cis(series, fit, cfg))
+        assert reported == change_ci(slope_cis(series, fit, cfg))
+        default_fit = estimate_break(series, n_harmonics=0)
+        assert reported != change_ci(slope_cis(series, default_fit, cfg))
 
     def test_mc_panel_table(self, tmp_path):
         assert run(["--out", str(tmp_path), "--seed", "1", "mc", "--panel", "B",
@@ -208,3 +217,21 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, gaptrend.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_bench_trace_targets_resolve():
+    # The benchmark's tracer wraps these library names; it must find each one.
+    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    tree = ast.parse(tracing.read_text())
+    targets = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    assert targets
+    for module_name, attr in targets:
+        owner = importlib.import_module(module_name)
+        *owners, name = attr.split(".")
+        for part in owners:
+            owner = getattr(owner, part)
+        found = vars(owner).get(name)
+        assert callable(found), f"{module_name}.{attr}"

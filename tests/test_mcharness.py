@@ -21,6 +21,7 @@ from gaptrend.mcharness import (
     PANEL_FIELDS,
     logistic_transition,
     panel_cells,
+    run_break_ci_cell,
     run_break_test_cell,
     true_break_position,
     volatility_profile,
@@ -172,6 +173,16 @@ class TestSimulation:
         result = run_break_test_cell(design)
         rate = result.estimates["rejection_rate"][0]
         assert rate in (0.0, 1.0)
+
+    def test_break_ci_cell_builds_one_scan_per_draw(self, scan_calls):
+        design = McDesign(
+            n_time=120, missing="30%", sigma_eta=26.0,
+            trend=LinearTrendSpec(4000.0, -0.5, 0.5, 0.6, "grid"),
+            replications=3, n_boot=9, seed=3,
+        )
+        result = run_break_ci_cell(design)
+        assert (result.n_effective, result.failures) == (3, 0)
+        assert scan_calls == {"init": 3, "scan": 3 * (9 + 1)}
 
 
 class TestCells:
