@@ -46,16 +46,19 @@ def default_gamma(n_time: int, theta: float = DEFAULT_THETA) -> float:
 
 @dataclass(frozen=True)
 class AwbConfig:
-    """Bootstrap tuning: multiplier decay, replicate count, and seed.
+    """Bootstrap tuning: multiplier decay, replicate count, seed, and the
+    worker threads that run the replicates.
 
     ``gamma`` may be left unset, in which case it is resolved per series
-    as ``theta ** (1 / (1.75 T^(1/3)))``.
+    as ``theta ** (1 / (1.75 T^(1/3)))``. ``threads`` changes how fast the
+    replicates run, never what they give.
     """
 
     seed: int = 0
     gamma: float | None = None
     theta: float = DEFAULT_THETA
     n_boot: int = DEFAULT_N_BOOT
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
@@ -64,6 +67,8 @@ class AwbConfig:
             raise ValueError("theta must lie in (0, 1)")
         if self.n_boot < 1:
             raise ValueError("n_boot must be at least 1")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
 
     def resolve_gamma(self, n_time: int) -> float:
         return self.gamma if self.gamma is not None else default_gamma(n_time, self.theta)
@@ -147,17 +152,16 @@ def run_replicates(
     residuals: np.ndarray,
     mask: np.ndarray,
     statistic: Callable[[np.ndarray], object],
-    threads: int = 1,
 ) -> np.ndarray:
     """Evaluate ``statistic`` on the replicate series of ids 0..B-1.
 
     Replicate b is the series ``base + bootstrap_errors(residuals, mask,
     xi_b)`` with ``xi_b`` the multiplier path of id b; this is the only
-    place a replicate series is built. Results are collected in
-    replicate-id order; the output is identical for any thread count
-    because each replicate depends only on its own counter-based stream.
-    A statistic failure is re-raised as ``ReplicateError`` carrying the
-    replicate id.
+    place a replicate series is built. The replicates run on
+    ``cfg.threads`` workers and are collected in replicate-id order; the
+    output is identical for any thread count because each replicate
+    depends only on its own counter-based stream. A statistic failure is
+    re-raised as ``ReplicateError`` carrying the replicate id.
     """
     n_time = base.shape[0]
 
@@ -168,10 +172,10 @@ def run_replicates(
         except Exception as exc:  # noqa: BLE001 - re-raised with context
             raise ReplicateError(b, str(exc)) from exc
 
-    if threads <= 1:
+    if cfg.threads == 1:
         results = [one(b) for b in range(cfg.n_boot)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             results = list(pool.map(one, range(cfg.n_boot)))
     return np.asarray(results, dtype=np.float64)
 

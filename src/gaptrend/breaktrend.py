@@ -88,13 +88,6 @@ class BrokenTrendFit:
     def fitted_values(self) -> np.ndarray:
         return self.trend_values() + self.seasonal.fitted
 
-    def slopes_per_year(self, grid_step: float) -> dict[str, float]:
-        return {
-            "before": self.beta / grid_step,
-            "change": self.delta / grid_step,
-            "after": (self.beta + self.delta) / grid_step,
-        }
-
 
 @dataclass(frozen=True)
 class BreakTestResult:
@@ -370,7 +363,6 @@ def break_test(
     cfg: AwbConfig | None = None,
     n_harmonics: int = 3,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> BreakTestResult:
     """Bootstrap test of a single slope change against a straight trend.
 
@@ -393,9 +385,7 @@ def break_test(
     def statistic(y_star: np.ndarray) -> float:
         return fit.scan.scan(y_star).f_stat
 
-    stats = run_replicates(
-        cfg, fit.scan.null_fitted(state.beta0), u_hat, series.mask, statistic, threads=threads
-    )
+    stats = run_replicates(cfg, fit.scan.null_fitted(state.beta0), u_hat, series.mask, statistic)
     p_value = (1.0 + float((stats >= state.f_stat).sum())) / (cfg.n_boot + 1.0)
     return BreakTestResult(
         statistic=state.f_stat,
@@ -412,7 +402,6 @@ def break_ci(
     fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
-    threads: int = 1,
 ) -> BreakDateCi:
     """Bootstrap confidence intervals for the break position and the slopes.
 
@@ -424,6 +413,8 @@ def break_ci(
     Every interval comes from the quantiles of the centered replicate
     values; for the break position that is [T1 - q(1-a/2), T1 - q(a/2)].
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
     cfg = cfg or AwbConfig()
     fitted = fit.fitted_values()
     u_hat = series.mask * (series.values - fitted)
@@ -433,7 +424,7 @@ def break_ci(
         coef = fit.scan.coefficients_at(state, state.best)
         return state.best, coef["alpha"], coef["beta"], coef["delta"]
 
-    draws = run_replicates(cfg, fitted, u_hat, series.mask, statistic, threads=threads)
+    draws = run_replicates(cfg, fitted, u_hat, series.mask, statistic)
     a = 1.0 - level
 
     def centered_ci(estimate: float, boot: np.ndarray) -> ParamCi:
@@ -471,8 +462,7 @@ def slope_cis(
     fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
-    threads: int = 1,
 ) -> SlopeCis:
     """Bootstrap intervals for the trend coefficients; see :func:`break_ci`,
     whose replicates they come from."""
-    return break_ci(series, fit, cfg, level, threads).slopes
+    return break_ci(series, fit, cfg, level).slopes

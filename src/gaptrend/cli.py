@@ -168,6 +168,11 @@ def load_fit_artifact(path: str) -> tuple[ObservedSeries, KernelTrendFit]:
     return eps, KernelTrendFit(g_hat=g, h=payload["fit"]["h"])
 
 
+def _awb_config(ctx: click.Context, n_boot: int, **kw) -> AwbConfig:
+    """A subcommand's bootstrap settings: the group's seed and threads, its own B."""
+    return AwbConfig(seed=ctx.obj["seed"], n_boot=n_boot, threads=ctx.obj["threads"], **kw)
+
+
 def _interval_to_positions(series: ObservedSeries, spec: str) -> tuple[int, int]:
     import datetime as dt
 
@@ -218,15 +223,15 @@ def _load_config(ctx: click.Context, _param: click.Parameter, value: str | None)
 @click.option("--out", envvar="GAPTREND_OUT", default="gaptrend_out",
               show_default=True, help="Output directory for reports and data files.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Bootstrap seed.")
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads for bootstrap replicates.")
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads for bootstrap replicates; mc runs serially.")
 @click.pass_context
 def cli(ctx: click.Context, out: str, seed: int, threads: int) -> None:
     """Trend inference for gappy daily time series."""
     ctx.ensure_object(dict)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ctx.obj.update(out=out_dir, seed=seed, threads=max(threads, 1))
+    ctx.obj.update(out=out_dir, seed=seed, threads=threads)
 
 
 _INPUT_OPTIONS = [
@@ -285,14 +290,13 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
               n_boot, level, alpha, theta) -> None:
     """Broken-trend analysis: break test, date interval, slope intervals."""
     out_dir: Path = ctx.obj["out"]
-    threads = ctx.obj["threads"]
     series = _load_series_csv(input_path, date_column, value_column)
-    cfg = AwbConfig(seed=ctx.obj["seed"], theta=theta, n_boot=n_boot)
+    cfg = _awb_config(ctx, n_boot, theta=theta)
     trim = trimming_set(len(series), trim_fraction)
 
-    test = break_test(series, trim, cfg, n_harmonics, alpha, threads=threads)
+    test = break_test(series, trim, cfg, n_harmonics, alpha)
     fit = test.fit
-    ci = break_ci(series, fit, cfg, level, threads=threads)
+    ci = break_ci(series, fit, cfg, level)
     slopes = ci.slopes
     per_year = slopes.per_year(series.grid_step)
 
@@ -356,7 +360,6 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
            mcv_grid, mcv_k, n_harmonics, n_boot, level, svg) -> None:
     """Kernel trend with simultaneous confidence bands on deseasonalized data."""
     out_dir: Path = ctx.obj["out"]
-    threads = ctx.obj["threads"]
     series = _load_series_csv(input_path, date_column, value_column)
     seasonal = fit_seasonal(series, n_harmonics=n_harmonics)
     eps = deseasonalize(series, seasonal)
@@ -390,8 +393,8 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         )
 
     fit = nw_estimate(eps, bandwidth)
-    cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=n_boot)
-    bands = confidence_bands(eps, fit, cfg, level, threads=threads)
+    cfg = _awb_config(ctx, n_boot)
+    bands = confidence_bands(eps, fit, cfg, level)
 
     columns = [
         [repr(v) if math.isfinite(v) else None for v in arr.tolist()]
@@ -450,8 +453,8 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
     """Confidence interval for the position of the trend extremum."""
     out_dir: Path = ctx.obj["out"]
     eps, fit = load_fit_artifact(fit_path)
-    cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=n_boot)
-    res = extremum_ci(eps, fit, cfg, kind, level, threads=ctx.obj["threads"])
+    cfg = _awb_config(ctx, n_boot)
+    res = extremum_ci(eps, fit, cfg, kind, level)
     _write_report(
         out_dir, "extremum_report.json", "extremum",
         {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "kind": kind,
@@ -477,8 +480,8 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
     """Test a linear trend from the trend minimum to the sample end."""
     out_dir: Path = ctx.obj["out"]
     eps, fit = load_fit_artifact(fit_path)
-    cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=n_boot)
-    res = linearity_test(eps, fit, trend_minimum(fit), cfg, alpha, threads=ctx.obj["threads"])
+    cfg = _awb_config(ctx, n_boot)
+    res = linearity_test(eps, fit, trend_minimum(fit), cfg, alpha)
     _write_report(
         out_dir, "lintest_report.json", "lintest",
         {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "B": n_boot,
@@ -509,9 +512,8 @@ def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
         positions = (trend_minimum(fit).location, len(eps))
     else:
         positions = _interval_to_positions(eps, interval)
-    cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=n_boot)
-    res = monotonicity_tests(eps, positions, cfg, h=fit.h, alpha=alpha,
-                             threads=ctx.obj["threads"])
+    cfg = _awb_config(ctx, n_boot)
+    res = monotonicity_tests(eps, positions, cfg, h=fit.h, alpha=alpha)
     _write_report(
         out_dir, "monotest_report.json", "monotest",
         {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "interval": list(positions),
@@ -530,22 +532,18 @@ def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
               required=True)
 @click.option("--replications", type=int, default=1000, show_default=True)
 @click.option("--B", "n_boot", type=int, default=999, show_default=True)
-@click.option("--scale", type=float, default=1.0, show_default=True,
-              help="Shrink replications and B for desk runs.")
 @click.pass_context
-def mc(ctx, panel, replications, n_boot, scale) -> None:
+def mc(ctx, panel, replications, n_boot) -> None:
     """Synthetic-data validation panels; emits a long-format results table."""
     out_dir: Path = ctx.obj["out"]
     started = time.time()
-    rows = run_panel(panel.upper(), replications, n_boot, ctx.obj["seed"], scale,
-                     threads=ctx.obj["threads"])
+    rows = run_panel(panel.upper(), replications, n_boot, ctx.obj["seed"])
     name = f"panel_{panel.upper()}.csv"
     _write_csv(out_dir, name, PANEL_FIELDS, [[r.get(f, "") for f in PANEL_FIELDS] for r in rows])
     meta = {
         "panel": panel.upper(),
         "replications": replications,
         "B": n_boot,
-        "scale": scale,
         "seed": ctx.obj["seed"],
         "table": name,
         "runtime_seconds": round(time.time() - started, 3),

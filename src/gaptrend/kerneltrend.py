@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .awb import AwbConfig, run_replicates
+from .awb import AwbConfig, dependence_length, run_replicates
 from .series import ObservedSeries
 
 
@@ -141,7 +141,7 @@ def nw_estimate(eps: ObservedSeries, h: float) -> KernelTrendFit:
 
 def default_leave_out(n_time: int) -> int:
     """Leave-out half-width matched to the bootstrap dependence length."""
-    return int(np.ceil(1.75 * n_time ** (1.0 / 3.0)))
+    return int(np.ceil(dependence_length(n_time)))
 
 
 @dataclass(frozen=True)
@@ -221,6 +221,8 @@ def mcv_scan(eps: ObservedSeries, grid: np.ndarray, k: int | None = None) -> Mcv
 
 def bandwidth_grid(lo: float = 0.01, hi: float = 0.25, step: float = 0.005) -> np.ndarray:
     """Inclusive bandwidth grid lo, lo+step, ..., hi."""
+    if step <= 0:
+        raise ValueError("bandwidth grid step must be positive")
     n = int(round((hi - lo) / step)) + 1
     return lo + step * np.arange(n)
 
@@ -271,7 +273,6 @@ def trend_bootstrap_paths(
     eps: ObservedSeries,
     fit: KernelTrendFit,
     cfg: AwbConfig,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bootstrap trend re-estimates around an oversmoothed pilot.
 
@@ -283,9 +284,7 @@ def trend_bootstrap_paths(
     """
     pilot, u_hat = pilot_residuals(eps, fit.h)
     pilot_masked = np.where(eps.mask == 1, pilot, 0.0)
-    paths = run_replicates(
-        cfg, pilot_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h), threads=threads
-    )
+    paths = run_replicates(cfg, pilot_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h))
     return pilot, paths
 
 
@@ -294,7 +293,6 @@ def pointwise_bands(
     fit: KernelTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
-    threads: int = 1,
 ) -> BandResult:
     """Pointwise bootstrap intervals for the trend at every defined position.
 
@@ -303,8 +301,10 @@ def pointwise_bands(
     result carries the deviation paths; feed it to
     :func:`simultaneous_bands` to calibrate joint coverage.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
     cfg = cfg or AwbConfig()
-    pilot, paths = trend_bootstrap_paths(eps, fit, cfg, threads=threads)
+    pilot, paths = trend_bootstrap_paths(eps, fit, cfg)
     deviations = paths - pilot
     a = 1.0 - level
     B = deviations.shape[0]
@@ -395,7 +395,6 @@ def confidence_bands(
     fit: KernelTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
-    threads: int = 1,
 ) -> BandResult:
     """Pointwise intervals plus calibrated simultaneous bands in one call."""
-    return simultaneous_bands(pointwise_bands(eps, fit, cfg, level, threads))
+    return simultaneous_bands(pointwise_bands(eps, fit, cfg, level))

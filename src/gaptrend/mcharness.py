@@ -32,6 +32,14 @@ TRANSITION_70_MISSING = np.array([[0.80, 0.20], [0.45, 0.55]])
 
 ARMA_BURN_IN = 200
 
+# Settings every cell shares: break candidates trimmed at 10% from each
+# end, no seasonal harmonics (the synthetic series have none), tests at 5%
+# and intervals at 95%.
+TRIM_FRACTION = 0.1
+N_HARMONICS = 0
+ALPHA = 0.05
+LEVEL = 0.95
+
 # The error scale of the synthetic designs is a free knob: only ratios of
 # trend signal to noise are identified by the reference panel levels, and
 # no single scale reproduces them all. These values pin each panel family
@@ -143,11 +151,7 @@ class McDesign:
     replications: int = 1000
     n_boot: int = 999
     seed: int = 0
-    trim_fraction: float = 0.1
-    n_harmonics: int = 0
     h: float | None = None
-    alpha: float = 0.05
-    level: float = 0.95
 
     def __post_init__(self) -> None:
         if abs(self.phi) >= 1.0:
@@ -264,8 +268,9 @@ def _run_cell(
     values: dict[str, list] = {name: [] for name in statistics}
     fails = 0
     for draw in range(design.replications):
+        cfg = bootstrap_config(design, draw)  # a bad B is the caller's fault, not the draw's
         try:
-            result = outcome(simulate_series(design, draw), bootstrap_config(design, draw))
+            result = outcome(simulate_series(design, draw), cfg)
         except _DRAW_ERRORS:
             fails += 1
             continue
@@ -286,52 +291,49 @@ def _require_bandwidth(design: McDesign) -> float:
     return design.h
 
 
-def run_break_test_cell(design: McDesign, threads: int = 1) -> CellResult:
-    """Empirical rejection rate of the break test at the design's alpha."""
-    trim = trimming_set(design.n_time, design.trim_fraction)
+def run_break_test_cell(design: McDesign) -> CellResult:
+    """Empirical rejection rate of the break test at level ``ALPHA``."""
+    trim = trimming_set(design.n_time, TRIM_FRACTION)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool]:
-        res = break_test(s, trim, cfg, n_harmonics=design.n_harmonics, alpha=design.alpha,
-                         threads=threads)
-        return (res.reject,)
+        return (break_test(s, trim, cfg, n_harmonics=N_HARMONICS, alpha=ALPHA).reject,)
 
     return _run_cell(design, ("rejection_rate",), outcome)
 
 
-def run_break_ci_cell(design: McDesign, threads: int = 1) -> CellResult:
+def run_break_ci_cell(design: McDesign) -> CellResult:
     """Coverage and mean length of the break-date interval."""
-    trim = trimming_set(design.n_time, design.trim_fraction)
+    trim = trimming_set(design.n_time, TRIM_FRACTION)
     truth = true_break_position(design)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, int]:
-        fit = estimate_break(s, trim, design.n_harmonics)
-        ci = break_ci(s, fit, cfg, level=design.level, threads=threads)
+        fit = estimate_break(s, trim, N_HARMONICS)
+        ci = break_ci(s, fit, cfg, level=LEVEL)
         return ci.lower_index <= truth <= ci.upper_index, ci.length
 
     return _run_cell(design, ("coverage", "mean_length"), outcome)
 
 
-def run_linearity_cell(design: McDesign, threads: int = 1) -> CellResult:
+def run_linearity_cell(design: McDesign) -> CellResult:
     """Rejection rates of both shape statistics, anchored at the trend minimum."""
     h = _require_bandwidth(design)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
         fit = nw_estimate(s, h)
-        res = linearity_test(s, fit, trend_minimum(fit), cfg, alpha=design.alpha,
-                             threads=threads)
+        res = linearity_test(s, fit, trend_minimum(fit), cfg, alpha=ALPHA)
         return res.reject_ave, res.reject_sup
 
     return _run_cell(design, ("rejection_rate_ave", "rejection_rate_sup"), outcome)
 
 
-def run_monotonicity_cell(design: McDesign, threads: int = 1) -> CellResult:
+def run_monotonicity_cell(design: McDesign) -> CellResult:
     """Rejection rates of the sign and magnitude tests on the post-minimum range."""
     h = _require_bandwidth(design)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
         fit = nw_estimate(s, h)
         interval = (trend_minimum(fit).location, design.n_time)
-        res = monotonicity_tests(s, interval, cfg, h=h, alpha=design.alpha, threads=threads)
+        res = monotonicity_tests(s, interval, cfg, h=h, alpha=ALPHA)
         return res.reject_sign, res.reject_magnitude
 
     return _run_cell(design, ("rejection_rate_sign", "rejection_rate_magnitude"), outcome)
@@ -443,21 +445,17 @@ def run_panel(
     replications: int = 1000,
     n_boot: int = 999,
     seed: int = 0,
-    scale: float = 1.0,
-    threads: int = 1,
 ) -> list[dict]:
     """Run every cell of a panel; returns long-format rows for the CSV table.
 
-    ``scale`` shrinks both the replication count and the bootstrap size
-    for desk runs (minimum 1 and 19 respectively).
+    Draws run one after another and each bootstrap on one thread: the
+    series are too short for a worker pool to pay for itself.
     """
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must lie in (0, 1]")
-    reps = max(int(round(replications * scale)), 1)
-    boots = max(int(round(n_boot * scale)), 19)
+    if replications < 1:
+        raise ValueError("replications must be at least 1")
     rows: list[dict] = []
-    for lab, design, proc in panel_cells(panel, reps, boots, seed):
-        result = _PROCEDURES[proc](design, threads=threads)
+    for lab, design, proc in panel_cells(panel, replications, n_boot, seed):
+        result = _PROCEDURES[proc](design)
         for stat, (value, se) in result.estimates.items():
             row = dict(lab)
             row.update(
@@ -466,8 +464,8 @@ def run_panel(
                 mc_se=f"{se:.3g}",
                 n_effective=result.n_effective,
                 failures=result.failures,
-                replications=reps,
-                n_boot=boots,
+                replications=replications,
+                n_boot=n_boot,
             )
             rows.append(row)
     return rows

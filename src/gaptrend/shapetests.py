@@ -117,7 +117,6 @@ def extremum_ci(
     cfg: AwbConfig | None = None,
     kind: str = "min",
     level: float = 0.95,
-    threads: int = 1,
 ) -> ExtremumResult:
     """Bootstrap interval for the position of the trend extremum.
 
@@ -134,6 +133,8 @@ def extremum_ci(
     NoInteriorExtremumError
         The estimated trend has no interior local extremum of this kind.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError("level must lie in (0, 1)")
     cfg = cfg or AwbConfig()
     g = fit.g_hat
     cands = local_extrema(g, kind)
@@ -145,7 +146,7 @@ def extremum_ci(
     t_ext = int(cands[np.argmin(at) if kind == "min" else np.argmax(at)])
     value = float(g[t_ext - 1])
 
-    _, paths = trend_bootstrap_paths(eps, fit, cfg, threads=threads)
+    _, paths = trend_bootstrap_paths(eps, fit, cfg)
     locs = np.empty(paths.shape[0], dtype=np.int64)
     for b in range(paths.shape[0]):
         cands = local_extrema(paths[b], kind)
@@ -215,7 +216,6 @@ def linearity_test(
     anchor: TrendAnchor | ExtremumResult,
     cfg: AwbConfig | None = None,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> ShapeTestResult:
     """Test whether the trend is linear from the anchor to the sample end.
 
@@ -282,7 +282,7 @@ def linearity_test(
         ave, sup, _, _ = gap_stats(eps_star, g_star, pin_star)
         return ave, sup
 
-    stats = run_replicates(cfg, composite_masked, u_hat, eps.mask, statistic, threads=threads)
+    stats = run_replicates(cfg, composite_masked, u_hat, eps.mask, statistic)
     B = stats.shape[0]
     p_ave = (1.0 + float((stats[:, 0] >= q_ave).sum())) / (B + 1.0)
     p_sup = (1.0 + float((stats[:, 1] >= q_sup).sum())) / (B + 1.0)
@@ -550,7 +550,6 @@ def monotonicity_tests(
     h: float,
     h_u: float | None = None,
     alpha: float = 0.05,
-    threads: int = 1,
 ) -> MonotonicityResult:
     """Bootstrap tests of a monotonically increasing trend over ``interval``.
 
@@ -581,7 +580,7 @@ def monotonicity_tests(
         return float(p1.max()), float(p2.max())
 
     # The null trend is zero: no decreasing segment.
-    stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, eps.mask, statistic, threads=threads)
+    stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, eps.mask, statistic)
     B = stats.shape[0]
     return MonotonicityResult(
         u1=u1,

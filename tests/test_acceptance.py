@@ -287,12 +287,13 @@ def test_criterion_8_invariant_property_suites():
 
     # Determinism of every bootstrap path under re-seeded parallel schedules.
     series_d = random_masked_series(rng, 120, observed_fraction=0.6)
-    cfg_d = AwbConfig(seed=11, n_boot=24)
-    t_serial = break_test(series_d, cfg=cfg_d, n_harmonics=0, threads=1)
-    t_thread = break_test(series_d, cfg=cfg_d, n_harmonics=0, threads=4)
+    cfg_serial = AwbConfig(seed=11, n_boot=24, threads=1)
+    cfg_thread = AwbConfig(seed=11, n_boot=24, threads=4)
+    t_serial = break_test(series_d, cfg=cfg_serial, n_harmonics=0)
+    t_thread = break_test(series_d, cfg=cfg_thread, n_harmonics=0)
     fit_d = nw_estimate(series_d, 0.15)
-    band_serial = confidence_bands(series_d, fit_d, cfg_d, threads=1)
-    band_thread = confidence_bands(series_d, fit_d, cfg_d, threads=4)
+    band_serial = confidence_bands(series_d, fit_d, cfg_serial)
+    band_thread = confidence_bands(series_d, fit_d, cfg_thread)
     checks["parallel determinism"] = np.array_equal(
         t_serial.bootstrap_stats, t_thread.bootstrap_stats
     ) and np.allclose(band_serial.lower, band_thread.lower, atol=0, rtol=0, equal_nan=True)

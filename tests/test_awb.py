@@ -105,6 +105,12 @@ class TestMultipliers:
         with pytest.raises(ValueError):
             AwbConfig(n_boot=0)
 
+    def test_threads_must_be_positive(self):
+        assert AwbConfig().threads == 1
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                AwbConfig(threads=threads)
+
 
 def lfilter_multipliers(cfg, n_time, replicate_id):
     """Oracle: the AR(1) recursion as a direct-form filter on the same draws."""
@@ -177,7 +183,8 @@ class TestMultiplierRecursion:
             for threads in (1, 2, 4):
                 # A cold cache lets the threads race to build the weights.
                 awb._ar1_factors.cache_clear()
-                out = run_replicates(cfg, np.zeros(T), ones, ones, lambda y: y, threads=threads)
+                threaded = AwbConfig(seed=12, n_boot=12, threads=threads)
+                out = run_replicates(threaded, np.zeros(T), ones, ones, lambda y: y)
                 assert np.array_equal(out, np.array(forward))
         finally:
             sys.setswitchinterval(interval)
@@ -207,10 +214,10 @@ class TestBootstrapErrors:
 
 class TestRunReplicates:
     @staticmethod
-    def run(cfg, n_time, statistic, threads=1):
+    def run(cfg, n_time, statistic):
         """Replicate series equal to the multiplier paths themselves."""
         ones = np.ones(n_time)
-        return run_replicates(cfg, np.zeros(n_time), ones, ones, statistic, threads=threads)
+        return run_replicates(cfg, np.zeros(n_time), ones, ones, statistic)
 
     def test_constant_kernel(self):
         cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
@@ -234,11 +241,11 @@ class TestRunReplicates:
 
     def test_threaded_matches_serial(self):
         # Oracle: the serial run defines the contract for any schedule.
-        cfg = AwbConfig(seed=9, gamma=0.4, n_boot=24)
         kernel = lambda y: float((y**2).sum())  # noqa: E731
-        serial = self.run(cfg, 50, kernel, threads=1)
+        serial = self.run(AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=1), 50, kernel)
         for threads in (2, 5):
-            assert np.array_equal(serial, self.run(cfg, 50, kernel, threads=threads))
+            cfg = AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=threads)
+            assert np.array_equal(serial, self.run(cfg, 50, kernel))
 
     def test_kernel_failure_carries_replicate_id(self):
         cfg = AwbConfig(seed=1, gamma=0.5, n_boot=5)

@@ -228,9 +228,8 @@ class TestBreakTest:
 
     def test_threads_do_not_change_results(self, rng):
         series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
-        cfg = AwbConfig(seed=12, n_boot=32)
-        serial = break_test(series, cfg=cfg, n_harmonics=0, threads=1)
-        threaded = break_test(series, cfg=cfg, n_harmonics=0, threads=4)
+        serial = break_test(series, cfg=AwbConfig(seed=12, n_boot=32, threads=1), n_harmonics=0)
+        threaded = break_test(series, cfg=AwbConfig(seed=12, n_boot=32, threads=4), n_harmonics=0)
         assert np.array_equal(serial.bootstrap_stats, threaded.bootstrap_stats)
 
     def test_returns_the_estimated_fit(self, rng):

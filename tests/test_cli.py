@@ -63,6 +63,28 @@ class TestExitCodes:
         assert rc == 2
         assert (tmp_path / "mcv_scores.csv").exists()  # curve still written
 
+    def test_mcv_grid_needs_positive_step(self, toy_csv, tmp_path):
+        for grid in ("0.05:0.1:0", "0.05:0.1:-0.01"):
+            assert run(["--out", str(tmp_path), "smooth", "--input", toy_csv,
+                        "--mcv-grid", grid]) == 2
+
+    def test_level_outside_unit_interval(self, toy_csv, tmp_path):
+        out = str(tmp_path)
+        smooth = ["--out", out, "smooth", "--input", toy_csv, "--bandwidth", "0.08", "--B", "19"]
+        assert run(smooth) == 0
+        fit = str(tmp_path / "trend_fit.json")
+        for level in ("1.2", "0", "1"):
+            assert run(smooth + ["--level", level]) == 2
+            assert run(["--out", out, "break", "--input", toy_csv, "--B", "9",
+                        "--level", level]) == 2
+            assert run(["--out", out, "extremum", "--fit", fit, "--B", "9",
+                        "--level", level]) == 2
+
+    def test_threads_below_one(self, toy_csv, tmp_path):
+        for threads in ("0", "-3"):
+            assert run(["--out", str(tmp_path), "--threads", threads, "ingest",
+                        "--input", toy_csv]) == 2
+
     def test_ingest_ok(self, toy_csv, tmp_path):
         assert run(["--out", str(tmp_path), "ingest", "--input", toy_csv]) == 0
         report = json.loads((tmp_path / "ingest_report.json").read_text())
@@ -159,6 +181,15 @@ class TestArtifacts:
         meta = json.loads((tmp_path / "panel_B_meta.json").read_text())
         assert meta["panel"] == "B"
         assert "runtime_seconds" in meta
+
+    def test_mc_runs_serially_at_any_thread_count(self, tmp_path, monkeypatch):
+        # The panel series are too short for a replicate pool to pay off.
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("mc started a thread pool")
+
+        monkeypatch.setattr("gaptrend.awb.ThreadPoolExecutor", no_pool)
+        assert run(["--out", str(tmp_path), "--threads", "2", "mc", "--panel", "B",
+                    "--replications", "1", "--B", "19"]) == 0
 
     def test_config_file_defaults(self, toy_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -227,16 +227,18 @@ class TestPanels:
             panel_cells("E", 2, 19, 0)
 
     def test_run_panel_deterministic_rows(self):
-        rows1 = run_panel("B", replications=2, n_boot=19, seed=5, scale=1.0)
-        rows2 = run_panel("B", replications=2, n_boot=19, seed=5, scale=1.0)
+        rows1 = run_panel("B", replications=2, n_boot=19, seed=5)
+        rows2 = run_panel("B", replications=2, n_boot=19, seed=5)
         assert rows1 == rows2
         assert all(set(PANEL_FIELDS) >= set(r.keys()) for r in rows1)
         stats = {r["statistic"] for r in rows1}
         assert stats == {"coverage", "mean_length"}
 
-    def test_scale_shrinks_work(self):
-        rows = run_panel("B", replications=10, n_boot=100, seed=5, scale=0.2)
-        assert all(r["replications"] == 2 for r in rows)
-        assert all(r["n_boot"] == 20 for r in rows)
-        with pytest.raises(ValueError):
-            run_panel("B", scale=0.0)
+    def test_rows_report_the_requested_sizes(self):
+        rows = run_panel("B", replications=1, n_boot=9, seed=5)
+        assert all(r["replications"] == 1 for r in rows)
+        assert all(r["n_boot"] == 9 for r in rows)
+        with pytest.raises(ValueError, match="replications"):
+            run_panel("B", replications=0)
+        with pytest.raises(ValueError, match="n_boot"):
+            run_panel("B", replications=1, n_boot=0)

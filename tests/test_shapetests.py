@@ -428,15 +428,13 @@ class TestMonotonicityTests:
 
     def test_threads_identical(self, rng):
         series = random_masked_series(rng, 150)
-        cfg = AwbConfig(seed=5, n_boot=24)
-        a = monotonicity_tests(series, (15, 135), cfg, h=0.1, threads=1)
-        b = monotonicity_tests(series, (15, 135), cfg, h=0.1, threads=3)
+        a = monotonicity_tests(series, (15, 135), AwbConfig(seed=5, n_boot=24, threads=1), h=0.1)
+        b = monotonicity_tests(series, (15, 135), AwbConfig(seed=5, n_boot=24, threads=3), h=0.1)
         assert np.array_equal(a.bootstrap_stats, b.bootstrap_stats)
 
     def test_threads_identical_at_realistic_size(self):
         rng = np.random.default_rng(7)
         series = gappy_series(rng, 2000, 0.4, gaps=[(900, 1200)])
-        cfg = AwbConfig(seed=6, n_boot=19)
-        a = monotonicity_tests(series, (600, 2000), cfg, h=0.08, threads=1)
-        b = monotonicity_tests(series, (600, 2000), cfg, h=0.08, threads=2)
+        a = monotonicity_tests(series, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=1), h=0.08)
+        b = monotonicity_tests(series, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=2), h=0.08)
         assert np.array_equal(a.bootstrap_stats, b.bootstrap_stats)
