@@ -180,18 +180,52 @@ def run_replicates(
     return np.asarray(results, dtype=np.float64)
 
 
-def empirical_quantile(values: np.ndarray, alpha: float) -> float:
+def check_rate(name: str, value: float) -> None:
+    """Reject a confidence level or error rate outside the open interval (0, 1)."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
+
+
+def _per_column(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def quantile_row(alpha: float, n: int) -> int:
+    """Row of n sorted draws holding their left-continuous empirical
+    alpha-quantile: ceil(alpha * n) - 1, clamped to 0..n-1. An alpha * n
+    within 1e-9 of an integer k counts as k, so alpha = k/n reads row k - 1
+    whichever way k/n was rounded."""
+    return min(max(int(np.ceil(alpha * n - 1e-9)) - 1, 0), n - 1)
+
+
+def empirical_quantile(values: np.ndarray, alpha: float) -> float | np.ndarray:
     """Left-continuous empirical quantile inf{u : P[X <= u] >= alpha}.
 
     This is the type-1 (no interpolation) inverse of the empirical
     distribution function, which makes quantiles exactly reproducible
-    from the sorted bootstrap draws.
+    from the sorted bootstrap draws. It is read along axis 0: (B,) draws
+    give a float, (B, k) draws one quantile per column.
     """
-    values = np.sort(np.asarray(values, dtype=np.float64))
+    values = np.sort(np.asarray(values, dtype=np.float64), axis=0)
     n = values.shape[0]
     if n == 0:
         raise ValueError("empty sample")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    idx = int(np.ceil(alpha * n)) - 1
-    return float(values[min(max(idx, 0), n - 1)])
+    return _per_column(values[quantile_row(alpha, n)])
+
+
+def bootstrap_test(observed: float | np.ndarray, draws: np.ndarray, alpha: float) -> tuple:
+    """Critical value at 1 - alpha and p-value (1 + #{draws >= observed}) / (B + 1)
+    of an upper-tail test; (B, k) draws give one of each per column."""
+    draws = np.asarray(draws, dtype=np.float64)
+    p_value = (1.0 + (draws >= observed).sum(axis=0)) / (draws.shape[0] + 1.0)
+    return empirical_quantile(draws, 1.0 - alpha), _per_column(p_value)
+
+
+def basic_interval(estimate: float | np.ndarray, sorted_centered: np.ndarray, a: float) -> tuple:
+    """Basic interval [est - q(1 - a/2), est - q(a/2)] at error rate a, from the
+    replicate values minus the estimate sorted along axis 0; one per column."""
+    n = sorted_centered.shape[0]
+    return (estimate - sorted_centered[quantile_row(1.0 - a / 2.0, n)],
+            estimate - sorted_centered[quantile_row(a / 2.0, n)])

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .awb import AwbConfig, empirical_quantile, run_replicates
+from .awb import AwbConfig, basic_interval, bootstrap_test, check_rate, run_replicates
 from .exceptions import SingularDesignError
 from .seasonal import SeasonalFit, fourier_design
 from .series import ObservedSeries
@@ -32,6 +32,13 @@ _NOISE_FLOOR = 1e-20
 # A candidate whose hinge column is this close to the span of the fixed
 # columns (Schur complement relative to the raw hinge norm) is unidentified.
 _SCHUR_RTOL = 1e-10
+
+
+def _suffix_sums(x: np.ndarray) -> np.ndarray:
+    """Sums of x[..., i:] along the last axis for i = 0..n, the last one 0."""
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x[..., ::-1], axis=-1, out=out[..., -2::-1])
+    return out
 
 
 @dataclass(frozen=True)
@@ -206,26 +213,21 @@ class BreakScan:
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError(f"fixed design is singular: {exc}") from exc
 
-        def suffix(x: np.ndarray) -> np.ndarray:
-            out = np.zeros((T + 1,) + x.shape[1:], dtype=np.float64)
-            out[:T] = np.cumsum(x[::-1], axis=0)[::-1]
-            return out
-
         c = self.candidates
         tau_c = c / T
-        s_mz = suffix(self._Zm)
-        s_mtz = suffix(self._Zm * tau[:, None])
-        s_m = suffix(m)
-        s_mt = suffix(m * tau)
-        s_mtt = suffix(m * tau * tau)
+        p0 = Z.shape[1]
+        sums = _suffix_sums(np.vstack([self._Zm.T, (self._Zm * tau[:, None]).T,
+                                       m, m * tau, m * tau * tau]))
+        s_mz, s_mtz = sums[:p0], sums[p0: 2 * p0]
+        s_m, s_mt, s_mtt = sums[2 * p0:]
 
         # Hinge cross products for every candidate at once.
-        Zd = s_mtz[c] - tau_c[:, None] * s_mz[c]                # (n_cand, p0)
+        Zd_t = s_mtz[:, c] - tau_c * s_mz[:, c]                # Zd', (p0, n_cand)
         dd = s_mtt[c] - 2.0 * tau_c * s_mt[c] + tau_c**2 * s_m[c]
         # Hinge cross products in the whitened basis, V = L^-1 Zd'. The
         # Schur complement dd - |V|^2 cancels most of dd, so it is formed
         # from V rather than from G^-1 Zd', which loses digits there.
-        self._V = self._chol_inv @ Zd.T                        # (p0, n_cand)
+        self._V = self._chol_inv @ Zd_t                        # (p0, n_cand)
         self._W = self._chol_inv.T @ self._V                   # G^-1 Zd'
         schur = dd - np.einsum("pc,pc->c", self._V, self._V)
         self._schur = schur
@@ -250,21 +252,18 @@ class BreakScan:
 
     def scan(self, y: np.ndarray) -> ScanState:
         """Fit the no-break model and every candidate; return the best break."""
-        m = self._m
-        ym = y * m
+        # y*m and y*m*tau as the rows of one array for one suffix pass.
+        rows = np.empty((2, self.n_time))
+        ym = np.multiply(y, self._m, out=rows[0])
+        np.multiply(ym, self._tau, out=rows[1])
         yy = float(ym @ y)
         u = self._chol_inv @ (self._Zm.T @ y)
         beta0 = self._chol_inv.T @ u
         ssr0 = max(yy - float(u @ u), 0.0)
 
-        T = self.n_time
-        tau = self._tau
-        sy = np.zeros(T + 1)
-        sy[:T] = np.cumsum(ym[::-1])[::-1]
-        sty = np.zeros(T + 1)
-        sty[:T] = np.cumsum((ym * tau)[::-1])[::-1]
+        sy, sty = _suffix_sums(rows)
         c = self.candidates
-        dy = sty[c] - (c / T) * sy[c]
+        dy = sty[c] - (c / self.n_time) * sy[c]
 
         num = dy - u @ self._V
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -378,6 +377,7 @@ def break_test(
     break-like would inflate its own critical value. That fit, the
     estimate of :func:`estimate_break`, is returned as ``fit``.
     """
+    check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
     fit, state = _best_fit(series, trim, n_harmonics)
     u_hat = series.mask * (series.values - fit.fitted_values())
@@ -386,11 +386,11 @@ def break_test(
         return fit.scan.scan(y_star).f_stat
 
     stats = run_replicates(cfg, fit.scan.null_fitted(state.beta0), u_hat, series.mask, statistic)
-    p_value = (1.0 + float((stats >= state.f_stat).sum())) / (cfg.n_boot + 1.0)
+    critical_value, p_value = bootstrap_test(state.f_stat, stats, alpha)
     return BreakTestResult(
         statistic=state.f_stat,
         bootstrap_stats=stats,
-        critical_value=empirical_quantile(stats, 1.0 - alpha),
+        critical_value=critical_value,
         p_value=p_value,
         alpha=alpha,
         fit=fit,
@@ -413,8 +413,7 @@ def break_ci(
     Every interval comes from the quantiles of the centered replicate
     values; for the break position that is [T1 - q(1-a/2), T1 - q(a/2)].
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    check_rate("level", level)
     cfg = cfg or AwbConfig()
     fitted = fit.fitted_values()
     u_hat = series.mask * (series.values - fitted)
@@ -425,18 +424,15 @@ def break_ci(
         return state.best, coef["alpha"], coef["beta"], coef["delta"]
 
     draws = run_replicates(cfg, fitted, u_hat, series.mask, statistic)
-    a = 1.0 - level
-
-    def centered_ci(estimate: float, boot: np.ndarray) -> ParamCi:
-        centered = boot - estimate
-        return ParamCi(
-            estimate=estimate,
-            lower=estimate - empirical_quantile(centered, 1.0 - a / 2.0),
-            upper=estimate - empirical_quantile(centered, a / 2.0),
-        )
-
     locs, alphas, betas, deltas = draws.T
-    position = centered_ci(fit.break_index, locs)
+    # The break position, then the SlopeCis fields in order: intercept,
+    # slope before, slope change and slope after.
+    estimates = np.array([fit.break_index, fit.alpha, fit.beta, fit.delta, fit.beta + fit.delta])
+    centered = np.column_stack((locs, alphas, betas, deltas, betas + deltas)) - estimates
+    centered.sort(axis=0)
+    lower, upper = basic_interval(estimates, centered, 1.0 - level)
+    cis = np.column_stack((estimates, lower, upper)).tolist()
+    position, *slopes = (ParamCi(*ci) for ci in cis)
     lower_i, upper_i = int(round(position.lower)), int(round(position.upper))
     return BreakDateCi(
         break_index=fit.break_index,
@@ -447,13 +443,7 @@ def break_ci(
         upper_date=series.date_at(upper_i),
         level=level,
         bootstrap_indices=locs.astype(np.int64),
-        slopes=SlopeCis(
-            intercept=centered_ci(fit.alpha, alphas),
-            slope_before=centered_ci(fit.beta, betas),
-            slope_change=centered_ci(fit.delta, deltas),
-            slope_after=centered_ci(fit.beta + fit.delta, betas + deltas),
-            level=level,
-        ),
+        slopes=SlopeCis(*slopes, level=level),
     )
 
 

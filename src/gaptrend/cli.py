@@ -93,6 +93,18 @@ def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
     return path
 
 
+def _dates_column(series: ObservedSeries) -> list[str]:
+    return [series.date_at(i + 1).isoformat() for i in range(len(series))]
+
+
+def _observed_column(series: ObservedSeries) -> list[str | None]:
+    return [repr(v) if m else None for v, m in zip(series.values.tolist(), series.mask.tolist())]
+
+
+def _float_column(values: np.ndarray) -> list[str | None]:
+    return [repr(v) if math.isfinite(v) else None for v in values.tolist()]
+
+
 def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.ndarray]]) -> Path:
     """Minimal deterministic SVG: polylines on a fixed 800x400 canvas."""
     width, height, pad = 800.0, 400.0, 40.0
@@ -120,11 +132,6 @@ def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.
     path = out_dir / name
     path.write_text("\n".join(parts) + "\n")
     return path
-
-
-def _load_series_csv(path: str, date_column: str, value_column: str) -> ObservedSeries:
-    series, _ = ingest_csv(path, date_column, value_column)
-    return series
 
 
 def _series_payload(series: ObservedSeries) -> dict:
@@ -234,6 +241,8 @@ def cli(ctx: click.Context, out: str, seed: int, threads: int) -> None:
     ctx.obj.update(out=out_dir, seed=seed, threads=threads)
 
 
+_RATE = click.FloatRange(0, 1, min_open=True, max_open=True)
+
 _INPUT_OPTIONS = [
     click.option("--input", "input_path", required=True, type=click.Path(exists=True),
                  help="CSV file with dated measurements."),
@@ -282,15 +291,15 @@ def ingest(ctx, input_path: str, date_column: str, value_column: str) -> None:
               help="Trimming fraction for break candidates.")
 @click.option("--fourier", "n_harmonics", type=int, default=3, show_default=True)
 @click.option("--B", "n_boot", type=int, default=999, show_default=True)
-@click.option("--level", type=float, default=0.95, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--level", type=_RATE, default=0.95, show_default=True)
+@click.option("--alpha", type=_RATE, default=0.05, show_default=True)
 @click.option("--theta", type=float, default=0.1, show_default=True)
 @click.pass_context
 def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmonics,
               n_boot, level, alpha, theta) -> None:
     """Broken-trend analysis: break test, date interval, slope intervals."""
     out_dir: Path = ctx.obj["out"]
-    series = _load_series_csv(input_path, date_column, value_column)
+    series, _ = ingest_csv(input_path, date_column, value_column)
     cfg = _awb_config(ctx, n_boot, theta=theta)
     trim = trimming_set(len(series), trim_fraction)
 
@@ -301,15 +310,8 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     per_year = slopes.per_year(series.grid_step)
 
     trend = fit.trend_values()
-    seasonal = fit.seasonal.fitted
-    rows = []
-    for i in range(len(series)):
-        rows.append([
-            series.date_at(i + 1).isoformat(),
-            repr(float(series.values[i])) if series.mask[i] else None,
-            repr(float(trend[i])),
-            repr(float(trend[i] + seasonal[i])),
-        ])
+    rows = zip(_dates_column(series), _observed_column(series), _float_column(trend),
+               _float_column(trend + fit.seasonal.fitted))
     _write_csv(out_dir, "break_trend.csv", ["date", "observed", "trend", "trend_plus_seasonal"], rows)
 
     _write_report(
@@ -344,7 +346,8 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
 
 @cli.command()
 @_with_input
-@click.option("--bandwidth", type=float, default=None, help="Trend bandwidth in rescaled time.")
+@click.option("--bandwidth", type=click.FloatRange(0, min_open=True), default=None,
+              help="Trend bandwidth in rescaled time.")
 @click.option("--pick-minimum", "pick_minimum", type=int, default=None,
               help="Use the n-th local minimum of the cross-validation curve (0-based).")
 @click.option("--mcv-grid", default="0.01:0.25:0.005", show_default=True,
@@ -352,7 +355,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
 @click.option("--mcv-k", type=int, default=None, help="Leave-out half-width (default 1.75*T^(1/3)).")
 @click.option("--fourier", "n_harmonics", type=int, default=3, show_default=True)
 @click.option("--B", "n_boot", type=int, default=999, show_default=True)
-@click.option("--level", type=float, default=0.95, show_default=True)
+@click.option("--level", type=_RATE, default=0.95, show_default=True)
 @click.option("--svg/--no-svg", default=False, show_default=True,
               help="Also render static SVG plots.")
 @click.pass_context
@@ -360,7 +363,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
            mcv_grid, mcv_k, n_harmonics, n_boot, level, svg) -> None:
     """Kernel trend with simultaneous confidence bands on deseasonalized data."""
     out_dir: Path = ctx.obj["out"]
-    series = _load_series_csv(input_path, date_column, value_column)
+    series, _ = ingest_csv(input_path, date_column, value_column)
     seasonal = fit_seasonal(series, n_harmonics=n_harmonics)
     eps = deseasonalize(series, seasonal)
 
@@ -396,14 +399,9 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
     cfg = _awb_config(ctx, n_boot)
     bands = confidence_bands(eps, fit, cfg, level)
 
-    columns = [
-        [repr(v) if math.isfinite(v) else None for v in arr.tolist()]
-        for arr in (fit.g_hat, bands.pointwise_lower, bands.pointwise_upper,
-                    bands.lower, bands.upper)
-    ]
-    observed = [repr(v) if m else None for v, m in zip(eps.values.tolist(), eps.mask.tolist())]
-    dates = [eps.date_at(i + 1).isoformat() for i in range(len(series))]
-    rows = zip(dates, observed, *columns)
+    columns = [_float_column(arr) for arr in (fit.g_hat, bands.pointwise_lower,
+                                              bands.pointwise_upper, bands.lower, bands.upper)]
+    rows = zip(_dates_column(eps), _observed_column(eps), *columns)
     _write_csv(
         out_dir, "trend_bands.csv",
         ["date", "deseasonalized", "trend", "pointwise_lower", "pointwise_upper",
@@ -447,7 +445,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
               help="Trend-fit artifact from `smooth`.")
 @click.option("--kind", type=click.Choice(["min", "max"]), default="min", show_default=True)
 @click.option("--B", "n_boot", type=int, default=999, show_default=True)
-@click.option("--level", type=float, default=0.95, show_default=True)
+@click.option("--level", type=_RATE, default=0.95, show_default=True)
 @click.pass_context
 def extremum(ctx, fit_path, kind, n_boot, level) -> None:
     """Confidence interval for the position of the trend extremum."""
@@ -474,7 +472,7 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
 @cli.command()
 @click.option("--fit", "fit_path", required=True, type=click.Path(exists=True))
 @click.option("--B", "n_boot", type=int, default=999, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=_RATE, default=0.05, show_default=True)
 @click.pass_context
 def lintest(ctx, fit_path, n_boot, alpha) -> None:
     """Test a linear trend from the trend minimum to the sample end."""
@@ -491,7 +489,7 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
             "q_sup": res.q_sup, "cv_sup": res.cv_sup, "p_sup": res.p_sup,
             "slope_per_rescaled_time": res.slope,
             "anchor_index": res.anchor_index,
-            "test_window": [res.test_start, res.test_end],
+            "test_window": [res.anchor_index, len(eps)],
         },
     )
     click.echo(f"linearity: p_ave={res.p_ave:.4f} p_sup={res.p_sup:.4f}")
@@ -502,7 +500,7 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
 @click.option("--interval", default=None,
               help="Calendar range 'YYYY-MM-DD:YYYY-MM-DD' (default: trend minimum to end).")
 @click.option("--B", "n_boot", type=int, default=999, show_default=True)
-@click.option("--alpha", type=float, default=0.05, show_default=True)
+@click.option("--alpha", type=_RATE, default=0.05, show_default=True)
 @click.pass_context
 def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
     """Tests of a monotonically increasing trend over an interval."""

@@ -21,7 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .awb import AwbConfig, dependence_length, run_replicates
+from .awb import (AwbConfig, basic_interval, check_rate, dependence_length, quantile_row,
+                  run_replicates)
 from .series import ObservedSeries
 
 
@@ -252,12 +253,6 @@ class BandResult:
     deviations: np.ndarray = field(repr=False, default=None)
 
 
-def _order_row(alpha: float, n: int) -> int:
-    """Row of a sorted (n, T) matrix holding each column's left-continuous
-    empirical alpha-quantile."""
-    return min(max(int(np.ceil(alpha * n)) - 1, 0), n - 1)
-
-
 def pilot_residuals(eps: ObservedSeries, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Oversmoothed pilot fit at bandwidth 0.5 * h^(5/9) and its residuals.
 
@@ -301,16 +296,12 @@ def pointwise_bands(
     result carries the deviation paths; feed it to
     :func:`simultaneous_bands` to calibrate joint coverage.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    check_rate("level", level)
     cfg = cfg or AwbConfig()
     pilot, paths = trend_bootstrap_paths(eps, fit, cfg)
     deviations = paths - pilot
     a = 1.0 - level
-    B = deviations.shape[0]
-    ordered = np.sort(deviations, axis=0)
-    lower = fit.g_hat - ordered[_order_row(1.0 - a / 2.0, B)]
-    upper = fit.g_hat - ordered[_order_row(a / 2.0, B)]
+    lower, upper = basic_interval(fit.g_hat, np.sort(deviations, axis=0), a)
     return BandResult(
         level=level,
         alpha_s=a,
@@ -356,12 +347,9 @@ def simultaneous_bands(band: BandResult) -> BandResult:
     elif grid[-1] < alpha:
         grid.append(alpha)
 
-    def rows(a: float) -> tuple[np.ndarray, np.ndarray]:
-        return Ds[_order_row(a / 2.0, B)], Ds[_order_row(1.0 - a / 2.0, B)]
-
     best_ap, best_score, best_cov = None, np.inf, 0.0
     for ap in grid:
-        lo, hi = rows(ap)
+        lo, hi = Ds[quantile_row(ap / 2.0, B)], Ds[quantile_row(1.0 - ap / 2.0, B)]
         inside = ((D >= lo) & (D <= hi)).all(axis=1).mean()
         score = abs(inside - level)
         if score < best_score:
@@ -375,9 +363,7 @@ def simultaneous_bands(band: BandResult) -> BandResult:
 
     lower = np.full(band.g_hat.shape, np.nan)
     upper = np.full(band.g_hat.shape, np.nan)
-    lo, hi = rows(best_ap)
-    lower[defined] = band.g_hat[defined] - hi
-    upper[defined] = band.g_hat[defined] - lo
+    lower[defined], upper[defined] = basic_interval(band.g_hat[defined], Ds, best_ap)
     return BandResult(
         level=level,
         alpha_s=float(best_ap),

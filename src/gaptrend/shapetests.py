@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .awb import AwbConfig, empirical_quantile, run_replicates
+from .awb import AwbConfig, bootstrap_test, check_rate, quantile_row, run_replicates
 from .exceptions import NoInteriorExtremumError
 from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals, trend_bootstrap_paths
 from .series import ObservedSeries
@@ -133,8 +133,7 @@ def extremum_ci(
     NoInteriorExtremumError
         The estimated trend has no interior local extremum of this kind.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must lie in (0, 1)")
+    check_rate("level", level)
     cfg = cfg or AwbConfig()
     g = fit.g_hat
     cands = local_extrema(g, kind)
@@ -157,8 +156,9 @@ def extremum_ci(
             locs[b] = nearest_extremum(cands, t_ext)
 
     a = 1.0 - level
-    lo = int(empirical_quantile(locs, a / 2.0))
-    hi = int(empirical_quantile(locs, 1.0 - a / 2.0))
+    ordered = np.sort(locs)
+    lo = int(ordered[quantile_row(a / 2.0, locs.shape[0])])
+    hi = int(ordered[quantile_row(1.0 - a / 2.0, locs.shape[0])])
     return ExtremumResult(
         location=t_ext,
         value=value,
@@ -190,8 +190,6 @@ class ShapeTestResult:
     slope: float
     anchor_index: int
     anchor_value: float
-    test_start: int
-    test_end: int
     alpha: float
     bootstrap_stats: np.ndarray = field(repr=False, default=None)
 
@@ -202,12 +200,6 @@ class ShapeTestResult:
     @property
     def reject_sup(self) -> bool:
         return self.q_sup > self.cv_sup
-
-
-def _pinned_slope(
-    values_obs: np.ndarray, x_obs: np.ndarray, anchor_value: float, denom: float
-) -> float:
-    return float(((values_obs - anchor_value) * x_obs).sum() / denom)
 
 
 def linearity_test(
@@ -235,6 +227,7 @@ def linearity_test(
     produces under the null is reproduced in the critical values instead
     of inflating the statistic relative to them.
     """
+    check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
     T = len(eps)
     t_min = int(anchor.location)
@@ -263,7 +256,7 @@ def linearity_test(
         x = tau[window] - tau[pin_pos]
         x_obs = tau[obs_w] - tau[pin_pos]
         denom = float((x_obs * x_obs).sum())
-        slope = _pinned_slope(values[obs_w], x_obs, pin_val, denom)
+        slope = float(((values[obs_w] - pin_val) * x_obs).sum() / denom)
         line = pin_val + slope * x
         gaps = (g_hat[window][defined_w] - line[defined_w]) ** 2
         return float(gaps.mean()), float(gaps.max()), slope, line
@@ -283,21 +276,19 @@ def linearity_test(
         return ave, sup
 
     stats = run_replicates(cfg, composite_masked, u_hat, eps.mask, statistic)
-    B = stats.shape[0]
-    p_ave = (1.0 + float((stats[:, 0] >= q_ave).sum())) / (B + 1.0)
-    p_sup = (1.0 + float((stats[:, 1] >= q_sup).sum())) / (B + 1.0)
+    (cv_ave, cv_sup), (p_ave, p_sup) = (
+        x.tolist() for x in bootstrap_test(np.array([q_ave, q_sup]), stats, alpha)
+    )
     return ShapeTestResult(
         q_ave=q_ave,
         q_sup=q_sup,
-        cv_ave=empirical_quantile(stats[:, 0], 1.0 - alpha),
-        cv_sup=empirical_quantile(stats[:, 1], 1.0 - alpha),
+        cv_ave=cv_ave,
+        cv_sup=cv_sup,
         p_ave=p_ave,
         p_sup=p_sup,
         slope=slope,
         anchor_index=t_min,
         anchor_value=g_min,
-        test_start=t_min,
-        test_end=T,
         alpha=alpha,
         bootstrap_stats=stats,
     )
@@ -507,8 +498,6 @@ class MonotonicityResult:
     h_u: float
     interval: tuple[int, int]
     alpha: float
-    u1_profile: np.ndarray = field(repr=False, default=None)
-    u2_profile: np.ndarray = field(repr=False, default=None)
     bootstrap_stats: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -568,6 +557,7 @@ def monotonicity_tests(
     h_u : float, optional
         Pairwise-test bandwidth; defaults to 0.5 * T^(-1/5).
     """
+    check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
     interval, h_u, obs_pos, engine = _pairwise_setup(eps, interval, h_u)
     prof1, prof2 = engine.profiles(eps.values[obs_pos])
@@ -581,18 +571,16 @@ def monotonicity_tests(
 
     # The null trend is zero: no decreasing segment.
     stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, eps.mask, statistic)
-    B = stats.shape[0]
+    (cv1, cv2), (p1, p2) = (x.tolist() for x in bootstrap_test(np.array([u1, u2]), stats, alpha))
     return MonotonicityResult(
         u1=u1,
         u2=u2,
-        cv1=empirical_quantile(stats[:, 0], 1.0 - alpha),
-        cv2=empirical_quantile(stats[:, 1], 1.0 - alpha),
-        p1=(1.0 + float((stats[:, 0] >= u1).sum())) / (B + 1.0),
-        p2=(1.0 + float((stats[:, 1] >= u2).sum())) / (B + 1.0),
+        cv1=cv1,
+        cv2=cv2,
+        p1=p1,
+        p2=p2,
         h_u=float(h_u),
         interval=interval,
         alpha=alpha,
-        u1_profile=prof1,
-        u2_profile=prof2,
         bootstrap_stats=stats,
     )

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import sys
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -284,3 +286,54 @@ class TestEmpiricalQuantile:
             empirical_quantile(values, 1.2)
         with pytest.raises(ValueError):
             empirical_quantile(np.array([]), 0.5)
+
+    def test_columns_match_one_dimensional_brute_force(self, rng):
+        # Ties (values on a coarse grid) and every exact multiple k/B of 1/B,
+        # where alpha * B lands within rounding of an integer: 43/149 * 149
+        # rounds to 43.000000000000007, and the row must still be 42.
+        for B in (1, 2, 19, 149):
+            values = np.round(rng.normal(size=(B, 4)), 1)
+            alphas = [k / B for k in range(B + 1)] + [0.0, 1.0, 0.05, 0.975, 1e-9]
+            for alpha in alphas:
+                got = empirical_quantile(values, alpha)
+                assert got.shape == (4,)
+                for j in range(4):
+                    assert got[j] == self.brute_force(values[:, j], alpha)
+                    assert empirical_quantile(values[:, j], alpha) == got[j]
+
+
+class TestBootstrapTest:
+    def brute_force(self, observed, draws, need):
+        """Smallest draw with at least ``need`` draws at or below it, and the p-value."""
+        cv = min(u for u in draws if sum(d <= u for d in draws) >= need)
+        return float(cv), (1.0 + sum(d >= observed for d in draws)) / (len(draws) + 1.0)
+
+    def test_matches_brute_force(self, rng):
+        for B in (1, 2, 19, 149):
+            draws = np.round(rng.normal(size=(B, 3)), 1)
+            # Observed values equal to a draw: equal draws count as >= observed.
+            observed = np.array([draws[0, 0], 0.05, draws[-1, 2]])
+            # alpha = k/B needs B - k draws at or below the critical value.
+            cases = [(k / B, max(B - k, 1)) for k in {0, 1, 2, B // 2, B - 1, B} if k <= B]
+            cases.append((0.05, math.ceil(Fraction(19, 20) * B)))
+            for alpha, need in cases:
+                cv, p = awb.bootstrap_test(observed, draws, alpha)
+                for j in range(3):
+                    assert (cv[j], p[j]) == self.brute_force(observed[j], draws[:, j], need)
+                    one = awb.bootstrap_test(observed[j], draws[:, j], alpha)
+                    assert one == (cv[j], p[j])
+                    assert all(type(x) is float for x in one)
+
+
+class TestBasicInterval:
+    def test_matches_per_parameter_formula(self, rng):
+        for B in (1, 2, 19, 149):
+            estimates = rng.normal(size=5)
+            boot = estimates + np.round(rng.normal(size=(B, 5)), 2)
+            ordered = np.sort(boot - estimates, axis=0)
+            for a in (0.05, 0.1, 2.0 / B, 0.5):
+                lower, upper = awb.basic_interval(estimates, ordered, a)
+                for j in range(5):
+                    centered = boot[:, j] - estimates[j]
+                    assert lower[j] == estimates[j] - empirical_quantile(centered, 1.0 - a / 2.0)
+                    assert upper[j] == estimates[j] - empirical_quantile(centered, a / 2.0)

@@ -232,6 +232,13 @@ class TestBreakTest:
         threaded = break_test(series, cfg=AwbConfig(seed=12, n_boot=32, threads=4), n_harmonics=0)
         assert np.array_equal(serial.bootstrap_stats, threaded.bootstrap_stats)
 
+    def test_alpha_outside_unit_interval_raises_before_any_scan(self, rng, scan_calls):
+        series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
+        for alpha in (0.0, 1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                break_test(series, cfg=AwbConfig(seed=1, n_boot=9), n_harmonics=0, alpha=alpha)
+        assert scan_calls == {"init": 0, "scan": 0}
+
     def test_returns_the_estimated_fit(self, rng):
         series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
         fit = break_test(series, cfg=AwbConfig(seed=1, n_boot=9), n_harmonics=0).fit

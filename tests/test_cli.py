@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import gaptrend
-from gaptrend.cli import load_fit_artifact, run
+from gaptrend.cli import cli, load_fit_artifact, run
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,15 @@ def toy_csv(tmp_path_factory):
             if mask[i]:
                 writer.writerow([(d0 + dt.timedelta(days=i)).isoformat(), repr(float(values[i]))])
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def fit_json(toy_csv, tmp_path_factory):
+    """Trend-fit artifact of the toy series from `smooth`."""
+    out = tmp_path_factory.mktemp("fit")
+    assert run(["--out", str(out), "smooth", "--input", toy_csv, "--bandwidth", "0.08",
+                "--B", "9"]) == 0
+    return str(out / "trend_fit.json")
 
 
 def read(path):
@@ -79,6 +88,29 @@ class TestExitCodes:
                         "--level", level]) == 2
             assert run(["--out", out, "extremum", "--fit", fit, "--B", "9",
                         "--level", level]) == 2
+
+    def test_out_of_range_values_fail_before_any_output(self, toy_csv, fit_json, tmp_path):
+        # Every --level and --alpha of every subcommand, found by walking the group.
+        required = {"input_path": ["--input", toy_csv], "fit_path": ["--fit", fit_json]}
+        checked = set()
+        for name, command in cli.commands.items():
+            rates = [p.name for p in command.params if p.name in ("level", "alpha")]
+            if not rates:
+                continue
+            args = [a for p in command.params if p.required for a in required[p.name]]
+            for rate in rates:
+                for value in ("0", "1", "1.2"):
+                    out = tmp_path / f"{name}-{rate}-{value}"
+                    assert run(["--out", str(out), name, *args, f"--{rate}", value]) == 2
+                    assert list(out.iterdir()) == [], (name, rate, value)
+                checked.add((name, rate))
+        assert {("break", "level"), ("break", "alpha"), ("smooth", "level"),
+                ("extremum", "level"), ("lintest", "alpha"), ("monotest", "alpha")} <= checked
+        for bandwidth in ("0", "-0.1"):
+            out = tmp_path / f"bandwidth{bandwidth}"
+            assert run(["--out", str(out), "smooth", "--input", toy_csv,
+                        "--bandwidth", bandwidth]) == 2
+            assert list(out.iterdir()) == []
 
     def test_threads_below_one(self, toy_csv, tmp_path):
         for threads in ("0", "-3"):

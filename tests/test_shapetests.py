@@ -19,6 +19,7 @@ from gaptrend import (
     u_stat_bandwidth,
     u_stat_profiles,
 )
+from gaptrend import shapetests
 from gaptrend.shapetests import TrendAnchor, nearest_extremum
 
 from conftest import make_series, random_masked_series
@@ -299,6 +300,16 @@ class TestLinearityTest:
         res = linearity_test(series, fit, trend_minimum(fit), AwbConfig(seed=6, n_boot=99))
         assert res.p_ave <= 0.05
         assert res.reject_ave
+
+    def test_alpha_outside_unit_interval_raises_before_any_replicate(self, rng, monkeypatch):
+        series = random_masked_series(rng, 150, observed_fraction=0.8)
+        fit = nw_estimate(series, 0.12)
+        monkeypatch.setattr(shapetests, "run_replicates", None)
+        for alpha in (0.0, 1.0, 1.2):
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                linearity_test(series, fit, trend_minimum(fit), AwbConfig(n_boot=9), alpha)
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                monotonicity_tests(series, (20, 140), AwbConfig(n_boot=9), h=0.12, alpha=alpha)
 
     def test_pvalue_convention(self, rng):
         series = random_masked_series(rng, 150, observed_fraction=0.8)
