@@ -48,14 +48,6 @@ class TrimmingSet:
     fraction: float
     candidates: np.ndarray  # 1-based grid positions, ascending
 
-    @property
-    def lo(self) -> int:
-        return int(self.candidates[0])
-
-    @property
-    def hi(self) -> int:
-        return int(self.candidates[-1])
-
 
 def trimming_set(n_time: int, fraction: float = DEFAULT_TRIM_FRACTION) -> TrimmingSet:
     """Candidates ceil(fraction*T) .. floor((1-fraction)*T)."""

@@ -242,6 +242,7 @@ def cli(ctx: click.Context, out: str, seed: int, threads: int) -> None:
 
 
 _RATE = click.FloatRange(0, 1, min_open=True, max_open=True)
+_COUNT = click.IntRange(min=1)
 
 _INPUT_OPTIONS = [
     click.option("--input", "input_path", required=True, type=click.Path(exists=True),
@@ -290,7 +291,7 @@ def ingest(ctx, input_path: str, date_column: str, value_column: str) -> None:
 @click.option("--lambda", "trim_fraction", type=float, default=0.1, show_default=True,
               help="Trimming fraction for break candidates.")
 @click.option("--fourier", "n_harmonics", type=int, default=3, show_default=True)
-@click.option("--B", "n_boot", type=int, default=999, show_default=True)
+@click.option("--B", "n_boot", type=_COUNT, default=999, show_default=True)
 @click.option("--level", type=_RATE, default=0.95, show_default=True)
 @click.option("--alpha", type=_RATE, default=0.05, show_default=True)
 @click.option("--theta", type=float, default=0.1, show_default=True)
@@ -354,7 +355,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
               help="Bandwidth candidates lo:hi:step.")
 @click.option("--mcv-k", type=int, default=None, help="Leave-out half-width (default 1.75*T^(1/3)).")
 @click.option("--fourier", "n_harmonics", type=int, default=3, show_default=True)
-@click.option("--B", "n_boot", type=int, default=999, show_default=True)
+@click.option("--B", "n_boot", type=_COUNT, default=999, show_default=True)
 @click.option("--level", type=_RATE, default=0.95, show_default=True)
 @click.option("--svg/--no-svg", default=False, show_default=True,
               help="Also render static SVG plots.")
@@ -444,7 +445,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
 @click.option("--fit", "fit_path", required=True, type=click.Path(exists=True),
               help="Trend-fit artifact from `smooth`.")
 @click.option("--kind", type=click.Choice(["min", "max"]), default="min", show_default=True)
-@click.option("--B", "n_boot", type=int, default=999, show_default=True)
+@click.option("--B", "n_boot", type=_COUNT, default=999, show_default=True)
 @click.option("--level", type=_RATE, default=0.95, show_default=True)
 @click.pass_context
 def extremum(ctx, fit_path, kind, n_boot, level) -> None:
@@ -471,7 +472,7 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
 
 @cli.command()
 @click.option("--fit", "fit_path", required=True, type=click.Path(exists=True))
-@click.option("--B", "n_boot", type=int, default=999, show_default=True)
+@click.option("--B", "n_boot", type=_COUNT, default=999, show_default=True)
 @click.option("--alpha", type=_RATE, default=0.05, show_default=True)
 @click.pass_context
 def lintest(ctx, fit_path, n_boot, alpha) -> None:
@@ -499,7 +500,7 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
 @click.option("--fit", "fit_path", required=True, type=click.Path(exists=True))
 @click.option("--interval", default=None,
               help="Calendar range 'YYYY-MM-DD:YYYY-MM-DD' (default: trend minimum to end).")
-@click.option("--B", "n_boot", type=int, default=999, show_default=True)
+@click.option("--B", "n_boot", type=_COUNT, default=999, show_default=True)
 @click.option("--alpha", type=_RATE, default=0.05, show_default=True)
 @click.pass_context
 def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
@@ -528,8 +529,8 @@ def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
 @cli.command()
 @click.option("--panel", type=click.Choice(["A", "B", "C", "D"], case_sensitive=False),
               required=True)
-@click.option("--replications", type=int, default=1000, show_default=True)
-@click.option("--B", "n_boot", type=int, default=999, show_default=True)
+@click.option("--replications", type=_COUNT, default=1000, show_default=True)
+@click.option("--B", "n_boot", type=_COUNT, default=999, show_default=True)
 @click.pass_context
 def mc(ctx, panel, replications, n_boot) -> None:
     """Synthetic-data validation panels; emits a long-format results table."""

@@ -136,7 +136,7 @@ class KernelTrendFit:
 
 def nw_estimate(eps: ObservedSeries, h: float) -> KernelTrendFit:
     """Kernel-weighted local average of the observed points at t/T, t = 1..T."""
-    g = nw_smoother(eps.mask, h)(eps.masked_values())
+    g = nw_smoother(eps.mask, h)(eps.values)
     return KernelTrendFit(g_hat=g, h=float(h))
 
 
@@ -190,11 +190,10 @@ def mcv_scan(eps: ObservedSeries, grid: np.ndarray, k: int | None = None) -> Mcv
 
     T = len(eps)
     mask_f = eps.mask.astype(np.float64)
-    mval = eps.masked_values()
     obs = eps.mask == 1
     scores = np.empty(grid.size)
     for i, h in enumerate(grid):
-        num = _window_sums(mval, h, leave_out=k)
+        num = _window_sums(eps.values, h, leave_out=k)
         den = _window_sums(mask_f, h, leave_out=k)
         ok = obs & (den > 0.0)
         if not ok.any():
@@ -260,7 +259,7 @@ def pilot_residuals(eps: ObservedSeries, h: float) -> tuple[np.ndarray, np.ndarr
     positions. Every bootstrap of the kernel trend and the shape tests
     resamples these residuals.
     """
-    pilot = nw_smoother(eps.mask, pilot_bandwidth(h))(eps.masked_values())
+    pilot = nw_smoother(eps.mask, pilot_bandwidth(h))(eps.values)
     return pilot, np.where(eps.mask == 1, eps.values - pilot, 0.0)
 
 

@@ -25,10 +25,13 @@ from .kerneltrend import nw_estimate
 from .series import ObservedSeries
 from .shapetests import linearity_test, monotonicity_tests, trend_minimum
 
-# Markov transition matrices, rows = from state, columns = to state,
+# Markov transition matrices of the missingness modes, keyed by the share
+# of days without an observation; rows = from state, columns = to state,
 # states ordered (missing, observed).
-TRANSITION_30_MISSING = np.array([[0.55, 0.45], [0.20, 0.80]])
-TRANSITION_70_MISSING = np.array([[0.80, 0.20], [0.45, 0.55]])
+MISSING_TRANSITIONS = {
+    "30%": np.array([[0.55, 0.45], [0.20, 0.80]]),
+    "70%": np.array([[0.80, 0.20], [0.45, 0.55]]),
+}
 
 ARMA_BURN_IN = 200
 
@@ -123,17 +126,20 @@ def gen_trend(spec: LinearTrendSpec | SmoothTransitionSpec, n_time: int) -> np.n
     return spec.intercept + spec.slope * x + spec.slope_change * np.maximum(0.0, x - xb)
 
 
-def volatility_profile(
-    tau: np.ndarray,
-    sigma_start: float = 1.0,
-    sigma_end: float = 2.0,
-    amplitude: float = 0.5,
-    cycles: int = 4,
-) -> np.ndarray:
+# Volatility profile of the heteroskedastic designs: a linear drift from
+# VOL_START to VOL_END over the record plus a cosine of amplitude
+# VOL_AMPLITUDE with VOL_CYCLES periods.
+VOL_START = 1.0
+VOL_END = 2.0
+VOL_AMPLITUDE = 0.5
+VOL_CYCLES = 4
+
+
+def volatility_profile(tau: np.ndarray) -> np.ndarray:
     """Smooth volatility path: linear drift plus a cosine oscillation."""
     tau = np.asarray(tau, dtype=np.float64)
-    return sigma_start + (sigma_end - sigma_start) * tau + amplitude * np.cos(
-        2.0 * np.pi * cycles * tau
+    return VOL_START + (VOL_END - VOL_START) * tau + VOL_AMPLITUDE * np.cos(
+        2.0 * np.pi * VOL_CYCLES * tau
     )
 
 
@@ -156,8 +162,8 @@ class McDesign:
     def __post_init__(self) -> None:
         if abs(self.phi) >= 1.0:
             raise ValueError("|phi| must be below 1")
-        if self.missing not in ("30%", "70%"):
-            raise ValueError("missing must be '30%' or '70%'")
+        if self.missing not in MISSING_TRANSITIONS:
+            raise ValueError(f"missing must be one of {list(MISSING_TRANSITIONS)}")
 
 
 def gen_errors(design: McDesign, n_time: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,12 +195,9 @@ def gen_errors(design: McDesign, n_time: int, rng: np.random.Generator) -> np.nd
 
 def gen_mask(mode: str, n_time: int, rng: np.random.Generator) -> np.ndarray:
     """First-order Markov observation indicators, started at stationarity."""
-    if mode == "30%":
-        P = TRANSITION_30_MISSING
-    elif mode == "70%":
-        P = TRANSITION_70_MISSING
-    else:
-        raise ValueError("mode must be '30%' or '70%'")
+    if mode not in MISSING_TRANSITIONS:
+        raise ValueError(f"mode must be one of {list(MISSING_TRANSITIONS)}")
+    P = MISSING_TRANSITIONS[mode]
     p_obs_stationary = P[0, 1] / (P[0, 1] + P[1, 0])
     u = rng.random(n_time)
     mask = np.empty(n_time, dtype=np.uint8)
@@ -212,7 +215,7 @@ def simulate_series(design: McDesign, draw: int) -> ObservedSeries:
     err_rng = _stream(_mix64(design.seed, _DGP_SALT, draw), 0)
     mask = gen_mask(design.missing, design.n_time, mask_rng)
     y = gen_trend(design.trend, design.n_time) + gen_errors(design, design.n_time, err_rng)
-    return ObservedSeries(np.where(mask == 1, y, 0.0), mask, dt.date(2000, 1, 1))
+    return ObservedSeries(y, mask, dt.date(2000, 1, 1))
 
 
 def bootstrap_config(design: McDesign, draw: int) -> AwbConfig:
@@ -346,92 +349,67 @@ _SIZE_POWER_DELTAS = (0.0, 0.05, 0.1)
 _ARMA_COMBOS = ((0.0, 0.0), (0.5, 0.0), (0.0, 0.5))
 _SAMPLE_COMBOS = ((285, "30%"), (666, "70%"), (666, "30%"))
 _BANDWIDTHS = (0.04, 0.06, 0.08)
+# Shape-panel trends with their error scales: a linear trend for size, the
+# double-logistic trend for power.
+_SHAPE_TRENDS = (
+    (LinearTrendSpec(4000.0, 0.5, 0.0, 0.6, "rescaled"), SIGMA_ETA_SHAPE_SIZE_PANELS),
+    (SmoothTransitionSpec(), SIGMA_ETA_SHAPE_POWER_PANELS),
+)
 
 
-def _linear_break_trend(delta: float) -> LinearTrendSpec:
-    return LinearTrendSpec(4000.0, -0.5, delta, 0.6, "grid")
-
-
-def _rescaled_linear_trend() -> LinearTrendSpec:
-    return LinearTrendSpec(4000.0, 0.5, 0.0, 0.6, "rescaled")
-
-
-def panel_cells(
-    panel: str, replications: int, n_boot: int, seed: int
-) -> list[tuple[dict, McDesign, str]]:
-    """Cell grid of one panel: (label, design, procedure) triples."""
+def panel_cells(panel: str, replications: int, n_boot: int, seed: int) -> list[McDesign]:
+    """Design grid of one panel in table order; cell i is seeded ``_mix64(seed, i)``."""
     panel = panel.upper()
-    cells: list[tuple[dict, McDesign, str]] = []
-
-    def label(**kw) -> dict:
-        base = {"panel": panel}
-        base.update(kw)
-        return base
-
-    idx = 0
-
-    def design(**kw) -> McDesign:
-        nonlocal idx
-        d = McDesign(
-            replications=replications, n_boot=n_boot, seed=_mix64(seed, idx), **kw
-        )
-        idx += 1
-        return d
-
     if panel in ("A", "B"):
         deltas = _SIZE_POWER_DELTAS if panel == "A" else (1.0,)
-        proc = "break_test" if panel == "A" else "break_ci"
-        for phi, psi in _ARMA_COMBOS:
-            for hetero in (False, True):
-                for T, missing in _SAMPLE_COMBOS:
-                    for delta in deltas:
-                        cells.append(
-                            (
-                                label(T=T, missing=missing, phi=phi, psi=psi,
-                                      volatility="varying" if hetero else "constant",
-                                      trend="kinked-linear", delta=delta, h=""),
-                                design(
-                                    n_time=T, missing=missing, phi=phi, psi=psi,
-                                    sigma_eta=SIGMA_ETA_BREAK_PANELS,
-                                    heteroskedastic=hetero,
-                                    trend=_linear_break_trend(delta),
-                                ),
-                                proc,
-                            )
-                        )
-        return cells
-
-    if panel in ("C", "D"):
+        cells = [
+            dict(n_time=T, missing=missing, phi=phi, psi=psi,
+                 sigma_eta=SIGMA_ETA_BREAK_PANELS, heteroskedastic=hetero,
+                 trend=LinearTrendSpec(4000.0, -0.5, delta, 0.6, "grid"))
+            for phi, psi in _ARMA_COMBOS
+            for hetero in (False, True)
+            for T, missing in _SAMPLE_COMBOS
+            for delta in deltas
+        ]
+    elif panel in ("C", "D"):
         combos = _SAMPLE_COMBOS if panel == "C" else _SAMPLE_COMBOS[:2]
-        proc = "linearity" if panel == "C" else "monotonicity"
-        for h in _BANDWIDTHS:
-            for T, missing in combos:
-                for trend_name, trend, sigma_eta in (
-                    ("linear", _rescaled_linear_trend(), SIGMA_ETA_SHAPE_SIZE_PANELS),
-                    ("smooth-transition", SmoothTransitionSpec(), SIGMA_ETA_SHAPE_POWER_PANELS),
-                ):
-                    cells.append(
-                        (
-                            label(T=T, missing=missing, phi=0.1, psi=0.0,
-                                  volatility="constant", trend=trend_name,
-                                  delta="", h=h),
-                            design(
-                                n_time=T, missing=missing, phi=0.1, psi=0.0,
-                                sigma_eta=sigma_eta, trend=trend, h=h,
-                            ),
-                            proc,
-                        )
-                    )
-        return cells
-
-    raise ValueError(f"unknown panel {panel!r}")
+        cells = [
+            dict(n_time=T, missing=missing, phi=0.1, psi=0.0, sigma_eta=sigma_eta,
+                 trend=trend, h=h)
+            for h in _BANDWIDTHS
+            for T, missing in combos
+            for trend, sigma_eta in _SHAPE_TRENDS
+        ]
+    else:
+        raise ValueError(f"unknown panel {panel!r}")
+    return [
+        McDesign(replications=replications, n_boot=n_boot, seed=_mix64(seed, i), **kw)
+        for i, kw in enumerate(cells)
+    ]
 
 
-_PROCEDURES = {
-    "break_test": run_break_test_cell,
-    "break_ci": run_break_ci_cell,
-    "linearity": run_linearity_cell,
-    "monotonicity": run_monotonicity_cell,
+def _cell_label(panel: str, design: McDesign) -> dict:
+    """Design columns of a panel row. Break panels (A, B) report the slope
+    change and leave the bandwidth blank; shape panels (C, D) the reverse."""
+    if panel in ("A", "B"):
+        trend, delta, h = "kinked-linear", design.trend.slope_change, ""
+    else:
+        linear = isinstance(design.trend, LinearTrendSpec)
+        trend, delta, h = "linear" if linear else "smooth-transition", "", design.h
+    return {
+        "panel": panel, "T": design.n_time, "missing": design.missing,
+        "phi": design.phi, "psi": design.psi,
+        "volatility": "varying" if design.heteroskedastic else "constant",
+        "trend": trend, "delta": delta, "h": h,
+    }
+
+
+# The procedure each panel runs on its cells.
+_RUNNERS = {
+    "A": run_break_test_cell,
+    "B": run_break_ci_cell,
+    "C": run_linearity_cell,
+    "D": run_monotonicity_cell,
 }
 
 PANEL_FIELDS = [
@@ -453,11 +431,12 @@ def run_panel(
     """
     if replications < 1:
         raise ValueError("replications must be at least 1")
+    panel = panel.upper()
     rows: list[dict] = []
-    for lab, design, proc in panel_cells(panel, replications, n_boot, seed):
-        result = _PROCEDURES[proc](design)
+    for design in panel_cells(panel, replications, n_boot, seed):
+        result = _RUNNERS[panel](design)
         for stat, (value, se) in result.estimates.items():
-            row = dict(lab)
+            row = _cell_label(panel, design)
             row.update(
                 statistic=stat,
                 value=f"{value:.6g}",

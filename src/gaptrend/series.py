@@ -2,9 +2,9 @@
 
 The container keeps every calendar day between the first and last date on a
 fixed daily grid. Days without an observation are carried with ``mask == 0``
-and a quiet 0.0 sentinel in ``values``; downstream arithmetic always
-multiplies by the mask instead of testing the sentinel, so nothing is ever
-imputed.
+and 0.0 in ``values``, whatever placeholder the caller gave; downstream
+arithmetic multiplies by the mask or reads the observed positions, so
+nothing is ever imputed.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class ObservedSeries:
     Attributes
     ----------
     values : np.ndarray
-        Float array of length T. Entries at masked positions are a 0.0
-        sentinel and must never be read directly.
+        Float array of length T. Unobserved days may hold any placeholder,
+        NaN included; the constructor stores 0.0 there.
     mask : np.ndarray
         uint8 array of length T; 1 where the day has an observation.
     t0 : datetime.date
@@ -42,7 +42,7 @@ class ObservedSeries:
     grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self) -> None:
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        values = np.asarray(self.values, dtype=np.float64)
         mask = np.ascontiguousarray(np.asarray(self.mask))
         if values.ndim != 1 or mask.ndim != 1:
             raise ValueError("values and mask must be one-dimensional")
@@ -57,7 +57,8 @@ class ObservedSeries:
         mask = mask.astype(np.uint8)
         if int(mask.sum()) < 2:
             raise ValueError("series must contain at least 2 observed points")
-        if not np.isfinite(values[mask == 1]).all():
+        values = np.where(mask == 1, values, 0.0)
+        if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
         if not self.grid_step > 0:
             raise ValueError("grid_step must be positive")
@@ -75,15 +76,6 @@ class ObservedSeries:
     def observed_fraction(self) -> float:
         return self.n_observed / len(self)
 
-    def masked_values(self) -> np.ndarray:
-        """Values with masked positions zeroed (the only safe view of values)."""
-        return self.values * self.mask
-
-    def rescaled_time(self) -> np.ndarray:
-        """Grid positions mapped to (0, 1]: entry t-1 equals t / T."""
-        T = len(self)
-        return np.arange(1, T + 1, dtype=np.float64) / T
-
     def calendar_years(self) -> np.ndarray:
         """Calendar time of each grid position in fractional years."""
         start = self.t0.year + (self.t0.timetuple().tm_yday - 1) / DAYS_PER_YEAR
@@ -98,11 +90,8 @@ class ObservedSeries:
         return (day - self.t0).days + 1
 
     def with_values(self, values: np.ndarray) -> "ObservedSeries":
-        """Same grid and mask, new values (masked positions forced to 0.0)."""
-        values = np.asarray(values, dtype=np.float64)
-        return ObservedSeries(
-            np.where(self.mask == 1, values, 0.0), self.mask, self.t0, self.grid_step
-        )
+        """Same grid and mask, new values (masked positions stored as 0.0)."""
+        return ObservedSeries(values, self.mask, self.t0, self.grid_step)
 
 
 @dataclass(frozen=True)

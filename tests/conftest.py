@@ -16,8 +16,7 @@ def make_series(values, mask=None, t0=T0) -> ObservedSeries:
     values = np.asarray(values, dtype=np.float64)
     if mask is None:
         mask = np.ones(values.shape[0], dtype=np.uint8)
-    mask = np.asarray(mask, dtype=np.uint8)
-    return ObservedSeries(np.where(mask == 1, values, 0.0), mask, t0)
+    return ObservedSeries(values, np.asarray(mask, dtype=np.uint8), t0)
 
 
 def random_masked_series(rng, n_time, observed_fraction=0.6, scale=1.0):

@@ -59,10 +59,8 @@ def naive_scan(series, trim, n_harmonics):
 
 class TestTrimmingSet:
     def test_bounds(self):
-        trim = trimming_set(100, 0.1)
-        assert trim.lo == 10 and trim.hi == 90
-        trim = trimming_set(285, 0.1)
-        assert trim.lo == 29 and trim.hi == 256
+        assert trimming_set(100, 0.1).candidates[[0, -1]].tolist() == [10, 90]
+        assert trimming_set(285, 0.1).candidates[[0, -1]].tolist() == [29, 256]
 
     def test_validation(self):
         with pytest.raises(ValueError):

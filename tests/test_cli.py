@@ -90,22 +90,29 @@ class TestExitCodes:
                         "--level", level]) == 2
 
     def test_out_of_range_values_fail_before_any_output(self, toy_csv, fit_json, tmp_path):
-        # Every --level and --alpha of every subcommand, found by walking the group.
-        required = {"input_path": ["--input", toy_csv], "fit_path": ["--fit", fit_json]}
+        # Every --level, --alpha, --B and --replications of every subcommand,
+        # found by walking the group.
+        bad_values = {"level": ("0", "1", "1.2"), "alpha": ("0", "1", "1.2"),
+                      "n_boot": ("0",), "replications": ("0",)}
+        required = {"input_path": ["--input", toy_csv], "fit_path": ["--fit", fit_json],
+                    "panel": ["--panel", "A"]}
         checked = set()
         for name, command in cli.commands.items():
-            rates = [p.name for p in command.params if p.name in ("level", "alpha")]
-            if not rates:
+            params = [p for p in command.params if p.name in bad_values]
+            if not params:
                 continue
             args = [a for p in command.params if p.required for a in required[p.name]]
-            for rate in rates:
-                for value in ("0", "1", "1.2"):
-                    out = tmp_path / f"{name}-{rate}-{value}"
-                    assert run(["--out", str(out), name, *args, f"--{rate}", value]) == 2
-                    assert list(out.iterdir()) == [], (name, rate, value)
-                checked.add((name, rate))
+            for param in params:
+                for value in bad_values[param.name]:
+                    out = tmp_path / f"{name}-{param.name}-{value}"
+                    assert run(["--out", str(out), name, *args, param.opts[0], value]) == 2
+                    assert list(out.iterdir()) == [], (name, param.name, value)
+                checked.add((name, param.name))
         assert {("break", "level"), ("break", "alpha"), ("smooth", "level"),
-                ("extremum", "level"), ("lintest", "alpha"), ("monotest", "alpha")} <= checked
+                ("extremum", "level"), ("lintest", "alpha"), ("monotest", "alpha"),
+                ("break", "n_boot"), ("smooth", "n_boot"), ("extremum", "n_boot"),
+                ("lintest", "n_boot"), ("monotest", "n_boot"), ("mc", "n_boot"),
+                ("mc", "replications")} <= checked
         for bandwidth in ("0", "-0.1"):
             out = tmp_path / f"bandwidth{bandwidth}"
             assert run(["--out", str(out), "smooth", "--input", toy_csv,

@@ -19,6 +19,7 @@ from gaptrend import (
 from gaptrend.exceptions import ReplicateError, SingularDesignError
 from gaptrend.mcharness import (
     PANEL_FIELDS,
+    _mix64,
     logistic_transition,
     panel_cells,
     run_break_ci_cell,
@@ -213,6 +214,123 @@ class TestCells:
             run_break_test_cell(design)
 
 
+# Design columns of every panel row (panel,T,missing,phi,psi,volatility,
+# trend,delta,h), one line per cell in table order, and the statistics
+# each cell reports.
+_PANEL_LABELS = {
+    "A": (("rejection_rate",), """
+        A,285,30%,0.0,0.0,constant,kinked-linear,0.0,
+        A,285,30%,0.0,0.0,constant,kinked-linear,0.05,
+        A,285,30%,0.0,0.0,constant,kinked-linear,0.1,
+        A,666,70%,0.0,0.0,constant,kinked-linear,0.0,
+        A,666,70%,0.0,0.0,constant,kinked-linear,0.05,
+        A,666,70%,0.0,0.0,constant,kinked-linear,0.1,
+        A,666,30%,0.0,0.0,constant,kinked-linear,0.0,
+        A,666,30%,0.0,0.0,constant,kinked-linear,0.05,
+        A,666,30%,0.0,0.0,constant,kinked-linear,0.1,
+        A,285,30%,0.0,0.0,varying,kinked-linear,0.0,
+        A,285,30%,0.0,0.0,varying,kinked-linear,0.05,
+        A,285,30%,0.0,0.0,varying,kinked-linear,0.1,
+        A,666,70%,0.0,0.0,varying,kinked-linear,0.0,
+        A,666,70%,0.0,0.0,varying,kinked-linear,0.05,
+        A,666,70%,0.0,0.0,varying,kinked-linear,0.1,
+        A,666,30%,0.0,0.0,varying,kinked-linear,0.0,
+        A,666,30%,0.0,0.0,varying,kinked-linear,0.05,
+        A,666,30%,0.0,0.0,varying,kinked-linear,0.1,
+        A,285,30%,0.5,0.0,constant,kinked-linear,0.0,
+        A,285,30%,0.5,0.0,constant,kinked-linear,0.05,
+        A,285,30%,0.5,0.0,constant,kinked-linear,0.1,
+        A,666,70%,0.5,0.0,constant,kinked-linear,0.0,
+        A,666,70%,0.5,0.0,constant,kinked-linear,0.05,
+        A,666,70%,0.5,0.0,constant,kinked-linear,0.1,
+        A,666,30%,0.5,0.0,constant,kinked-linear,0.0,
+        A,666,30%,0.5,0.0,constant,kinked-linear,0.05,
+        A,666,30%,0.5,0.0,constant,kinked-linear,0.1,
+        A,285,30%,0.5,0.0,varying,kinked-linear,0.0,
+        A,285,30%,0.5,0.0,varying,kinked-linear,0.05,
+        A,285,30%,0.5,0.0,varying,kinked-linear,0.1,
+        A,666,70%,0.5,0.0,varying,kinked-linear,0.0,
+        A,666,70%,0.5,0.0,varying,kinked-linear,0.05,
+        A,666,70%,0.5,0.0,varying,kinked-linear,0.1,
+        A,666,30%,0.5,0.0,varying,kinked-linear,0.0,
+        A,666,30%,0.5,0.0,varying,kinked-linear,0.05,
+        A,666,30%,0.5,0.0,varying,kinked-linear,0.1,
+        A,285,30%,0.0,0.5,constant,kinked-linear,0.0,
+        A,285,30%,0.0,0.5,constant,kinked-linear,0.05,
+        A,285,30%,0.0,0.5,constant,kinked-linear,0.1,
+        A,666,70%,0.0,0.5,constant,kinked-linear,0.0,
+        A,666,70%,0.0,0.5,constant,kinked-linear,0.05,
+        A,666,70%,0.0,0.5,constant,kinked-linear,0.1,
+        A,666,30%,0.0,0.5,constant,kinked-linear,0.0,
+        A,666,30%,0.0,0.5,constant,kinked-linear,0.05,
+        A,666,30%,0.0,0.5,constant,kinked-linear,0.1,
+        A,285,30%,0.0,0.5,varying,kinked-linear,0.0,
+        A,285,30%,0.0,0.5,varying,kinked-linear,0.05,
+        A,285,30%,0.0,0.5,varying,kinked-linear,0.1,
+        A,666,70%,0.0,0.5,varying,kinked-linear,0.0,
+        A,666,70%,0.0,0.5,varying,kinked-linear,0.05,
+        A,666,70%,0.0,0.5,varying,kinked-linear,0.1,
+        A,666,30%,0.0,0.5,varying,kinked-linear,0.0,
+        A,666,30%,0.0,0.5,varying,kinked-linear,0.05,
+        A,666,30%,0.0,0.5,varying,kinked-linear,0.1,
+    """.split()),
+    "B": (("coverage", "mean_length"), """
+        B,285,30%,0.0,0.0,constant,kinked-linear,1.0,
+        B,666,70%,0.0,0.0,constant,kinked-linear,1.0,
+        B,666,30%,0.0,0.0,constant,kinked-linear,1.0,
+        B,285,30%,0.0,0.0,varying,kinked-linear,1.0,
+        B,666,70%,0.0,0.0,varying,kinked-linear,1.0,
+        B,666,30%,0.0,0.0,varying,kinked-linear,1.0,
+        B,285,30%,0.5,0.0,constant,kinked-linear,1.0,
+        B,666,70%,0.5,0.0,constant,kinked-linear,1.0,
+        B,666,30%,0.5,0.0,constant,kinked-linear,1.0,
+        B,285,30%,0.5,0.0,varying,kinked-linear,1.0,
+        B,666,70%,0.5,0.0,varying,kinked-linear,1.0,
+        B,666,30%,0.5,0.0,varying,kinked-linear,1.0,
+        B,285,30%,0.0,0.5,constant,kinked-linear,1.0,
+        B,666,70%,0.0,0.5,constant,kinked-linear,1.0,
+        B,666,30%,0.0,0.5,constant,kinked-linear,1.0,
+        B,285,30%,0.0,0.5,varying,kinked-linear,1.0,
+        B,666,70%,0.0,0.5,varying,kinked-linear,1.0,
+        B,666,30%,0.0,0.5,varying,kinked-linear,1.0,
+    """.split()),
+    "C": (("rejection_rate_ave", "rejection_rate_sup"), """
+        C,285,30%,0.1,0.0,constant,linear,,0.04
+        C,285,30%,0.1,0.0,constant,smooth-transition,,0.04
+        C,666,70%,0.1,0.0,constant,linear,,0.04
+        C,666,70%,0.1,0.0,constant,smooth-transition,,0.04
+        C,666,30%,0.1,0.0,constant,linear,,0.04
+        C,666,30%,0.1,0.0,constant,smooth-transition,,0.04
+        C,285,30%,0.1,0.0,constant,linear,,0.06
+        C,285,30%,0.1,0.0,constant,smooth-transition,,0.06
+        C,666,70%,0.1,0.0,constant,linear,,0.06
+        C,666,70%,0.1,0.0,constant,smooth-transition,,0.06
+        C,666,30%,0.1,0.0,constant,linear,,0.06
+        C,666,30%,0.1,0.0,constant,smooth-transition,,0.06
+        C,285,30%,0.1,0.0,constant,linear,,0.08
+        C,285,30%,0.1,0.0,constant,smooth-transition,,0.08
+        C,666,70%,0.1,0.0,constant,linear,,0.08
+        C,666,70%,0.1,0.0,constant,smooth-transition,,0.08
+        C,666,30%,0.1,0.0,constant,linear,,0.08
+        C,666,30%,0.1,0.0,constant,smooth-transition,,0.08
+    """.split()),
+    "D": (("rejection_rate_sign", "rejection_rate_magnitude"), """
+        D,285,30%,0.1,0.0,constant,linear,,0.04
+        D,285,30%,0.1,0.0,constant,smooth-transition,,0.04
+        D,666,70%,0.1,0.0,constant,linear,,0.04
+        D,666,70%,0.1,0.0,constant,smooth-transition,,0.04
+        D,285,30%,0.1,0.0,constant,linear,,0.06
+        D,285,30%,0.1,0.0,constant,smooth-transition,,0.06
+        D,666,70%,0.1,0.0,constant,linear,,0.06
+        D,666,70%,0.1,0.0,constant,smooth-transition,,0.06
+        D,285,30%,0.1,0.0,constant,linear,,0.08
+        D,285,30%,0.1,0.0,constant,smooth-transition,,0.08
+        D,666,70%,0.1,0.0,constant,linear,,0.08
+        D,666,70%,0.1,0.0,constant,smooth-transition,,0.08
+    """.split()),
+}
+
+
 class TestPanels:
     def test_cell_grids(self):
         cells_a = panel_cells("A", 2, 19, 0)
@@ -223,8 +341,16 @@ class TestPanels:
         assert len(cells_c) == 3 * 3 * 2
         cells_d = panel_cells("D", 2, 19, 0)
         assert len(cells_d) == 3 * 2 * 2
+        assert [d.seed for d in cells_c] == [_mix64(0, i) for i in range(len(cells_c))]
         with pytest.raises(ValueError):
             panel_cells("E", 2, 19, 0)
+
+    @pytest.mark.parametrize("panel", sorted(_PANEL_LABELS))
+    def test_label_columns(self, panel):
+        stats, cells = _PANEL_LABELS[panel]
+        rows = run_panel(panel, 1, 9, 5)
+        got = [(",".join(str(r[f]) for f in PANEL_FIELDS[:9]), r["statistic"]) for r in rows]
+        assert got == [(cell, stat) for cell in cells for stat in stats]
 
     def test_run_panel_deterministic_rows(self):
         rows1 = run_panel("B", replications=2, n_boot=19, seed=5)

@@ -7,7 +7,17 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from gaptrend import ObservedSeries, ingest_csv, write_canonical_csv
+from gaptrend import (
+    AwbConfig,
+    ObservedSeries,
+    break_test,
+    fit_seasonal,
+    ingest_csv,
+    mcv_scan,
+    nw_estimate,
+    trimming_set,
+    write_canonical_csv,
+)
 
 from conftest import make_series
 
@@ -141,15 +151,33 @@ class TestContainer:
             ObservedSeries(np.array([1.0, np.nan]), np.ones(2), dt.date(2000, 1, 1))
 
     def test_masked_sentinel_never_read(self):
-        series = make_series([1.0, 99.0, 3.0], [1, 0, 1])
-        assert series.values[1] == 0.0  # sentinel normalised by the constructor
-        assert series.masked_values().tolist() == [1.0, 0.0, 3.0]
+        for placeholder in (99.0, np.nan, np.inf):
+            series = make_series([1.0, placeholder, 3.0], [1, 0, 1])
+            assert series.values.tolist() == [1.0, 0.0, 3.0]  # stored by the constructor
+
+    def test_nan_placeholders_give_the_same_results(self):
+        # Unobserved days marked with NaN must analyse like the 0.0 sentinel.
+        rng = np.random.default_rng(3)
+        T = 400
+        mask = (rng.random(T) < 0.6).astype(np.uint8)
+        mask[[0, -1]] = 1
+        t = np.arange(1, T + 1)
+        y = 2.0 - 0.01 * t + 0.02 * np.maximum(0, t - 250) + rng.normal(0, 0.3, T)
+        zero, nan = (make_series(np.where(mask == 1, y, fill), mask) for fill in (0.0, np.nan))
+        assert np.array_equal(nw_estimate(zero, 0.1).g_hat, nw_estimate(nan, 0.1).g_hat)
+        grid = np.linspace(0.05, 0.3, 6)
+        assert np.array_equal(mcv_scan(zero, grid).scores, mcv_scan(nan, grid).scores)
+        assert np.array_equal(fit_seasonal(zero).fitted, fit_seasonal(nan).fitted)
+        trim = trimming_set(T, 0.1)
+        tests = [break_test(s, trim, AwbConfig(seed=1, n_boot=19), n_harmonics=1)
+                 for s in (zero, nan)]
+        assert np.isfinite(tests[0].statistic)
+        assert tests[0].statistic == tests[1].statistic
+        assert np.array_equal(tests[0].bootstrap_stats, tests[1].bootstrap_stats)
 
     def test_time_index(self):
         series = make_series(np.arange(4.0))
-        rescaled, calendar = series.rescaled_time(), series.calendar_years()
-        assert rescaled[-1] == 1.0
-        assert np.all(np.diff(rescaled) > 0)
+        calendar = series.calendar_years()
         assert np.all(np.diff(calendar) > 0)
         assert np.allclose(np.diff(calendar), series.grid_step)
 
