@@ -22,11 +22,9 @@ from .breaktrend import (
     BrokenTrendFit,
     ParamCi,
     SlopeCis,
-    TrimmingSet,
     break_ci,
     break_test,
     estimate_break,
-    fit_given_break,
     slope_cis,
     trimming_set,
 )
@@ -100,7 +98,6 @@ __all__ = [
     "SlopeCis",
     "SmoothTransitionSpec",
     "TrendAnchor",
-    "TrimmingSet",
     "bandwidth_grid",
     "bootstrap_errors",
     "break_ci",
@@ -114,7 +111,6 @@ __all__ = [
     "empirical_quantile",
     "estimate_break",
     "extremum_ci",
-    "fit_given_break",
     "fit_seasonal",
     "fourier_design",
     "gen_errors",

@@ -12,7 +12,6 @@ full scan is O(T + |candidates| * p^2) instead of |candidates| full refits.
 
 from __future__ import annotations
 
-import datetime as dt
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,23 +40,16 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class TrimmingSet:
-    """Admissible break positions, bounded away from both sample ends."""
-
-    fraction: float
-    candidates: np.ndarray  # 1-based grid positions, ascending
-
-
-def trimming_set(n_time: int, fraction: float = DEFAULT_TRIM_FRACTION) -> TrimmingSet:
-    """Candidates ceil(fraction*T) .. floor((1-fraction)*T)."""
+def trimming_set(n_time: int, fraction: float = DEFAULT_TRIM_FRACTION) -> np.ndarray:
+    """Break candidates ceil(fraction*T) .. floor((1-fraction)*T): 1-based grid
+    positions, ascending, bounded away from both sample ends."""
     if not 0.0 < fraction < 0.5:
         raise ValueError("trimming fraction must lie in (0, 0.5)")
     lo = int(np.ceil(fraction * n_time))
     hi = int(np.floor((1.0 - fraction) * n_time))
     if lo < 1 or hi > n_time - 1 or lo > hi:
         raise ValueError(f"empty trimming set for T={n_time}, fraction={fraction}")
-    return TrimmingSet(fraction=fraction, candidates=np.arange(lo, hi + 1))
+    return np.arange(lo, hi + 1)
 
 
 @dataclass(frozen=True)
@@ -77,11 +69,10 @@ class BrokenTrendFit:
     break_index: int
     seasonal: SeasonalFit
     ssr: float
-    n_time: int
     scan: BreakScan = field(repr=False, compare=False)
 
     def trend_values(self) -> np.ndarray:
-        t = np.arange(1, self.n_time + 1, dtype=np.float64)
+        t = np.arange(1, self.scan.n_time + 1, dtype=np.float64)
         return self.alpha + self.beta * t + self.delta * np.maximum(0.0, t - self.break_index)
 
     def fitted_values(self) -> np.ndarray:
@@ -107,15 +98,16 @@ class BreakTestResult:
 
 @dataclass(frozen=True)
 class BreakDateCi:
-    """Confidence interval for the break position, in grid and calendar units,
-    with the slope intervals of the same bootstrap replicates."""
+    """Confidence interval for the break position, in grid positions, with the
+    slope intervals of the same bootstrap replicates. ``lower_index`` and
+    ``upper_index`` are the basic interval's ends ``basic_lower`` and
+    ``basic_upper`` clipped to the range of the scanned candidates."""
 
     break_index: int
-    break_date: dt.date
     lower_index: int
     upper_index: int
-    lower_date: dt.date
-    upper_date: dt.date
+    basic_lower: int
+    basic_upper: int
     level: float
     bootstrap_indices: np.ndarray
     slopes: SlopeCis
@@ -123,6 +115,10 @@ class BreakDateCi:
     @property
     def length(self) -> int:
         return self.upper_index - self.lower_index
+
+    @property
+    def clipped(self) -> bool:
+        return (self.lower_index, self.upper_index) != (self.basic_lower, self.basic_upper)
 
 
 @dataclass(frozen=True)
@@ -186,6 +182,8 @@ class BreakScan:
             raise ValueError("no break candidates")
         if self.candidates.min() < 1 or self.candidates.max() > T - 1:
             raise ValueError("break candidates must lie in 1..T-1")
+        if np.any(np.diff(self.candidates) <= 0):
+            raise ValueError("break candidates must be strictly ascending")
 
         m = mask.astype(np.float64)
         tau = np.arange(1, T + 1, dtype=np.float64) / T
@@ -284,73 +282,46 @@ class BreakScan:
             "ssr": max(state.ssr0 - red, 0.0),
         }
 
-    def null_fitted(self, beta0: np.ndarray) -> np.ndarray:
-        """Fitted values (trend plus seasonal) of the no-break model, full grid."""
-        return self._Z @ beta0
-
-    def seasonal_fit(self, harmonics: np.ndarray) -> SeasonalFit:
-        S = self.n_harmonics
-        fourier = self._Z[:, 2:]
-        return SeasonalFit(
-            a=harmonics[:S].copy(),
-            b=harmonics[S:].copy(),
-            n_harmonics=S,
-            fitted=fourier @ harmonics if S else np.zeros(self.n_time),
+    def fit(self, state: ScanState, break_at: int) -> BrokenTrendFit:
+        """The fit of the scanned response with the break at ``break_at``."""
+        coef = self.coefficients_at(state, break_at)
+        S, harmonics = self.n_harmonics, coef["harmonics"]
+        seasonal = SeasonalFit(harmonics[:S], harmonics[S:], S, self._Z[:, 2:] @ harmonics)
+        return BrokenTrendFit(
+            alpha=coef["alpha"], beta=coef["beta"], delta=coef["delta"], break_index=break_at,
+            seasonal=seasonal, ssr=coef["ssr"], scan=self,
         )
 
 
-def _fit_from_scan(
-    series: ObservedSeries, scan: BreakScan, state: ScanState, break_at: int
-) -> BrokenTrendFit:
-    coef = scan.coefficients_at(state, break_at)
-    return BrokenTrendFit(
-        alpha=coef["alpha"],
-        beta=coef["beta"],
-        delta=coef["delta"],
-        break_index=break_at,
-        seasonal=scan.seasonal_fit(coef["harmonics"]),
-        ssr=coef["ssr"],
-        n_time=len(series),
-        scan=scan,
-    )
-
-
-def fit_given_break(
-    series: ObservedSeries, break_at: int, n_harmonics: int = 3
-) -> BrokenTrendFit:
-    """Mask-weighted least squares with the break imposed at ``break_at``."""
-    if not 1 <= break_at <= len(series) - 1:
-        raise ValueError("break position must lie in 1..T-1")
-    scan = BreakScan(series.mask, series.calendar_years(), np.array([break_at]), n_harmonics)
-    return _fit_from_scan(series, scan, scan.scan(series.values), break_at)
-
-
 def _best_fit(
-    series: ObservedSeries, trim: TrimmingSet | None, n_harmonics: int
+    series: ObservedSeries, trim: np.ndarray | None, n_harmonics: int
 ) -> tuple[BrokenTrendFit, ScanState]:
     """Best one-break fit over the trimming set, with the scan state it came from."""
-    trim = trim or trimming_set(len(series))
-    scan = BreakScan(series.mask, series.calendar_years(), trim.candidates, n_harmonics)
+    if trim is None:
+        trim = trimming_set(len(series))
+    scan = BreakScan(series.mask, series.calendar_years(), trim, n_harmonics)
     state = scan.scan(series.values)
-    return _fit_from_scan(series, scan, state, state.best), state
+    return scan.fit(state, state.best), state
 
 
 def estimate_break(
     series: ObservedSeries,
-    trim: TrimmingSet | None = None,
+    trim: np.ndarray | None = None,
     n_harmonics: int = 3,
 ) -> BrokenTrendFit:
-    """Exhaustive scan of the trimming set; smallest-SSR break wins.
+    """Exhaustive scan of the candidate positions ``trim`` (default
+    :func:`trimming_set`); smallest-SSR break wins.
 
     Ties are broken toward the smallest candidate position. The estimator
     always returns a break; whether it is significant is the test's job.
+    A one-candidate array imposes the break there.
     """
     return _best_fit(series, trim, n_harmonics)[0]
 
 
 def break_test(
     series: ObservedSeries,
-    trim: TrimmingSet | None = None,
+    trim: np.ndarray | None = None,
     cfg: AwbConfig | None = None,
     n_harmonics: int = 3,
     alpha: float = 0.05,
@@ -377,7 +348,7 @@ def break_test(
     def statistic(y_star: np.ndarray) -> float:
         return fit.scan.scan(y_star).f_stat
 
-    stats = run_replicates(cfg, fit.scan.null_fitted(state.beta0), u_hat, series.mask, statistic)
+    stats = run_replicates(cfg, fit.scan._Z @ state.beta0, u_hat, series.mask, statistic)
     critical_value, p_value = bootstrap_test(state.f_stat, stats, alpha)
     return BreakTestResult(
         statistic=state.f_stat,
@@ -399,11 +370,16 @@ def break_ci(
 
     Samples are regenerated with the estimated break imposed; each
     replicate re-estimates the break over the candidates the fit was
-    chosen from (``fit.scan``; for :func:`fit_given_break` that is the
-    imposed break alone) and reads off its coefficients at that break, so
-    the uncertainty of the break location flows into the slope intervals.
+    chosen from (``fit.scan``; for an imposed break that is the break
+    alone) and reads off its coefficients at that break, so the
+    uncertainty of the break location flows into the slope intervals.
     Every interval comes from the quantiles of the centered replicate
-    values; for the break position that is [T1 - q(1-a/2), T1 - q(a/2)].
+    values; for the break position that is the basic interval
+    [T1 - q(1-a/2), T1 - q(a/2)], whose ends are then clipped to the
+    candidate range. Where the basic interval meets that range, clipping
+    keeps exactly the candidates it covers, so whether it covers a break
+    among the candidates never changes; a basic interval wholly past one
+    end collapses to that end's candidate.
     """
     check_rate("level", level)
     cfg = cfg or AwbConfig()
@@ -426,13 +402,13 @@ def break_ci(
     cis = np.column_stack((estimates, lower, upper)).tolist()
     position, *slopes = (ParamCi(*ci) for ci in cis)
     lower_i, upper_i = int(round(position.lower)), int(round(position.upper))
+    c_min, c_max = int(fit.scan.candidates[0]), int(fit.scan.candidates[-1])
     return BreakDateCi(
         break_index=fit.break_index,
-        break_date=series.date_at(fit.break_index),
-        lower_index=lower_i,
-        upper_index=upper_i,
-        lower_date=series.date_at(lower_i),
-        upper_date=series.date_at(upper_i),
+        lower_index=min(max(lower_i, c_min), c_max),
+        upper_index=min(max(upper_i, c_min), c_max),
+        basic_lower=lower_i,
+        basic_upper=upper_i,
         level=level,
         bootstrap_indices=locs.astype(np.int64),
         slopes=SlopeCis(*slopes, level=level),

@@ -294,7 +294,7 @@ def ingest(ctx, input_path: str, date_column: str, value_column: str) -> None:
 @click.option("--B", "n_boot", type=_COUNT, default=999, show_default=True)
 @click.option("--level", type=_RATE, default=0.95, show_default=True)
 @click.option("--alpha", type=_RATE, default=0.05, show_default=True)
-@click.option("--theta", type=float, default=0.1, show_default=True)
+@click.option("--theta", type=_RATE, default=0.1, show_default=True)
 @click.pass_context
 def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmonics,
               n_boot, level, alpha, theta) -> None:
@@ -309,6 +309,9 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     ci = break_ci(series, fit, cfg, level)
     slopes = ci.slopes
     per_year = slopes.per_year(series.grid_step)
+
+    date, lower, upper = (series.date_at(i).isoformat()
+                          for i in (fit.break_index, ci.lower_index, ci.upper_index))
 
     trend = fit.trend_values()
     rows = zip(_dates_column(series), _observed_column(series), _float_column(trend),
@@ -328,9 +331,11 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
             "p_value": test.p_value,
             "reject": test.reject,
             "break_index": fit.break_index,
-            "break_date": ci.break_date.isoformat(),
-            "break_ci": [ci.lower_date.isoformat(), ci.upper_date.isoformat()],
+            "break_date": date,
+            "break_ci": [lower, upper],
             "break_ci_length_days": ci.length,
+            "break_ci_clipped": ci.clipped,
+            "break_ci_basic_indices": [ci.basic_lower, ci.basic_upper],
             "slopes_per_year": {
                 name: {"estimate": c.estimate, "ci": [c.lower, c.upper]}
                 for name, c in per_year.items()
@@ -341,8 +346,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
             "plot_data": "break_trend.csv",
         },
     )
-    click.echo(f"break test p-value {test.p_value:.4f}; break at {ci.break_date.isoformat()} "
-               f"[{ci.lower_date.isoformat()}, {ci.upper_date.isoformat()}]")
+    click.echo(f"break test p-value {test.p_value:.4f}; break at {date} [{lower}, {upper}]")
 
 
 @cli.command()
@@ -386,8 +390,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         _write_svg(out_dir, "mcv_scores.svg", [("cv score", scan.grid[ok], scan.scores[ok])])
 
     if bandwidth is None and pick_minimum is not None:
-        scan = scan.pick(pick_minimum)
-        bandwidth = scan.chosen
+        bandwidth = scan.pick(pick_minimum)
     if bandwidth is None:
         minima = ", ".join(f"{scan.grid[i]:g}" for i in scan.local_minima) or "none"
         raise click.UsageError(
@@ -454,20 +457,21 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
     eps, fit = load_fit_artifact(fit_path)
     cfg = _awb_config(ctx, n_boot)
     res = extremum_ci(eps, fit, cfg, kind, level)
+    date, lower, upper = (eps.date_at(i).isoformat()
+                          for i in (res.location, res.lower_index, res.upper_index))
     _write_report(
         out_dir, "extremum_report.json", "extremum",
         {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "kind": kind,
          "B": n_boot, "level": level, "seed": cfg.seed},
         {
             "location_index": res.location,
-            "location_date": res.date.isoformat(),
+            "location_date": date,
             "value": res.value,
-            "ci_dates": [res.lower_date.isoformat(), res.upper_date.isoformat()],
+            "ci_dates": [lower, upper],
             "ci_indices": [res.lower_index, res.upper_index],
         },
     )
-    click.echo(f"{kind} at {res.date.isoformat()} "
-               f"[{res.lower_date.isoformat()}, {res.upper_date.isoformat()}]")
+    click.echo(f"{kind} at {date} [{lower}, {upper}]")
 
 
 @cli.command()

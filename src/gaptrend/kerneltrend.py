@@ -150,26 +150,25 @@ class McvResult:
     """Cross-validation scores over a bandwidth grid.
 
     The score curve can have several local minima; all of them are
-    reported and the choice is left to the caller. ``chosen`` stays None
-    until a bandwidth is picked explicitly.
+    reported and the choice is left to the caller.
     """
 
     grid: np.ndarray
     scores: np.ndarray
     k: int
     local_minima: np.ndarray  # indices into grid
-    no_interior_minimum: bool
-    chosen: float | None = None
 
-    def pick(self, which: int) -> "McvResult":
-        """Return a copy with the ``which``-th local minimum chosen (0-based)."""
+    @property
+    def no_interior_minimum(self) -> bool:
+        return self.local_minima.size == 0
+
+    def pick(self, which: int) -> float:
+        """Bandwidth at the ``which``-th local minimum (0-based)."""
         if self.no_interior_minimum:
             raise ValueError("score curve has no interior local minimum")
         if not 0 <= which < self.local_minima.size:
             raise ValueError(f"minimum index {which} out of range")
-        h = float(self.grid[self.local_minima[which]])
-        return McvResult(self.grid, self.scores, self.k, self.local_minima,
-                         self.no_interior_minimum, chosen=h)
+        return float(self.grid[self.local_minima[which]])
 
 
 def mcv_scan(eps: ObservedSeries, grid: np.ndarray, k: int | None = None) -> McvResult:
@@ -215,7 +214,6 @@ def mcv_scan(eps: ObservedSeries, grid: np.ndarray, k: int | None = None) -> Mcv
         scores=scores,
         k=k,
         local_minima=np.asarray(interior, dtype=np.int64),
-        no_interior_minimum=interior.size == 0,
     )
 
 

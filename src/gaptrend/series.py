@@ -82,7 +82,9 @@ class ObservedSeries:
         return start + np.arange(len(self), dtype=np.float64) * self.grid_step
 
     def date_at(self, position: int) -> dt.date:
-        """Calendar date of a 1-based grid position (may lie outside the grid)."""
+        """Calendar date of a 1-based grid position in 1..T."""
+        if not 1 <= position <= len(self):
+            raise ValueError(f"grid position {position} lies outside 1..{len(self)}")
         return self.t0 + dt.timedelta(days=int(position) - 1)
 
     def position_of(self, day: dt.date) -> int:

@@ -9,7 +9,6 @@ magnitudes). Pairwise statistics run over observed pairs only.
 
 from __future__ import annotations
 
-import datetime as dt
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,7 +96,7 @@ def nearest_extremum(candidates: np.ndarray, target: int) -> int:
 
 @dataclass(frozen=True)
 class ExtremumResult:
-    """Location of a trend extremum with its bootstrap confidence interval."""
+    """Grid position of a trend extremum with its bootstrap confidence interval."""
 
     location: int
     value: float
@@ -105,9 +104,6 @@ class ExtremumResult:
     level: float
     lower_index: int
     upper_index: int
-    date: dt.date
-    lower_date: dt.date
-    upper_date: dt.date
     bootstrap_locations: np.ndarray = field(repr=False, default=None)
 
 
@@ -166,9 +162,6 @@ def extremum_ci(
         level=level,
         lower_index=lo,
         upper_index=hi,
-        date=eps.date_at(t_ext),
-        lower_date=eps.date_at(lo),
-        upper_date=eps.date_at(hi),
         bootstrap_locations=locs,
     )
 

@@ -178,7 +178,7 @@ def test_criterion_6_oracle_equivalence():
         trim = trimming_set(T, 0.15)
         from gaptrend.breaktrend import BreakScan
 
-        scan_state = BreakScan(series.mask, series.calendar_years(), trim.candidates, 0).scan(
+        scan_state = BreakScan(series.mask, series.calendar_years(), trim, 0).scan(
             series.values
         )
         best, best_ssr, ssr0 = naive_scan(series, trim, 0)

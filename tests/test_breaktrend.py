@@ -12,12 +12,11 @@ from gaptrend import (
     draw_multipliers,
     empirical_quantile,
     estimate_break,
-    fit_given_break,
     fourier_design,
     slope_cis,
     trimming_set,
 )
-from gaptrend import SingularDesignError, gen_mask
+from gaptrend import SingularDesignError, gen_mask, simulate_series
 from gaptrend.breaktrend import BreakScan
 
 from conftest import make_series
@@ -44,7 +43,7 @@ def naive_fit(series, break_at, n_harmonics):
 
 def naive_scan(series, trim, n_harmonics):
     best, best_ssr = None, np.inf
-    for c in trim.candidates:
+    for c in trim:
         _, ssr = naive_fit(series, int(c), n_harmonics)
         if best is None or ssr < best_ssr - 1e-12 * max(best_ssr, 1.0):
             best, best_ssr = int(c), ssr
@@ -59,8 +58,12 @@ def naive_scan(series, trim, n_harmonics):
 
 class TestTrimmingSet:
     def test_bounds(self):
-        assert trimming_set(100, 0.1).candidates[[0, -1]].tolist() == [10, 90]
-        assert trimming_set(285, 0.1).candidates[[0, -1]].tolist() == [29, 256]
+        for T, fraction, ends in ((100, 0.1, [10, 90]), (285, 0.1, [29, 256]), (10, 0.45, [5, 5])):
+            trim = trimming_set(T, fraction)
+            assert np.issubdtype(trim.dtype, np.integer)
+            assert trim[[0, -1]].tolist() == ends
+            assert np.array_equal(trim, np.arange(ends[0], ends[1] + 1))
+            assert 1 <= trim[0] and trim[-1] <= T - 1
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,10 +83,15 @@ class TestTrimmingSet:
             estimate_break(series, trimming_set(100, 0.1), n_harmonics=0)
 
 
-class TestFitGivenBreak:
+def impose_break(series, break_at, n_harmonics):
+    return estimate_break(series, np.array([break_at]), n_harmonics)
+
+
+class TestImposedBreak:
     def test_noiseless_exact(self):
         series = make_series(kinked_line(100))
-        fit = fit_given_break(series, 60, n_harmonics=0)
+        fit = impose_break(series, 60, n_harmonics=0)
+        assert fit.break_index == 60
         assert fit.alpha == pytest.approx(1.0, abs=1e-8)
         assert fit.beta == pytest.approx(0.5, abs=1e-8)
         assert fit.delta == pytest.approx(0.3, abs=1e-8)
@@ -91,14 +99,30 @@ class TestFitGivenBreak:
 
     def test_misplaced_break_cannot_fit(self):
         series = make_series(kinked_line(100))
-        assert fit_given_break(series, 50, n_harmonics=0).ssr > 1.0
+        assert impose_break(series, 50, n_harmonics=0).ssr > 1.0
+
+    def test_matches_naive_refit_with_gaps_and_harmonics(self, rng):
+        # Oracle: closed-form least squares on the same design.
+        T = 150
+        mask = (rng.random(T) < 0.8).astype(np.uint8)
+        mask[[0, -1]] = 1
+        series = make_series(1.0 + 0.2 * np.arange(1, T + 1) + rng.normal(0, 0.5, T), mask)
+        for n_harmonics in (0, 1):
+            for c in (40, 75, 110):
+                fit = impose_break(series, c, n_harmonics)
+                coef, ssr = naive_fit(series, c, n_harmonics)
+                assert fit.break_index == c
+                assert [fit.alpha, fit.beta, fit.delta] == pytest.approx(coef[:3], abs=1e-9)
+                assert fit.seasonal.a == pytest.approx(coef[3:3 + n_harmonics], abs=1e-9)
+                assert fit.seasonal.b == pytest.approx(coef[3 + n_harmonics:], abs=1e-9)
+                assert fit.ssr == pytest.approx(ssr, rel=1e-10, abs=1e-9)
 
     def test_no_change_data_gives_small_delta(self, rng):
         # Oracle: closed-form least squares on the same design.
         T = 150
         series = make_series(1.0 + 0.2 * np.arange(1, T + 1) + rng.normal(0, 0.5, T))
         for c in (40, 75, 110):
-            fit = fit_given_break(series, c, n_harmonics=0)
+            fit = impose_break(series, c, n_harmonics=0)
             coef, ssr = naive_fit(series, c, 0)
             assert fit.delta == pytest.approx(coef[2], abs=1e-9)
             assert fit.ssr == pytest.approx(ssr, rel=1e-10, abs=1e-9)
@@ -110,14 +134,19 @@ class TestFitGivenBreak:
 
     def test_position_bounds(self):
         series = make_series(kinked_line(50))
-        with pytest.raises(ValueError):
-            fit_given_break(series, 0, n_harmonics=0)
-        with pytest.raises(ValueError):
-            fit_given_break(series, 50, n_harmonics=0)
+        for break_at in (0, 50):
+            with pytest.raises(ValueError, match="1..T-1"):
+                impose_break(series, break_at, n_harmonics=0)
+
+    def test_unordered_candidates_rejected(self):
+        series = make_series(kinked_line(50))
+        for trim in (np.array([30, 20]), np.array([20, 20])):
+            with pytest.raises(ValueError, match="ascending"):
+                estimate_break(series, trim, n_harmonics=0)
 
     def test_fitted_trend_continuous_at_break(self):
         series = make_series(kinked_line(100))
-        fit = fit_given_break(series, 60, n_harmonics=0)
+        fit = impose_break(series, 60, n_harmonics=0)
         trend = fit.trend_values()
         steps = np.diff(trend)
         # Slope changes at the break, but the level never jumps.
@@ -154,8 +183,8 @@ class TestEstimateBreak:
         series = make_series(kinked_line(T, kink=45) + rng.normal(0, 0.8, T))
         trim = trimming_set(T, 0.1)
         fit = estimate_break(series, trim, n_harmonics=0)
-        for c in trim.candidates[::7]:
-            assert fit.ssr <= fit_given_break(series, int(c), n_harmonics=0).ssr + 1e-9
+        for c in trim[::7]:
+            assert fit.ssr <= impose_break(series, int(c), n_harmonics=0).ssr + 1e-9
 
     def test_break_recovery_montecarlo(self):
         # Oracle: repeated synthetic draws; the kink should be located
@@ -261,7 +290,8 @@ class TestBreakCi:
         fit = estimate_break(series, n_harmonics=0)
         ci = break_ci(series, fit, AwbConfig(seed=5, n_boot=99))
         assert ci.lower_index <= fit.break_index <= ci.upper_index
-        assert ci.lower_date <= ci.break_date <= ci.upper_date
+        assert not ci.clipped
+        assert (ci.lower_index, ci.upper_index) == (ci.basic_lower, ci.basic_upper)
 
     def test_trim_choice_gives_similar_intervals(self, rng):
         values = kinked_line(300, beta=-0.2, delta=0.4, kink=180) + rng.normal(0, 2.0, 300)
@@ -283,7 +313,35 @@ class TestBreakCi:
         trim = trimming_set(200, 0.3)
         fit = estimate_break(series, trim, n_harmonics=0)
         ci = break_ci(series, fit, AwbConfig(seed=7, n_boot=99))
-        assert set(ci.bootstrap_indices.tolist()) <= set(trim.candidates.tolist())
+        assert set(ci.bootstrap_indices.tolist()) <= set(trim.tolist())
+
+    @pytest.mark.parametrize("cell, level, collapses", [(3, 0.95, False), (12, 0.95, False),
+                                                         (12, 0.2, True)])
+    def test_interval_stays_on_the_candidates(self, cell, level, collapses):
+        # Panel A draws at T=666 with 70% missing and no break. The basic
+        # interval starts hundreds of days before the record; in cell 12
+        # the estimate sits on the lower trimming edge, and at level 0.2
+        # the basic interval lies wholly below it.
+        from gaptrend.mcharness import N_HARMONICS, TRIM_FRACTION, bootstrap_config, panel_cells
+
+        design = panel_cells("A", 2, 99, 1)[cell]
+        series = simulate_series(design, 0)
+        trim = trimming_set(design.n_time, TRIM_FRACTION)
+        fit = estimate_break(series, trim, N_HARMONICS)
+        ci = break_ci(series, fit, bootstrap_config(design, 0), level=level)
+        assert trim[0] <= ci.lower_index <= fit.break_index <= ci.upper_index <= trim[-1]
+        assert ci.basic_lower < trim[0] and ci.clipped
+        assert ci.lower_index == trim[0]
+        if collapses:
+            assert ci.basic_upper < trim[0]
+            assert ci.upper_index == trim[0]
+        else:
+            # Where the basic interval meets the candidates, clipping keeps
+            # exactly the candidates it covers.
+            assert ci.upper_index == ci.basic_upper
+            basic = (ci.basic_lower <= trim) & (trim <= ci.basic_upper)
+            clipped = (ci.lower_index <= trim) & (trim <= ci.upper_index)
+            assert np.array_equal(basic, clipped)
 
 
 class TestSlopeCis:
@@ -297,7 +355,7 @@ class TestSlopeCis:
         cfg = AwbConfig(seed=12, n_boot=9)
         ci = break_ci(series, fit, cfg, level=0.8)
 
-        scan = BreakScan(series.mask, series.calendar_years(), trim.candidates, 1)
+        scan = BreakScan(series.mask, series.calendar_years(), trim, 1)
         fitted = fit.fitted_values()
         u_hat = series.mask * (series.values - fitted)
         rows = []
@@ -387,7 +445,7 @@ class TestScanInternals:
             mask[::step] = 1
         series = make_series(np.ones(T), mask)
         with pytest.raises(SingularDesignError, match="fixed design is singular"):
-            BreakScan(mask, series.calendar_years(), trimming_set(T).candidates, 3)
+            BreakScan(mask, series.calendar_years(), trimming_set(T), 3)
 
     def test_null_fit_and_statistic_match_lstsq_on_short_harmonic_design(self):
         # Oracle: direct least squares on every candidate of a T=285
@@ -399,7 +457,7 @@ class TestScanInternals:
         mask[0] = mask[-1] = 1
         series = make_series(kinked_line(T, delta=0.1, kink=150) + rng.normal(0, 18.0, T), mask)
         trim = trimming_set(T, 0.1)
-        scan = BreakScan(mask, series.calendar_years(), trim.candidates, 3)
+        scan = BreakScan(mask, series.calendar_years(), trim, 3)
         state = scan.scan(series.values)
 
         tau = np.arange(1, T + 1) / T
@@ -409,7 +467,7 @@ class TestScanInternals:
         beta0, _, _, _ = np.linalg.lstsq(Z[obs], y, rcond=None)
         r0 = y - Z[obs] @ beta0
         reductions = []
-        for c in trim.candidates:
+        for c in trim:
             X = np.column_stack([Z, np.maximum(0.0, tau - c / T)])[obs]
             coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
             r = y - X @ coef
@@ -417,4 +475,4 @@ class TestScanInternals:
         assert np.max(np.abs(state.beta0 - beta0)) <= 1e-10 * np.max(np.abs(beta0))
         assert state.ssr0 == pytest.approx(r0 @ r0, rel=1e-10)
         assert state.f_stat == pytest.approx(max(reductions), rel=1e-10)
-        assert state.best == trim.candidates[int(np.argmax(reductions))]
+        assert state.best == trim[int(np.argmax(reductions))]

@@ -55,6 +55,16 @@ def read(path):
     return path.read_bytes()
 
 
+def write_draw_csv(path, draw):
+    """Observed days of a simulated series as a date,value CSV."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["date", "value"])
+        for i in np.flatnonzero(draw.mask):
+            writer.writerow([draw.date_at(i + 1).isoformat(), repr(float(draw.values[i]))])
+    return str(path)
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
@@ -93,7 +103,7 @@ class TestExitCodes:
         # Every --level, --alpha, --B and --replications of every subcommand,
         # found by walking the group.
         bad_values = {"level": ("0", "1", "1.2"), "alpha": ("0", "1", "1.2"),
-                      "n_boot": ("0",), "replications": ("0",)}
+                      "theta": ("0", "1", "1.2"), "n_boot": ("0",), "replications": ("0",)}
         required = {"input_path": ["--input", toy_csv], "fit_path": ["--fit", fit_json],
                     "panel": ["--panel", "A"]}
         checked = set()
@@ -108,7 +118,7 @@ class TestExitCodes:
                     assert run(["--out", str(out), name, *args, param.opts[0], value]) == 2
                     assert list(out.iterdir()) == [], (name, param.name, value)
                 checked.add((name, param.name))
-        assert {("break", "level"), ("break", "alpha"), ("smooth", "level"),
+        assert {("break", "level"), ("break", "alpha"), ("break", "theta"), ("smooth", "level"),
                 ("extremum", "level"), ("lintest", "alpha"), ("monotest", "alpha"),
                 ("break", "n_boot"), ("smooth", "n_boot"), ("extremum", "n_boot"),
                 ("lintest", "n_boot"), ("monotest", "n_boot"), ("mc", "n_boot"),
@@ -174,6 +184,25 @@ class TestArtifacts:
         assert rows[0] == "date,observed,trend,trend_plus_seasonal"
         assert len(rows) == 421
 
+    def test_weak_break_interval_stays_within_the_record(self, tmp_path):
+        # A T=666 panel A draw with 70% missing and no break. The basic
+        # interval runs past the record: before its start without
+        # harmonics, after its end with three.
+        from gaptrend.mcharness import panel_cells, simulate_series
+
+        draw = simulate_series(panel_cells("A", 2, 99, 1)[3], 0)
+        data = write_draw_csv(tmp_path / "weak.csv", draw)
+        first, last = draw.date_at(1).isoformat(), draw.date_at(len(draw)).isoformat()
+        for fourier in ("0", "3"):
+            assert run(["--out", str(tmp_path), "--seed", "1", "break", "--input", data,
+                        "--fourier", fourier, "--B", "99"]) == 0
+            res = json.loads((tmp_path / "break_report.json").read_text())["results"]
+            lower, upper = res["break_ci"]
+            assert first <= lower <= res["break_date"] <= upper <= last
+            assert res["break_ci_clipped"]
+            basic_lower, basic_upper = res["break_ci_basic_indices"]
+            assert basic_lower < 1 or basic_upper > len(draw)
+
     def test_break_scans_its_design_once(self, toy_csv, tmp_path, scan_calls):
         # One scan of the observed series, then one per replicate of the
         # test and of the interval bootstrap.
@@ -186,19 +215,13 @@ class TestArtifacts:
 
         design = McDesign(n_time=666, sigma_eta=26.0, seed=5,
                           trend=LinearTrendSpec(4000.0, -0.5, 0.1, 0.6, "grid"))
-        draw = simulate_series(design, 0)
-        data = tmp_path / "draw.csv"
-        with open(data, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["date", "value"])
-            for i in np.flatnonzero(draw.mask):
-                writer.writerow([draw.date_at(i + 1).isoformat(), repr(float(draw.values[i]))])
-        assert run(["--out", str(tmp_path), "--seed", "5", "break", "--input", str(data),
+        data = write_draw_csv(tmp_path / "draw.csv", simulate_series(design, 0))
+        assert run(["--out", str(tmp_path), "--seed", "5", "break", "--input", data,
                     "--lambda", "0.3", "--fourier", "0", "--B", "199"]) == 0
         reported = json.loads((tmp_path / "break_report.json").read_text())
         reported = reported["results"]["slopes_per_year"]["slope_change"]["ci"]
 
-        series, _ = ingest_csv(str(data))
+        series, _ = ingest_csv(data)
         trim = trimming_set(len(series), 0.3)
         fit = estimate_break(series, trim, n_harmonics=0)
         cfg = AwbConfig(seed=5, n_boot=199)

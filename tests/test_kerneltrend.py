@@ -293,8 +293,10 @@ class TestMcv:
         series = make_series(values)
         res = mcv_scan(series, bandwidth_grid(0.02, 0.3, 0.02), k=2)
         if res.local_minima.size:
-            picked = res.pick(0)
-            assert picked.chosen == pytest.approx(res.grid[res.local_minima[0]])
+            assert not res.no_interior_minimum
+            assert res.pick(0) == res.grid[res.local_minima[0]]
+            with pytest.raises(ValueError, match="out of range"):
+                res.pick(res.local_minima.size)
 
     def test_default_leave_out_width(self):
         from gaptrend import default_leave_out

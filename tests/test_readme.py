@@ -1,4 +1,5 @@
-"""The README's library quick start runs as written."""
+"""The package's public names resolve, and the README's library quick start
+runs as written."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ import re
 from pathlib import Path
 
 import numpy as np
+
+import gaptrend
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,5 +45,12 @@ def test_library_quick_start_runs(tmp_path, monkeypatch):
     exec(compile(quick_start_code(), str(README), "exec"), names)
     assert names["cfg"].threads == 2
     assert names["bands"].level == 0.95
+    assert names["start"] <= names["series"].date_at(names["fit"].break_index)
+    assert names["imposed"].break_index == 200
     assert 1 <= names["minimum"].location <= len(names["eps"])
     assert 0.0 < names["mono"].p1 <= 1.0
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in gaptrend.__all__ if not hasattr(gaptrend, name)] == []
+    assert len(set(gaptrend.__all__)) == len(gaptrend.__all__)

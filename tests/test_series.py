@@ -190,3 +190,6 @@ class TestContainer:
         series = make_series(np.arange(10.0))
         for t in (1, 4, 10):
             assert series.position_of(series.date_at(t)) == t
+        for t in (0, -3, 11):
+            with pytest.raises(ValueError, match="outside 1..10"):
+                series.date_at(t)

@@ -234,7 +234,6 @@ class TestExtremumCi:
         fit = nw_estimate(series, 0.12)
         res = extremum_ci(series, fit, AwbConfig(seed=5, n_boot=99), kind="min")
         assert res.lower_index <= res.location <= res.upper_index
-        assert res.lower_date <= res.date <= res.upper_date
         assert abs(res.location - 150) < 60
 
     def test_coverage_montecarlo(self):
