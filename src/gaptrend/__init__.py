@@ -9,6 +9,7 @@ a Monte Carlo harness that validates all of it on synthetic data.
 
 from .awb import (
     AwbConfig,
+    BootstrapTest,
     bootstrap_errors,
     default_gamma,
     dependence_length,
@@ -78,6 +79,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AwbConfig",
     "BandResult",
+    "BootstrapTest",
     "BreakDateCi",
     "BreakTestResult",
     "BrokenTrendFit",

@@ -8,12 +8,14 @@ counter-based generator keyed by (seed, replicate id), so replicate b is
 the same whether it runs first, last, serially, or on a worker thread.
 The AR(1) recursion itself is a scaled prefix sum, computed row by row of
 positions with ``numpy.cumsum`` from weights built once per (T, gamma).
+Every bootstrap test of the package reads its replicate draws into one
+``BootstrapTest`` record, whose ``reject`` is the only reject rule.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -80,9 +82,7 @@ def _stream(seed: int, replicate_id: int) -> np.random.Generator:
 
 
 @lru_cache(maxsize=32)
-def _ar1_factors(
-    n_time: int, gamma: float | None, theta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ar1_factors(n_time: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only factors of the multiplier recursion for one (T, gamma).
 
     The recursion xi_i = gamma xi_(i-1) + x_i, with x_0 = z_0 and
@@ -94,11 +94,8 @@ def _ar1_factors(
     before it, because gamma^(L+1) < 1e-150 puts that below rounding.
     Returns the (rows, L) weights gamma^-i sqrt(1 - gamma^2), with 1 at
     the very first position, and the row factors gamma^i and gamma^(i+1).
-    gamma is resolved here, once per run; all paths of a run, on any
-    thread, share the factors.
+    All paths of a run, on any thread, share the factors.
     """
-    if gamma is None:
-        gamma = default_gamma(n_time, theta)
     width = int(min(n_time, max(1, _ROW_LOG_RANGE // -np.log(gamma))))
     i = np.arange(width, dtype=np.float64)
     weights = np.empty((-(-n_time // width), width))
@@ -123,7 +120,7 @@ def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> np.ndarr
     replicate_id) keys give identical paths regardless of execution order
     or worker count.
     """
-    weights, decay, carry = _ar1_factors(n_time, cfg.gamma, cfg.theta)
+    weights, decay, carry = _ar1_factors(n_time, cfg.resolve_gamma(n_time))
     buf = np.zeros(weights.size)
     _stream(cfg.seed, replicate_id).standard_normal(out=buf[:n_time])
     xi = buf.reshape(weights.shape)
@@ -186,10 +183,6 @@ def check_rate(name: str, value: float) -> None:
         raise ValueError(f"{name} must lie in (0, 1)")
 
 
-def _per_column(x: np.ndarray) -> float | np.ndarray:
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def quantile_row(alpha: float, n: int) -> int:
     """Row of n sorted draws holding their left-continuous empirical
     alpha-quantile: ceil(alpha * n) - 1, clamped to 0..n-1. An alpha * n
@@ -212,15 +205,33 @@ def empirical_quantile(values: np.ndarray, alpha: float) -> float | np.ndarray:
         raise ValueError("empty sample")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must lie in [0, 1]")
-    return _per_column(values[quantile_row(alpha, n)])
+    q = values[quantile_row(alpha, n)]
+    return float(q) if q.ndim == 0 else q
 
 
-def bootstrap_test(observed: float | np.ndarray, draws: np.ndarray, alpha: float) -> tuple:
-    """Critical value at 1 - alpha and p-value (1 + #{draws >= observed}) / (B + 1)
-    of an upper-tail test; (B, k) draws give one of each per column."""
+@dataclass(frozen=True)
+class BootstrapTest:
+    """Upper-tail bootstrap test of one statistic against its (B,) replicate
+    draws: the critical value is their 1 - alpha quantile, and the p-value
+    is (1 + #{draws >= statistic}) / (B + 1)."""
+
+    statistic: float
+    critical_value: float
+    p_value: float
+    alpha: float
+    draws: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def reject(self) -> bool:
+        return self.statistic > self.critical_value
+
+
+def bootstrap_test(statistic: float, draws: np.ndarray, alpha: float) -> BootstrapTest:
+    """Test ``statistic`` against its (B,) bootstrap ``draws`` at level ``alpha``."""
     draws = np.asarray(draws, dtype=np.float64)
-    p_value = (1.0 + (draws >= observed).sum(axis=0)) / (draws.shape[0] + 1.0)
-    return empirical_quantile(draws, 1.0 - alpha), _per_column(p_value)
+    p_value = (1.0 + np.count_nonzero(draws >= statistic)) / (draws.shape[0] + 1.0)
+    return BootstrapTest(float(statistic), empirical_quantile(draws, 1.0 - alpha),
+                         float(p_value), alpha, draws)
 
 
 def basic_interval(estimate: float | np.ndarray, sorted_centered: np.ndarray, a: float) -> tuple:

@@ -8,6 +8,8 @@ break candidate. The scan exploits the fact that only the hinge column
 changes between candidates: with the fixed-column Gram matrix factorized
 once, each candidate costs a rank-one update built from suffix sums, so a
 full scan is O(T + |candidates| * p^2) instead of |candidates| full refits.
+The break test's statistic, critical value and p-value come as one
+``awb.BootstrapTest`` record beside the fit.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .awb import AwbConfig, basic_interval, bootstrap_test, check_rate, run_replicates
+from .awb import (
+    AwbConfig, BootstrapTest, basic_interval, bootstrap_test, check_rate, run_replicates,
+)
 from .exceptions import SingularDesignError
 from .seasonal import SeasonalFit, fourier_design
 from .series import ObservedSeries
@@ -42,12 +46,14 @@ def _suffix_sums(x: np.ndarray) -> np.ndarray:
 
 def trimming_set(n_time: int, fraction: float = DEFAULT_TRIM_FRACTION) -> np.ndarray:
     """Break candidates ceil(fraction*T) .. floor((1-fraction)*T): 1-based grid
-    positions, ascending, bounded away from both sample ends."""
+    positions, ascending, bounded away from both sample ends. A fraction*T
+    within 1e-9 of an integer k counts as k, as in ``awb.quantile_row``, and
+    floor((1-fraction)*T) is T - ceil(fraction*T) exactly."""
     if not 0.0 < fraction < 0.5:
         raise ValueError("trimming fraction must lie in (0, 0.5)")
-    lo = int(np.ceil(fraction * n_time))
-    hi = int(np.floor((1.0 - fraction) * n_time))
-    if lo < 1 or hi > n_time - 1 or lo > hi:
+    lo = max(int(np.ceil(fraction * n_time - 1e-9)), 1)
+    hi = n_time - lo
+    if lo > hi:
         raise ValueError(f"empty trimming set for T={n_time}, fraction={fraction}")
     return np.arange(lo, hi + 1)
 
@@ -81,19 +87,11 @@ class BrokenTrendFit:
 
 @dataclass(frozen=True)
 class BreakTestResult:
-    """Break-test statistic with its bootstrap distribution and the best
-    one-break fit of the observed series."""
+    """The bootstrap test of the SSR reduction and the best one-break fit of
+    the observed series."""
 
-    statistic: float
-    bootstrap_stats: np.ndarray
-    critical_value: float
-    p_value: float
-    alpha: float
+    test: BootstrapTest
     fit: BrokenTrendFit
-
-    @property
-    def reject(self) -> bool:
-        return self.statistic > self.critical_value
 
 
 @dataclass(frozen=True)
@@ -338,7 +336,8 @@ def break_test(
     which keeps break-like noise patterns out of the resampled errors:
     with no-break residuals, a draw whose noise happens to look
     break-like would inflate its own critical value. That fit, the
-    estimate of :func:`estimate_break`, is returned as ``fit``.
+    estimate of :func:`estimate_break`, is returned as ``fit``, the test
+    as ``test``.
     """
     check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
@@ -349,15 +348,7 @@ def break_test(
         return fit.scan.scan(y_star).f_stat
 
     stats = run_replicates(cfg, fit.scan._Z @ state.beta0, u_hat, series.mask, statistic)
-    critical_value, p_value = bootstrap_test(state.f_stat, stats, alpha)
-    return BreakTestResult(
-        statistic=state.f_stat,
-        bootstrap_stats=stats,
-        critical_value=critical_value,
-        p_value=p_value,
-        alpha=alpha,
-        fit=fit,
-    )
+    return BreakTestResult(bootstrap_test(state.f_stat, stats, alpha), fit)
 
 
 def break_ci(

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .awb import AwbConfig
+from .awb import AwbConfig, BootstrapTest
 from .breaktrend import break_ci, break_test, trimming_set
 from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .kerneltrend import (
@@ -82,6 +82,11 @@ def _write_report(out_dir: Path, name: str, command: str, params: dict, results:
     path = out_dir / name
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return path
+
+
+def _test_keys(test: BootstrapTest, statistic: str, critical_value: str, p_value: str) -> dict:
+    """A bootstrap test's statistic, critical value and p-value under the given report keys."""
+    return {statistic: test.statistic, critical_value: test.critical_value, p_value: test.p_value}
 
 
 def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
@@ -304,8 +309,8 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     cfg = _awb_config(ctx, n_boot, theta=theta)
     trim = trimming_set(len(series), trim_fraction)
 
-    test = break_test(series, trim, cfg, n_harmonics, alpha)
-    fit = test.fit
+    result = break_test(series, trim, cfg, n_harmonics, alpha)
+    test, fit = result.test, result.fit
     ci = break_ci(series, fit, cfg, level)
     slopes = ci.slopes
     per_year = slopes.per_year(series.grid_step)
@@ -326,9 +331,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
             "level": level, "alpha": alpha, "theta": theta, "seed": cfg.seed,
         },
         {
-            "statistic": test.statistic,
-            "critical_value": test.critical_value,
-            "p_value": test.p_value,
+            **_test_keys(test, "statistic", "critical_value", "p_value"),
             "reject": test.reject,
             "break_index": fit.break_index,
             "break_date": date,
@@ -490,14 +493,14 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
         {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "B": n_boot,
          "alpha": alpha, "seed": cfg.seed},
         {
-            "q_ave": res.q_ave, "cv_ave": res.cv_ave, "p_ave": res.p_ave,
-            "q_sup": res.q_sup, "cv_sup": res.cv_sup, "p_sup": res.p_sup,
+            **_test_keys(res.ave, "q_ave", "cv_ave", "p_ave"),
+            **_test_keys(res.sup, "q_sup", "cv_sup", "p_sup"),
             "slope_per_rescaled_time": res.slope,
             "anchor_index": res.anchor_index,
             "test_window": [res.anchor_index, len(eps)],
         },
     )
-    click.echo(f"linearity: p_ave={res.p_ave:.4f} p_sup={res.p_sup:.4f}")
+    click.echo(f"linearity: p_ave={res.ave.p_value:.4f} p_sup={res.sup.p_value:.4f}")
 
 
 @cli.command()
@@ -522,12 +525,13 @@ def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
         {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "interval": list(positions),
          "B": n_boot, "alpha": alpha, "seed": cfg.seed},
         {
-            "u1": res.u1, "cv1": res.cv1, "p1": res.p1,
-            "u2": res.u2, "cv2": res.cv2, "p2": res.p2,
+            **_test_keys(res.sign, "u1", "cv1", "p1"),
+            **_test_keys(res.magnitude, "u2", "cv2", "p2"),
             "h_u": res.h_u,
         },
     )
-    click.echo(f"monotonicity: p1={res.p1:.4f} p2={res.p2:.4f} (h_u={res.h_u:.3f})")
+    click.echo(f"monotonicity: p1={res.sign.p_value:.4f} p2={res.magnitude.p_value:.4f} "
+               f"(h_u={res.h_u:.3f})")
 
 
 @cli.command()

@@ -299,7 +299,7 @@ def run_break_test_cell(design: McDesign) -> CellResult:
     trim = trimming_set(design.n_time, TRIM_FRACTION)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool]:
-        return (break_test(s, trim, cfg, n_harmonics=N_HARMONICS, alpha=ALPHA).reject,)
+        return (break_test(s, trim, cfg, n_harmonics=N_HARMONICS, alpha=ALPHA).test.reject,)
 
     return _run_cell(design, ("rejection_rate",), outcome)
 
@@ -324,7 +324,7 @@ def run_linearity_cell(design: McDesign) -> CellResult:
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
         fit = nw_estimate(s, h)
         res = linearity_test(s, fit, trend_minimum(fit), cfg, alpha=ALPHA)
-        return res.reject_ave, res.reject_sup
+        return res.ave.reject, res.sup.reject
 
     return _run_cell(design, ("rejection_rate_ave", "rejection_rate_sup"), outcome)
 
@@ -337,7 +337,7 @@ def run_monotonicity_cell(design: McDesign) -> CellResult:
         fit = nw_estimate(s, h)
         interval = (trend_minimum(fit).location, design.n_time)
         res = monotonicity_tests(s, interval, cfg, h=h, alpha=ALPHA)
-        return res.reject_sign, res.reject_magnitude
+        return res.sign.reject, res.magnitude.reject
 
     return _run_cell(design, ("rejection_rate_sign", "rejection_rate_magnitude"), outcome)
 

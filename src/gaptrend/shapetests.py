@@ -4,7 +4,9 @@ Three tools, all sharing the bootstrap engine: a confidence interval for
 the position of a trend extremum, a test of an anchored linear shape over
 the tail of the sample, and two kernel-weighted pairwise tests of
 monotonicity (one using only the signs of increments, one their
-magnitudes). Pairwise statistics run over observed pairs only.
+magnitudes). Pairwise statistics run over observed pairs only. Each
+statistic of the linearity and monotonicity tests comes back as one
+``awb.BootstrapTest`` record.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .awb import AwbConfig, bootstrap_test, check_rate, quantile_row, run_replicates
+from .awb import AwbConfig, BootstrapTest, bootstrap_test, check_rate, quantile_row, run_replicates
 from .exceptions import NoInteriorExtremumError
 from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals, trend_bootstrap_paths
 from .series import ObservedSeries
@@ -172,27 +174,14 @@ def extremum_ci(
 
 @dataclass(frozen=True)
 class ShapeTestResult:
-    """Average and supremum gap statistics with bootstrap critical values."""
+    """Bootstrap tests of the average and supremum squared gaps, with the
+    null line's slope (per rescaled time) and anchor."""
 
-    q_ave: float
-    q_sup: float
-    cv_ave: float
-    cv_sup: float
-    p_ave: float
-    p_sup: float
+    ave: BootstrapTest
+    sup: BootstrapTest
     slope: float
     anchor_index: int
     anchor_value: float
-    alpha: float
-    bootstrap_stats: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def reject_ave(self) -> bool:
-        return self.q_ave > self.cv_ave
-
-    @property
-    def reject_sup(self) -> bool:
-        return self.q_sup > self.cv_sup
 
 
 def linearity_test(
@@ -269,21 +258,12 @@ def linearity_test(
         return ave, sup
 
     stats = run_replicates(cfg, composite_masked, u_hat, eps.mask, statistic)
-    (cv_ave, cv_sup), (p_ave, p_sup) = (
-        x.tolist() for x in bootstrap_test(np.array([q_ave, q_sup]), stats, alpha)
-    )
     return ShapeTestResult(
-        q_ave=q_ave,
-        q_sup=q_sup,
-        cv_ave=cv_ave,
-        cv_sup=cv_sup,
-        p_ave=p_ave,
-        p_sup=p_sup,
+        ave=bootstrap_test(q_ave, stats[:, 0], alpha),
+        sup=bootstrap_test(q_sup, stats[:, 1], alpha),
         slope=slope,
         anchor_index=t_min,
         anchor_value=g_min,
-        alpha=alpha,
-        bootstrap_stats=stats,
     )
 
 
@@ -476,30 +456,17 @@ class UStatEngine:
 
 @dataclass(frozen=True)
 class MonotonicityResult:
-    """Supremum statistics of both pairwise tests with bootstrap critical values.
+    """Bootstrap tests of the supremum statistics of both pairwise tests:
+    ``sign`` of the sign version u1, ``magnitude`` of the magnitude version u2.
 
     Both statistics are negative under a monotonically increasing trend;
     large positive values are evidence against it.
     """
 
-    u1: float
-    u2: float
-    cv1: float
-    cv2: float
-    p1: float
-    p2: float
+    sign: BootstrapTest
+    magnitude: BootstrapTest
     h_u: float
     interval: tuple[int, int]
-    alpha: float
-    bootstrap_stats: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def reject_sign(self) -> bool:
-        return self.u1 > self.cv1
-
-    @property
-    def reject_magnitude(self) -> bool:
-        return self.u2 > self.cv2
 
 
 def _pairwise_setup(
@@ -564,16 +531,9 @@ def monotonicity_tests(
 
     # The null trend is zero: no decreasing segment.
     stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, eps.mask, statistic)
-    (cv1, cv2), (p1, p2) = (x.tolist() for x in bootstrap_test(np.array([u1, u2]), stats, alpha))
     return MonotonicityResult(
-        u1=u1,
-        u2=u2,
-        cv1=cv1,
-        cv2=cv2,
-        p1=p1,
-        p2=p2,
+        sign=bootstrap_test(u1, stats[:, 0], alpha),
+        magnitude=bootstrap_test(u2, stats[:, 1], alpha),
         h_u=float(h_u),
         interval=interval,
-        alpha=alpha,
-        bootstrap_stats=stats,
     )

@@ -57,6 +57,7 @@ def test_criterion_1_bandwidth_constants():
     report(1, ok, f"pairwise-test bandwidths {values}")
 
 
+@pytest.mark.slow
 def test_criterion_2_break_test_size_and_power_ordering():
     rates = {}
     for delta in (0.0, 0.05, 0.1):
@@ -77,6 +78,7 @@ def test_criterion_2_break_test_size_and_power_ordering():
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_break_date_interval_coverage_and_length():
     design = McDesign(
         n_time=666, missing="30%", phi=0.0, psi=0.0,
@@ -96,6 +98,7 @@ def test_criterion_3_break_date_interval_coverage_and_length():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_linearity_test_size_and_power():
     size_design = McDesign(
         n_time=666, missing="70%", phi=0.1, psi=0.0,
@@ -127,6 +130,7 @@ def test_criterion_4_linearity_test_size_and_power():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_monotonicity_size_and_power():
     size_design = McDesign(
         n_time=666, missing="70%", phi=0.1, psi=0.0,
@@ -220,7 +224,7 @@ def test_criterion_7_noiseless_exactness():
 
     # Exactly linear data: zero statistic and p-value one.
     line = make_series(2.0 + 0.25 * np.arange(1, 121))
-    test = break_test(line, cfg=AwbConfig(seed=1, n_boot=99), n_harmonics=0)
+    test = break_test(line, cfg=AwbConfig(seed=1, n_boot=99), n_harmonics=0).test
     line_ok = test.statistic == 0.0 and test.p_value == 1.0
 
     # Symmetric V with isolated observations: degenerate extremum interval.
@@ -253,9 +257,9 @@ def test_criterion_8_invariant_property_suites():
     noise = rng.normal(0, 1.0, 90)
     base_vals = kinked_line(90, kink=50) + noise
     cfg_b = AwbConfig(seed=9, n_boot=29)
-    r1 = break_test(make_series(base_vals), cfg=cfg_b, n_harmonics=0)
-    r2 = break_test(make_series(base_vals + 77.0), cfg=cfg_b, n_harmonics=0)
-    r3 = break_test(make_series(base_vals * 2.0), cfg=cfg_b, n_harmonics=0)
+    r1 = break_test(make_series(base_vals), cfg=cfg_b, n_harmonics=0).test
+    r2 = break_test(make_series(base_vals + 77.0), cfg=cfg_b, n_harmonics=0).test
+    r3 = break_test(make_series(base_vals * 2.0), cfg=cfg_b, n_harmonics=0).test
     checks["break shift/scale"] = (
         abs(r1.statistic - r2.statistic) < 1e-6 * max(r1.statistic, 1.0)
         and r1.p_value == r2.p_value == r3.p_value
@@ -295,7 +299,7 @@ def test_criterion_8_invariant_property_suites():
     band_serial = confidence_bands(series_d, fit_d, cfg_serial)
     band_thread = confidence_bands(series_d, fit_d, cfg_thread)
     checks["parallel determinism"] = np.array_equal(
-        t_serial.bootstrap_stats, t_thread.bootstrap_stats
+        t_serial.test.draws, t_thread.test.draws
     ) and np.allclose(band_serial.lower, band_thread.lower, atol=0, rtol=0, equal_nan=True)
 
     ok = all(checks.values())

@@ -166,8 +166,8 @@ class TestMultiplierRecursion:
         # Small gamma cuts the path into rows of 75 positions and the
         # default into two rows, so the oracles above cover the carry
         # between rows; the first value is z_0 itself.
-        assert awb._ar1_factors(12000, 0.01, 0.1)[0].shape == (160, 75)
-        assert awb._ar1_factors(12000, None, 0.1)[0].shape[0] == 2
+        assert awb._ar1_factors(12000, 0.01)[0].shape == (160, 75)
+        assert awb._ar1_factors(12000, default_gamma(12000))[0].shape[0] == 2
         cfg = AwbConfig(seed=2, gamma=0.01)
         z0 = awb._stream(2, 5).standard_normal(1)[0]
         assert draw_multipliers(cfg, 12000, 5)[0] == z0
@@ -192,7 +192,7 @@ class TestMultiplierRecursion:
             sys.setswitchinterval(interval)
 
     def test_weights_are_read_only(self):
-        for arr in awb._ar1_factors(666, 0.9, 0.1):
+        for arr in awb._ar1_factors(666, 0.9):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
@@ -317,12 +317,21 @@ class TestBootstrapTest:
             cases = [(k / B, max(B - k, 1)) for k in {0, 1, 2, B // 2, B - 1, B} if k <= B]
             cases.append((0.05, math.ceil(Fraction(19, 20) * B)))
             for alpha, need in cases:
-                cv, p = awb.bootstrap_test(observed, draws, alpha)
                 for j in range(3):
-                    assert (cv[j], p[j]) == self.brute_force(observed[j], draws[:, j], need)
-                    one = awb.bootstrap_test(observed[j], draws[:, j], alpha)
-                    assert one == (cv[j], p[j])
-                    assert all(type(x) is float for x in one)
+                    column = draws[:, j]
+                    test = awb.bootstrap_test(observed[j], column, alpha)
+                    cv, p = self.brute_force(observed[j], column, need)
+                    assert (test.critical_value, test.p_value) == (cv, p)
+                    assert (test.statistic, test.alpha) == (observed[j], alpha)
+                    assert test.reject == (observed[j] > cv)
+                    assert test.draws is column
+                    assert all(type(x) is float
+                               for x in (test.statistic, test.critical_value, test.p_value))
+                    # A statistic equal to the critical value does not reject,
+                    # and its p-value counts the tie.
+                    tie = awb.bootstrap_test(cv, column, alpha)
+                    assert not tie.reject
+                    assert tie.p_value == self.brute_force(cv, column, need)[1]
 
 
 class TestBasicInterval:

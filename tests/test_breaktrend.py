@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -58,12 +61,30 @@ def naive_scan(series, trim, n_harmonics):
 
 class TestTrimmingSet:
     def test_bounds(self):
-        for T, fraction, ends in ((100, 0.1, [10, 90]), (285, 0.1, [29, 256]), (10, 0.45, [5, 5])):
+        for T, fraction, ends in ((100, 0.1, [10, 90]), (285, 0.1, [29, 256]), (10, 0.45, [5, 5]),
+                                  (100, 1e-12, [1, 99])):
             trim = trimming_set(T, fraction)
             assert np.issubdtype(trim.dtype, np.integer)
             assert trim[[0, -1]].tolist() == ends
             assert np.array_equal(trim, np.arange(ends[0], ends[1] + 1))
             assert 1 <= trim[0] and trim[-1] <= T - 1
+
+    def test_bounds_match_exact_arithmetic(self):
+        # Oracle: ceil(fraction*T) and floor((1-fraction)*T) in rational
+        # arithmetic on the decimal fraction. The product rounds past an
+        # integer at, e.g., 0.3 * 90 (floor of 0.7 * 90 gives 62, not 63),
+        # 0.017 * 3000 and 0.021 * 12000 (ceil gives 52 and 253, not 51
+        # and 252).
+        for k in range(1, 500):
+            exact = Fraction(k, 1000)
+            for T in (*range(10, 200), 3000, 12000):
+                lo, hi = math.ceil(exact * T), math.floor((1 - exact) * T)
+                if lo > hi:
+                    with pytest.raises(ValueError, match="empty"):
+                        trimming_set(T, k / 1000)
+                    continue
+                trim = trimming_set(T, k / 1000)
+                assert (trim[0], trim[-1]) == (lo, hi), (k, T)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -209,14 +230,14 @@ class TestEstimateBreak:
 class TestBreakTest:
     def test_exact_line_gives_zero_statistic_and_p_one(self):
         series = make_series(2.0 + 0.25 * np.arange(1, 121))
-        res = break_test(series, cfg=AwbConfig(seed=3, n_boot=49), n_harmonics=0)
+        res = break_test(series, cfg=AwbConfig(seed=3, n_boot=49), n_harmonics=0).test
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert not res.reject
 
     def test_statistic_nonnegative_and_pvalue_range(self, rng):
         series = make_series(rng.normal(0, 1, 80))
-        res = break_test(series, cfg=AwbConfig(seed=4, n_boot=39), n_harmonics=0)
+        res = break_test(series, cfg=AwbConfig(seed=4, n_boot=39), n_harmonics=0).test
         assert res.statistic >= 0.0
         B = 39
         assert 1.0 / (B + 1) <= res.p_value <= 1.0
@@ -224,7 +245,7 @@ class TestBreakTest:
     def test_clear_break_rejected(self, rng):
         values = kinked_line(200, beta=-0.3, delta=0.6, kink=120) + rng.normal(0, 1.0, 200)
         series = make_series(values)
-        res = break_test(series, cfg=AwbConfig(seed=5, n_boot=99), n_harmonics=0)
+        res = break_test(series, cfg=AwbConfig(seed=5, n_boot=99), n_harmonics=0).test
         assert res.reject
         assert res.p_value <= 0.05
 
@@ -233,8 +254,8 @@ class TestBreakTest:
         a = make_series(kinked_line(90, kink=50) + noise)
         b = make_series(kinked_line(90, kink=50) + noise + 123.0)
         cfg = AwbConfig(seed=8, n_boot=29)
-        ra = break_test(a, cfg=cfg, n_harmonics=0)
-        rb = break_test(b, cfg=cfg, n_harmonics=0)
+        ra = break_test(a, cfg=cfg, n_harmonics=0).test
+        rb = break_test(b, cfg=cfg, n_harmonics=0).test
         assert ra.statistic == pytest.approx(rb.statistic, rel=1e-7)
         assert ra.p_value == rb.p_value
         fa = estimate_break(a, n_harmonics=0)
@@ -248,8 +269,8 @@ class TestBreakTest:
         noise = rng.normal(0, 1.0, 90)
         values = kinked_line(90, kink=50) + noise
         cfg = AwbConfig(seed=8, n_boot=29)
-        ra = break_test(make_series(values), cfg=cfg, n_harmonics=0)
-        rb = break_test(make_series(3.0 * values), cfg=cfg, n_harmonics=0)
+        ra = break_test(make_series(values), cfg=cfg, n_harmonics=0).test
+        rb = break_test(make_series(3.0 * values), cfg=cfg, n_harmonics=0).test
         assert rb.statistic == pytest.approx(9.0 * ra.statistic, rel=1e-9)
         assert rb.p_value == ra.p_value
 
@@ -257,7 +278,7 @@ class TestBreakTest:
         series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
         serial = break_test(series, cfg=AwbConfig(seed=12, n_boot=32, threads=1), n_harmonics=0)
         threaded = break_test(series, cfg=AwbConfig(seed=12, n_boot=32, threads=4), n_harmonics=0)
-        assert np.array_equal(serial.bootstrap_stats, threaded.bootstrap_stats)
+        assert np.array_equal(serial.test.draws, threaded.test.draws)
 
     def test_alpha_outside_unit_interval_raises_before_any_scan(self, rng, scan_calls):
         series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
@@ -401,6 +422,7 @@ class TestSlopeCis:
         per_year = cis.per_year(series.grid_step)
         assert per_year["slope_before"].estimate == pytest.approx(fit.beta * 365.25)
 
+    @pytest.mark.slow
     def test_slope_coverage_montecarlo(self):
         # Oracle: Monte Carlo coverage count for the pre-break slope.
         from gaptrend.mcharness import (

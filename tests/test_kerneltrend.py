@@ -395,6 +395,7 @@ class TestBands:
             out = simultaneous_bands(band)
         assert out.alpha_s == pytest.approx(1.0 / 9.0)
 
+    @pytest.mark.slow
     def test_pointwise_coverage_montecarlo(self):
         # Oracle: Monte Carlo coverage of the true trend value at mid-sample.
         from gaptrend.mcharness import McDesign, SmoothTransitionSpec, bootstrap_config, simulate_series

@@ -43,12 +43,12 @@ def test_library_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     names: dict = {}
     exec(compile(quick_start_code(), str(README), "exec"), names)
-    assert names["cfg"].threads == 2
+    assert names["cfg"].threads == 1
     assert names["bands"].level == 0.95
     assert names["start"] <= names["series"].date_at(names["fit"].break_index)
     assert names["imposed"].break_index == 200
     assert 1 <= names["minimum"].location <= len(names["eps"])
-    assert 0.0 < names["mono"].p1 <= 1.0
+    assert 0.0 < names["mono"].sign.p_value <= 1.0
 
 
 def test_every_exported_name_resolves():

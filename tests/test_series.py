@@ -169,11 +169,11 @@ class TestContainer:
         assert np.array_equal(mcv_scan(zero, grid).scores, mcv_scan(nan, grid).scores)
         assert np.array_equal(fit_seasonal(zero).fitted, fit_seasonal(nan).fitted)
         trim = trimming_set(T, 0.1)
-        tests = [break_test(s, trim, AwbConfig(seed=1, n_boot=19), n_harmonics=1)
+        tests = [break_test(s, trim, AwbConfig(seed=1, n_boot=19), n_harmonics=1).test
                  for s in (zero, nan)]
         assert np.isfinite(tests[0].statistic)
         assert tests[0].statistic == tests[1].statistic
-        assert np.array_equal(tests[0].bootstrap_stats, tests[1].bootstrap_stats)
+        assert np.array_equal(tests[0].draws, tests[1].draws)
 
     def test_time_index(self):
         series = make_series(np.arange(4.0))

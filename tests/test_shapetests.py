@@ -272,15 +272,15 @@ class TestLinearityTest:
         anchor = TrendAnchor(location=kink, value=float(fit.g_hat[kink - 1]))
         res = linearity_test(series, fit, anchor, AwbConfig(seed=3, n_boot=29))
         spread = values.max() - values.min()
-        assert res.q_sup < (spread * 0.05) ** 2
-        assert res.q_ave <= res.q_sup
+        assert res.sup.statistic < (spread * 0.05) ** 2
+        assert res.ave.statistic <= res.sup.statistic
 
     def test_sup_dominates_ave(self, rng):
         series = random_masked_series(rng, 240, observed_fraction=0.7)
         fit = nw_estimate(series, 0.1)
         anchor = TrendAnchor(location=20, value=float(fit.g_hat[19]))
         res = linearity_test(series, fit, anchor, AwbConfig(seed=4, n_boot=39))
-        assert 0.0 <= res.q_ave <= res.q_sup
+        assert 0.0 <= res.ave.statistic <= res.sup.statistic
 
     def test_requires_points_after_anchor(self, rng):
         series = random_masked_series(rng, 100)
@@ -297,8 +297,8 @@ class TestLinearityTest:
         series = make_series(trend + rng.normal(0, 0.15, T))
         fit = nw_estimate(series, 0.1)
         res = linearity_test(series, fit, trend_minimum(fit), AwbConfig(seed=6, n_boot=99))
-        assert res.p_ave <= 0.05
-        assert res.reject_ave
+        assert res.ave.p_value <= 0.05
+        assert res.ave.reject
 
     def test_alpha_outside_unit_interval_raises_before_any_replicate(self, rng, monkeypatch):
         series = random_masked_series(rng, 150, observed_fraction=0.8)
@@ -314,8 +314,8 @@ class TestLinearityTest:
         series = random_masked_series(rng, 150, observed_fraction=0.8)
         fit = nw_estimate(series, 0.12)
         res = linearity_test(series, fit, trend_minimum(fit), AwbConfig(seed=7, n_boot=19))
-        assert 1.0 / 20.0 <= res.p_ave <= 1.0
-        assert 1.0 / 20.0 <= res.p_sup <= 1.0
+        assert 1.0 / 20.0 <= res.ave.p_value <= 1.0
+        assert 1.0 / 20.0 <= res.sup.p_value <= 1.0
 
 
 class TestUStatistics:
@@ -416,9 +416,9 @@ class TestMonotonicityTests:
         T = 300
         series = make_series(0.5 * np.arange(1, T + 1) / T + rng.normal(0, 0.1, T))
         res = monotonicity_tests(series, (30, 270), AwbConfig(seed=2, n_boot=49), h=0.1)
-        assert res.u1 < res.cv1
-        assert res.u2 < res.cv2
-        assert not res.reject_sign and not res.reject_magnitude
+        assert res.sign.statistic < res.sign.critical_value
+        assert res.magnitude.statistic < res.magnitude.critical_value
+        assert not res.sign.reject and not res.magnitude.reject
 
     def test_clear_decline_rejected(self, rng):
         T = 300
@@ -426,9 +426,9 @@ class TestMonotonicityTests:
         trend = np.where(t < 0.5, t, 1.0 - t) * 4.0
         series = make_series(trend + rng.normal(0, 0.1, T))
         res = monotonicity_tests(series, (30, 270), AwbConfig(seed=3, n_boot=99), h=0.08)
-        assert res.reject_sign
-        assert res.reject_magnitude
-        assert res.p1 <= 0.05 and res.p2 <= 0.05
+        assert res.sign.reject
+        assert res.magnitude.reject
+        assert res.sign.p_value <= 0.05 and res.magnitude.p_value <= 0.05
 
     def test_default_bandwidth_recorded(self, rng):
         series = random_masked_series(rng, 200)
@@ -440,11 +440,13 @@ class TestMonotonicityTests:
         series = random_masked_series(rng, 150)
         a = monotonicity_tests(series, (15, 135), AwbConfig(seed=5, n_boot=24, threads=1), h=0.1)
         b = monotonicity_tests(series, (15, 135), AwbConfig(seed=5, n_boot=24, threads=3), h=0.1)
-        assert np.array_equal(a.bootstrap_stats, b.bootstrap_stats)
+        assert np.array_equal(a.sign.draws, b.sign.draws)
+        assert np.array_equal(a.magnitude.draws, b.magnitude.draws)
 
     def test_threads_identical_at_realistic_size(self):
         rng = np.random.default_rng(7)
         series = gappy_series(rng, 2000, 0.4, gaps=[(900, 1200)])
         a = monotonicity_tests(series, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=1), h=0.08)
         b = monotonicity_tests(series, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=2), h=0.08)
-        assert np.array_equal(a.bootstrap_stats, b.bootstrap_stats)
+        assert np.array_equal(a.sign.draws, b.sign.draws)
+        assert np.array_equal(a.magnitude.draws, b.magnitude.draws)
