@@ -110,12 +110,15 @@ def _float_column(values: np.ndarray) -> list[str | None]:
     return [repr(v) if math.isfinite(v) else None for v in values.tolist()]
 
 
-def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.ndarray]]) -> Path:
-    """Minimal deterministic SVG: polylines on a fixed 800x400 canvas."""
+def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
+    """Minimal deterministic SVG: polylines of the finite points on a fixed
+    800x400 canvas. Nothing is written when no point is finite."""
     width, height, pad = 800.0, 400.0, 40.0
     xs = np.concatenate([c[1] for c in curves])
     ys = np.concatenate([c[2] for c in curves])
     finite = np.isfinite(xs) & np.isfinite(ys)
+    if not finite.any():
+        return
     x_lo, x_hi = float(xs[finite].min()), float(xs[finite].max())
     y_lo, y_hi = float(ys[finite].min()), float(ys[finite].max())
     x_span = (x_hi - x_lo) or 1.0
@@ -134,9 +137,7 @@ def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.
         color = palette[i % len(palette)]
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{points}"><title>{label}</title></polyline>')
     parts.append("</svg>")
-    path = out_dir / name
-    path.write_text("\n".join(parts) + "\n")
-    return path
+    (out_dir / name).write_text("\n".join(parts) + "\n")
 
 
 def _series_payload(series: ObservedSeries) -> dict:
@@ -389,8 +390,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         ],
     )
     if svg:
-        ok = np.isfinite(scan.scores)
-        _write_svg(out_dir, "mcv_scores.svg", [("cv score", scan.grid[ok], scan.scores[ok])])
+        _write_svg(out_dir, "mcv_scores.svg", [("cv score", scan.grid, scan.scores)])
 
     if bandwidth is None and pick_minimum is not None:
         bandwidth = scan.pick(pick_minimum)
@@ -434,6 +434,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         {
             "bandwidth": bandwidth,
             "calibrated_pointwise_alpha": bands.alpha_s,
+            "simultaneous_joint_coverage": bands.joint_coverage,
             "mcv_local_minima": [float(scan.grid[i]) for i in scan.local_minima],
             "mcv_no_interior_minimum": scan.no_interior_minimum,
             "n_undefined_positions": int((~np.isfinite(fit.g_hat)).sum()),

@@ -11,12 +11,15 @@ Every kernel sum (smoothing, the cross-validation windows, bootstrap
 re-smoothing) comes from block-local prefix sums of x, o*x and o^2*x: the
 kernel is quadratic in the offset o, so a window sum costs O(1) and a whole
 pass O(T), whatever the bandwidth.
+
+The pointwise and simultaneous bands read one (B, T) matrix of bootstrap
+deviations from the pilot and one copy of it sorted along the replicates.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -237,17 +240,18 @@ class BandResult:
     ``alpha_s`` is the calibrated pointwise error rate whose per-point
     intervals hold jointly at the requested level; it never exceeds
     1 - level, so the simultaneous band contains the pointwise band.
-    ``deviations`` keeps the centered bootstrap paths for reuse.
+    ``joint_coverage`` is the fraction of bootstrap deviation paths that
+    lie inside the simultaneous band at every defined position.
     """
 
     level: float
     alpha_s: float
+    joint_coverage: float
     g_hat: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     pointwise_lower: np.ndarray
     pointwise_upper: np.ndarray
-    deviations: np.ndarray = field(repr=False, default=None)
 
 
 def pilot_residuals(eps: ObservedSeries, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,55 +269,41 @@ def trend_bootstrap_paths(
     eps: ObservedSeries,
     fit: KernelTrendFit,
     cfg: AwbConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bootstrap trend re-estimates around an oversmoothed pilot.
+) -> np.ndarray:
+    """Bootstrap deviations of the trend re-estimates from an oversmoothed pilot.
 
     Residuals are taken from the pilot fit at bandwidth 0.5 * h^(5/9);
     replicate series are rebuilt as mask * (pilot + multiplier * residual)
     and re-smoothed at the original bandwidth.
 
-    Returns (pilot values, (B, T) matrix of replicate trend estimates).
+    Returns the (B, T) matrix of replicate trend estimates minus the
+    pilot, the pilot subtracted in place.
     """
     pilot, u_hat = pilot_residuals(eps, fit.h)
     pilot_masked = np.where(eps.mask == 1, pilot, 0.0)
-    paths = run_replicates(cfg, pilot_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h))
-    return pilot, paths
+    deviations = run_replicates(cfg, pilot_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h))
+    deviations -= pilot
+    return deviations
 
 
 def pointwise_bands(
-    eps: ObservedSeries,
-    fit: KernelTrendFit,
-    cfg: AwbConfig | None = None,
-    level: float = 0.95,
-) -> BandResult:
-    """Pointwise bootstrap intervals for the trend at every defined position.
+    g_hat: np.ndarray, deviations: np.ndarray, level: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointwise bootstrap intervals for the trend at every position.
 
-    The interval at t/T is [g - q(1-a/2), g - q(a/2)] formed from the
-    replicate deviations around the oversmoothed pilot. The returned
-    result carries the deviation paths; feed it to
-    :func:`simultaneous_bands` to calibrate joint coverage.
+    The interval at t/T is [g - q(1-a/2), g - q(a/2)], a = 1 - level, from
+    the (B, T) replicate deviations around the pilot. Returns (deviations
+    sorted along axis 0, lower, upper).
     """
-    check_rate("level", level)
-    cfg = cfg or AwbConfig()
-    pilot, paths = trend_bootstrap_paths(eps, fit, cfg)
-    deviations = paths - pilot
-    a = 1.0 - level
-    lower, upper = basic_interval(fit.g_hat, np.sort(deviations, axis=0), a)
-    return BandResult(
-        level=level,
-        alpha_s=a,
-        g_hat=fit.g_hat,
-        lower=lower.copy(),
-        upper=upper.copy(),
-        pointwise_lower=lower,
-        pointwise_upper=upper,
-        deviations=deviations,
-    )
+    ordered = np.sort(deviations, axis=0)
+    lower, upper = basic_interval(g_hat, ordered, 1.0 - level)
+    return ordered, lower, upper
 
 
-def simultaneous_bands(band: BandResult) -> BandResult:
-    """Calibrate the pointwise error rate until bands hold jointly at the
-    band's own level.
+def simultaneous_bands(
+    g_hat: np.ndarray, deviations: np.ndarray, ordered: np.ndarray, level: float
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Calibrate the pointwise error rate until bands hold jointly at ``level``.
 
     Scans candidate pointwise rates a_p in [1/B, alpha] and, for each,
     counts the fraction of bootstrap deviation paths lying inside their
@@ -321,17 +311,12 @@ def simultaneous_bands(band: BandResult) -> BandResult:
     rate whose joint coverage is closest to the target becomes alpha_s
     (ties to the widest band). If even 1/B under-covers, the widest band
     is returned with a warning. Positions where the trend or any
-    deviation path is undefined get NaN bands.
+    deviation path is undefined get NaN bands and put no path outside.
+    Returns (alpha_s, joint coverage at alpha_s, lower, upper).
     """
-    if band.deviations is None:
-        raise ValueError("band result carries no bootstrap deviations")
-    level = band.level
     alpha = 1.0 - level
-    dev = band.deviations
-    B = dev.shape[0]
-    defined = np.isfinite(band.g_hat) & np.isfinite(dev).all(axis=0)
-    D = dev[:, defined]
-    Ds = np.sort(D, axis=0)
+    B = deviations.shape[0]
+    defined = np.isfinite(g_hat) & np.isfinite(deviations).all(axis=0)
 
     ks = np.arange(1, int(np.floor(B * alpha)) + 1)
     grid = list(ks / B)
@@ -346,8 +331,10 @@ def simultaneous_bands(band: BandResult) -> BandResult:
 
     best_ap, best_score, best_cov = None, np.inf, 0.0
     for ap in grid:
-        lo, hi = Ds[quantile_row(ap / 2.0, B)], Ds[quantile_row(1.0 - ap / 2.0, B)]
-        inside = ((D >= lo) & (D <= hi)).all(axis=1).mean()
+        # Undefined columns read (-inf, inf) and NaN compares False: no path falls out there.
+        lo = np.where(defined, ordered[quantile_row(ap / 2.0, B)], -np.inf)
+        hi = np.where(defined, ordered[quantile_row(1.0 - ap / 2.0, B)], np.inf)
+        inside = (~((deviations < lo) | (deviations > hi)).any(axis=1)).mean()
         score = abs(inside - level)
         if score < best_score:
             best_ap, best_score, best_cov = ap, score, inside
@@ -358,19 +345,8 @@ def simultaneous_bands(band: BandResult) -> BandResult:
             stacklevel=2,
         )
 
-    lower = np.full(band.g_hat.shape, np.nan)
-    upper = np.full(band.g_hat.shape, np.nan)
-    lower[defined], upper[defined] = basic_interval(band.g_hat[defined], Ds, best_ap)
-    return BandResult(
-        level=level,
-        alpha_s=float(best_ap),
-        g_hat=band.g_hat,
-        lower=lower,
-        upper=upper,
-        pointwise_lower=band.pointwise_lower,
-        pointwise_upper=band.pointwise_upper,
-        deviations=dev,
-    )
+    lower, upper = basic_interval(np.where(defined, g_hat, np.nan), ordered, best_ap)
+    return float(best_ap), float(best_cov), lower, upper
 
 
 def confidence_bands(
@@ -379,5 +355,18 @@ def confidence_bands(
     cfg: AwbConfig | None = None,
     level: float = 0.95,
 ) -> BandResult:
-    """Pointwise intervals plus calibrated simultaneous bands in one call."""
-    return simultaneous_bands(pointwise_bands(eps, fit, cfg, level))
+    """Pointwise intervals plus calibrated simultaneous bands from one deviation matrix."""
+    check_rate("level", level)
+    deviations = trend_bootstrap_paths(eps, fit, cfg or AwbConfig())
+    ordered, pointwise_lower, pointwise_upper = pointwise_bands(fit.g_hat, deviations, level)
+    alpha_s, coverage, lower, upper = simultaneous_bands(fit.g_hat, deviations, ordered, level)
+    return BandResult(
+        level=level,
+        alpha_s=alpha_s,
+        joint_coverage=coverage,
+        g_hat=fit.g_hat,
+        lower=lower,
+        upper=upper,
+        pointwise_lower=pointwise_lower,
+        pointwise_upper=pointwise_upper,
+    )

@@ -137,6 +137,7 @@ def ingest_csv(
     position; days without a value get ``mask == 0``. Rows with an empty
     value field contribute to the grid span but not to the observations,
     which makes ingestion of the canonical output an exact round trip.
+    The file is UTF-8, with or without the byte-order mark spreadsheets write.
 
     Parameters
     ----------
@@ -160,7 +161,7 @@ def ingest_csv(
     span_min: dt.date | None = None
     span_max: dt.date | None = None
 
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")

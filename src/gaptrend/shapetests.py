@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .awb import AwbConfig, BootstrapTest, bootstrap_test, check_rate, quantile_row, run_replicates
+from .awb import (AwbConfig, BootstrapTest, bootstrap_test, check_rate, empirical_quantile,
+                  run_replicates)
 from .exceptions import NoInteriorExtremumError
-from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals, trend_bootstrap_paths
+from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals
 from .series import ObservedSeries
 
 
@@ -123,8 +124,8 @@ def extremum_ci(
     go to the earliest. Each replicate re-smooths a bootstrap series and
     records the interior local extremum of its trend nearest to the
     estimate (a replicate trend without one falls back to its global
-    extremum). The interval is read from the empirical quantiles of those
-    positions.
+    extremum). A replicate keeps only that position, and the interval is
+    read from the empirical quantiles of those positions.
 
     Raises
     ------
@@ -143,20 +144,20 @@ def extremum_ci(
     t_ext = int(cands[np.argmin(at) if kind == "min" else np.argmax(at)])
     value = float(g[t_ext - 1])
 
-    _, paths = trend_bootstrap_paths(eps, fit, cfg)
-    locs = np.empty(paths.shape[0], dtype=np.int64)
-    for b in range(paths.shape[0]):
-        cands = local_extrema(paths[b], kind)
-        if cands.size == 0:
-            p = np.nanargmin(paths[b]) if kind == "min" else np.nanargmax(paths[b])
-            locs[b] = int(p) + 1
-        else:
-            locs[b] = nearest_extremum(cands, t_ext)
+    pilot, u_hat = pilot_residuals(eps, fit.h)
+    smooth = nw_smoother(eps.mask, fit.h)
 
+    def position(eps_star: np.ndarray) -> int:
+        g_star = smooth(eps_star)
+        cands = local_extrema(g_star, kind)
+        if cands.size == 0:
+            return int(np.nanargmin(g_star) if kind == "min" else np.nanargmax(g_star)) + 1
+        return nearest_extremum(cands, t_ext)
+
+    locs = run_replicates(cfg, np.where(eps.mask == 1, pilot, 0.0), u_hat, eps.mask,
+                          position).astype(np.int64)
     a = 1.0 - level
-    ordered = np.sort(locs)
-    lo = int(ordered[quantile_row(a / 2.0, locs.shape[0])])
-    hi = int(ordered[quantile_row(1.0 - a / 2.0, locs.shape[0])])
+    lo, hi = (int(empirical_quantile(locs, q)) for q in (a / 2.0, 1.0 - a / 2.0))
     return ExtremumResult(
         location=t_ext,
         value=value,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,30 @@ def random_masked_series(rng, n_time, observed_fraction=0.6, scale=1.0):
     mask[0] = mask[-1] = 1
     values = rng.normal(0.0, scale, n_time)
     return make_series(values, mask)
+
+
+def gappy_series(rng, T, observed_fraction, gaps=(), singles=(), decimals=None):
+    """Random series with unobserved stretches, lone observed days inside them, and
+    values rounded to ``decimals`` (many ties) when given."""
+    mask = (rng.random(T) < observed_fraction).astype(np.uint8)
+    for lo, hi in gaps:
+        mask[lo:hi] = 0
+    mask[list(singles)] = 1
+    mask[0] = mask[-1] = 1
+    values = 2.0 + np.sin(np.arange(T) / 200.0) + rng.normal(0.0, 0.3, T)
+    if decimals is not None:
+        values = np.round(values, decimals)
+    return make_series(values, mask)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -146,6 +146,8 @@ class TestArtifacts:
         base = ["--out", str(tmp_path), "--seed", "5"]
         assert run(base + ["smooth", "--input", toy_csv, "--bandwidth", "0.08",
                            "--B", "29"]) == 0
+        rep = json.loads((tmp_path / "smooth_report.json").read_text())
+        assert 0.0 < rep["results"]["simultaneous_joint_coverage"] <= 1.0
         fit_path = tmp_path / "trend_fit.json"
         eps, fit = load_fit_artifact(str(fit_path))
         assert fit.h == 0.08
@@ -162,6 +164,18 @@ class TestArtifacts:
         assert run(base + ["monotest", "--fit", str(fit_path), "--B", "29"]) == 0
         rep = json.loads((tmp_path / "monotest_report.json").read_text())
         assert rep["results"]["h_u"] == pytest.approx(0.5 * 420 ** (-0.2))
+
+    def test_svg_skips_plot_without_finite_points(self, toy_csv, tmp_path):
+        # Every leave-out window of this grid is empty at T=420, so no CV
+        # score is finite; the given bandwidth still makes the bands.
+        args = ["smooth", "--input", toy_csv, "--mcv-grid", "0.01:0.02:0.005",
+                "--bandwidth", "0.1", "--B", "19"]
+        assert run(["--out", str(tmp_path / "plain")] + args) == 0
+        assert run(["--out", str(tmp_path / "svg")] + args + ["--svg"]) == 0
+        assert read(tmp_path / "svg" / "trend_bands.csv") == read(
+            tmp_path / "plain" / "trend_bands.csv")
+        assert (tmp_path / "svg" / "trend_bands.svg").exists()
+        assert not (tmp_path / "svg" / "mcv_scores.svg").exists()
 
     def test_monotest_interval_parsing(self, toy_csv, tmp_path):
         base = ["--out", str(tmp_path), "--seed", "5"]

@@ -19,9 +19,9 @@ from gaptrend import (
     pointwise_bands,
     simultaneous_bands,
 )
-from gaptrend.kerneltrend import BandResult, _window_sums
+from gaptrend.kerneltrend import _window_sums
 
-from conftest import make_series, random_masked_series
+from conftest import gappy_series, make_series, random_masked_series, traced_peak
 
 
 def naive_nw(values, mask, h, T):
@@ -330,7 +330,7 @@ class TestBands:
     def test_zero_residuals_give_zero_width(self):
         series, _ = isolated_v_series()
         fit = nw_estimate(series, 0.02)
-        band = pointwise_bands(series, fit, AwbConfig(seed=1, n_boot=29), level=0.95)
+        band = confidence_bands(series, fit, AwbConfig(seed=1, n_boot=29), level=0.95)
         d = fit.defined
         np.testing.assert_allclose(band.pointwise_lower[d], fit.g_hat[d], atol=1e-12)
         np.testing.assert_allclose(band.pointwise_upper[d], fit.g_hat[d], atol=1e-12)
@@ -338,7 +338,7 @@ class TestBands:
     def test_simultaneous_contains_pointwise(self, rng):
         series = random_masked_series(rng, 200, observed_fraction=0.6)
         fit = nw_estimate(series, 0.1)
-        band = simultaneous_bands(pointwise_bands(series, fit, AwbConfig(seed=2, n_boot=99)))
+        band = confidence_bands(series, fit, AwbConfig(seed=2, n_boot=99))
         d = fit.defined
         assert np.all(band.lower[d] <= band.pointwise_lower[d] + 1e-12)
         assert np.all(band.upper[d] >= band.pointwise_upper[d] - 1e-12)
@@ -357,43 +357,58 @@ class TestBands:
         assert np.all(b99.upper[d] >= b95.upper[d] - 1e-12)
 
     def test_alpha_s_matches_brute_force_on_toy(self):
-        # Oracle: exhaustive scan over the admissible pointwise rates.
+        # Oracle: exhaustive scan over the admissible pointwise rates, on
+        # the columns where the trend and every path are defined.
         rng = np.random.default_rng(7)
-        B, T = 40, 6
+        B, T = 40, 8
         dev = rng.normal(size=(B, T))
         g = np.zeros(T)
-        band = BandResult(
-            level=0.75, alpha_s=0.25, g_hat=g,
-            lower=g.copy(), upper=g.copy(),
-            pointwise_lower=g.copy(), pointwise_upper=g.copy(),
-            deviations=dev,
-        )
-        out = simultaneous_bands(band)
+        g[2] = np.nan
+        dev[5, 6] = np.nan
+        ordered, _, _ = pointwise_bands(g, dev, 0.75)
+        alpha_s, joint, lower, upper = simultaneous_bands(g, dev, ordered, 0.75)
 
-        def coverage(ap):
+        defined = [0, 1, 3, 4, 5, 7]
+        D = dev[:, defined]
+        s = np.sort(D, axis=0)
+
+        def rows(ap):
             lo_i = min(max(int(np.ceil(ap / 2 * B)) - 1, 0), B - 1)
             hi_i = min(max(int(np.ceil((1 - ap / 2) * B)) - 1, 0), B - 1)
-            s = np.sort(dev, axis=0)
-            inside = (dev >= s[lo_i]) & (dev <= s[hi_i])
+            return lo_i, hi_i
+
+        def coverage(ap):
+            lo_i, hi_i = rows(ap)
+            inside = (D >= s[lo_i]) & (D <= s[hi_i])
             return inside.all(axis=1).mean()
 
         grid = [k / B for k in range(1, int(np.floor(B * 0.25)) + 1)]
         scores = [abs(coverage(ap) - 0.75) for ap in grid]
         best = grid[int(np.argmin(scores))]
-        assert out.alpha_s == pytest.approx(best)
+        assert alpha_s == pytest.approx(best)
+        assert joint == coverage(best)
+        lo_i, hi_i = rows(best)
+        np.testing.assert_array_equal(lower[defined], -s[hi_i])
+        np.testing.assert_array_equal(upper[defined], -s[lo_i])
+        assert np.isnan(lower[[2, 6]]).all() and np.isnan(upper[[2, 6]]).all()
 
     def test_widest_band_warning_when_level_unreachable(self, rng):
         dev = rng.normal(size=(9, 4))
         g = np.zeros(4)
-        band = BandResult(
-            level=0.99, alpha_s=0.01, g_hat=g,
-            lower=g.copy(), upper=g.copy(),
-            pointwise_lower=g.copy(), pointwise_upper=g.copy(),
-            deviations=dev,
-        )
+        ordered, _, _ = pointwise_bands(g, dev, 0.99)
         with pytest.warns(UserWarning):
-            out = simultaneous_bands(band)
-        assert out.alpha_s == pytest.approx(1.0 / 9.0)
+            alpha_s, _, _, _ = simultaneous_bands(g, dev, ordered, 0.99)
+        assert alpha_s == pytest.approx(1.0 / 9.0)
+
+    def test_memory_one_deviation_matrix_sorted_once(self):
+        # The bands hold the deviations and one sorted copy, nothing more;
+        # the gap leaves undefined positions, which take no sliced copy.
+        T, B = 3000, 199
+        series = gappy_series(np.random.default_rng(3), T, 0.6, gaps=[(1400, 1700)])
+        fit = nw_estimate(series, 0.04)
+        assert not fit.defined.all()
+        peak = traced_peak(lambda: confidence_bands(series, fit, AwbConfig(seed=1, n_boot=B)))
+        assert peak <= 2.5 * B * T * 8
 
     @pytest.mark.slow
     def test_pointwise_coverage_montecarlo(self):
@@ -414,7 +429,7 @@ class TestBands:
             fit = nw_estimate(series, 0.1)
             if not np.isfinite(fit.g_hat[mid]):
                 continue
-            band = pointwise_bands(series, fit, bootstrap_config(design, draw), level=0.95)
+            band = confidence_bands(series, fit, bootstrap_config(design, draw), level=0.95)
             n_ok += 1
             covered += int(band.pointwise_lower[mid] <= truth[mid] <= band.pointwise_upper[mid])
         assert n_ok > 250
@@ -440,10 +455,3 @@ class TestBands:
             ok = np.isfinite(lo) & np.isfinite(hi)
             embeds += int(np.nanmax(lo[ok]) <= np.nanmin(hi[ok]))
         assert embeds / design.replications <= 0.15
-
-    def test_missing_deviations_rejected(self):
-        g = np.zeros(3)
-        band = BandResult(level=0.9, alpha_s=0.1, g_hat=g, lower=g, upper=g,
-                          pointwise_lower=g, pointwise_upper=g, deviations=None)
-        with pytest.raises(ValueError, match="deviations"):
-            simultaneous_bands(band)

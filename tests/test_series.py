@@ -68,6 +68,18 @@ class TestIngest:
         with pytest.raises(ValueError, match="missing column"):
             ingest_csv(path)
 
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path):
+        rows = ["2000-01-01,1.5", "2000-01-03,2.5"]
+        plain = write_csv(tmp_path / "plain.csv", rows)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        expected, expected_summary = ingest_csv(plain)
+        series, summary = ingest_csv(str(bom))
+        assert series.mask.tolist() == expected.mask.tolist() == [1, 0, 1]
+        assert series.values.tolist() == expected.values.tolist()
+        assert series.t0 == expected.t0
+        assert summary == expected_summary
+
     def test_sub_daily_timestamps_collapse_to_date(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          ["2000-01-01T06:00:00,2.0", "2000-01-01 18:30:00,4.0",

@@ -22,7 +22,7 @@ from gaptrend import (
 from gaptrend import shapetests
 from gaptrend.shapetests import TrendAnchor, nearest_extremum
 
-from conftest import make_series, random_masked_series
+from conftest import gappy_series, make_series, random_masked_series, traced_peak
 
 
 def naive_u_profiles(obs_pos, y_obs, eval_pos, T, h_u):
@@ -66,20 +66,6 @@ def direct_u_profiles(obs_pos, y_obs, eval_pos, T, h_u):
         u1[k] = scale * (np.sign(diff) * ww).sum()
         u2[k] = scale * (diff * ww).sum()
     return u1, u2
-
-
-def gappy_series(rng, T, observed_fraction, gaps=(), singles=(), decimals=None):
-    """Random series with unobserved stretches, lone observed days inside them, and
-    values rounded to ``decimals`` (many ties) when given."""
-    mask = (rng.random(T) < observed_fraction).astype(np.uint8)
-    for lo, hi in gaps:
-        mask[lo:hi] = 0
-    mask[list(singles)] = 1
-    mask[0] = mask[-1] = 1
-    values = 2.0 + np.sin(np.arange(T) / 200.0) + rng.normal(0.0, 0.3, T)
-    if decimals is not None:
-        values = np.round(values, decimals)
-    return make_series(values, mask)
 
 
 class TestBandwidth:
@@ -259,6 +245,15 @@ class TestExtremumCi:
             covered += int(res.lower_index - 5 <= truth <= res.upper_index + 5)
         assert n_ok > 250
         assert covered / n_ok >= 0.88
+
+    def test_memory_holds_no_replicate_matrix(self):
+        # Each replicate keeps one position, so the peak stays far below
+        # one (B, T) float matrix.
+        T, B = 3000, 199
+        series = gappy_series(np.random.default_rng(3), T, 0.6, gaps=[(1400, 1700)])
+        fit = nw_estimate(series, 0.04)
+        peak = traced_peak(lambda: extremum_ci(series, fit, AwbConfig(seed=1, n_boot=B)))
+        assert peak <= 0.5 * B * T * 8
 
 
 class TestLinearityTest:
