@@ -23,6 +23,7 @@ from .breaktrend import (
     BrokenTrendFit,
     ParamCi,
     SlopeCis,
+    break_analysis,
     break_ci,
     break_test,
     estimate_break,
@@ -102,6 +103,7 @@ __all__ = [
     "TrendAnchor",
     "bandwidth_grid",
     "bootstrap_errors",
+    "break_analysis",
     "break_ci",
     "break_test",
     "confidence_bands",

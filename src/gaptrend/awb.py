@@ -154,13 +154,18 @@ def run_replicates(
 
     Replicate b is the series ``base + bootstrap_errors(residuals, mask,
     xi_b)`` with ``xi_b`` the multiplier path of id b; this is the only
-    place a replicate series is built. The replicates run on
-    ``cfg.threads`` workers and are collected in replicate-id order; the
-    output is identical for any thread count because each replicate
-    depends only on its own counter-based stream. A statistic failure is
-    re-raised as ``ReplicateError`` carrying the replicate id.
+    place a multiplier path is drawn and a replicate series built. A
+    (k, T) ``base`` is a stack of k bases: each replicate draws its path
+    once and hands the statistic the (k, T) stack of series, row j formed
+    exactly as the 1-D call on ``base[j]`` forms its series. The
+    statistic must not keep the array it is given, or any view of it,
+    past its return. The replicates run on ``cfg.threads`` workers and
+    are collected in replicate-id order; the output is identical for any
+    thread count because each replicate depends only on its own
+    counter-based stream. A statistic failure is re-raised as
+    ``ReplicateError`` carrying the replicate id.
     """
-    n_time = base.shape[0]
+    n_time = base.shape[-1]
 
     def one(b: int) -> object:
         series = base + bootstrap_errors(residuals, mask, draw_multipliers(cfg, n_time, b))

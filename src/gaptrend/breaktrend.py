@@ -10,13 +10,18 @@ once, each candidate costs a rank-one update built from suffix sums, so a
 full scan is O(T + |candidates| * p^2) instead of |candidates| full refits.
 The break test's statistic, critical value and p-value come as one
 ``awb.BootstrapTest`` record beside the fit.
+
+The test and the intervals bootstrap the same residuals with the same
+multiplier paths; only the base differs, the no-break fit for the test and
+the broken fit for the intervals. :func:`break_analysis`, the CLI's entry,
+draws each multiplier path once and scans it under both bases.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -162,7 +167,8 @@ class BreakScan:
     so that bootstrap replicates pay only O(T * p) per scan. The fixed
     columns are the intercept, rescaled time t/T, and the Fourier
     harmonics; each candidate adds one hinge column handled by
-    partitioned regression.
+    partitioned regression. ``n_skipped`` counts the candidates whose
+    hinge is not identified on the mask; scans never pick them.
     """
 
     def __init__(
@@ -222,10 +228,11 @@ class BreakScan:
         self._valid = schur > np.maximum(dd, 1e-300) * _SCHUR_RTOL
         if not self._valid.any():
             raise SingularDesignError("every break candidate is unidentified on this mask")
-        n_bad = int((~self._valid).sum())
-        if n_bad:
+        self.n_skipped = int((~self._valid).sum())
+        if self.n_skipped:
             warnings.warn(
-                f"{n_bad} break candidate(s) skipped: hinge not identified on the observed points",
+                f"{self.n_skipped} break candidate(s) skipped: hinge not identified on the "
+                "observed points",
                 stacklevel=2,
             )
         # Observed-point support at the trimming edges; the hinge needs
@@ -317,6 +324,58 @@ def estimate_break(
     return _best_fit(series, trim, n_harmonics)[0]
 
 
+def _null_draw(scan: BreakScan, y: np.ndarray) -> tuple[float]:
+    """A replicate's break-test statistic."""
+    return (scan.scan(y).f_stat,)
+
+
+def _broken_draw(scan: BreakScan, y: np.ndarray) -> tuple[int, float, float, float]:
+    """A replicate's re-estimated break position and its trend coefficients."""
+    state = scan.scan(y)
+    coef = scan.coefficients_at(state, state.best)
+    return state.best, coef["alpha"], coef["beta"], coef["delta"]
+
+
+def _replicate_pass(series: ObservedSeries, fit: BrokenTrendFit, cfg: AwbConfig,
+                    passes: list[tuple[np.ndarray, Callable]]) -> np.ndarray:
+    """One bootstrap pass on the residuals of ``fit`` over every (base, draw)
+    pair of ``passes``: each replicate draws its multiplier path once, and
+    each draw scans that path's series on its base. Returns (B, n) draws,
+    the columns of every pair in order."""
+    u_hat = series.mask * (series.values - fit.fitted_values())
+
+    def statistic(ys: np.ndarray) -> list:
+        return [v for (_, draw), y in zip(passes, ys) for v in draw(fit.scan, y)]
+
+    bases = np.stack([base for base, _ in passes])
+    return run_replicates(cfg, bases, u_hat, series.mask, statistic)
+
+
+def _date_ci(fit: BrokenTrendFit, draws: np.ndarray, level: float) -> BreakDateCi:
+    """Break-date and slope intervals from the (B, 4) draws of :func:`_broken_draw`."""
+    locs, alphas, betas, deltas = draws.T
+    # The break position, then the SlopeCis fields in order: intercept,
+    # slope before, slope change and slope after.
+    estimates = np.array([fit.break_index, fit.alpha, fit.beta, fit.delta, fit.beta + fit.delta])
+    centered = np.column_stack((locs, alphas, betas, deltas, betas + deltas)) - estimates
+    centered.sort(axis=0)
+    lower, upper = basic_interval(estimates, centered, 1.0 - level)
+    cis = np.column_stack((estimates, lower, upper)).tolist()
+    position, *slopes = (ParamCi(*ci) for ci in cis)
+    lower_i, upper_i = int(round(position.lower)), int(round(position.upper))
+    c_min, c_max = int(fit.scan.candidates[0]), int(fit.scan.candidates[-1])
+    return BreakDateCi(
+        break_index=fit.break_index,
+        lower_index=min(max(lower_i, c_min), c_max),
+        upper_index=min(max(upper_i, c_min), c_max),
+        basic_lower=lower_i,
+        basic_upper=upper_i,
+        level=level,
+        bootstrap_indices=locs.astype(np.int64),
+        slopes=SlopeCis(*slopes, level=level),
+    )
+
+
 def break_test(
     series: ObservedSeries,
     trim: np.ndarray | None = None,
@@ -340,15 +399,10 @@ def break_test(
     as ``test``.
     """
     check_rate("alpha", alpha)
-    cfg = cfg or AwbConfig()
     fit, state = _best_fit(series, trim, n_harmonics)
-    u_hat = series.mask * (series.values - fit.fitted_values())
-
-    def statistic(y_star: np.ndarray) -> float:
-        return fit.scan.scan(y_star).f_stat
-
-    stats = run_replicates(cfg, fit.scan._Z @ state.beta0, u_hat, series.mask, statistic)
-    return BreakTestResult(bootstrap_test(state.f_stat, stats, alpha), fit)
+    null_base = fit.scan._Z @ state.beta0
+    draws = _replicate_pass(series, fit, cfg or AwbConfig(), [(null_base, _null_draw)])
+    return BreakTestResult(bootstrap_test(state.f_stat, draws[:, 0], alpha), fit)
 
 
 def break_ci(
@@ -373,37 +427,34 @@ def break_ci(
     end collapses to that end's candidate.
     """
     check_rate("level", level)
-    cfg = cfg or AwbConfig()
-    fitted = fit.fitted_values()
-    u_hat = series.mask * (series.values - fitted)
+    draws = _replicate_pass(series, fit, cfg or AwbConfig(), [(fit.fitted_values(), _broken_draw)])
+    return _date_ci(fit, draws, level)
 
-    def statistic(y_star: np.ndarray) -> tuple[int, float, float, float]:
-        state = fit.scan.scan(y_star)
-        coef = fit.scan.coefficients_at(state, state.best)
-        return state.best, coef["alpha"], coef["beta"], coef["delta"]
 
-    draws = run_replicates(cfg, fitted, u_hat, series.mask, statistic)
-    locs, alphas, betas, deltas = draws.T
-    # The break position, then the SlopeCis fields in order: intercept,
-    # slope before, slope change and slope after.
-    estimates = np.array([fit.break_index, fit.alpha, fit.beta, fit.delta, fit.beta + fit.delta])
-    centered = np.column_stack((locs, alphas, betas, deltas, betas + deltas)) - estimates
-    centered.sort(axis=0)
-    lower, upper = basic_interval(estimates, centered, 1.0 - level)
-    cis = np.column_stack((estimates, lower, upper)).tolist()
-    position, *slopes = (ParamCi(*ci) for ci in cis)
-    lower_i, upper_i = int(round(position.lower)), int(round(position.upper))
-    c_min, c_max = int(fit.scan.candidates[0]), int(fit.scan.candidates[-1])
-    return BreakDateCi(
-        break_index=fit.break_index,
-        lower_index=min(max(lower_i, c_min), c_max),
-        upper_index=min(max(upper_i, c_min), c_max),
-        basic_lower=lower_i,
-        basic_upper=upper_i,
-        level=level,
-        bootstrap_indices=locs.astype(np.int64),
-        slopes=SlopeCis(*slopes, level=level),
-    )
+def break_analysis(
+    series: ObservedSeries,
+    trim: np.ndarray | None = None,
+    cfg: AwbConfig | None = None,
+    n_harmonics: int = 3,
+    alpha: float = 0.05,
+    level: float = 0.95,
+) -> tuple[BreakTestResult, BreakDateCi]:
+    """:func:`break_test` and then :func:`break_ci` on its fit, bit for bit,
+    from one bootstrap pass.
+
+    Both bootstrap the residuals of the best one-break fit with the
+    multiplier paths of ids 0..B-1; only the base differs. Each replicate
+    therefore draws its path once and scans it twice: on the no-break fit
+    for the test statistic and on the broken fit for the intervals.
+    """
+    check_rate("alpha", alpha)
+    check_rate("level", level)
+    fit, state = _best_fit(series, trim, n_harmonics)
+    null_base = fit.scan._Z @ state.beta0
+    draws = _replicate_pass(series, fit, cfg or AwbConfig(),
+                            [(null_base, _null_draw), (fit.fitted_values(), _broken_draw)])
+    test = BreakTestResult(bootstrap_test(state.f_stat, draws[:, 0], alpha), fit)
+    return test, _date_ci(fit, draws[:, 1:], level)
 
 
 def slope_cis(

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .awb import AwbConfig, BootstrapTest
-from .breaktrend import break_ci, break_test, trimming_set
+from .breaktrend import break_analysis, trimming_set
 from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .kerneltrend import (
     KernelTrendFit,
@@ -310,9 +310,8 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     cfg = _awb_config(ctx, n_boot, theta=theta)
     trim = trimming_set(len(series), trim_fraction)
 
-    result = break_test(series, trim, cfg, n_harmonics, alpha)
+    result, ci = break_analysis(series, trim, cfg, n_harmonics, alpha, level)
     test, fit = result.test, result.fit
-    ci = break_ci(series, fit, cfg, level)
     slopes = ci.slopes
     per_year = slopes.per_year(series.grid_step)
 
@@ -340,6 +339,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
             "break_ci_length_days": ci.length,
             "break_ci_clipped": ci.clipped,
             "break_ci_basic_indices": [ci.basic_lower, ci.basic_upper],
+            "break_candidates_skipped": fit.scan.n_skipped,
             "slopes_per_year": {
                 name: {"estimate": c.estimate, "ci": [c.lower, c.upper]}
                 for name, c in per_year.items()

@@ -71,5 +71,21 @@ def scan_calls(monkeypatch):
 
 
 @pytest.fixture
+def multiplier_draws(monkeypatch):
+    """Replicate ids of the multiplier paths drawn during a test, one per draw."""
+    from gaptrend import awb
+
+    ids = []
+    draw = awb.draw_multipliers
+
+    def counted(cfg, n_time, replicate_id):
+        ids.append(replicate_id)
+        return draw(cfg, n_time, replicate_id)
+
+    monkeypatch.setattr(awb, "draw_multipliers", counted)
+    return ids
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240814)

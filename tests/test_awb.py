@@ -186,7 +186,7 @@ class TestMultiplierRecursion:
                 # A cold cache lets the threads race to build the weights.
                 awb._ar1_factors.cache_clear()
                 threaded = AwbConfig(seed=12, n_boot=12, threads=threads)
-                out = run_replicates(threaded, np.zeros(T), ones, ones, lambda y: y)
+                out = run_replicates(threaded, np.zeros(T), ones, ones, lambda y: y.copy())
                 assert np.array_equal(out, np.array(forward))
         finally:
             sys.setswitchinterval(interval)
@@ -231,10 +231,30 @@ class TestRunReplicates:
         cfg = AwbConfig(seed=4, gamma=0.6, n_boot=6)
         base, residuals = rng.normal(size=20), rng.normal(size=20)
         mask = (rng.random(20) < 0.6).astype(np.uint8)
-        out = run_replicates(cfg, base, residuals, mask, lambda y: y)
+        out = run_replicates(cfg, base, residuals, mask, lambda y: y.copy())
         for b in range(cfg.n_boot):
             expected = base + mask * draw_multipliers(cfg, 20, b) * residuals
             assert np.array_equal(out[b], expected)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_stacked_bases_match_one_dimensional_calls(self, rng, threads, multiplier_draws):
+        # Oracle: row j of a (k, T) pass is the 1-D pass on base[j], bit for
+        # bit, and each replicate draws its multiplier path once.
+        cfg = AwbConfig(seed=6, gamma=0.7, n_boot=7, threads=threads)
+        T = 37  # odd, so row 1 of the stack starts off a 16-byte boundary
+        base, residuals = rng.normal(size=(3, T)), rng.normal(size=T)
+        mask = (rng.random(T) < 0.6).astype(np.uint8)
+        stacked = run_replicates(cfg, base, residuals, mask, lambda ys: ys.copy())
+        assert stacked.shape == (cfg.n_boot, 3, T)
+        assert sorted(multiplier_draws) == list(range(cfg.n_boot))
+        dots = run_replicates(cfg, base, residuals, mask,
+                              lambda ys: [float(y[:-1] @ y[1:]) for y in ys])
+        for j in range(3):
+            single = run_replicates(cfg, base[j], residuals, mask, lambda y: y.copy())
+            assert np.array_equal(stacked[:, j], single)
+            single_dots = run_replicates(cfg, base[j], residuals, mask,
+                                         lambda y: float(y[:-1] @ y[1:]))
+            assert np.array_equal(dots[:, j], single_dots)
 
     def test_same_seed_identical(self):
         cfg = AwbConfig(seed=9, gamma=0.4, n_boot=16)

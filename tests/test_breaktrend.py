@@ -10,6 +10,7 @@ import pytest
 
 from gaptrend import (
     AwbConfig,
+    break_analysis,
     break_ci,
     break_test,
     draw_multipliers,
@@ -20,9 +21,10 @@ from gaptrend import (
     trimming_set,
 )
 from gaptrend import SingularDesignError, gen_mask, simulate_series
+from gaptrend import breaktrend
 from gaptrend.breaktrend import BreakScan
 
-from conftest import make_series
+from conftest import gappy_series, make_series
 
 
 def kinked_line(T, alpha=1.0, beta=0.5, delta=0.3, kink=60):
@@ -365,6 +367,49 @@ class TestBreakCi:
             assert np.array_equal(basic, clipped)
 
 
+class TestBreakAnalysis:
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("imposed", [False, True])
+    def test_matches_break_test_then_break_ci(self, threads, imposed, multiplier_draws):
+        # Oracle: the two public bootstrap passes, one after the other, on a
+        # gappy T=397 series with two harmonics. Over the 0.15 trimming set
+        # the basic break-date interval starts before the candidates, so
+        # clipping moves its lower end; one imposed candidate pins every
+        # replicate's break.
+        series = gappy_series(np.random.default_rng(41), 397, 0.6, gaps=[(150, 215)])
+        trim = np.array([230]) if imposed else trimming_set(397, 0.15)
+        cfg = AwbConfig(seed=8, n_boot=29, threads=threads)
+        test, ci = break_analysis(series, trim, cfg, n_harmonics=2, alpha=0.1, level=0.8)
+        assert sorted(multiplier_draws) == list(range(cfg.n_boot))
+        ref = break_test(series, trim, cfg, n_harmonics=2, alpha=0.1)
+        ref_ci = break_ci(series, ref.fit, cfg, level=0.8)
+
+        for name in ("statistic", "critical_value", "p_value", "alpha"):
+            assert getattr(test.test, name) == getattr(ref.test, name)
+        assert np.array_equal(test.test.draws, ref.test.draws)
+        for name in ("alpha", "beta", "delta", "break_index", "ssr"):
+            assert getattr(test.fit, name) == getattr(ref.fit, name)
+        for name in ("break_index", "lower_index", "upper_index", "basic_lower", "basic_upper",
+                     "level"):
+            assert getattr(ci, name) == getattr(ref_ci, name)
+        assert np.array_equal(ci.bootstrap_indices, ref_ci.bootstrap_indices)
+        assert ci.bootstrap_indices.dtype == ref_ci.bootstrap_indices.dtype
+        assert ci.slopes == ref_ci.slopes
+        if imposed:
+            assert ci.bootstrap_indices.tolist() == [230] * cfg.n_boot
+        else:
+            assert ci.clipped and ci.basic_lower < ci.lower_index == trim[0]
+
+    def test_rates_checked_before_any_scan(self, rng, scan_calls):
+        series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
+        cfg = AwbConfig(seed=1, n_boot=9)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            break_analysis(series, cfg=cfg, n_harmonics=0, alpha=1.0)
+        with pytest.raises(ValueError, match="level must lie in"):
+            break_analysis(series, cfg=cfg, n_harmonics=0, level=1.5)
+        assert scan_calls == {"init": 0, "scan": 0}
+
+
 class TestSlopeCis:
     def test_one_pass_matches_replicates_rebuilt_by_hand(self, rng):
         # Oracle: every replicate rebuilt from its multiplier path and rescanned.
@@ -498,3 +543,37 @@ class TestScanInternals:
         assert state.ssr0 == pytest.approx(r0 @ r0, rel=1e-10)
         assert state.f_stat == pytest.approx(max(reductions), rel=1e-10)
         assert state.best == trim[int(np.argmax(reductions))]
+
+    def test_unidentified_candidates_are_counted_and_never_picked(self, monkeypatch):
+        # Observed days: one day of the year every leap cycle (1461 days)
+        # for 12 cycles, then the last 40 days. Candidate c0 falls on that
+        # day of the year one cycle on, where a three-harmonic term that
+        # vanishes on that day follows the hinge over the last 40 days:
+        # lstsq leaves 2e-14 of the hinge's squared norm. The scan's own
+        # Schur complement there is rounding noise of about 1e-10 of it, at
+        # the default tolerance, so the tolerance is raised to 1e-8; the
+        # other candidates keep more than 5e-7.
+        c0 = 1461 * 12 + 1
+        T = c0 + 43
+        mask = np.zeros(T, dtype=np.uint8)
+        mask[0:c0 - 1:1461] = 1
+        mask[T - 40:] = 1
+        series = make_series(np.arange(T, dtype=float) % 7, mask)
+        trim = np.arange(1461 * 11 + 2, T - 40)
+        monkeypatch.setattr(breaktrend, "_SCHUR_RTOL", 1e-8)
+        with pytest.warns(UserWarning, match=r"^1 break candidate\(s\) skipped"):
+            scan = BreakScan(mask, series.calendar_years(), trim, 3)
+        assert scan.n_skipped == 1
+        assert trim[~scan._valid].tolist() == [c0]
+
+        tau = np.arange(1, T + 1) / T
+        Z = np.column_stack([np.ones(T), tau, fourier_design(series.calendar_years(), 3)])
+        obs = mask == 1
+        for c in (c0 - 1, c0, c0 + 1):
+            h = np.maximum(0.0, tau - c / T)[obs]
+            coef, _, _, _ = np.linalg.lstsq(Z[obs], h, rcond=None)
+            r = h - Z[obs] @ coef
+            assert ((r @ r) / (h @ h) < 1e-12) == (c == c0)
+
+        for y in (series.values, np.where(np.arange(T) >= c0, np.arange(T) - c0, 0.0)):
+            assert scan.scan(y).best != c0

@@ -194,6 +194,7 @@ class TestArtifacts:
         res = rep["results"]
         assert res["break_ci"][0] <= res["break_date"] <= res["break_ci"][1]
         assert "slope_before" in res["slopes_per_year"]
+        assert res["break_candidates_skipped"] == 0
         rows = (tmp_path / "break_trend.csv").read_text().splitlines()
         assert rows[0] == "date,observed,trend,trend_plus_seasonal"
         assert len(rows) == 421
@@ -217,11 +218,31 @@ class TestArtifacts:
             basic_lower, basic_upper = res["break_ci_basic_indices"]
             assert basic_lower < 1 or basic_upper > len(draw)
 
-    def test_break_scans_its_design_once(self, toy_csv, tmp_path, scan_calls):
-        # One scan of the observed series, then one per replicate of the
-        # test and of the interval bootstrap.
+    def test_break_scans_its_design_once(self, toy_csv, tmp_path, scan_calls,
+                                         multiplier_draws):
+        # One scan of the observed series, then two per replicate, under the
+        # no-break and the broken base, from one multiplier path.
         assert run(["--out", str(tmp_path), "break", "--input", toy_csv, "--B", "19"]) == 0
         assert scan_calls == {"init": 1, "scan": 2 * 19 + 1}
+        assert sorted(multiplier_draws) == list(range(19))
+
+    def test_break_reports_skipped_candidates(self, toy_csv, tmp_path, monkeypatch):
+        # A hinge counts as unidentified when its Schur complement falls
+        # below a tolerance times its norm; raised to 1e-3, the tolerance
+        # leaves out some of the toy series' candidates.
+        from gaptrend import breaktrend, ingest_csv, trimming_set
+
+        monkeypatch.setattr(breaktrend, "_SCHUR_RTOL", 1e-3)
+        series, _ = ingest_csv(toy_csv)
+        with pytest.warns(UserWarning, match="skipped") as caught:
+            scan = breaktrend.BreakScan(series.mask, series.calendar_years(),
+                                        trimming_set(len(series)), 3)
+        assert 0 < scan.n_skipped < scan.candidates.size
+        assert str(caught[0].message).startswith(f"{scan.n_skipped} break candidate(s)")
+        with pytest.warns(UserWarning, match="skipped"):
+            assert run(["--out", str(tmp_path), "break", "--input", toy_csv, "--B", "9"]) == 0
+        res = json.loads((tmp_path / "break_report.json").read_text())["results"]
+        assert res["break_candidates_skipped"] == scan.n_skipped
 
     def test_break_slope_intervals_use_lambda(self, tmp_path):
         from gaptrend import AwbConfig, estimate_break, ingest_csv, slope_cis, trimming_set

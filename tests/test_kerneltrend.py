@@ -400,6 +400,28 @@ class TestBands:
             alpha_s, _, _, _ = simultaneous_bands(g, dev, ordered, 0.99)
         assert alpha_s == pytest.approx(1.0 / 9.0)
 
+    def test_warns_when_the_full_envelope_over_covers(self):
+        # B=40 at level 0.95 admits rates 1/40 and 2/40. At h=0.02 on 600
+        # days the band spans many nearly independent stretches, so 2/40
+        # covers far too few paths and 1/40, the full envelope, is chosen at
+        # coverage 1.0: 0.05 from the level against a Monte Carlo error of
+        # 0.034.
+        series = random_masked_series(np.random.default_rng(1), 600, observed_fraction=0.6)
+        fit = nw_estimate(series, 0.02)
+        with pytest.warns(UserWarning, match="Monte Carlo error 0.034"):
+            band = confidence_bands(series, fit, AwbConfig(seed=1, n_boot=40), level=0.95)
+        assert (band.alpha_s, band.joint_coverage) == (pytest.approx(1 / 40), 1.0)
+
+    def test_no_warning_within_monte_carlo_error(self):
+        # A wide bandwidth makes the paths smooth, so coverage falls in steps
+        # of about 1/B: 0.9447 at B=199, within 0.0154 of the level.
+        series = random_masked_series(np.random.default_rng(3), 300, observed_fraction=0.6)
+        fit = nw_estimate(series, 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            band = confidence_bands(series, fit, AwbConfig(seed=3, n_boot=199), level=0.95)
+        assert band.joint_coverage == pytest.approx(188 / 199)
+
     def test_memory_one_deviation_matrix_sorted_once(self):
         # The bands hold the deviations and one sorted copy, nothing more;
         # the gap leaves undefined positions, which take no sliced copy.

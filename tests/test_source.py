@@ -39,3 +39,48 @@ def test_guard_flags_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((SOURCE / module).read_text()) == []
+
+
+REPLICATE_DRAWS = {"draw_multipliers", "bootstrap_errors"}
+
+
+def draws_outside_runner(source: str, runner: str | None = "run_replicates") -> list[str]:
+    """Reads of ``draw_multipliers`` or ``bootstrap_errors`` in ``source``
+    outside the top-level function ``runner``: a call, or the function
+    handed on to be called elsewhere. Imports and ``__all__`` strings are
+    not reads."""
+    tree = ast.parse(source)
+    inside = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == runner
+              for node in ast.walk(top)}
+    found = []
+    for node in ast.walk(tree):
+        name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                else node.attr if isinstance(node, ast.Attribute) else None)
+        if name in REPLICATE_DRAWS and id(node) not in inside:
+            found.append((node.lineno, node.col_offset, name))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_guard_flags_a_draw_outside_the_runner():
+    planted = (
+        "from .awb import bootstrap_errors, draw_multipliers\n"
+        "def run_replicates(cfg):\n"
+        "    return bootstrap_errors(1, 1, draw_multipliers(cfg, 2, 0))\n"
+        "def statistic(cfg):\n"
+        "    return awb.draw_multipliers(cfg, 2, 1)\n"
+        "draw = bootstrap_errors\n"
+    )
+    assert draws_outside_runner(planted) == ["draw_multipliers (line 5)",
+                                             "bootstrap_errors (line 6)"]
+    assert draws_outside_runner(planted, runner=None) == [
+        "bootstrap_errors (line 3)", "draw_multipliers (line 3)",
+        "draw_multipliers (line 5)", "bootstrap_errors (line 6)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
+def test_multipliers_drawn_only_in_the_replicate_runner(module):
+    # One replicate loop: every multiplier path and replicate series of the
+    # package comes from awb.run_replicates.
+    runner = "run_replicates" if module == "awb.py" else None
+    assert draws_outside_runner((SOURCE / module).read_text(), runner) == []
