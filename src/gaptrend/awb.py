@@ -5,19 +5,22 @@ multiplier process with unit marginal variance, masked bootstrap errors,
 and a replicate runner whose output is deterministic for a given seed no
 matter how the replicates are scheduled. Multipliers come from a
 counter-based generator keyed by (seed, replicate id), so replicate b is
-the same whether it runs first, last, serially, or on a worker thread.
+the same whether it runs first, last, serially, or on a worker thread;
+each thread re-keys one generator per draw instead of building one.
 The AR(1) recursion itself is a scaled prefix sum, computed row by row of
-positions with ``numpy.cumsum`` from weights built once per (T, gamma).
+positions with ``numpy.add.accumulate`` from weights built once per
+(T, gamma).
 Every bootstrap test of the package reads its replicate draws into one
 ``BootstrapTest`` record, whose ``reject`` is the only reject rule.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -81,6 +84,27 @@ def _stream(seed: int, replicate_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# One generator per thread for the multiplier draws, re-keyed per draw.
+_thread_generators = threading.local()
+
+
+def _rekeyed_stream(seed: int, replicate_id: int) -> np.random.Generator:
+    """This thread's generator, set to the start of ``_stream(seed,
+    replicate_id)``'s stream: counter 0, key [seed, id] and an empty output
+    buffer, the state a fresh ``Philox(key=...)`` starts from. Setting the
+    state costs a fraction of building a Philox, whose unused seed sequence
+    reads OS entropy. The generator is valid until this thread's next call."""
+    gen = getattr(_thread_generators, "gen", None)
+    if gen is None:
+        gen = _thread_generators.gen = _stream(seed, replicate_id)
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (seed % _KEY_MOD, replicate_id % _KEY_MOD)},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
+
+
 @lru_cache(maxsize=32)
 def _ar1_factors(n_time: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only factors of the multiplier recursion for one (T, gamma).
@@ -118,14 +142,15 @@ def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> np.ndarr
     per row of positions and one vectorised carry into every row, which
     agrees with the direct recursion to rounding. Identical (seed,
     replicate_id) keys give identical paths regardless of execution order
-    or worker count.
+    or worker count: the normal draws are those of ``_stream(cfg.seed,
+    replicate_id)``, read from this thread's re-keyed generator.
     """
     weights, decay, carry = _ar1_factors(n_time, cfg.resolve_gamma(n_time))
     buf = np.zeros(weights.size)
-    _stream(cfg.seed, replicate_id).standard_normal(out=buf[:n_time])
+    _rekeyed_stream(cfg.seed, replicate_id).standard_normal(out=buf[:n_time])
     xi = buf.reshape(weights.shape)
     xi *= weights
-    np.cumsum(xi, axis=1, out=xi)
+    np.add.accumulate(xi, axis=1, out=xi)
     xi *= decay
     if xi.shape[0] > 1:
         xi[1:] += xi[:-1, -1:] * carry
@@ -159,11 +184,14 @@ def run_replicates(
     once and hands the statistic the (k, T) stack of series, row j formed
     exactly as the 1-D call on ``base[j]`` forms its series. The
     statistic must not keep the array it is given, or any view of it,
-    past its return. The replicates run on ``cfg.threads`` workers and
-    are collected in replicate-id order; the output is identical for any
-    thread count because each replicate depends only on its own
-    counter-based stream. A statistic failure is re-raised as
-    ``ReplicateError`` carrying the replicate id.
+    past its return. The replicates run on ``cfg.threads`` workers, each
+    drawing from one generator that it re-keys per replicate; the output
+    is identical for any thread count because each replicate depends only
+    on its own counter-based stream. Results are written in replicate-id
+    order into one (B, ...) float64 array shaped by the first result, so
+    the statistic must return the same shape for every replicate; a
+    different shape raises ``ValueError``. A statistic failure is
+    re-raised as ``ReplicateError`` carrying the replicate id.
     """
     n_time = base.shape[-1]
 
@@ -174,12 +202,22 @@ def run_replicates(
         except Exception as exc:  # noqa: BLE001 - re-raised with context
             raise ReplicateError(b, str(exc)) from exc
 
+    def collect(results: Iterator[object]) -> np.ndarray:
+        out = None
+        for b, result in enumerate(results):
+            row = np.asarray(result, dtype=np.float64)
+            if out is None:
+                out = np.empty((cfg.n_boot,) + row.shape)
+            elif row.shape != out.shape[1:]:
+                raise ValueError(f"replicate {b} gave shape {row.shape}, replicate 0 gave "
+                                 f"{out.shape[1:]}")
+            out[b] = row
+        return out
+
     if cfg.threads == 1:
-        results = [one(b) for b in range(cfg.n_boot)]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(one, range(cfg.n_boot)))
-    return np.asarray(results, dtype=np.float64)
+        return collect(map(one, range(cfg.n_boot)))
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return collect(pool.map(one, range(cfg.n_boot)))
 
 
 def check_rate(name: str, value: float) -> None:

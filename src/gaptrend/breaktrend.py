@@ -45,7 +45,7 @@ _SCHUR_RTOL = 1e-10
 def _suffix_sums(x: np.ndarray) -> np.ndarray:
     """Sums of x[..., i:] along the last axis for i = 0..n, the last one 0."""
     out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.cumsum(x[..., ::-1], axis=-1, out=out[..., -2::-1])
+    np.add.accumulate(x[..., ::-1], axis=-1, out=out[..., -2::-1])
     return out
 
 
@@ -167,8 +167,11 @@ class BreakScan:
     so that bootstrap replicates pay only O(T * p) per scan. The fixed
     columns are the intercept, rescaled time t/T, and the Fourier
     harmonics; each candidate adds one hinge column handled by
-    partitioned regression. ``n_skipped`` counts the candidates whose
-    hinge is not identified on the mask; scans never pick them.
+    partitioned regression. The candidates must be one contiguous
+    ascending range of 1-based positions, such as a :func:`trimming_set`
+    or one imposed break, so that a scan reads them as one slice.
+    ``n_skipped`` counts the candidates whose hinge is not identified on
+    the mask; scans never pick them.
     """
 
     def __init__(
@@ -186,8 +189,9 @@ class BreakScan:
             raise ValueError("no break candidates")
         if self.candidates.min() < 1 or self.candidates.max() > T - 1:
             raise ValueError("break candidates must lie in 1..T-1")
-        if np.any(np.diff(self.candidates) <= 0):
-            raise ValueError("break candidates must be strictly ascending")
+        if np.any(np.diff(self.candidates) != 1):
+            raise ValueError("break candidates must be one contiguous ascending range")
+        self._span = slice(int(self.candidates[0]), int(self.candidates[-1]) + 1)
 
         m = mask.astype(np.float64)
         tau = np.arange(1, T + 1, dtype=np.float64) / T
@@ -208,7 +212,7 @@ class BreakScan:
             raise SingularDesignError(f"fixed design is singular: {exc}") from exc
 
         c = self.candidates
-        tau_c = c / T
+        tau_c = self._tau_c = c / T
         p0 = Z.shape[1]
         sums = _suffix_sums(np.vstack([self._Zm.T, (self._Zm * tau[:, None]).T,
                                        m, m * tau, m * tau * tau]))
@@ -257,21 +261,20 @@ class BreakScan:
         ssr0 = max(yy - float(u @ u), 0.0)
 
         sy, sty = _suffix_sums(rows)
-        c = self.candidates
-        dy = sty[c] - (c / self.n_time) * sy[c]
-
-        num = dy - u @ self._V
-        with np.errstate(divide="ignore", invalid="ignore"):
-            red = np.where(self._valid, num * num / self._schur, -np.inf)
+        span = self._span
+        num = sty[span] - self._tau_c * sy[span]
+        num -= u @ self._V
+        red = np.full(num.shape, -np.inf)
+        np.divide(num * num, self._schur, out=red, where=self._valid)
         red[self._valid & (red < yy * _NOISE_FLOOR)] = 0.0
 
-        best = int(np.argmax(red))
-        return ScanState(ssr0, float(red[best]), int(self.candidates[best]), beta0, num)
+        best = int(red.argmax())
+        return ScanState(ssr0, float(red[best]), span.start + best, beta0, num)
 
     def coefficients_at(self, state: ScanState, break_at: int) -> dict:
         """Full coefficient vector of the scanned model with the break at ``break_at``."""
-        pos = int(np.searchsorted(self.candidates, break_at))
-        if pos >= self.candidates.size or self.candidates[pos] != break_at:
+        pos = break_at - self._span.start
+        if not 0 <= pos < self.candidates.size:
             raise ValueError(f"{break_at} is not among the scan candidates")
         if not self._valid[pos]:
             raise SingularDesignError(f"candidate {break_at} is not identified")
@@ -317,9 +320,11 @@ def estimate_break(
     """Exhaustive scan of the candidate positions ``trim`` (default
     :func:`trimming_set`); smallest-SSR break wins.
 
-    Ties are broken toward the smallest candidate position. The estimator
-    always returns a break; whether it is significant is the test's job.
-    A one-candidate array imposes the break there.
+    ``trim`` must be one contiguous ascending range of positions; any
+    other array raises ``ValueError``. Ties are broken toward the smallest
+    candidate position. The estimator always returns a break; whether it
+    is significant is the test's job. A one-candidate array imposes the
+    break there.
     """
     return _best_fit(series, trim, n_harmonics)[0]
 

@@ -194,19 +194,21 @@ def gen_errors(design: McDesign, n_time: int, rng: np.random.Generator) -> np.nd
 
 
 def gen_mask(mode: str, n_time: int, rng: np.random.Generator) -> np.ndarray:
-    """First-order Markov observation indicators, started at stationarity."""
+    """First-order Markov observation indicators, started at stationarity.
+
+    The chain steps over Python floats, which compare exactly as the
+    float64 draws and transition probabilities they come from."""
     if mode not in MISSING_TRANSITIONS:
         raise ValueError(f"mode must be one of {list(MISSING_TRANSITIONS)}")
     P = MISSING_TRANSITIONS[mode]
-    p_obs_stationary = P[0, 1] / (P[0, 1] + P[1, 0])
-    u = rng.random(n_time)
-    mask = np.empty(n_time, dtype=np.uint8)
-    state = 1 if u[0] < p_obs_stationary else 0
-    mask[0] = state
-    for t in range(1, n_time):
-        state = 1 if u[t] < P[state, 1] else 0
-        mask[t] = state
-    return mask
+    p_obs = P[:, 1].tolist()  # chance of an observation after each state
+    u = rng.random(n_time).tolist()
+    state = 1 if u[0] < float(P[0, 1] / (P[0, 1] + P[1, 0])) else 0
+    states = [state]
+    for x in u[1:]:
+        state = 1 if x < p_obs[state] else 0
+        states.append(state)
+    return np.array(states, dtype=np.uint8)
 
 
 def simulate_series(design: McDesign, draw: int) -> ObservedSeries:

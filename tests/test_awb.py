@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -137,6 +139,26 @@ def decimal_multipliers(cfg, n_time, replicate_id):
     return np.array(out)
 
 
+def rekey_gamma(n_time):
+    """The default gamma, or 0.3 where one position leaves it undefined."""
+    return None if n_time > 1 else 0.3
+
+
+def fresh_multipliers(seed, replicate_id, n_time):
+    """Oracle: the multiplier path drawn from a generator built for its key."""
+    cfg = AwbConfig(seed=seed, gamma=rekey_gamma(n_time))
+    weights, decay, carry = awb._ar1_factors(n_time, cfg.resolve_gamma(n_time))
+    buf = np.zeros(weights.size)
+    awb._stream(seed, replicate_id).standard_normal(out=buf[:n_time])
+    xi = buf.reshape(weights.shape)
+    xi *= weights
+    np.cumsum(xi, axis=1, out=xi)
+    xi *= decay
+    if xi.shape[0] > 1:
+        xi[1:] += xi[:-1, -1:] * carry
+    return buf[:n_time]
+
+
 class TestMultiplierRecursion:
     """The blocked prefix-sum recursion against direct recursions."""
 
@@ -178,6 +200,20 @@ class TestMultiplierRecursion:
         forward = [draw_multipliers(cfg, T, b) for b in range(cfg.n_boot)]
         backward = [draw_multipliers(cfg, T, b) for b in reversed(range(cfg.n_boot))]
         assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
+        # Each thread re-keys one generator per draw. Oracle: the path from a
+        # fresh generator on the same key, over keys at both ends of the
+        # 64-bit range and lengths from one position to several rows.
+        cases = [(seed, b, n)
+                 for seed in (0, 3, 2**63 + 5, 2**64 - 1)
+                 for b in (0, 1, 998, 2**64 - 1)
+                 for n in (1, 2, 285, 12000)]
+        expected = {case: fresh_multipliers(*case) for case in cases}
+
+        def draw(case):
+            seed, b, n = case
+            return draw_multipliers(AwbConfig(seed=seed, gamma=rekey_gamma(n)), n, b)
+
+        shuffled = random.Random(5).sample(cases, len(cases))
         ones = np.ones(T)
         interval = sys.getswitchinterval()
         try:
@@ -188,8 +224,19 @@ class TestMultiplierRecursion:
                 threaded = AwbConfig(seed=12, n_boot=12, threads=threads)
                 out = run_replicates(threaded, np.zeros(T), ones, ones, lambda y: y.copy())
                 assert np.array_equal(out, np.array(forward))
+                with ThreadPoolExecutor(max_workers=threads) as pool:
+                    paths = list(pool.map(draw, shuffled))
+                for case, xi in zip(shuffled, paths):
+                    assert xi.tobytes() == expected[case].tobytes(), case
         finally:
             sys.setswitchinterval(interval)
+        # A generator held mid-stream, as simulate_series holds two, is
+        # neither disturbed by the draws nor disturbs them.
+        held, reference = awb._stream(3, 0), awb._stream(3, 0)
+        assert np.array_equal(held.random(5), reference.random(5))
+        for case in shuffled[:8]:
+            assert draw(case).tobytes() == expected[case].tobytes(), case
+            assert np.array_equal(held.standard_normal(3), reference.standard_normal(3))
 
     def test_weights_are_read_only(self):
         for arr in awb._ar1_factors(666, 0.9):
@@ -225,6 +272,17 @@ class TestRunReplicates:
         cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
         out = self.run(cfg, 8, lambda y: 2.5)
         assert out.tolist() == [2.5, 2.5, 2.5]
+
+    def test_result_shape_fixed_by_the_first_replicate(self):
+        # The results fill one (B, ...) array; a later replicate of another
+        # shape is refused, not broadcast into its row.
+        cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
+        first = draw_multipliers(cfg, 8, 0)
+        for later in (2.5, [2.5, 1.0, 0.0]):
+            def kernel(y, later=later):
+                return [2.5, 1.0] if np.array_equal(y, first) else later
+            with pytest.raises(ValueError, match="replicate 1 gave shape"):
+                self.run(cfg, 8, kernel)
 
     def test_replicate_series_is_base_plus_masked_errors(self, rng):
         # Oracle: each replicate rebuilt from its own multiplier path.

@@ -163,7 +163,7 @@ class TestImposedBreak:
 
     def test_unordered_candidates_rejected(self):
         series = make_series(kinked_line(50))
-        for trim in (np.array([30, 20]), np.array([20, 20])):
+        for trim in (np.array([30, 20]), np.array([20, 20]), np.array([20, 22, 23])):
             with pytest.raises(ValueError, match="ascending"):
                 estimate_break(series, trim, n_harmonics=0)
 
@@ -495,9 +495,10 @@ class TestSlopeCis:
 class TestScanInternals:
     def test_coefficients_at_requires_candidate(self, rng):
         series = make_series(rng.normal(size=60))
-        scan = BreakScan(series.mask, series.calendar_years(), np.array([20, 30]), 0)
-        with pytest.raises(ValueError, match="not among"):
-            scan.coefficients_at(scan.scan(series.values), 25)
+        scan = BreakScan(series.mask, series.calendar_years(), np.arange(20, 24), 0)
+        for break_at in (19, 24):
+            with pytest.raises(ValueError, match="not among"):
+                scan.coefficients_at(scan.scan(series.values), break_at)
 
     @pytest.mark.parametrize("design", ["fewer_days_than_columns", "one_day_of_year"])
     def test_singular_fixed_design_raises(self, design):

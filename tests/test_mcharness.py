@@ -16,8 +16,10 @@ from gaptrend import (
     run_panel,
     simulate_series,
 )
+from gaptrend.awb import _stream
 from gaptrend.exceptions import ReplicateError, SingularDesignError
 from gaptrend.mcharness import (
+    MISSING_TRANSITIONS,
     PANEL_FIELDS,
     _mix64,
     logistic_transition,
@@ -100,6 +102,27 @@ class TestMask:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             gen_mask("50%", 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", ["30%", "70%"])
+    def test_matches_numpy_scalar_chain(self, mode):
+        # Oracle: the chain stepped over numpy scalars, entry by entry.
+        def scalar_chain(mode, n_time, rng):
+            P = MISSING_TRANSITIONS[mode]
+            p_obs_stationary = P[0, 1] / (P[0, 1] + P[1, 0])
+            u = rng.random(n_time)
+            mask = np.empty(n_time, dtype=np.uint8)
+            state = 1 if u[0] < p_obs_stationary else 0
+            mask[0] = state
+            for t in range(1, n_time):
+                state = 1 if u[t] < P[state, 1] else 0
+                mask[t] = state
+            return mask
+
+        for n_time in (285, 666, 3000):
+            for seed in (0, 1, 17, 2**40 + 3):
+                got = gen_mask(mode, n_time, _stream(seed, 0))
+                assert got.dtype == np.uint8
+                assert np.array_equal(got, scalar_chain(mode, n_time, _stream(seed, 0)))
 
 
 class TestTrend:

@@ -84,3 +84,40 @@ def test_multipliers_drawn_only_in_the_replicate_runner(module):
     # package comes from awb.run_replicates.
     runner = "run_replicates" if module == "awb.py" else None
     assert draws_outside_runner((SOURCE / module).read_text(), runner) == []
+
+
+GENERATORS = {"Philox", "Generator"}
+
+
+def generators_built(source: str) -> list[str]:
+    """Calls in ``source`` that construct a numpy ``Philox`` or ``Generator``,
+    by attribute (``np.random.Philox(...)``) or by imported name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else func.id if isinstance(func, ast.Name) else None)
+            if name in GENERATORS:
+                found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_guard_flags_a_generator_built_outside_awb():
+    planted = (
+        "import numpy as np\n"
+        "from numpy.random import Philox\n"
+        "def draw(key, rng: np.random.Generator):\n"
+        "    return np.random.Generator(np.random.Philox(key=key)), Philox(1)\n"
+    )
+    assert generators_built(planted) == [
+        "Generator (line 4)", "Philox (line 4)", "Philox (line 4)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
+def test_generators_built_only_in_awb(module):
+    # Building a Philox reads OS entropy for a seed sequence its key then
+    # discards; awb re-keys one generator per thread instead, so no other
+    # module builds one per replicate.
+    built = generators_built((SOURCE / module).read_text())
+    assert built == [] or module == "awb.py"
