@@ -16,6 +16,7 @@ Every bootstrap test of the package reads its replicate draws into one
 
 from __future__ import annotations
 
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -267,6 +268,12 @@ class BootstrapTest:
     @property
     def reject(self) -> bool:
         return self.statistic > self.critical_value
+
+    @property
+    def mc_error(self) -> float:
+        """Monte Carlo standard error of the p-value, sqrt(p (1 - p) / B) over
+        the B draws (Davidson & MacKinnon 2000, Econometric Reviews)."""
+        return math.sqrt(self.p_value * (1.0 - self.p_value) / self.draws.shape[0])
 
 
 def bootstrap_test(statistic: float, draws: np.ndarray, alpha: float) -> BootstrapTest:

@@ -1,10 +1,13 @@
 """Command-line front end: ingestion, analysis subcommands, report emission.
 
-Every subcommand writes a self-describing JSON report (inputs, parameters,
-seed, versions, results) plus CSV data files, so any number in a report can
-be regenerated from the command line alone. Reports are byte-identical
-across runs and thread counts for a fixed seed; nothing in them depends on
-wall-clock time. All numerical work happens in the library modules.
+Every subcommand but ``mc`` writes one self-describing JSON report through
+``_write_report`` (tool version, command, parameters with the shared
+provenance read off the parsed flags, results) plus CSV data files, so any
+number in a report can be regenerated from the command line alone. Reports
+and data files are byte-identical across runs and thread counts for a fixed
+seed. ``mc`` writes its long-format table and a meta file whose
+``runtime_seconds`` is wall-clock time, the one output that differs between
+runs. All numerical work happens in the library modules.
 """
 
 from __future__ import annotations
@@ -72,42 +75,53 @@ def _clean(obj):
     return obj
 
 
-def _write_report(out_dir: Path, name: str, command: str, params: dict, results: dict) -> Path:
+def _write_report(ctx: click.Context, params: dict, results: dict) -> None:
+    """Write ``<command>_report.json`` for the running subcommand: its own
+    ``params`` plus the provenance every report shares, read off the parsed
+    flags (name and SHA-256 of the ``--input`` or ``--fit`` file; B and the
+    group's seed when the command has ``--B``), and its ``results``."""
+    flags = ctx.params
+    shared = {}
+    for flag, key in (("input_path", "input"), ("fit_path", "fit")):
+        if flag in flags:
+            shared.update({key: Path(flags[flag]).name, f"{key}_sha256": _sha256(flags[flag])})
+    if "n_boot" in flags:
+        shared.update(B=flags["n_boot"], seed=ctx.obj["seed"])
     report = {
         "tool": {"name": "gaptrend", "version": __version__},
-        "command": command,
-        "parameters": _clean(params),
+        "command": ctx.info_name,
+        "parameters": _clean({**shared, **params}),
         "results": _clean(results),
     }
-    path = out_dir / name
+    path = ctx.obj["out"] / f"{ctx.info_name}_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    return path
 
 
 def _test_keys(test: BootstrapTest, statistic: str, critical_value: str, p_value: str) -> dict:
-    """A bootstrap test's statistic, critical value and p-value under the given report keys."""
-    return {statistic: test.statistic, critical_value: test.critical_value, p_value: test.p_value}
+    """A bootstrap test's statistic, critical value and p-value under the given
+    report keys, and the p-value's Monte Carlo error under ``<p_value>_mc_se``."""
+    return {statistic: test.statistic, critical_value: test.critical_value,
+            p_value: test.p_value, f"{p_value}_mc_se": test.mc_error}
 
 
-def _write_csv(out_dir: Path, name: str, header: list[str], rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join("" if v is None else str(v) for v in row))
-    path = out_dir / name
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def _write_csv(out_dir: Path, name: str, columns: dict[str, list[str]]) -> None:
+    """Write equal-length string columns under their names as ``name``."""
+    rows = map(",".join, zip(*columns.values(), strict=True))
+    (out_dir / name).write_text("\n".join([",".join(columns), *rows]) + "\n")
 
 
-def _dates_column(series: ObservedSeries) -> list[str]:
-    return [series.date_at(i + 1).isoformat() for i in range(len(series))]
+def _series_columns(series: ObservedSeries, observed: str) -> dict[str, list[str]]:
+    """The ``date`` column of ``series``'s grid and its values under the name
+    ``observed``, blank on days without an observation."""
+    return {
+        "date": [series.date_at(i).isoformat() for i in range(1, len(series) + 1)],
+        observed: [repr(v) if m else ""
+                   for v, m in zip(series.values.tolist(), series.mask.tolist())],
+    }
 
 
-def _observed_column(series: ObservedSeries) -> list[str | None]:
-    return [repr(v) if m else None for v, m in zip(series.values.tolist(), series.mask.tolist())]
-
-
-def _float_column(values: np.ndarray) -> list[str | None]:
-    return [repr(v) if math.isfinite(v) else None for v in values.tolist()]
+def _float_column(values: np.ndarray) -> list[str]:
+    return [repr(v) if math.isfinite(v) else "" for v in values.tolist()]
 
 
 def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.ndarray]]) -> None:
@@ -181,9 +195,10 @@ def load_fit_artifact(path: str) -> tuple[ObservedSeries, KernelTrendFit]:
     return eps, KernelTrendFit(g_hat=g, h=payload["fit"]["h"])
 
 
-def _awb_config(ctx: click.Context, n_boot: int, **kw) -> AwbConfig:
+def _awb_config(ctx: click.Context, **kw) -> AwbConfig:
     """A subcommand's bootstrap settings: the group's seed and threads, its own B."""
-    return AwbConfig(seed=ctx.obj["seed"], n_boot=n_boot, threads=ctx.obj["threads"], **kw)
+    return AwbConfig(seed=ctx.obj["seed"], n_boot=ctx.params["n_boot"],
+                     threads=ctx.obj["threads"], **kw)
 
 
 def _interval_to_positions(series: ObservedSeries, spec: str) -> tuple[int, int]:
@@ -269,23 +284,17 @@ def _with_input(fn):
 @click.pass_context
 def ingest(ctx, input_path: str, date_column: str, value_column: str) -> None:
     """Read a CSV onto the daily grid and write the canonical form."""
-    out_dir: Path = ctx.obj["out"]
     series, summary = ingest_csv(input_path, date_column, value_column)
-    canonical = out_dir / "canonical.csv"
-    write_canonical_csv(series, str(canonical))
+    write_canonical_csv(series, str(ctx.obj["out"] / "canonical.csv"))
     _write_report(
-        out_dir, "ingest_report.json", "ingest",
-        {
-            "input": Path(input_path).name, "input_sha256": _sha256(input_path),
-            "date_column": date_column, "value_column": value_column,
-        },
+        ctx, {"date_column": date_column, "value_column": value_column},
         {
             "n_grid": summary.n_grid,
             "n_observed": summary.n_observed,
             "observed_fraction": summary.observed_fraction,
             "first_date": summary.first_date.isoformat(),
             "last_date": summary.last_date.isoformat(),
-            "canonical_csv": canonical.name,
+            "canonical_csv": "canonical.csv",
         },
     )
     click.echo(f"{summary.n_observed} observed days on a {summary.n_grid}-day grid "
@@ -307,7 +316,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     """Broken-trend analysis: break test, date interval, slope intervals."""
     out_dir: Path = ctx.obj["out"]
     series, _ = ingest_csv(input_path, date_column, value_column)
-    cfg = _awb_config(ctx, n_boot, theta=theta)
+    cfg = _awb_config(ctx, theta=theta)
     trim = trimming_set(len(series), trim_fraction)
 
     result, ci = break_analysis(series, trim, cfg, n_harmonics, alpha, level)
@@ -319,17 +328,14 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
                           for i in (fit.break_index, ci.lower_index, ci.upper_index))
 
     trend = fit.trend_values()
-    rows = zip(_dates_column(series), _observed_column(series), _float_column(trend),
-               _float_column(trend + fit.seasonal.fitted))
-    _write_csv(out_dir, "break_trend.csv", ["date", "observed", "trend", "trend_plus_seasonal"], rows)
+    _write_csv(out_dir, "break_trend.csv", {
+        **_series_columns(series, "observed"), "trend": _float_column(trend),
+        "trend_plus_seasonal": _float_column(trend + fit.seasonal.fitted),
+    })
 
     _write_report(
-        out_dir, "break_report.json", "break",
-        {
-            "input": Path(input_path).name, "input_sha256": _sha256(input_path),
-            "lambda": trim_fraction, "fourier": n_harmonics, "B": n_boot,
-            "level": level, "alpha": alpha, "theta": theta, "seed": cfg.seed,
-        },
+        ctx, {"lambda": trim_fraction, "fourier": n_harmonics, "level": level, "alpha": alpha,
+              "theta": theta},
         {
             **_test_keys(test, "statistic", "critical_value", "p_value"),
             "reject": test.reject,
@@ -357,7 +363,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
 @_with_input
 @click.option("--bandwidth", type=click.FloatRange(0, min_open=True), default=None,
               help="Trend bandwidth in rescaled time.")
-@click.option("--pick-minimum", "pick_minimum", type=int, default=None,
+@click.option("--pick-minimum", "pick_minimum", type=click.IntRange(min=0), default=None,
               help="Use the n-th local minimum of the cross-validation curve (0-based).")
 @click.option("--mcv-grid", default="0.01:0.25:0.005", show_default=True,
               help="Bandwidth candidates lo:hi:step.")
@@ -382,13 +388,11 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         raise ValueError(f"--mcv-grid must be lo:hi:step, got {mcv_grid!r}") from None
     scan = mcv_scan(eps, bandwidth_grid(lo, hi, step), mcv_k)
     minima_set = set(scan.local_minima.tolist())
-    _write_csv(
-        out_dir, "mcv_scores.csv", ["bandwidth", "score", "is_local_minimum"],
-        [
-            [repr(h), repr(s), int(i in minima_set)]
-            for i, (h, s) in enumerate(zip(scan.grid.tolist(), scan.scores.tolist()))
-        ],
-    )
+    _write_csv(out_dir, "mcv_scores.csv", {
+        "bandwidth": [repr(h) for h in scan.grid.tolist()],
+        "score": [repr(s) for s in scan.scores.tolist()],
+        "is_local_minimum": [str(int(i in minima_set)) for i in range(scan.grid.size)],
+    })
     if svg:
         _write_svg(out_dir, "mcv_scores.svg", [("cv score", scan.grid, scan.scores)])
 
@@ -403,18 +407,15 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         )
 
     fit = nw_estimate(eps, bandwidth)
-    cfg = _awb_config(ctx, n_boot)
-    bands = confidence_bands(eps, fit, cfg, level)
+    bands = confidence_bands(eps, fit, _awb_config(ctx), level)
 
-    columns = [_float_column(arr) for arr in (fit.g_hat, bands.pointwise_lower,
-                                              bands.pointwise_upper, bands.lower, bands.upper)]
-    rows = zip(_dates_column(eps), _observed_column(eps), *columns)
-    _write_csv(
-        out_dir, "trend_bands.csv",
-        ["date", "deseasonalized", "trend", "pointwise_lower", "pointwise_upper",
-         "simultaneous_lower", "simultaneous_upper"],
-        rows,
-    )
+    curves = {"trend": fit.g_hat, "pointwise_lower": bands.pointwise_lower,
+              "pointwise_upper": bands.pointwise_upper, "simultaneous_lower": bands.lower,
+              "simultaneous_upper": bands.upper}
+    _write_csv(out_dir, "trend_bands.csv", {
+        **_series_columns(eps, "deseasonalized"),
+        **{name: _float_column(arr) for name, arr in curves.items()},
+    })
     if svg:
         days = np.arange(len(series), dtype=float)
         _write_svg(out_dir, "trend_bands.svg", [
@@ -425,12 +426,8 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
     artifact = _write_fit_artifact(out_dir, eps, fit)
 
     _write_report(
-        out_dir, "smooth_report.json", "smooth",
-        {
-            "input": Path(input_path).name, "input_sha256": _sha256(input_path),
-            "bandwidth": bandwidth, "mcv_grid": mcv_grid, "mcv_k": scan.k,
-            "fourier": n_harmonics, "B": n_boot, "level": level, "seed": cfg.seed,
-        },
+        ctx, {"bandwidth": bandwidth, "mcv_grid": mcv_grid, "mcv_k": scan.k,
+              "fourier": n_harmonics, "level": level},
         {
             "bandwidth": bandwidth,
             "calibrated_pointwise_alpha": bands.alpha_s,
@@ -457,16 +454,12 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
 @click.pass_context
 def extremum(ctx, fit_path, kind, n_boot, level) -> None:
     """Confidence interval for the position of the trend extremum."""
-    out_dir: Path = ctx.obj["out"]
     eps, fit = load_fit_artifact(fit_path)
-    cfg = _awb_config(ctx, n_boot)
-    res = extremum_ci(eps, fit, cfg, kind, level)
+    res = extremum_ci(eps, fit, _awb_config(ctx), kind, level)
     date, lower, upper = (eps.date_at(i).isoformat()
                           for i in (res.location, res.lower_index, res.upper_index))
     _write_report(
-        out_dir, "extremum_report.json", "extremum",
-        {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "kind": kind,
-         "B": n_boot, "level": level, "seed": cfg.seed},
+        ctx, {"kind": kind, "level": level},
         {
             "location_index": res.location,
             "location_date": date,
@@ -485,14 +478,10 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
 @click.pass_context
 def lintest(ctx, fit_path, n_boot, alpha) -> None:
     """Test a linear trend from the trend minimum to the sample end."""
-    out_dir: Path = ctx.obj["out"]
     eps, fit = load_fit_artifact(fit_path)
-    cfg = _awb_config(ctx, n_boot)
-    res = linearity_test(eps, fit, trend_minimum(fit), cfg, alpha)
+    res = linearity_test(eps, fit, trend_minimum(fit), _awb_config(ctx), alpha)
     _write_report(
-        out_dir, "lintest_report.json", "lintest",
-        {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "B": n_boot,
-         "alpha": alpha, "seed": cfg.seed},
+        ctx, {"alpha": alpha},
         {
             **_test_keys(res.ave, "q_ave", "cv_ave", "p_ave"),
             **_test_keys(res.sup, "q_sup", "cv_sup", "p_sup"),
@@ -513,18 +502,14 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
 @click.pass_context
 def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
     """Tests of a monotonically increasing trend over an interval."""
-    out_dir: Path = ctx.obj["out"]
     eps, fit = load_fit_artifact(fit_path)
     if interval is None:
         positions = (trend_minimum(fit).location, len(eps))
     else:
         positions = _interval_to_positions(eps, interval)
-    cfg = _awb_config(ctx, n_boot)
-    res = monotonicity_tests(eps, positions, cfg, h=fit.h, alpha=alpha)
+    res = monotonicity_tests(eps, positions, _awb_config(ctx), h=fit.h, alpha=alpha)
     _write_report(
-        out_dir, "monotest_report.json", "monotest",
-        {"fit": Path(fit_path).name, "fit_sha256": _sha256(fit_path), "interval": list(positions),
-         "B": n_boot, "alpha": alpha, "seed": cfg.seed},
+        ctx, {"interval": list(positions), "alpha": alpha},
         {
             **_test_keys(res.sign, "u1", "cv1", "p1"),
             **_test_keys(res.magnitude, "u2", "cv2", "p2"),
@@ -547,7 +532,7 @@ def mc(ctx, panel, replications, n_boot) -> None:
     started = time.time()
     rows = run_panel(panel.upper(), replications, n_boot, ctx.obj["seed"])
     name = f"panel_{panel.upper()}.csv"
-    _write_csv(out_dir, name, PANEL_FIELDS, [[r.get(f, "") for f in PANEL_FIELDS] for r in rows])
+    _write_csv(out_dir, name, {f: [str(r[f]) for r in rows] for f in PANEL_FIELDS})
     meta = {
         "panel": panel.upper(),
         "replications": replications,

@@ -5,8 +5,10 @@ from __future__ import annotations
 import ast
 import csv
 import datetime as dt
+import hashlib
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -100,10 +102,13 @@ class TestExitCodes:
                         "--level", level]) == 2
 
     def test_out_of_range_values_fail_before_any_output(self, toy_csv, fit_json, tmp_path):
-        # Every --level, --alpha, --B and --replications of every subcommand,
-        # found by walking the group.
+        # Every --level, --alpha, --theta, --B, --replications, --lambda,
+        # --fourier, --mcv-k and --pick-minimum of every subcommand, found by
+        # walking the group.
         bad_values = {"level": ("0", "1", "1.2"), "alpha": ("0", "1", "1.2"),
-                      "theta": ("0", "1", "1.2"), "n_boot": ("0",), "replications": ("0",)}
+                      "theta": ("0", "1", "1.2"), "n_boot": ("0",), "replications": ("0",),
+                      "pick_minimum": ("-1",), "n_harmonics": ("-1",), "mcv_k": ("-1",),
+                      "trim_fraction": ("0", "0.5")}
         required = {"input_path": ["--input", toy_csv], "fit_path": ["--fit", fit_json],
                     "panel": ["--panel", "A"]}
         checked = set()
@@ -122,7 +127,9 @@ class TestExitCodes:
                 ("extremum", "level"), ("lintest", "alpha"), ("monotest", "alpha"),
                 ("break", "n_boot"), ("smooth", "n_boot"), ("extremum", "n_boot"),
                 ("lintest", "n_boot"), ("monotest", "n_boot"), ("mc", "n_boot"),
-                ("mc", "replications")} <= checked
+                ("mc", "replications"), ("smooth", "pick_minimum"), ("break", "n_harmonics"),
+                ("smooth", "n_harmonics"), ("smooth", "mcv_k"), ("break", "trim_fraction")
+                } <= checked
         for bandwidth in ("0", "-0.1"):
             out = tmp_path / f"bandwidth{bandwidth}"
             assert run(["--out", str(out), "smooth", "--input", toy_csv,
@@ -268,6 +275,54 @@ class TestArtifacts:
         assert reported == change_ci(slope_cis(series, fit, cfg))
         default_fit = estimate_break(series, n_harmonics=0)
         assert reported != change_ci(slope_cis(series, default_fit, cfg))
+
+    def test_every_report_names_its_inputs(self, toy_csv, fit_json, tmp_path):
+        # Walk the group: each report names its --input or --fit file with the
+        # file's SHA-256, and carries B and the seed exactly when its command
+        # has --B.
+        files = {"input_path": ("input", toy_csv), "fit_path": ("fit", fit_json)}
+        reported = set()
+        for name, command in cli.commands.items():
+            params = {p.name: p for p in command.params}
+            sources = params.keys() & files.keys()
+            if not sources:  # mc: a table and a meta file, no report
+                continue
+            (source,) = sources
+            key, path = files[source]
+            args = [params[source].opts[0], path]
+            if "n_boot" in params:
+                args += ["--B", "9"]
+            if name == "smooth":
+                args += ["--bandwidth", "0.08"]
+            out = tmp_path / name
+            assert run(["--out", str(out), "--seed", "4", name, *args]) == 0
+            report = json.loads((out / f"{name}_report.json").read_text())
+            par = report["parameters"]
+            assert report["command"] == name
+            assert par[key] == Path(path).name
+            assert par[f"{key}_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            other = "fit" if key == "input" else "input"
+            assert other not in par and f"{other}_sha256" not in par
+            if "n_boot" in params:
+                assert (par["B"], par["seed"]) == (9, 4)
+            else:
+                assert not {"B", "seed"} & par.keys()
+            reported.add(name)
+        assert reported == set(cli.commands) - {"mc"}
+
+    def test_p_values_carry_their_monte_carlo_error(self, toy_csv, fit_json, tmp_path):
+        # sqrt(p (1 - p) / B) of each p-value, from the report's own p and B.
+        found = set()
+        for name, args in (("break", ["--input", toy_csv]), ("lintest", ["--fit", fit_json]),
+                           ("monotest", ["--fit", fit_json])):
+            assert run(["--out", str(tmp_path), name, *args, "--B", "19"]) == 0
+            report = json.loads((tmp_path / f"{name}_report.json").read_text())
+            B, res = report["parameters"]["B"], report["results"]
+            for key in [k for k in res if k.endswith("_mc_se")]:
+                p = res[key.removesuffix("_mc_se")]
+                assert res[key] == pytest.approx(math.sqrt(p * (1.0 - p) / B), rel=1e-14)
+                found.add(key)
+        assert found == {"p_value_mc_se", "p_ave_mc_se", "p_sup_mc_se", "p1_mc_se", "p2_mc_se"}
 
     def test_mc_panel_table(self, tmp_path):
         assert run(["--out", str(tmp_path), "--seed", "1", "mc", "--panel", "B",

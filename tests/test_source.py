@@ -44,11 +44,12 @@ def test_no_unused_imports(module):
 REPLICATE_DRAWS = {"draw_multipliers", "bootstrap_errors"}
 
 
-def draws_outside_runner(source: str, runner: str | None = "run_replicates") -> list[str]:
-    """Reads of ``draw_multipliers`` or ``bootstrap_errors`` in ``source``
-    outside the top-level function ``runner``: a call, or the function
-    handed on to be called elsewhere. Imports and ``__all__`` strings are
-    not reads."""
+def draws_outside_runner(source: str, runner: str | None = "run_replicates",
+                         names: set[str] = REPLICATE_DRAWS) -> list[str]:
+    """Reads of any of ``names`` (by default ``draw_multipliers`` and
+    ``bootstrap_errors``) in ``source`` outside the top-level function
+    ``runner``: a call, or the function handed on to be called elsewhere.
+    Imports and ``__all__`` strings are not reads."""
     tree = ast.parse(source)
     inside = {id(node) for top in tree.body
               if isinstance(top, ast.FunctionDef) and top.name == runner
@@ -57,7 +58,7 @@ def draws_outside_runner(source: str, runner: str | None = "run_replicates") -> 
     for node in ast.walk(tree):
         name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                 else node.attr if isinstance(node, ast.Attribute) else None)
-        if name in REPLICATE_DRAWS and id(node) not in inside:
+        if name in names and id(node) not in inside:
             found.append((node.lineno, node.col_offset, name))
     return [f"{name} (line {line})" for line, _, name in sorted(found)]
 
@@ -84,6 +85,26 @@ def test_multipliers_drawn_only_in_the_replicate_runner(module):
     # package comes from awb.run_replicates.
     runner = "run_replicates" if module == "awb.py" else None
     assert draws_outside_runner((SOURCE / module).read_text(), runner) == []
+
+
+def test_guard_flags_a_hash_outside_the_report_writer():
+    planted = (
+        "def _sha256(path):\n"
+        "    return path\n"
+        "def _write_report(ctx):\n"
+        "    return _sha256(ctx.params['input_path'])\n"
+        "def ingest(ctx, input_path):\n"
+        "    return {'input_sha256': _sha256(input_path)}, cli._sha256\n"
+    )
+    assert draws_outside_runner(planted, "_write_report", {"_sha256"}) == [
+        "_sha256 (line 6)", "_sha256 (line 6)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
+def test_files_hashed_only_in_the_report_writer(module):
+    # One report writer: the input or fit file hash of every report comes
+    # from cli._write_report, which reads the file name off the parsed flags.
+    assert draws_outside_runner((SOURCE / module).read_text(), "_write_report", {"_sha256"}) == []
 
 
 GENERATORS = {"Philox", "Generator"}
