@@ -10,7 +10,6 @@ a Monte Carlo harness that validates all of it on synthetic data.
 from .awb import (
     AwbConfig,
     BootstrapTest,
-    bootstrap_errors,
     default_gamma,
     dependence_length,
     draw_multipliers,
@@ -102,7 +101,6 @@ __all__ = [
     "SmoothTransitionSpec",
     "TrendAnchor",
     "bandwidth_grid",
-    "bootstrap_errors",
     "break_analysis",
     "break_ci",
     "break_test",

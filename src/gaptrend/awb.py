@@ -1,8 +1,9 @@
 """Autoregressive wild bootstrap engine.
 
 Every inference procedure in the package shares this machinery: an AR(1)
-multiplier process with unit marginal variance, masked bootstrap errors,
-and a replicate runner whose output is deterministic for a given seed no
+multiplier process with unit marginal variance, and one replicate runner
+that builds every replicate series, the base on observed days (0 on the
+others) plus multiplier times residual, deterministic for a given seed no
 matter how the replicates are scheduled. Multipliers come from a
 counter-based generator keyed by (seed, replicate id), so replicate b is
 the same whether it runs first, last, serially, or on a worker thread;
@@ -26,6 +27,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .exceptions import ReplicateError
+from .series import ObservedSeries
 
 DEFAULT_THETA = 0.1
 DEFAULT_N_BOOT = 999
@@ -158,29 +160,19 @@ def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> np.ndarr
     return buf[:n_time]
 
 
-def bootstrap_errors(
-    residuals: np.ndarray, mask: np.ndarray, multipliers: np.ndarray
-) -> np.ndarray:
-    """Masked wild-bootstrap errors: mask * multiplier * residual."""
-    residuals = np.asarray(residuals, dtype=np.float64)
-    mask = np.asarray(mask)
-    if residuals.shape != mask.shape or residuals.shape != multipliers.shape:
-        raise ValueError("residuals, mask, and multipliers must share one length")
-    return mask * multipliers * residuals
-
-
 def run_replicates(
     cfg: AwbConfig,
     base: np.ndarray,
-    residuals: np.ndarray,
-    mask: np.ndarray,
+    residuals: ObservedSeries,
     statistic: Callable[[np.ndarray], object],
 ) -> np.ndarray:
     """Evaluate ``statistic`` on the replicate series of ids 0..B-1.
 
-    Replicate b is the series ``base + bootstrap_errors(residuals, mask,
-    xi_b)`` with ``xi_b`` the multiplier path of id b; this is the only
-    place a multiplier path is drawn and a replicate series built. A
+    Replicate b is the series ``where(mask, base, 0) + xi_b * residuals``,
+    ``xi_b`` the multiplier path of id b and the residuals, an
+    ``ObservedSeries``, 0 on unobserved days. This is the only place a
+    multiplier path is drawn and a replicate series built; the base is
+    masked, and its length checked, once before the first draw. A
     (k, T) ``base`` is a stack of k bases: each replicate draws its path
     once and hands the statistic the (k, T) stack of series, row j formed
     exactly as the 1-D call on ``base[j]`` forms its series. The
@@ -194,10 +186,13 @@ def run_replicates(
     different shape raises ``ValueError``. A statistic failure is
     re-raised as ``ReplicateError`` carrying the replicate id.
     """
-    n_time = base.shape[-1]
+    n_time = len(residuals)
+    if base.shape[-1] != n_time:
+        raise ValueError(f"base has length {base.shape[-1]}, the residuals {n_time}")
+    base = np.where(residuals.mask == 1, base, 0.0)
 
     def one(b: int) -> object:
-        series = base + bootstrap_errors(residuals, mask, draw_multipliers(cfg, n_time, b))
+        series = base + draw_multipliers(cfg, n_time, b) * residuals.values
         try:
             return statistic(series)
         except Exception as exc:  # noqa: BLE001 - re-raised with context

@@ -347,13 +347,13 @@ def _replicate_pass(series: ObservedSeries, fit: BrokenTrendFit, cfg: AwbConfig,
     pair of ``passes``: each replicate draws its multiplier path once, and
     each draw scans that path's series on its base. Returns (B, n) draws,
     the columns of every pair in order."""
-    u_hat = series.mask * (series.values - fit.fitted_values())
+    u_hat = series.with_values(series.values - fit.fitted_values())
 
     def statistic(ys: np.ndarray) -> list:
         return [v for (_, draw), y in zip(passes, ys) for v in draw(fit.scan, y)]
 
     bases = np.stack([base for base, _ in passes])
-    return run_replicates(cfg, bases, u_hat, series.mask, statistic)
+    return run_replicates(cfg, bases, u_hat, statistic)
 
 
 def _date_ci(fit: BrokenTrendFit, draws: np.ndarray, level: float) -> BreakDateCi:

@@ -78,13 +78,15 @@ def _clean(obj):
 def _write_report(ctx: click.Context, params: dict, results: dict) -> None:
     """Write ``<command>_report.json`` for the running subcommand: its own
     ``params`` plus the provenance every report shares, read off the parsed
-    flags (name and SHA-256 of the ``--input`` or ``--fit`` file; B and the
-    group's seed when the command has ``--B``), and its ``results``."""
+    flags (name and SHA-256 of the ``--input`` or ``--fit`` file, plus the
+    ``--input`` CSV's column names; B and the group's seed when the command
+    has ``--B``), and its ``results``."""
     flags = ctx.params
     shared = {}
     for flag, key in (("input_path", "input"), ("fit_path", "fit")):
         if flag in flags:
             shared.update({key: Path(flags[flag]).name, f"{key}_sha256": _sha256(flags[flag])})
+    shared.update({k: flags[k] for k in ("date_column", "value_column") if k in flags})
     if "n_boot" in flags:
         shared.update(B=flags["n_boot"], seed=ctx.obj["seed"])
     report = {
@@ -213,12 +215,16 @@ def _interval_to_positions(series: ObservedSeries, spec: str) -> tuple[int, int]
     return max(lo, 1), min(hi, len(series))
 
 
-# Flags whose spelling differs from the underlying parameter name.
-_FLAG_PARAM_NAMES = {"B": "n_boot", "lambda": "trim_fraction", "input": "input_path"}
+def _param_name(command: click.Command | None, flag: str) -> str | None:
+    """Name of the parameter ``command`` reads from ``--<flag>``, if any."""
+    return next((p.name for p in getattr(command, "params", ()) if isinstance(p, click.Option)
+                 and p.expose_value and f"--{flag}" in p.opts), None)
 
 
 def _load_config(ctx: click.Context, _param: click.Parameter, value: str | None):
-    """Flat key = value file feeding default_map; flags override file values."""
+    """Flat key = value file feeding default_map; flags override file values.
+    A key is a flag without its dashes, ``seed`` or ``subcommand.flag``
+    (``break.B``); any other key is a usage error naming its file and line."""
     if value is None:
         return None
     defaults: dict[str, dict] = {}
@@ -228,14 +234,13 @@ def _load_config(ctx: click.Context, _param: click.Parameter, value: str | None)
             continue
         if "=" not in line:
             raise click.UsageError(f"{value}:{line_no}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        parts = key.strip().split(".")
-        target = defaults
-        for part in parts[:-1]:
-            target = target.setdefault(part, {})
-        leaf = parts[-1]
-        leaf = _FLAG_PARAM_NAMES.get(leaf, leaf.replace("-", "_"))
-        target[leaf] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        *sub, flag = key.split(".")
+        command = ctx.command.commands.get(sub[0]) if sub else ctx.command
+        name = _param_name(command, flag) if len(sub) <= 1 else None
+        if name is None:
+            raise click.UsageError(f"{value}:{line_no}: unknown config key {key!r}")
+        (defaults.setdefault(sub[0], {}) if sub else defaults)[name] = val
     ctx.default_map = defaults
     return value
 
@@ -247,7 +252,7 @@ def _load_config(ctx: click.Context, _param: click.Parameter, value: str | None)
 @click.group()
 @click.option("--config", type=click.Path(exists=True), callback=_load_config,
               is_eager=True, expose_value=False,
-              help="Flat key = value file; keys mirror flags (subcommand.flag).")
+              help="Flat key = value file; keys are flags (seed, subcommand.flag).")
 @click.option("--out", envvar="GAPTREND_OUT", default="gaptrend_out",
               show_default=True, help="Output directory for reports and data files.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Bootstrap seed.")
@@ -287,7 +292,7 @@ def ingest(ctx, input_path: str, date_column: str, value_column: str) -> None:
     series, summary = ingest_csv(input_path, date_column, value_column)
     write_canonical_csv(series, str(ctx.obj["out"] / "canonical.csv"))
     _write_report(
-        ctx, {"date_column": date_column, "value_column": value_column},
+        ctx, {},
         {
             "n_grid": summary.n_grid,
             "n_observed": summary.n_observed,

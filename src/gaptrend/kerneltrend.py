@@ -254,15 +254,15 @@ class BandResult:
     pointwise_upper: np.ndarray
 
 
-def pilot_residuals(eps: ObservedSeries, h: float) -> tuple[np.ndarray, np.ndarray]:
+def pilot_residuals(eps: ObservedSeries, h: float) -> tuple[np.ndarray, ObservedSeries]:
     """Oversmoothed pilot fit at bandwidth 0.5 * h^(5/9) and its residuals.
 
-    Returns (pilot values, residuals), the residuals zero at unobserved
-    positions. Every bootstrap of the kernel trend and the shape tests
+    Returns (pilot values on every position, residuals on ``eps``'s grid
+    and mask). Every bootstrap of the kernel trend and the shape tests
     resamples these residuals.
     """
     pilot = nw_smoother(eps.mask, pilot_bandwidth(h))(eps.values)
-    return pilot, np.where(eps.mask == 1, eps.values - pilot, 0.0)
+    return pilot, eps.with_values(eps.values - pilot)
 
 
 def trend_bootstrap_paths(
@@ -273,15 +273,14 @@ def trend_bootstrap_paths(
     """Bootstrap deviations of the trend re-estimates from an oversmoothed pilot.
 
     Residuals are taken from the pilot fit at bandwidth 0.5 * h^(5/9);
-    replicate series are rebuilt as mask * (pilot + multiplier * residual)
-    and re-smoothed at the original bandwidth.
+    replicate series are rebuilt on the pilot by ``run_replicates`` and
+    re-smoothed at the original bandwidth.
 
     Returns the (B, T) matrix of replicate trend estimates minus the
     pilot, the pilot subtracted in place.
     """
     pilot, u_hat = pilot_residuals(eps, fit.h)
-    pilot_masked = np.where(eps.mask == 1, pilot, 0.0)
-    deviations = run_replicates(cfg, pilot_masked, u_hat, eps.mask, nw_smoother(eps.mask, fit.h))
+    deviations = run_replicates(cfg, pilot, u_hat, nw_smoother(eps.mask, fit.h))
     deviations -= pilot
     return deviations
 

@@ -276,11 +276,8 @@ def _run_cell(
         cfg = bootstrap_config(design, draw)  # a bad B is the caller's fault, not the draw's
         try:
             result = outcome(simulate_series(design, draw), cfg)
-        except _DRAW_ERRORS:
-            fails += 1
-            continue
-        except ReplicateError as exc:
-            if not isinstance(exc.__cause__, _DRAW_ERRORS):
+        except (*_DRAW_ERRORS, ReplicateError) as exc:
+            if isinstance(exc, ReplicateError) and not isinstance(exc.__cause__, _DRAW_ERRORS):
                 raise
             fails += 1
             continue

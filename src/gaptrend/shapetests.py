@@ -154,8 +154,7 @@ def extremum_ci(
             return int(np.nanargmin(g_star) if kind == "min" else np.nanargmax(g_star)) + 1
         return nearest_extremum(cands, t_ext)
 
-    locs = run_replicates(cfg, np.where(eps.mask == 1, pilot, 0.0), u_hat, eps.mask,
-                          position).astype(np.int64)
+    locs = run_replicates(cfg, pilot, u_hat, position).astype(np.int64)
     a = 1.0 - level
     lo, hi = (int(empirical_quantile(locs, q)) for q in (a / 2.0, 1.0 - a / 2.0))
     return ExtremumResult(
@@ -248,7 +247,6 @@ def linearity_test(
 
     composite = fit.g_hat.copy()
     composite[window] = line
-    composite_masked = np.where(eps.mask == 1, composite, 0.0)
     _, u_hat = pilot_residuals(eps, fit.h)
     smooth = nw_smoother(eps.mask, fit.h)
 
@@ -258,7 +256,7 @@ def linearity_test(
         ave, sup, _, _ = gap_stats(eps_star, g_star, pin_star)
         return ave, sup
 
-    stats = run_replicates(cfg, composite_masked, u_hat, eps.mask, statistic)
+    stats = run_replicates(cfg, composite, u_hat, statistic)
     return ShapeTestResult(
         ave=bootstrap_test(q_ave, stats[:, 0], alpha),
         sup=bootstrap_test(q_sup, stats[:, 1], alpha),
@@ -531,7 +529,7 @@ def monotonicity_tests(
         return float(p1.max()), float(p2.max())
 
     # The null trend is zero: no decreasing segment.
-    stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, eps.mask, statistic)
+    stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, statistic)
     return MonotonicityResult(
         sign=bootstrap_test(u1, stats[:, 0], alpha),
         magnitude=bootstrap_test(u2, stats[:, 1], alpha),

@@ -16,7 +16,6 @@ from scipy import signal, stats
 from gaptrend import (
     AwbConfig,
     ReplicateError,
-    bootstrap_errors,
     default_gamma,
     dependence_length,
     draw_multipliers,
@@ -24,6 +23,8 @@ from gaptrend import (
     run_replicates,
 )
 from gaptrend import awb
+
+from conftest import make_series, random_masked_series
 
 
 class TestGammaDefault:
@@ -214,7 +215,7 @@ class TestMultiplierRecursion:
             return draw_multipliers(AwbConfig(seed=seed, gamma=rekey_gamma(n)), n, b)
 
         shuffled = random.Random(5).sample(cases, len(cases))
-        ones = np.ones(T)
+        ones = make_series(np.ones(T))
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
@@ -222,7 +223,7 @@ class TestMultiplierRecursion:
                 # A cold cache lets the threads race to build the weights.
                 awb._ar1_factors.cache_clear()
                 threaded = AwbConfig(seed=12, n_boot=12, threads=threads)
-                out = run_replicates(threaded, np.zeros(T), ones, ones, lambda y: y.copy())
+                out = run_replicates(threaded, np.zeros(T), ones, lambda y: y.copy())
                 assert np.array_equal(out, np.array(forward))
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     paths = list(pool.map(draw, shuffled))
@@ -244,29 +245,18 @@ class TestMultiplierRecursion:
                 arr[0] = 0.0
 
 
-class TestBootstrapErrors:
-    def test_trivial_cases(self):
-        xi = draw_multipliers(AwbConfig(seed=1, gamma=0.5), 4, 0)
-        assert np.all(bootstrap_errors(np.zeros(4), np.ones(4), xi) == 0.0)
-        assert np.all(bootstrap_errors(np.ones(4), np.zeros(4), xi) == 0.0)
-
-    def test_direct_product(self):
-        xi = np.array([0.5, -2.0])
-        out = bootstrap_errors(np.array([1.0, 1.0]), np.array([1, 1]), xi)
-        assert out.tolist() == [0.5, -2.0]
-
-    def test_length_mismatch(self):
-        xi = draw_multipliers(AwbConfig(seed=1, gamma=0.5), 4, 0)
-        with pytest.raises(ValueError, match="length"):
-            bootstrap_errors(np.zeros(5), np.ones(5), xi)
+def replicate_oracle(cfg, base, residuals, b):
+    """Replicate b built by hand: the base on observed days, 0 elsewhere,
+    plus the multiplier path of id b times the residuals."""
+    xi = draw_multipliers(cfg, len(residuals), b)
+    return np.where(residuals.mask == 1, base, 0.0) + xi * residuals.values
 
 
 class TestRunReplicates:
     @staticmethod
     def run(cfg, n_time, statistic):
         """Replicate series equal to the multiplier paths themselves."""
-        ones = np.ones(n_time)
-        return run_replicates(cfg, np.zeros(n_time), ones, ones, statistic)
+        return run_replicates(cfg, np.zeros(n_time), make_series(np.ones(n_time)), statistic)
 
     def test_constant_kernel(self):
         cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
@@ -285,14 +275,42 @@ class TestRunReplicates:
                 self.run(cfg, 8, kernel)
 
     def test_replicate_series_is_base_plus_masked_errors(self, rng):
-        # Oracle: each replicate rebuilt from its own multiplier path.
+        # Oracle: each replicate rebuilt from its own multiplier path. The
+        # base is unmasked, NaN included, so the runner's own masking shows.
         cfg = AwbConfig(seed=4, gamma=0.6, n_boot=6)
-        base, residuals = rng.normal(size=20), rng.normal(size=20)
-        mask = (rng.random(20) < 0.6).astype(np.uint8)
-        out = run_replicates(cfg, base, residuals, mask, lambda y: y.copy())
+        residuals = random_masked_series(rng, 20)
+        base = rng.normal(size=20)
+        base[residuals.mask == 0] = np.nan
+        out = run_replicates(cfg, base, residuals, lambda y: y.copy())
+        assert not np.isnan(out).any()
         for b in range(cfg.n_boot):
-            expected = base + mask * draw_multipliers(cfg, 20, b) * residuals
-            assert np.array_equal(out[b], expected)
+            assert out[b].tobytes() == replicate_oracle(cfg, base, residuals, b).tobytes()
+
+    def test_stacked_replicate_series_are_masked_bases_plus_errors(self, rng):
+        # Oracle: row j of every replicate rebuilt by hand on base[j].
+        cfg = AwbConfig(seed=5, gamma=0.6, n_boot=5)
+        residuals = random_masked_series(rng, 23)
+        base = rng.normal(size=(3, 23))
+        out = run_replicates(cfg, base, residuals, lambda ys: ys.copy())
+        for b in range(cfg.n_boot):
+            for j in range(3):
+                expected = replicate_oracle(cfg, base[j], residuals, b)
+                assert out[b, j].tobytes() == expected.tobytes()
+
+    def test_zero_residuals_give_the_masked_base(self):
+        cfg = AwbConfig(seed=1, gamma=0.5, n_boot=3)
+        mask = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+        out = run_replicates(cfg, np.arange(1.0, 6.0), make_series(np.zeros(5), mask),
+                             lambda y: y.copy())
+        assert out.tolist() == [[1.0, 0.0, 3.0, 4.0, 0.0]] * 3
+
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (4,), (2, 4)],
+                             ids=["longer", "stacked-longer", "shorter", "stacked-shorter"])
+    def test_base_of_another_length_fails_before_any_draw(self, shape, multiplier_draws):
+        cfg = AwbConfig(seed=1, gamma=0.5, n_boot=3)
+        with pytest.raises(ValueError, match="base has length"):
+            run_replicates(cfg, np.zeros(shape), make_series(np.ones(5)), lambda y: 0.0)
+        assert multiplier_draws == []
 
     @pytest.mark.parametrize("threads", [1, 3])
     def test_stacked_bases_match_one_dimensional_calls(self, rng, threads, multiplier_draws):
@@ -300,17 +318,16 @@ class TestRunReplicates:
         # bit, and each replicate draws its multiplier path once.
         cfg = AwbConfig(seed=6, gamma=0.7, n_boot=7, threads=threads)
         T = 37  # odd, so row 1 of the stack starts off a 16-byte boundary
-        base, residuals = rng.normal(size=(3, T)), rng.normal(size=T)
-        mask = (rng.random(T) < 0.6).astype(np.uint8)
-        stacked = run_replicates(cfg, base, residuals, mask, lambda ys: ys.copy())
+        base, residuals = rng.normal(size=(3, T)), random_masked_series(rng, T)
+        stacked = run_replicates(cfg, base, residuals, lambda ys: ys.copy())
         assert stacked.shape == (cfg.n_boot, 3, T)
         assert sorted(multiplier_draws) == list(range(cfg.n_boot))
-        dots = run_replicates(cfg, base, residuals, mask,
+        dots = run_replicates(cfg, base, residuals,
                               lambda ys: [float(y[:-1] @ y[1:]) for y in ys])
         for j in range(3):
-            single = run_replicates(cfg, base[j], residuals, mask, lambda y: y.copy())
+            single = run_replicates(cfg, base[j], residuals, lambda y: y.copy())
             assert np.array_equal(stacked[:, j], single)
-            single_dots = run_replicates(cfg, base[j], residuals, mask,
+            single_dots = run_replicates(cfg, base[j], residuals,
                                          lambda y: float(y[:-1] @ y[1:]))
             assert np.array_equal(dots[:, j], single_dots)
 

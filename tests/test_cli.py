@@ -14,11 +14,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 
 import gaptrend
-from gaptrend.cli import cli, load_fit_artifact, run
+from gaptrend.cli import _load_config, cli, load_fit_artifact, run
 
 
 @pytest.fixture(scope="module")
@@ -278,9 +279,12 @@ class TestArtifacts:
 
     def test_every_report_names_its_inputs(self, toy_csv, fit_json, tmp_path):
         # Walk the group: each report names its --input or --fit file with the
-        # file's SHA-256, and carries B and the seed exactly when its command
-        # has --B.
-        files = {"input_path": ("input", toy_csv), "fit_path": ("fit", fit_json)}
+        # file's SHA-256, the date and value columns read from an --input CSV,
+        # and carries B and the seed exactly when its command has --B.
+        renamed = tmp_path / "renamed.csv"
+        lines = Path(toy_csv).read_text().splitlines()
+        renamed.write_text("\n".join(["day,level", *lines[1:]]) + "\n")
+        files = {"input_path": ("input", str(renamed)), "fit_path": ("fit", fit_json)}
         reported = set()
         for name, command in cli.commands.items():
             params = {p.name: p for p in command.params}
@@ -290,6 +294,8 @@ class TestArtifacts:
             (source,) = sources
             key, path = files[source]
             args = [params[source].opts[0], path]
+            if key == "input":
+                args += ["--date-column", "day", "--value-column", "level"]
             if "n_boot" in params:
                 args += ["--B", "9"]
             if name == "smooth":
@@ -303,6 +309,9 @@ class TestArtifacts:
             assert par[f"{key}_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
             other = "fit" if key == "input" else "input"
             assert other not in par and f"{other}_sha256" not in par
+            columns = {k: par[k] for k in ("date_column", "value_column") if k in par}
+            assert columns == ({"date_column": "day", "value_column": "level"}
+                               if key == "input" else {})
             if "n_boot" in params:
                 assert (par["B"], par["seed"]) == (9, 4)
             else:
@@ -352,6 +361,56 @@ class TestArtifacts:
         rep = json.loads((out / "smooth_report.json").read_text())
         assert rep["parameters"]["bandwidth"] == 0.08
         assert rep["parameters"]["B"] == 19
+
+
+class TestConfig:
+    def write(self, tmp_path, *lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# settings\n" + "".join(f"{line}\n" for line in lines))
+        return str(cfg)
+
+    def test_every_flag_is_a_key(self, tmp_path):
+        # Walk every option of the group and of every subcommand: the key is
+        # the flag without its dashes and sets the parameter behind it.
+        commands = {None: cli, **cli.commands}
+        lines, expected = [], {}
+        for name, command in commands.items():
+            for param in command.params:
+                if param.name == "config":
+                    continue
+                for opt in param.opts:
+                    key = opt.removeprefix("--") if name is None else f"{name}.{opt[2:]}"
+                    lines.append(f"{key} = {key}!")
+                    target = expected if name is None else expected.setdefault(name, {})
+                    target[param.name] = f"{key}!"
+        assert {"break.B", "break.lambda", "break.fourier", "break.input", "smooth.date-column",
+                "extremum.fit", "smooth.svg", "seed"} <= {line.split(" = ")[0] for line in lines}
+        ctx = click.Context(cli)
+        _load_config(ctx, None, self.write(tmp_path, *lines))
+        assert ctx.default_map == expected
+
+    def test_keys_reach_the_report(self, toy_csv, tmp_path):
+        cfg = self.write(tmp_path, "seed = 4", "break.fourier = 1", "break.lambda = 0.2",
+                         "break.B = 9", f"break.input = {toy_csv}")
+        assert run(["--config", cfg, "--out", str(tmp_path), "break"]) == 0
+        par = json.loads((tmp_path / "break_report.json").read_text())["parameters"]
+        assert (par["seed"], par["fourier"], par["lambda"], par["B"]) == (4, 1, 0.2, 9)
+        assert par["input"] == Path(toy_csv).name
+
+    def test_key_supplies_a_required_flag(self, fit_json, tmp_path):
+        cfg = self.write(tmp_path, f"extremum.fit = {fit_json}", "extremum.B = 9")
+        assert run(["--config", cfg, "--out", str(tmp_path), "extremum"]) == 0
+        par = json.loads((tmp_path / "extremum_report.json").read_text())["parameters"]
+        assert (par["fit"], par["B"]) == ("trend_fit.json", 9)
+
+    @pytest.mark.parametrize("key", ["break.lamda", "brake.B", "lamda", "break.B.x",
+                                     "break.n_boot", "smooth.no-svg", "config", "break.help"])
+    def test_unknown_key_exits_2(self, key, toy_csv, tmp_path, capsys):
+        cfg = self.write(tmp_path, f"{key} = 1")
+        out = tmp_path / "out"
+        assert run(["--config", cfg, "--out", str(out), "break", "--input", toy_csv]) == 2
+        assert f"{cfg}:2: unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -41,15 +41,15 @@ def test_no_unused_imports(module):
     assert unused_imports((SOURCE / module).read_text()) == []
 
 
-REPLICATE_DRAWS = {"draw_multipliers", "bootstrap_errors"}
+REPLICATE_DRAWS = {"draw_multipliers"}
 
 
 def draws_outside_runner(source: str, runner: str | None = "run_replicates",
                          names: set[str] = REPLICATE_DRAWS) -> list[str]:
-    """Reads of any of ``names`` (by default ``draw_multipliers`` and
-    ``bootstrap_errors``) in ``source`` outside the top-level function
-    ``runner``: a call, or the function handed on to be called elsewhere.
-    Imports and ``__all__`` strings are not reads."""
+    """Reads of any of ``names`` (by default ``draw_multipliers``) in
+    ``source`` outside the top-level function ``runner``: a call, or the
+    function handed on to be called elsewhere. Imports and ``__all__``
+    strings are not reads."""
     tree = ast.parse(source)
     inside = {id(node) for top in tree.body
               if isinstance(top, ast.FunctionDef) and top.name == runner
@@ -65,18 +65,17 @@ def draws_outside_runner(source: str, runner: str | None = "run_replicates",
 
 def test_guard_flags_a_draw_outside_the_runner():
     planted = (
-        "from .awb import bootstrap_errors, draw_multipliers\n"
-        "def run_replicates(cfg):\n"
-        "    return bootstrap_errors(1, 1, draw_multipliers(cfg, 2, 0))\n"
+        "from .awb import draw_multipliers\n"
+        "def run_replicates(cfg, base, residuals):\n"
+        "    return base + draw_multipliers(cfg, 2, 0) * residuals.values\n"
         "def statistic(cfg):\n"
         "    return awb.draw_multipliers(cfg, 2, 1)\n"
-        "draw = bootstrap_errors\n"
+        "draw = draw_multipliers\n"
     )
     assert draws_outside_runner(planted) == ["draw_multipliers (line 5)",
-                                             "bootstrap_errors (line 6)"]
+                                             "draw_multipliers (line 6)"]
     assert draws_outside_runner(planted, runner=None) == [
-        "bootstrap_errors (line 3)", "draw_multipliers (line 3)",
-        "draw_multipliers (line 5)", "bootstrap_errors (line 6)"]
+        "draw_multipliers (line 3)", "draw_multipliers (line 5)", "draw_multipliers (line 6)"]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
