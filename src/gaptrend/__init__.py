@@ -55,7 +55,6 @@ from .mcharness import (
 )
 from .seasonal import SeasonalFit, deseasonalize, fit_seasonal, fourier_design
 from .series import (
-    IngestSummary,
     ObservedSeries,
     ingest_csv,
     write_canonical_csv,
@@ -71,7 +70,6 @@ from .shapetests import (
     monotonicity_tests,
     trend_minimum,
     u_stat_bandwidth,
-    u_stat_profiles,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +82,6 @@ __all__ = [
     "BreakTestResult",
     "BrokenTrendFit",
     "ExtremumResult",
-    "IngestSummary",
     "KernelTrendFit",
     "LinearTrendSpec",
     "McDesign",
@@ -134,6 +131,5 @@ __all__ = [
     "trend_minimum",
     "trimming_set",
     "u_stat_bandwidth",
-    "u_stat_profiles",
     "write_canonical_csv",
 ]

@@ -266,9 +266,14 @@ class BootstrapTest:
 
     @property
     def mc_error(self) -> float:
-        """Monte Carlo standard error of the p-value, sqrt(p (1 - p) / B) over
-        the B draws (Davidson & MacKinnon 2000, Econometric Reviews)."""
-        return math.sqrt(self.p_value * (1.0 - self.p_value) / self.draws.shape[0])
+        """Monte Carlo standard error of the p-value over the B draws."""
+        return mc_error(self.p_value, self.draws.shape[0])
+
+
+def mc_error(p: float, n: int) -> float:
+    """Monte Carlo standard error sqrt(p (1 - p) / n) of a rate p estimated
+    from n independent draws (Davidson & MacKinnon 2000, Econometric Reviews)."""
+    return math.sqrt(p * (1.0 - p) / n)
 
 
 def bootstrap_test(statistic: float, draws: np.ndarray, alpha: float) -> BootstrapTest:

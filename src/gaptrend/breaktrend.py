@@ -30,7 +30,7 @@ from .awb import (
 )
 from .exceptions import SingularDesignError
 from .seasonal import SeasonalFit, fourier_design
-from .series import ObservedSeries
+from .series import DAYS_PER_YEAR, ObservedSeries
 
 DEFAULT_TRIM_FRACTION = 0.1
 
@@ -67,9 +67,9 @@ def trimming_set(n_time: int, fraction: float = DEFAULT_TRIM_FRACTION) -> np.nda
 class BrokenTrendFit:
     """Joint fit of intercept, slopes, break position, and seasonal pattern.
 
-    ``beta`` and ``delta`` are per grid step; multiply by 365.25 (or divide
-    by the series grid_step) for per-year rates. The fitted trend is
-    continuous at ``break_index`` by construction of the hinge regressor.
+    ``beta`` and ``delta`` are per grid step (one day); multiply by 365.25
+    for per-year rates. The fitted trend is continuous at ``break_index`` by
+    construction of the hinge regressor.
     ``scan`` is the candidate scan the fit was chosen on; bootstrap
     intervals rescan its candidates.
     """
@@ -141,8 +141,9 @@ class SlopeCis:
     slope_after: ParamCi
     level: float
 
-    def per_year(self, grid_step: float) -> dict[str, ParamCi]:
-        s = 1.0 / grid_step
+    def per_year(self) -> dict[str, ParamCi]:
+        """The three slope intervals per year: per day times 365.25."""
+        s = DAYS_PER_YEAR
         out = {}
         for name in ("slope_before", "slope_change", "slope_after"):
             ci: ParamCi = getattr(self, name)

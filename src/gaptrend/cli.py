@@ -1,13 +1,13 @@
 """Command-line front end: ingestion, analysis subcommands, report emission.
 
-Every subcommand but ``mc`` writes one self-describing JSON report through
+Every subcommand writes one self-describing JSON report through
 ``_write_report`` (tool version, command, parameters with the shared
-provenance read off the parsed flags, results) plus CSV data files, so any
-number in a report can be regenerated from the command line alone. Reports
-and data files are byte-identical across runs and thread counts for a fixed
-seed. ``mc`` writes its long-format table and a meta file whose
-``runtime_seconds`` is wall-clock time, the one output that differs between
-runs. All numerical work happens in the library modules.
+provenance read off the parsed flags, results) plus CSV data files, each
+written by ``series.write_csv``, so any number in a report can be
+regenerated from the command line alone. Every output file is
+byte-identical across runs and thread counts for a fixed seed; wall-clock
+time goes only to the console. All numerical work happens in the library
+modules.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .kerneltrend import (
 )
 from .mcharness import PANEL_FIELDS, run_panel
 from .seasonal import deseasonalize, fit_seasonal
-from .series import ObservedSeries, ingest_csv, write_canonical_csv
+from .series import ObservedSeries, ingest_csv, series_columns, write_canonical_csv, write_csv
 from .shapetests import (
     extremum_ci,
     linearity_test,
@@ -106,22 +106,6 @@ def _test_keys(test: BootstrapTest, statistic: str, critical_value: str, p_value
             p_value: test.p_value, f"{p_value}_mc_se": test.mc_error}
 
 
-def _write_csv(out_dir: Path, name: str, columns: dict[str, list[str]]) -> None:
-    """Write equal-length string columns under their names as ``name``."""
-    rows = map(",".join, zip(*columns.values(), strict=True))
-    (out_dir / name).write_text("\n".join([",".join(columns), *rows]) + "\n")
-
-
-def _series_columns(series: ObservedSeries, observed: str) -> dict[str, list[str]]:
-    """The ``date`` column of ``series``'s grid and its values under the name
-    ``observed``, blank on days without an observation."""
-    return {
-        "date": [series.date_at(i).isoformat() for i in range(1, len(series) + 1)],
-        observed: [repr(v) if m else ""
-                   for v, m in zip(series.values.tolist(), series.mask.tolist())],
-    }
-
-
 def _float_column(values: np.ndarray) -> list[str]:
     return [repr(v) if math.isfinite(v) else "" for v in values.tolist()]
 
@@ -159,18 +143,19 @@ def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.
 def _series_payload(series: ObservedSeries) -> dict:
     return {
         "t0": series.t0.isoformat(),
-        "grid_step": series.grid_step,
         "values": [float(v) if m else None for v, m in zip(series.values, series.mask)],
         "mask": series.mask.tolist(),
     }
 
 
 def _series_from_payload(payload: dict) -> ObservedSeries:
+    """The series of a payload; a ``grid_step`` key, written by older
+    versions, is ignored (the grid is always one position per day)."""
     import datetime as dt
 
     mask = np.asarray(payload["mask"], dtype=np.uint8)
     values = np.array([0.0 if v is None else float(v) for v in payload["values"]])
-    return ObservedSeries(values, mask, dt.date.fromisoformat(payload["t0"]), payload["grid_step"])
+    return ObservedSeries(values, mask, dt.date.fromisoformat(payload["t0"]))
 
 
 def _write_fit_artifact(out_dir: Path, eps: ObservedSeries, fit: KernelTrendFit) -> Path:
@@ -289,21 +274,21 @@ def _with_input(fn):
 @click.pass_context
 def ingest(ctx, input_path: str, date_column: str, value_column: str) -> None:
     """Read a CSV onto the daily grid and write the canonical form."""
-    series, summary = ingest_csv(input_path, date_column, value_column)
+    series = ingest_csv(input_path, date_column, value_column)
     write_canonical_csv(series, str(ctx.obj["out"] / "canonical.csv"))
     _write_report(
         ctx, {},
         {
-            "n_grid": summary.n_grid,
-            "n_observed": summary.n_observed,
-            "observed_fraction": summary.observed_fraction,
-            "first_date": summary.first_date.isoformat(),
-            "last_date": summary.last_date.isoformat(),
+            "n_grid": len(series),
+            "n_observed": series.n_observed,
+            "observed_fraction": series.observed_fraction,
+            "first_date": series.t0.isoformat(),
+            "last_date": series.date_at(len(series)).isoformat(),
             "canonical_csv": "canonical.csv",
         },
     )
-    click.echo(f"{summary.n_observed} observed days on a {summary.n_grid}-day grid "
-               f"({summary.observed_fraction:.1%})")
+    click.echo(f"{series.n_observed} observed days on a {len(series)}-day grid "
+               f"({series.observed_fraction:.1%})")
 
 
 @cli.command(name="break")
@@ -320,21 +305,21 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
               n_boot, level, alpha, theta) -> None:
     """Broken-trend analysis: break test, date interval, slope intervals."""
     out_dir: Path = ctx.obj["out"]
-    series, _ = ingest_csv(input_path, date_column, value_column)
+    series = ingest_csv(input_path, date_column, value_column)
     cfg = _awb_config(ctx, theta=theta)
     trim = trimming_set(len(series), trim_fraction)
 
     result, ci = break_analysis(series, trim, cfg, n_harmonics, alpha, level)
     test, fit = result.test, result.fit
     slopes = ci.slopes
-    per_year = slopes.per_year(series.grid_step)
+    per_year = slopes.per_year()
 
     date, lower, upper = (series.date_at(i).isoformat()
                           for i in (fit.break_index, ci.lower_index, ci.upper_index))
 
     trend = fit.trend_values()
-    _write_csv(out_dir, "break_trend.csv", {
-        **_series_columns(series, "observed"), "trend": _float_column(trend),
+    write_csv(out_dir / "break_trend.csv", {
+        **series_columns(series, "observed"), "trend": _float_column(trend),
         "trend_plus_seasonal": _float_column(trend + fit.seasonal.fitted),
     })
 
@@ -383,7 +368,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
            mcv_grid, mcv_k, n_harmonics, n_boot, level, svg) -> None:
     """Kernel trend with simultaneous confidence bands on deseasonalized data."""
     out_dir: Path = ctx.obj["out"]
-    series, _ = ingest_csv(input_path, date_column, value_column)
+    series = ingest_csv(input_path, date_column, value_column)
     seasonal = fit_seasonal(series, n_harmonics=n_harmonics)
     eps = deseasonalize(series, seasonal)
 
@@ -393,7 +378,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         raise ValueError(f"--mcv-grid must be lo:hi:step, got {mcv_grid!r}") from None
     scan = mcv_scan(eps, bandwidth_grid(lo, hi, step), mcv_k)
     minima_set = set(scan.local_minima.tolist())
-    _write_csv(out_dir, "mcv_scores.csv", {
+    write_csv(out_dir / "mcv_scores.csv", {
         "bandwidth": [repr(h) for h in scan.grid.tolist()],
         "score": [repr(s) for s in scan.scores.tolist()],
         "is_local_minimum": [str(int(i in minima_set)) for i in range(scan.grid.size)],
@@ -417,8 +402,8 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
     curves = {"trend": fit.g_hat, "pointwise_lower": bands.pointwise_lower,
               "pointwise_upper": bands.pointwise_upper, "simultaneous_lower": bands.lower,
               "simultaneous_upper": bands.upper}
-    _write_csv(out_dir, "trend_bands.csv", {
-        **_series_columns(eps, "deseasonalized"),
+    write_csv(out_dir / "trend_bands.csv", {
+        **series_columns(eps, "deseasonalized"),
         **{name: _float_column(arr) for name, arr in curves.items()},
     })
     if svg:
@@ -533,23 +518,14 @@ def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
 @click.pass_context
 def mc(ctx, panel, replications, n_boot) -> None:
     """Synthetic-data validation panels; emits a long-format results table."""
-    out_dir: Path = ctx.obj["out"]
-    started = time.time()
-    rows = run_panel(panel.upper(), replications, n_boot, ctx.obj["seed"])
-    name = f"panel_{panel.upper()}.csv"
-    _write_csv(out_dir, name, {f: [str(r[f]) for r in rows] for f in PANEL_FIELDS})
-    meta = {
-        "panel": panel.upper(),
-        "replications": replications,
-        "B": n_boot,
-        "seed": ctx.obj["seed"],
-        "table": name,
-        "runtime_seconds": round(time.time() - started, 3),
-    }
-    (out_dir / f"panel_{panel.upper()}_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    )
-    click.echo(f"panel {panel.upper()}: {len(rows)} result rows -> {name}")
+    panel = panel.upper()
+    started = time.perf_counter()
+    rows = run_panel(panel, replications, n_boot, ctx.obj["seed"])
+    name = f"panel_{panel}.csv"
+    write_csv(ctx.obj["out"] / name, {f: [str(r[f]) for r in rows] for f in PANEL_FIELDS})
+    _write_report(ctx, {"panel": panel, "replications": replications}, {"table": name})
+    click.echo(f"panel {panel}: {len(rows)} result rows -> {name} "
+               f"({time.perf_counter() - started:.1f} s)")
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .awb import (AwbConfig, basic_interval, check_rate, dependence_length, quantile_row,
-                  run_replicates)
+from .awb import (AwbConfig, basic_interval, check_rate, dependence_length, mc_error,
+                  quantile_row, run_replicates)
 from .series import ObservedSeries
 
 
@@ -364,11 +364,11 @@ def confidence_bands(
     # keeps it; read while the two (B, T) matrices were alive, those lines
     # raised the smooth command's peak RSS by 8 MB at T=12000, B=149.
     del deviations, ordered
-    mc_error = np.sqrt(level * (1.0 - level) / n_boot)
-    if abs(coverage - level) > mc_error:
+    error = mc_error(level, n_boot)
+    if abs(coverage - level) > error:
         warnings.warn(
             f"joint coverage {coverage:.3f} misses {level:g} by more than its Monte Carlo "
-            f"error {mc_error:.3f} at the closest admissible rate {alpha_s:.4g}",
+            f"error {error:.3f} at the closest admissible rate {alpha_s:.4g}",
             stacklevel=2,
         )
     return BandResult(

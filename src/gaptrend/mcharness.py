@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .awb import AwbConfig, _stream
+from .awb import AwbConfig, _stream, mc_error
 from .breaktrend import break_ci, break_test, estimate_break, trimming_set
 from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS, ReplicateError
 from .kerneltrend import nw_estimate
@@ -258,7 +258,7 @@ def _estimate(values: list) -> tuple[float, float]:
     x = np.asarray(values)
     if x.dtype == bool:
         p = int(x.sum()) / n
-        return p, float(np.sqrt(p * (1.0 - p) / n))
+        return p, mc_error(p, n)
     x = x.astype(np.float64)
     return float(x.mean()), float(x.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
 

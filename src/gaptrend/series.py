@@ -1,10 +1,13 @@
-"""Daily-grid time series with an observed/missing mask, plus CSV ingestion.
+"""Daily-grid time series with an observed/missing mask, plus CSV in and out.
 
 The container keeps every calendar day between the first and last date on a
-fixed daily grid. Days without an observation are carried with ``mask == 0``
-and 0.0 in ``values``, whatever placeholder the caller gave; downstream
-arithmetic multiplies by the mask or reads the observed positions, so
-nothing is ever imputed.
+fixed daily grid, one day per position. Days without an observation are
+carried with ``mask == 0`` and 0.0 in ``values``, whatever placeholder the
+caller gave; downstream arithmetic multiplies by the mask or reads the
+observed positions, so nothing is ever imputed. The series is the one record
+of its grid: length, observed count, first and last date are read off it.
+Every CSV the package writes goes through ``write_csv``, with a series'
+dates and values encoded by ``series_columns``.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 DAYS_PER_YEAR = 365.25
-DEFAULT_GRID_STEP = 1.0 / DAYS_PER_YEAR
+# Grid spacing in fractional years; one position per day.
+GRID_STEP = 1.0 / DAYS_PER_YEAR
 
 
 @dataclass(frozen=True)
@@ -32,14 +37,11 @@ class ObservedSeries:
         uint8 array of length T; 1 where the day has an observation.
     t0 : datetime.date
         Calendar date of grid position 1.
-    grid_step : float
-        Grid spacing in fractional years (365.25 days per year).
     """
 
     values: np.ndarray
     mask: np.ndarray
     t0: dt.date
-    grid_step: float = DEFAULT_GRID_STEP
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -60,8 +62,6 @@ class ObservedSeries:
         values = np.where(mask == 1, values, 0.0)
         if not np.isfinite(values).all():
             raise ValueError("observed values must be finite")
-        if not self.grid_step > 0:
-            raise ValueError("grid_step must be positive")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
@@ -79,7 +79,7 @@ class ObservedSeries:
     def calendar_years(self) -> np.ndarray:
         """Calendar time of each grid position in fractional years."""
         start = self.t0.year + (self.t0.timetuple().tm_yday - 1) / DAYS_PER_YEAR
-        return start + np.arange(len(self), dtype=np.float64) * self.grid_step
+        return start + np.arange(len(self), dtype=np.float64) * GRID_STEP
 
     def date_at(self, position: int) -> dt.date:
         """Calendar date of a 1-based grid position in 1..T."""
@@ -93,16 +93,7 @@ class ObservedSeries:
 
     def with_values(self, values: np.ndarray) -> "ObservedSeries":
         """Same grid and mask, new values (masked positions stored as 0.0)."""
-        return ObservedSeries(values, self.mask, self.t0, self.grid_step)
-
-
-@dataclass(frozen=True)
-class IngestSummary:
-    n_grid: int
-    n_observed: int
-    observed_fraction: float
-    first_date: dt.date
-    last_date: dt.date
+        return ObservedSeries(values, self.mask, self.t0)
 
 
 def _parse_date(text: str, row_number: int) -> dt.date:
@@ -127,7 +118,7 @@ def ingest_csv(
     path: str,
     date_column: str = "date",
     value_column: str = "value",
-) -> tuple[ObservedSeries, IngestSummary]:
+) -> ObservedSeries:
     """Read a CSV of dated measurements onto a complete daily grid.
 
     Multiple rows falling on one calendar date are averaged into a daily
@@ -148,7 +139,7 @@ def ingest_csv(
 
     Returns
     -------
-    (ObservedSeries, IngestSummary)
+    ObservedSeries
 
     Raises
     ------
@@ -201,15 +192,23 @@ def ingest_csv(
         values[pos] = total / counts[day]
         mask[pos] = 1
 
-    series = ObservedSeries(values, mask, span_min)
-    summary = IngestSummary(
-        n_grid=T,
-        n_observed=series.n_observed,
-        observed_fraction=series.observed_fraction,
-        first_date=span_min,
-        last_date=span_max,
-    )
-    return series, summary
+    return ObservedSeries(values, mask, span_min)
+
+
+def series_columns(series: ObservedSeries, name: str) -> dict[str, list[str]]:
+    """The ``date`` column of ``series``'s grid and its values under ``name``,
+    with full round-trip precision and blank on days without an observation."""
+    return {
+        "date": [series.date_at(i).isoformat() for i in range(1, len(series) + 1)],
+        name: [repr(v) if m else ""
+               for v, m in zip(series.values.tolist(), series.mask.tolist())],
+    }
+
+
+def write_csv(path: str | Path, columns: dict[str, list[str]]) -> None:
+    """Write equal-length string columns under their names; lines end in LF alone."""
+    rows = map(",".join, zip(*columns.values(), strict=True))
+    Path(path).write_text("\n".join([",".join(columns), *rows]) + "\n")
 
 
 def write_canonical_csv(series: ObservedSeries, path: str) -> None:
@@ -219,13 +218,5 @@ def write_canonical_csv(series: ObservedSeries, path: str) -> None:
     days get an empty value field. Ingesting the file reproduces the
     series bit for bit.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "value", "observed"])
-        for i in range(len(series)):
-            day = series.t0 + dt.timedelta(days=i)
-            if series.mask[i]:
-                writer.writerow([day.isoformat(), repr(float(series.values[i])), 1])
-            else:
-                writer.writerow([day.isoformat(), "", 0])
-
+    write_csv(path, {**series_columns(series, "value"),
+                     "observed": [str(m) for m in series.mask.tolist()]})

@@ -468,35 +468,12 @@ class MonotonicityResult:
     interval: tuple[int, int]
 
 
-def _pairwise_setup(
-    eps: ObservedSeries, interval: tuple[int, int], h_u: float | None
-) -> tuple[tuple[int, int], float, np.ndarray, UStatEngine]:
-    """Checked interval, bandwidth, observed positions and engine of the pairwise tests."""
-    T = len(eps)
-    lo, hi = int(interval[0]), int(interval[1])
-    if not (1 <= lo <= hi <= T):
-        raise ValueError("interval outside the sample")
-    if h_u is None:
-        h_u = u_stat_bandwidth(T)
-    obs_pos = np.flatnonzero(eps.mask == 1)
-    return (lo, hi), h_u, obs_pos, UStatEngine(obs_pos, np.arange(lo - 1, hi), T, h_u)
-
-
-def u_stat_profiles(
-    eps: ObservedSeries, interval: tuple[int, int], h_u: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise-test profiles at every grid position of ``interval`` (1-based)."""
-    _, _, obs_pos, engine = _pairwise_setup(eps, interval, h_u)
-    return engine.profiles(eps.values[obs_pos])
-
-
 def monotonicity_tests(
     eps: ObservedSeries,
     interval: tuple[int, int],
     cfg: AwbConfig | None = None,
     *,
     h: float,
-    h_u: float | None = None,
     alpha: float = 0.05,
 ) -> MonotonicityResult:
     """Bootstrap tests of a monotonically increasing trend over ``interval``.
@@ -512,13 +489,18 @@ def monotonicity_tests(
     interval : (int, int)
         1-based inclusive grid range to test.
     h : float
-        Trend bandwidth whose oversmoothed pilot supplies the residuals.
-    h_u : float, optional
-        Pairwise-test bandwidth; defaults to 0.5 * T^(-1/5).
+        Trend bandwidth whose oversmoothed pilot supplies the residuals. The
+        pairwise sums use the bandwidth ``u_stat_bandwidth(T)``.
     """
     check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
-    interval, h_u, obs_pos, engine = _pairwise_setup(eps, interval, h_u)
+    T = len(eps)
+    lo, hi = int(interval[0]), int(interval[1])
+    if not (1 <= lo <= hi <= T):
+        raise ValueError("interval outside the sample")
+    h_u = u_stat_bandwidth(T)
+    obs_pos = np.flatnonzero(eps.mask == 1)
+    engine = UStatEngine(obs_pos, np.arange(lo - 1, hi), T, h_u)
     prof1, prof2 = engine.profiles(eps.values[obs_pos])
     u1, u2 = float(prof1.max()), float(prof2.max())
 
@@ -534,5 +516,5 @@ def monotonicity_tests(
         sign=bootstrap_test(u1, stats[:, 0], alpha),
         magnitude=bootstrap_test(u2, stats[:, 1], alpha),
         h_u=float(h_u),
-        interval=interval,
+        interval=(lo, hi),
     )

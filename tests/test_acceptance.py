@@ -28,7 +28,6 @@ from gaptrend import (
     nw_estimate,
     trimming_set,
     u_stat_bandwidth,
-    u_stat_profiles,
 )
 from gaptrend.mcharness import (
     SIGMA_ETA_BREAK_PANELS,
@@ -43,7 +42,7 @@ from gaptrend.mcharness import (
 from conftest import make_series, random_masked_series
 from test_breaktrend import kinked_line, naive_fit, naive_scan
 from test_kerneltrend import isolated_v_series, naive_mcv, naive_nw
-from test_shapetests import naive_u_profiles
+from test_shapetests import naive_u_profiles, u_stat_profiles
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -341,15 +340,13 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
         assert run(base + ["monotest", "--fit", fit, "--B", "49"]) == 0
         assert run(base + ["mc", "--panel", "D", "--replications", "2", "--B", "19"]) == 0
 
-    names = [
-        "ingest_report.json", "canonical.csv", "break_report.json", "break_trend.csv",
-        "smooth_report.json", "trend_bands.csv", "mcv_scores.csv", "trend_fit.json",
-        "trend_bands.svg", "mcv_scores.svg", "extremum_report.json",
-        "lintest_report.json", "monotest_report.json", "panel_D.csv",
-    ]
+    # Every file each run wrote, with no exclusions.
+    listings = [sorted(p.name for p in out.iterdir()) for out in outs]
+    names = sorted(set().union(*listings))
     mismatched = [
         name for name in names
-        if not ((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        if any(name not in listing for listing in listings)
+        or not ((outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
                 == (outs[2] / name).read_bytes())
     ]
     # The p-values must also be meaningful, not vacuously equal.
@@ -358,6 +355,6 @@ def test_criterion_9_cli_byte_determinism(tmp_path):
     ok = not mismatched and sane
     report(
         9, ok,
-        "all reports byte-identical across two runs and a threaded run"
+        f"all {len(names)} output files byte-identical across two runs and a threaded run"
         + (f"; mismatches: {mismatched}" if mismatched else ""),
     )

@@ -432,6 +432,7 @@ class TestBootstrapTest:
         # Two of four draws reach 0.6: p = 3/5, and sqrt(3/5 * 2/5 / 4) = sqrt(0.06).
         test = awb.bootstrap_test(0.6, np.array([0.1, 0.5, 0.9, 2.0]), 0.05)
         assert (test.p_value, test.mc_error) == (0.6, pytest.approx(0.24494897427831781))
+        assert test.mc_error == awb.mc_error(0.6, 4)
         # Above all 999 draws: p = 1/1000, and sqrt(1/1000 * 999/1000 / 999) = 1/1000.
         top = awb.bootstrap_test(1000.0, np.arange(999.0), 0.05)
         assert (top.p_value, top.mc_error) == (0.001, pytest.approx(0.001, rel=1e-14))

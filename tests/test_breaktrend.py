@@ -464,7 +464,7 @@ class TestSlopeCis:
         cis = slope_cis(series, fit, AwbConfig(seed=4, n_boot=49))
         assert cis.slope_before.upper < 0.0
         assert cis.slope_after.lower > 0.0
-        per_year = cis.per_year(series.grid_step)
+        per_year = cis.per_year()
         assert per_year["slope_before"].estimate == pytest.approx(fit.beta * 365.25)
 
     @pytest.mark.slow

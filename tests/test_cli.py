@@ -143,10 +143,20 @@ class TestExitCodes:
                         "--input", toy_csv]) == 2
 
     def test_ingest_ok(self, toy_csv, tmp_path):
+        # The report's values are read off the ingested series itself.
         assert run(["--out", str(tmp_path), "ingest", "--input", toy_csv]) == 0
-        report = json.loads((tmp_path / "ingest_report.json").read_text())
-        assert report["results"]["n_grid"] == 420
+        res = json.loads((tmp_path / "ingest_report.json").read_text())["results"]
+        assert res["n_grid"] == 420
         assert (tmp_path / "canonical.csv").exists()
+        series = gaptrend.ingest_csv(toy_csv)
+        assert res == {
+            "n_grid": len(series),
+            "n_observed": series.n_observed,
+            "observed_fraction": series.observed_fraction,
+            "first_date": series.t0.isoformat(),
+            "last_date": series.date_at(len(series)).isoformat(),
+            "canonical_csv": "canonical.csv",
+        }
 
 
 class TestArtifacts:
@@ -241,7 +251,7 @@ class TestArtifacts:
         from gaptrend import breaktrend, ingest_csv, trimming_set
 
         monkeypatch.setattr(breaktrend, "_SCHUR_RTOL", 1e-3)
-        series, _ = ingest_csv(toy_csv)
+        series = ingest_csv(toy_csv)
         with pytest.warns(UserWarning, match="skipped") as caught:
             scan = breaktrend.BreakScan(series.mask, series.calendar_years(),
                                         trimming_set(len(series)), 3)
@@ -264,13 +274,13 @@ class TestArtifacts:
         reported = json.loads((tmp_path / "break_report.json").read_text())
         reported = reported["results"]["slopes_per_year"]["slope_change"]["ci"]
 
-        series, _ = ingest_csv(data)
+        series = ingest_csv(data)
         trim = trimming_set(len(series), 0.3)
         fit = estimate_break(series, trim, n_harmonics=0)
         cfg = AwbConfig(seed=5, n_boot=199)
 
         def change_ci(cis):
-            ci = cis.per_year(series.grid_step)["slope_change"]
+            ci = cis.per_year()["slope_change"]
             return [ci.lower, ci.upper]
 
         assert reported == change_ci(slope_cis(series, fit, cfg))
@@ -278,9 +288,10 @@ class TestArtifacts:
         assert reported != change_ci(slope_cis(series, default_fit, cfg))
 
     def test_every_report_names_its_inputs(self, toy_csv, fit_json, tmp_path):
-        # Walk the group: each report names its --input or --fit file with the
-        # file's SHA-256, the date and value columns read from an --input CSV,
-        # and carries B and the seed exactly when its command has --B.
+        # Walk the group: each report names its --input or --fit file (mc has
+        # neither) with the file's SHA-256, the date and value columns read
+        # from an --input CSV, and carries B and the seed exactly when its
+        # command has --B.
         renamed = tmp_path / "renamed.csv"
         lines = Path(toy_csv).read_text().splitlines()
         renamed.write_text("\n".join(["day,level", *lines[1:]]) + "\n")
@@ -289,11 +300,12 @@ class TestArtifacts:
         for name, command in cli.commands.items():
             params = {p.name: p for p in command.params}
             sources = params.keys() & files.keys()
-            if not sources:  # mc: a table and a meta file, no report
-                continue
-            (source,) = sources
-            key, path = files[source]
-            args = [params[source].opts[0], path]
+            if sources:
+                (source,) = sources
+                key, path = files[source]
+                args = [params[source].opts[0], path]
+            else:
+                key, args = None, ["--panel", "B", "--replications", "1"]
             if key == "input":
                 args += ["--date-column", "day", "--value-column", "level"]
             if "n_boot" in params:
@@ -305,10 +317,11 @@ class TestArtifacts:
             report = json.loads((out / f"{name}_report.json").read_text())
             par = report["parameters"]
             assert report["command"] == name
-            assert par[key] == Path(path).name
-            assert par[f"{key}_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
-            other = "fit" if key == "input" else "input"
-            assert other not in par and f"{other}_sha256" not in par
+            if key is not None:
+                assert par[key] == Path(path).name
+                assert par[f"{key}_sha256"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+            others = {"input", "fit"} - {key}
+            assert not {k for o in others for k in (o, f"{o}_sha256")} & par.keys()
             columns = {k: par[k] for k in ("date_column", "value_column") if k in par}
             assert columns == ({"date_column": "day", "value_column": "level"}
                                if key == "input" else {})
@@ -317,7 +330,7 @@ class TestArtifacts:
             else:
                 assert not {"B", "seed"} & par.keys()
             reported.add(name)
-        assert reported == set(cli.commands) - {"mc"}
+        assert reported == set(cli.commands)
 
     def test_p_values_carry_their_monte_carlo_error(self, toy_csv, fit_json, tmp_path):
         # sqrt(p (1 - p) / B) of each p-value, from the report's own p and B.
@@ -339,9 +352,45 @@ class TestArtifacts:
         table = (tmp_path / "panel_B.csv").read_text().splitlines()
         assert table[0].startswith("panel,T,missing")
         assert len(table) > 1
-        meta = json.loads((tmp_path / "panel_B_meta.json").read_text())
-        assert meta["panel"] == "B"
-        assert "runtime_seconds" in meta
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mc_report.json", "panel_B.csv"]
+        report = json.loads((tmp_path / "mc_report.json").read_text())
+        assert report["command"] == "mc"
+        assert report["parameters"] == {"panel": "B", "replications": 2, "B": 19, "seed": 1}
+        assert report["results"] == {"table": "panel_B.csv"}
+
+    def test_every_csv_has_newline_line_ends(self, toy_csv, tmp_path):
+        base = ["--out", str(tmp_path), "--seed", "2"]
+        assert run(base + ["ingest", "--input", toy_csv]) == 0
+        assert run(base + ["break", "--input", toy_csv, "--B", "9"]) == 0
+        assert run(base + ["smooth", "--input", toy_csv, "--bandwidth", "0.08", "--B", "9"]) == 0
+        assert run(base + ["mc", "--panel", "B", "--replications", "1", "--B", "19"]) == 0
+        written = sorted(p.name for p in tmp_path.glob("*.csv"))
+        assert written == ["break_trend.csv", "canonical.csv", "mcv_scores.csv", "panel_B.csv",
+                           "trend_bands.csv"]
+        for name in written:
+            data = read(tmp_path / name)
+            assert b"\r" not in data, name
+            assert data.endswith(b"\n") and data.count(b"\n") == len(data.splitlines()), name
+
+    def test_fit_artifact_with_grid_step_key_still_loads(self, fit_json, tmp_path):
+        # Older versions wrote the series' grid step into the artifact.
+        payload = json.loads(Path(fit_json).read_text())
+        assert "grid_step" not in payload["series"]
+        payload["series"]["grid_step"] = 1.0 / 365.25
+        old = tmp_path / "old" / "trend_fit.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        results = []
+        for i, fit in enumerate((fit_json, str(old))):
+            out = tmp_path / f"run{i}"
+            assert run(["--out", str(out), "--seed", "3", "extremum", "--fit", fit,
+                        "--B", "19"]) == 0
+            results.append(json.loads((out / "extremum_report.json").read_text())["results"])
+        assert results[0] == results[1]
+        (eps, fit), (old_eps, old_fit) = load_fit_artifact(fit_json), load_fit_artifact(str(old))
+        assert old_eps.t0 == eps.t0 and np.array_equal(old_eps.mask, eps.mask)
+        assert np.array_equal(old_eps.values, eps.values)
+        assert np.array_equal(old_fit.g_hat, fit.g_hat, equal_nan=True) and old_fit.h == fit.h
 
     def test_mc_runs_serially_at_any_thread_count(self, tmp_path, monkeypatch):
         # The panel series are too short for a replicate pool to pay off.
@@ -428,17 +477,14 @@ class TestDeterminism:
             assert run(base + ["lintest", "--fit", fit, "--B", "39"]) == 0
             assert run(base + ["monotest", "--fit", fit, "--B", "39"]) == 0
             assert run(base + ["mc", "--panel", "B", "--replications", "2", "--B", "19"]) == 0
-        names = [
-            "ingest_report.json", "canonical.csv",
-            "break_report.json", "break_trend.csv",
-            "smooth_report.json", "trend_bands.csv", "mcv_scores.csv",
-            "trend_fit.json", "trend_bands.svg", "mcv_scores.svg",
-            "extremum_report.json", "lintest_report.json", "monotest_report.json",
-            "panel_B.csv",
-        ]
-        for name in names:
+        # Every file each run wrote, with no exclusions.
+        listings = [sorted(p.name for p in out.iterdir()) for out in outs]
+        assert listings[0] == listings[1] == listings[2]
+        for name in listings[0]:
             blobs = [read(out / name) for out in outs]
             assert blobs[0] == blobs[1] == blobs[2], f"{name} differs across runs"
+        assert {"canonical.csv", "trend_bands.svg", "mc_report.json", "panel_B.csv"} <= set(
+            listings[0])
 
     def test_seed_changes_results(self, toy_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -19,6 +19,8 @@ from gaptrend import (
     write_canonical_csv,
 )
 
+from gaptrend.series import GRID_STEP
+
 from conftest import make_series
 
 
@@ -31,12 +33,12 @@ class TestIngest:
     def test_duplicate_dates_average_and_gap_masked(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          ["2000-01-01,2.0", "2000-01-01,4.0", "2000-01-03,5.0"])
-        series, summary = ingest_csv(path)
+        series = ingest_csv(path)
         assert len(series) == 3
         assert series.mask.tolist() == [1, 0, 1]
         assert series.values[0] == 3.0
         assert series.values[2] == 5.0
-        assert summary.n_observed == 2
+        assert series.n_observed == 2
 
     def test_single_observed_day_rejected(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["2000-01-01,2.0", "2000-01-01,4.0"])
@@ -73,18 +75,17 @@ class TestIngest:
         plain = write_csv(tmp_path / "plain.csv", rows)
         bom = tmp_path / "bom.csv"
         bom.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
-        expected, expected_summary = ingest_csv(plain)
-        series, summary = ingest_csv(str(bom))
+        expected = ingest_csv(plain)
+        series = ingest_csv(str(bom))
         assert series.mask.tolist() == expected.mask.tolist() == [1, 0, 1]
         assert series.values.tolist() == expected.values.tolist()
         assert series.t0 == expected.t0
-        assert summary == expected_summary
 
     def test_sub_daily_timestamps_collapse_to_date(self, tmp_path):
         path = write_csv(tmp_path / "a.csv",
                          ["2000-01-01T06:00:00,2.0", "2000-01-01 18:30:00,4.0",
                           "2000-01-02,1.0"])
-        series, _ = ingest_csv(path)
+        series = ingest_csv(path)
         assert len(series) == 2
         assert series.values[0] == 3.0
 
@@ -92,9 +93,9 @@ class TestIngest:
         path = write_csv(tmp_path / "a.csv",
                          ["2020-01-01T23:30:00-05:00,2.0", "2020-01-02T01:00:00+09:00,4.0",
                           "2020-01-03T12:00:00Z,6.0"])
-        series, summary = ingest_csv(path)
-        assert summary.first_date == dt.date(2020, 1, 1)
-        assert summary.last_date == dt.date(2020, 1, 3)
+        series = ingest_csv(path)
+        assert series.t0 == dt.date(2020, 1, 1)
+        assert series.date_at(len(series)) == dt.date(2020, 1, 3)
         assert series.values.tolist() == [2.0, 4.0, 6.0]
 
     def test_observed_count_equals_distinct_dates(self, tmp_path, rng):
@@ -105,7 +106,7 @@ class TestIngest:
             rows.append(f"{day},{rng.normal():.6f}")
             if rng.random() < 0.3:
                 rows.append(f"{day},{rng.normal():.6f}")
-        series, _ = ingest_csv(write_csv(tmp_path / "a.csv", rows))
+        series = ingest_csv(write_csv(tmp_path / "a.csv", rows))
         assert series.n_observed == len(set(days))
 
     def test_station_shaped_file_observed_fraction(self, tmp_path, rng):
@@ -115,14 +116,15 @@ class TestIngest:
         picks = rng.choice(n_grid - 2, size=2933, replace=False) + 1
         days = sorted({0, n_grid - 1, *picks.tolist()})
         rows = [f"{(start + dt.timedelta(days=d)).isoformat()},1.0" for d in days]
-        series, summary = ingest_csv(write_csv(tmp_path / "big.csv", rows))
-        assert summary.n_observed == 2935
-        assert abs(summary.observed_fraction - 0.25) < 0.03
+        series = ingest_csv(write_csv(tmp_path / "big.csv", rows))
+        assert (len(series), series.n_observed) == (n_grid, 2935)
+        assert series.observed_fraction == 2935 / n_grid
+        assert abs(series.observed_fraction - 0.25) < 0.03
 
     def test_custom_column_names(self, tmp_path):
         path = write_csv(tmp_path / "a.csv", ["2000-01-01,7.0", "2000-01-04,8.0"],
                          header="when,amount")
-        series, _ = ingest_csv(path, date_column="when", value_column="amount")
+        series = ingest_csv(path, date_column="when", value_column="amount")
         assert len(series) == 4
         assert series.values[0] == 7.0
 
@@ -135,7 +137,7 @@ class TestCanonicalRoundTrip:
         series = make_series(rng.normal(0, 1e3, 90), mask)
         out = tmp_path / "canon.csv"
         write_canonical_csv(series, str(out))
-        back, _ = ingest_csv(str(out))
+        back = ingest_csv(str(out))
         assert back.t0 == series.t0
         assert np.array_equal(back.mask, series.mask)
         assert np.array_equal(back.values, series.values)
@@ -144,9 +146,17 @@ class TestCanonicalRoundTrip:
         series = make_series(rng.normal(size=30), (rng.random(30) < 0.7).astype(np.uint8) | 0)
         p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
         write_canonical_csv(series, str(p1))
-        back, _ = ingest_csv(str(p1))
+        back = ingest_csv(str(p1))
         write_canonical_csv(back, str(p2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    def test_exact_bytes(self, tmp_path):
+        # One row per grid day, a blank value on a missing day, \n line ends.
+        out = tmp_path / "canon.csv"
+        write_canonical_csv(make_series([1.5, 99.0, 0.1], [1, 0, 1]), str(out))
+        assert out.read_bytes() == (b"date,value,observed\n2000-01-01,1.5,1\n"
+                                    b"2000-01-02,,0\n2000-01-03,0.1,1\n")
 
 
 class TestContainer:
@@ -191,7 +201,8 @@ class TestContainer:
         series = make_series(np.arange(4.0))
         calendar = series.calendar_years()
         assert np.all(np.diff(calendar) > 0)
-        assert np.allclose(np.diff(calendar), series.grid_step)
+        assert np.allclose(np.diff(calendar), GRID_STEP)
+        assert np.allclose(np.diff(calendar) * 365.25, 1.0)
 
     def test_calendar_anchor(self):
         series = make_series(np.arange(3.0), t0=dt.date(2000, 1, 1))

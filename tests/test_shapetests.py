@@ -17,12 +17,22 @@ from gaptrend import (
     nw_estimate,
     trend_minimum,
     u_stat_bandwidth,
-    u_stat_profiles,
 )
 from gaptrend import shapetests
 from gaptrend.shapetests import TrendAnchor, nearest_extremum
 
 from conftest import gappy_series, make_series, random_masked_series, traced_peak
+
+
+def u_stat_profiles(series, interval, h_u=None):
+    """Pairwise-test profiles at every grid position of ``interval`` (1-based),
+    from a ``UStatEngine`` over the observed days, built as
+    ``monotonicity_tests`` builds it; ``h_u`` defaults to its bandwidth."""
+    T = len(series)
+    lo, hi = interval
+    obs = np.flatnonzero(series.mask == 1)
+    h_u = u_stat_bandwidth(T) if h_u is None else h_u
+    return shapetests.UStatEngine(obs, np.arange(lo - 1, hi), T, h_u).profiles(series.values[obs])
 
 
 def naive_u_profiles(obs_pos, y_obs, eval_pos, T, h_u):
