@@ -37,6 +37,15 @@ def _reach(h: float, n_time: int) -> int:
     return min(int(np.ceil(h * n_time)) - 1, n_time - 1)
 
 
+def window_bounds(obs: np.ndarray, centres: np.ndarray, h: float,
+                  n_time: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half-open bounds [lo, hi) of the ascending observed positions ``obs``
+    in the kernel window |o - t| < h*T of every centre t, read off the
+    integer reach, so no rounding of t +- h*T moves a bound."""
+    r = _reach(h, n_time)
+    return np.searchsorted(obs, centres - r), np.searchsorted(obs, centres + r, side="right")
+
+
 def _window_sums(x: np.ndarray, h: float, leave_out: int | None = None) -> np.ndarray:
     """Epanechnikov-weighted sums of ``x`` over the window around every grid position.
 
@@ -101,11 +110,9 @@ def nw_smoother(mask: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray
     itself, exactly, wherever it holds one.
     """
     T = mask.shape[0]
-    r = _reach(h, T)
     pos = np.flatnonzero(mask)
-    centres = np.arange(T)
-    first = np.searchsorted(pos, centres - r)
-    count = np.searchsorted(pos, centres + r, side="right") - first
+    first, end = window_bounds(pos, np.arange(T), h, T)
+    count = end - first
     undefined = count == 0
     single = np.flatnonzero(count == 1)
     source = pos[first[single]]

@@ -18,7 +18,7 @@ import numpy as np
 from .awb import (AwbConfig, BootstrapTest, bootstrap_test, check_rate, empirical_quantile,
                   run_replicates)
 from .exceptions import NoInteriorExtremumError
-from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals
+from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals, window_bounds
 from .series import ObservedSeries
 
 
@@ -270,17 +270,10 @@ def linearity_test(
 # Monotonicity tests
 
 
-# Band entries per pass of the sign computation: 2**15 float64 values
-# (256 KB) keep a pass in cache.
-_BAND_CHUNK = 1 << 15
-# Evaluation positions per block of the u2 coefficient matrix.
-_U2_BLOCK = 32
-
-
-def _windows(x: np.ndarray, width: int) -> np.ndarray:
-    """View of a contiguous 1-D array whose row i is ``x[i : i + width]``."""
-    step = x.strides[0]
-    return np.ndarray((x.shape[0] - width + 1, width), x.dtype, x, 0, (step, step))
+# Entries per dense block of the pairwise sums: 2**13 float64 values
+# (64 KB) keep a block in cache. Larger blocks read and store more of the
+# zeros outside each row's range.
+_BLOCK = 1 << 13
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +281,23 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, 
     owner = np.repeat(np.arange(counts.shape[0]), counts)
     offset = np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner]
     return starts[owner] + offset, owner
+
+
+def _dense_blocks(starts: np.ndarray, ends: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Consecutive dense blocks ``(r0, r1, c0, c1)`` over rows whose column
+    ranges ``[starts, ends)`` have ascending starts: rows r0..r1-1 read
+    columns c0..c1-1, which hold each of their ranges. A block has at most
+    ``_BLOCK`` entries, unless it is a single row wider than that."""
+    starts, ends = starts.tolist(), ends.tolist()
+    blocks, r0 = [], 0
+    while r0 < len(starts):
+        r1, c0, c1 = r0 + 1, starts[r0], ends[r0]
+        while r1 < len(starts) and (r1 + 1 - r0) * (max(c1, ends[r1]) - c0) <= _BLOCK:
+            c1 = max(c1, ends[r1])
+            r1 += 1
+        blocks.append((r0, r1, c0, c1))
+        r0 = r1
+    return blocks
 
 
 class UStatEngine:
@@ -303,7 +313,9 @@ class UStatEngine:
     u2 is linear in the values: sum_{i<j} (y_j - y_i) w_i w_j equals
     sum_k y_k w_k (2 C_k + w_k - W), with C_k the window weight before k
     and W the window total, so it is one product with a precomputed
-    coefficient matrix, stored in blocks of evaluation positions.
+    coefficient matrix. Both sums read the values in dense blocks
+    (``_dense_blocks``), each one matrix product; u2's rows are the
+    evaluation positions.
 
     u1 uses that the Epanechnikov weight is quadratic in position. With an
     integer origin c, x = o - c and tau = t - c, the weight is proportional
@@ -318,8 +330,11 @@ class UStatEngine:
     sign(y_partner - y_point) phi_partner over the event's band of
     partners. The origin restarts every h_u T positions, where the window's
     points are added in order; this keeps x and tau small against r, so
-    the quadratic form loses few digits. Only signs enter u1, and the band
-    sums of sign * o^p are exact integers in floating point (K T^2 < 2^53).
+    the quadratic form loses few digits. Only signs enter u1: the band sums
+    of sign * (1, o, o^2) come from dense blocks of the events sorted by
+    band start, a block's signs zeroed outside each band. Their partial sums
+    are integers below K T^2, exact in any order while K T^2 < 2^53; the
+    engine refuses a design past that bound.
     """
 
     def __init__(
@@ -330,34 +345,25 @@ class UStatEngine:
         h_u: float,
     ):
         """``obs_positions`` and ``eval_positions`` are ascending 0-based grid positions."""
-        if h_u <= 0:
-            raise ValueError("bandwidth must be positive")
         o = np.asarray(obs_positions, dtype=np.int64)
         t = np.asarray(eval_positions, dtype=np.int64)
         self.n_eval = n = t.shape[0]
         scale = -2.0 / (n_time * (n_time - 1.0))
         r = h_u * n_time
         # Window of position k: observed indices lo[k] <= i < hi[k].
-        lo = np.searchsorted(o, t - r, side="right")
-        hi = np.searchsorted(o, t + r, side="left")
+        lo, hi = window_bounds(o, t, h_u, n_time)
+        most = int((hi - lo).max()) if n else 0
+        if most * int(n_time) ** 2 >= 2**53:
+            raise ValueError(f"{most} points in one window of {n_time} days: sign sums pass 2^53")
 
-        # u2 coefficients, one (block, window) matrix per block of positions.
-        n_blocks = -(-n // _U2_BLOCK)
-        first = np.arange(n_blocks) * _U2_BLOCK
-        last = np.minimum(first + _U2_BLOCK, n) - 1
-        self._block_lo = lo[first]
-        self._span = span = max(int((hi[last] - lo[first]).max()), 1)
-        coef = np.zeros((n_blocks * _U2_BLOCK, span))
-        for b in range(n_blocks):
-            tb = t[first[b]: last[b] + 1]
-            ob = o[lo[first[b]]: hi[last[b]]]
-            z = (ob[None, :] - tb[:, None]) / n_time / h_u
+        # u2 coefficients, one (positions, points) matrix per dense block.
+        self._u2_blocks = []
+        for r0, r1, c0, c1 in _dense_blocks(lo, hi):
+            z = (o[c0:c1] - t[r0:r1, None]) / n_time / h_u
             w = np.maximum(0.75 * (1.0 - z * z), 0.0) / h_u
             before = np.cumsum(w, axis=1) - w
-            total = w.sum(axis=1, keepdims=True)
-            coef[first[b]: last[b] + 1, : ob.shape[0]] = w * (2.0 * before + w - total)
-        coef *= scale
-        self._u2_coef = coef.reshape(n_blocks, _U2_BLOCK, span)
+            coef = w * (2.0 * before + w - w.sum(axis=1, keepdims=True)) * scale
+            self._u2_blocks.append((r0, r1, c0, c1, coef))
 
         # u1 events. A segment starts where the origin restarts; there the
         # previous window counts as empty and every window point is added.
@@ -375,10 +381,10 @@ class UStatEngine:
         point = np.concatenate((leave, enter))
         at = np.concatenate((leave_at, enter_at))
         band_start = np.concatenate((leave + 1, lo[enter_at]))
-        band_len = np.concatenate((prev_hi[leave_at], enter)) - band_start
-        keep = np.flatnonzero(band_len > 0)
+        band_end = np.concatenate((prev_hi[leave_at], enter))
+        keep = np.flatnonzero(band_end > band_start)
         keep = keep[np.argsort(at[keep], kind="stable")]
-        point, at, band_start, band_len = point[keep], at[keep], band_start[keep], band_len[keep]
+        point, at, band_start, band_end = point[keep], at[keep], band_start[keep], band_end[keep]
 
         # M(t) is the sum of the events from its segment's start through t.
         self._through = np.searchsorted(at, np.arange(n), side="right")
@@ -394,49 +400,35 @@ class UStatEngine:
         form[hi - lo < 2] = 0.0  # no pair: exactly zero
         self._form = form
 
-        # Band passes run over events sorted by band length, in chunks; a
-        # chunk reads each band over its longest band's width, and the part
-        # past its shortest band is masked.
-        by_len = np.argsort(band_len, kind="stable")
-        self._time_order = np.argsort(by_len)
-        self._point = point[by_len]
-        self._band_start = band_start[by_len]
-        band_len = band_len[by_len]
-        width_max = int(band_len[-1]) if band_len.shape[0] else 1
-        rows = max(_BAND_CHUNK // width_max, 1)
-        self._pad = np.zeros(max(width_max, span))
-        pos = np.concatenate((o.astype(np.float64), self._pad))
-        pos2 = pos * pos
-        self._chunks = []
-        for e0 in range(0, band_len.shape[0], rows):
-            e1 = min(e0 + rows, band_len.shape[0])
-            full, width = int(band_len[e0]), int(band_len[e1 - 1])
-            tail = (np.arange(full, width) < band_len[e0:e1, None]).astype(np.float64)
-            self._chunks.append(
-                (e0, e1, width, full, tail, _windows(pos, width), _windows(pos2, width))
-            )
+        # Band sums run over the events sorted by band start, in dense blocks
+        # that keep their entries outside the bands and (1, o, o^2).
+        by_start = np.argsort(band_start, kind="stable")
+        self._time_order = np.argsort(by_start)
+        self._point = point[by_start]
+        band_start, band_end = band_start[by_start], band_end[by_start]
+        powers = np.stack((np.ones(o.shape[0]), o, o * o), axis=1)
+        self._u1_blocks = []
+        for r0, r1, c0, c1 in _dense_blocks(band_start, band_end):
+            cols = np.arange(c0, c1)
+            outside = (cols < band_start[r0:r1, None]) | (cols >= band_end[r0:r1, None])
+            self._u1_blocks.append((r0, r1, c0, c1, outside, powers[c0:c1]))
 
     def profiles(self, y_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sign-based and magnitude-based profiles at every evaluation position."""
-        y_pad = np.concatenate((y_obs, self._pad))
-        # A window's u2 coefficients sum to zero, so shifting its values by
-        # their first one changes nothing but the rounding.
-        yb = _windows(y_pad, self._span)[self._block_lo]
-        yb -= yb[:, :1]
-        u2 = np.matmul(self._u2_coef, yb[:, :, None]).reshape(-1)[: self.n_eval]
+        # A window's u2 coefficients sum to zero, so shifting a block's values
+        # by its first one changes nothing but the rounding.
+        u2 = np.empty(self.n_eval)
+        for r0, r1, c0, c1, coef in self._u2_blocks:
+            u2[r0:r1] = coef @ (y_obs[c0:c1] - y_obs[c0:c0 + 1])
 
         # Band sums of sign * o^p for p = 0, 1, 2.
         sums = np.empty((self._point.shape[0], 3))
         y_point = y_obs[self._point]
-        for e0, e1, width, full, tail, pos, pos2 in self._chunks:
-            start = self._band_start[e0:e1]
-            sgn = _windows(y_pad, width)[start]
-            sgn -= y_point[e0:e1, None]
+        for r0, r1, c0, c1, outside, powers in self._u1_blocks:
+            sgn = y_obs[c0:c1] - y_point[r0:r1, None]
             np.sign(sgn, out=sgn)
-            sgn[:, full:] *= tail
-            sums[e0:e1, 0] = sgn.sum(axis=1)
-            sums[e0:e1, 1] = np.einsum("ek,ek->e", sgn, pos[start])
-            sums[e0:e1, 2] = np.einsum("ek,ek->e", sgn, pos2[start])
+            np.copyto(sgn, 0.0, where=outside)
+            np.matmul(sgn, powers, out=sums[r0:r1])
 
         # D = band sums of sign * (1, x, x^2) about the segment origin c.
         d = sums[self._time_order]

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaptrend import (
     AwbConfig,
@@ -19,7 +21,7 @@ from gaptrend import (
     pointwise_bands,
     simultaneous_bands,
 )
-from gaptrend.kerneltrend import _window_sums
+from gaptrend.kerneltrend import _window_sums, window_bounds
 
 from conftest import gappy_series, make_series, random_masked_series, traced_peak
 
@@ -94,6 +96,32 @@ def direct_mcv(values, mask, h, k):
     if not ok.any():
         return np.inf
     return float(((num[ok] / den[ok] - values[ok]) ** 2).sum()) / T
+
+
+def check_window_bounds(obs, centres, h, T):
+    """``window_bounds`` against the brute-force rule |o - t| < h*T."""
+    lo, hi = window_bounds(obs, centres, h, T)
+    inside = np.abs(obs[None, :] - centres[:, None]) < h * T
+    index = np.arange(obs.shape[0])
+    np.testing.assert_array_equal((index >= lo[:, None]) & (index < hi[:, None]), inside)
+
+
+class TestWindowBounds:
+    # hT = 120 and 600 exactly, and 420 + 6e-14 for h = 0.035.
+    @pytest.mark.parametrize("h", [0.01, 0.035, 0.05, 0.25, 2.0])
+    def test_matches_brute_force_at_long_series(self, h):
+        T = 12000
+        rng = np.random.default_rng(T)
+        obs = np.flatnonzero(rng.random(T) < 0.3)
+        centres = np.unique(np.r_[0, T - 1, rng.integers(0, T, 400), obs[:100] + 120])
+        check_window_bounds(obs, centres, h, T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 800), st.floats(1e-3, 1.5))
+    def test_matches_brute_force(self, seed, T, h):
+        rng = np.random.default_rng(seed)
+        obs = np.flatnonzero(rng.random(T) < rng.uniform(0.05, 1.0))
+        check_window_bounds(obs, np.arange(T), h, T)
 
 
 class TestWindowSums:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +78,139 @@ def direct_u_profiles(obs_pos, y_obs, eval_pos, T, h_u):
         u1[k] = scale * (np.sign(diff) * ww).sum()
         u2[k] = scale * (diff * ww).sum()
     return u1, u2
+
+
+class ReferenceLayoutEngine:
+    """The pairwise engine in its former layout, kept as an oracle for the
+    dense blocks: u2 from fixed blocks of 32 evaluation positions padded to
+    the widest block's span, u1 band sums from the events sorted by band
+    length, read in chunks over the longest band of each chunk with the part
+    past the shortest band masked. Event construction and quadratic form
+    are those of ``UStatEngine``."""
+
+    CHUNK = 1 << 15
+    ROWS = 32
+
+    def __init__(self, o, t, n_time, h_u):
+        windows = np.lib.stride_tricks.sliding_window_view
+        self.n_eval = n = t.shape[0]
+        scale = -2.0 / (n_time * (n_time - 1.0))
+        r = h_u * n_time
+        lo = np.searchsorted(o, t - r, side="right")
+        hi = np.searchsorted(o, t + r, side="left")
+
+        n_blocks = -(-n // self.ROWS)
+        first = np.arange(n_blocks) * self.ROWS
+        last = np.minimum(first + self.ROWS, n) - 1
+        self.block_lo = lo[first]
+        self.span = span = max(int((hi[last] - lo[first]).max()), 1)
+        coef = np.zeros((n_blocks * self.ROWS, span))
+        for b in range(n_blocks):
+            tb = t[first[b]: last[b] + 1]
+            ob = o[lo[first[b]]: hi[last[b]]]
+            z = (ob[None, :] - tb[:, None]) / n_time / h_u
+            w = np.maximum(0.75 * (1.0 - z * z), 0.0) / h_u
+            before = np.cumsum(w, axis=1) - w
+            total = w.sum(axis=1, keepdims=True)
+            coef[first[b]: last[b] + 1, : ob.shape[0]] = w * (2.0 * before + w - total)
+        coef *= scale
+        self.u2_coef = coef.reshape(n_blocks, self.ROWS, span)
+
+        seg_len = max(int(r), 1)
+        seg = (t - t[0]) // seg_len
+        restart = np.ones(n, dtype=bool)
+        restart[1:] = seg[1:] != seg[:-1]
+        origin = t[0] + seg * seg_len + seg_len // 2
+        prev_lo = np.where(restart, lo, np.roll(lo, 1))
+        prev_hi = np.where(restart, lo, np.roll(hi, 1))
+        n_leave = np.maximum(np.minimum(lo, prev_hi) - prev_lo, 0)
+        first_enter = np.maximum(prev_hi, lo)
+        leave, leave_at = shapetests._concat_ranges(prev_lo, n_leave)
+        enter, enter_at = shapetests._concat_ranges(first_enter, hi - first_enter)
+        point = np.concatenate((leave, enter))
+        at = np.concatenate((leave_at, enter_at))
+        band_start = np.concatenate((leave + 1, lo[enter_at]))
+        band_len = np.concatenate((prev_hi[leave_at], enter)) - band_start
+        keep = np.flatnonzero(band_len > 0)
+        keep = keep[np.argsort(at[keep], kind="stable")]
+        point, at, band_start, band_len = point[keep], at[keep], band_start[keep], band_len[keep]
+        self.through = np.searchsorted(at, np.arange(n), side="right")
+        seg_first = np.searchsorted(at, np.flatnonzero(restart), side="left")
+        self.before = seg_first[np.cumsum(restart) - 1]
+        self.origin = origin[at].astype(np.float64)
+        x = (o[point] - origin[at]).astype(np.float64)
+        self.phi = np.stack((np.ones_like(x), x, x * x), axis=1)
+        tau = (t - origin).astype(np.float64)
+        a = np.stack((r * r - tau * tau, 2.0 * tau, -np.ones(n)), axis=1)
+        form = (a[:, :, None] * a[:, None, :]).reshape(n, 9)
+        form *= -scale * (0.75 / (h_u * r * r)) ** 2
+        form[hi - lo < 2] = 0.0
+        self.form = form
+
+        by_len = np.argsort(band_len, kind="stable")
+        self.time_order = np.argsort(by_len)
+        self.point = point[by_len]
+        self.band_start = band_start[by_len]
+        band_len = band_len[by_len]
+        width_max = int(band_len[-1]) if band_len.shape[0] else 1
+        rows = max(self.CHUNK // width_max, 1)
+        self.pad = np.zeros(max(width_max, span))
+        pos = np.concatenate((o.astype(np.float64), self.pad))
+        pos2 = pos * pos
+        self.chunks = []
+        for e0 in range(0, band_len.shape[0], rows):
+            e1 = min(e0 + rows, band_len.shape[0])
+            full, width = int(band_len[e0]), int(band_len[e1 - 1])
+            tail = (np.arange(full, width) < band_len[e0:e1, None]).astype(np.float64)
+            self.chunks.append((e0, e1, width, full, tail, windows(pos, width),
+                                windows(pos2, width)))
+
+    def profiles(self, y_obs):
+        windows = np.lib.stride_tricks.sliding_window_view
+        y_pad = np.concatenate((y_obs, self.pad))
+        yb = windows(y_pad, self.span)[self.block_lo]
+        yb -= yb[:, :1]
+        u2 = np.matmul(self.u2_coef, yb[:, :, None]).reshape(-1)[: self.n_eval]
+
+        sums = np.empty((self.point.shape[0], 3))
+        y_point = y_obs[self.point]
+        for e0, e1, width, full, tail, pos, pos2 in self.chunks:
+            start = self.band_start[e0:e1]
+            sgn = windows(y_pad, width)[start]
+            sgn -= y_point[e0:e1, None]
+            np.sign(sgn, out=sgn)
+            sgn[:, full:] *= tail
+            sums[e0:e1, 0] = sgn.sum(axis=1)
+            sums[e0:e1, 1] = np.einsum("ek,ek->e", sgn, pos[start])
+            sums[e0:e1, 2] = np.einsum("ek,ek->e", sgn, pos2[start])
+
+        d = sums[self.time_order]
+        s0, s1, s2 = d.T
+        c = self.origin
+        d1 = s1 - c * s0
+        d[:, 2] = s2 - c * (s1 + d1)
+        d[:, 1] = d1
+        steps = (d[:, :, None] * self.phi[:, None, :]).reshape(-1, 9)
+        cum = np.zeros((steps.shape[0] + 1, 9))
+        np.cumsum(steps, axis=0, out=cum[1:])
+        moments = cum[self.through]
+        moments -= cum[self.before]
+        return np.einsum("nk,nk->n", self.form, moments), u2
+
+
+def traced_setup(build) -> tuple[int, int]:
+    """Bytes that ``build()`` leaves allocated (its result kept alive), and
+    its peak, both beyond what was allocated before, as ``tracemalloc``
+    sees them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        kept = build()
+        held, peak = tracemalloc.get_traced_memory()
+        del kept
+        return held - base, peak - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestBandwidth:
@@ -406,6 +541,69 @@ class TestUStatistics:
         _, scaled = u_stat_profiles(series.with_values(series.values * 3.0), (10, 70), 0.2)
         np.testing.assert_allclose(shifted, base2, atol=1e-12)
         np.testing.assert_allclose(scaled, 3.0 * base2, rtol=1e-10, atol=1e-14)
+
+
+class TestDenseBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 400), st.sampled_from([5, 60, 3000, 20000]))
+    def test_blocks_cover_the_rows_in_order(self, seed, n_rows, widest):
+        rng = np.random.default_rng(seed)
+        starts = np.sort(rng.integers(0, 4 * n_rows, n_rows))
+        ends = starts + rng.integers(0, widest, n_rows)
+        blocks = shapetests._dense_blocks(starts, ends)
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == n_rows
+        for r0, r1, c0, c1 in blocks:
+            assert c0 == starts[r0] and c1 == ends[r0:r1].max()
+            size = (r1 - r0) * (c1 - c0)
+            assert size <= shapetests._BLOCK or r1 - r0 == 1
+            if r1 < n_rows:  # one more row would overfill the block
+                assert (r1 + 1 - r0) * (max(c1, ends[r1]) - c0) > shapetests._BLOCK
+
+    @pytest.mark.parametrize("T", [285, 666, 3000, 12000])
+    @pytest.mark.parametrize("fraction", [0.3, 0.7])
+    def test_matches_the_reference_layout(self, T, fraction):
+        # u1 is a sum of exact integers, so it must match bit for bit, ties
+        # (values on a 0.1 grid) included; u2 moves in its last digits.
+        series = gappy_series(np.random.default_rng([T, int(10 * fraction)]), T, fraction)
+        obs = np.flatnonzero(series.mask == 1)
+        eval_pos = np.arange(T // 4, T)
+        h_u = u_stat_bandwidth(T)
+        engine = shapetests.UStatEngine(obs, eval_pos, T, h_u)
+        reference = ReferenceLayoutEngine(obs, eval_pos, T, h_u)
+        for y in (series.values[obs], np.round(series.values[obs], 1)):
+            p1, p2 = engine.profiles(y)
+            r1, r2 = reference.profiles(y)
+            np.testing.assert_array_equal(p1, r1)
+            assert np.abs(p2 - r2).max() <= 1e-12 * np.abs(r2).max()
+
+    def test_memory_within_the_reference_layout(self):
+        # The station-monotone design: T = 3000, about 25% observed with a
+        # 60-day gap every year, the last 1351 positions.
+        T = 3000
+        gaps = [(day, day + 60) for day in range(160, T, 365)]
+        series = gappy_series(np.random.default_rng(T), T, 0.3, gaps)
+        obs = np.flatnonzero(series.mask == 1)
+        assert 0.23 < obs.size / T < 0.27
+        eval_pos = np.arange(T - 1351, T)
+        h_u = u_stat_bandwidth(T)
+        held, peak = traced_setup(lambda: shapetests.UStatEngine(obs, eval_pos, T, h_u))
+        ref_held, ref_peak = traced_setup(lambda: ReferenceLayoutEngine(obs, eval_pos, T, h_u))
+        assert held <= ref_held
+        assert peak <= ref_peak
+
+    def test_refuses_a_design_past_exact_sign_sums(self):
+        # The band sums are exact while K T^2 < 2^53, K the most points in
+        # one window. Here every point lies in the window of position 0.
+        T = 2**25
+        h_u = u_stat_bandwidth(T)
+        eval_pos = np.arange(5)
+        shapetests.UStatEngine(np.arange(7) * 1000, eval_pos, T, h_u)  # 7 * 2^50
+        with pytest.raises(ValueError, match=r"2\^53"):
+            shapetests.UStatEngine(np.arange(8) * 1000, eval_pos, T, h_u)  # 2^53
+        with pytest.raises(ValueError, match=r"2\^53"):
+            shapetests.UStatEngine(np.array([5, 70, 900]), eval_pos, 2**27,
+                                   u_stat_bandwidth(2**27))
 
 
 class TestMonotonicityTests:

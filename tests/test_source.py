@@ -109,16 +109,16 @@ def test_files_hashed_only_in_the_report_writer(module):
 GENERATORS = {"Philox", "Generator"}
 
 
-def generators_built(source: str) -> list[str]:
-    """Calls in ``source`` that construct a numpy ``Philox`` or ``Generator``,
-    by attribute (``np.random.Philox(...)``) or by imported name."""
+def calls_named(source: str, names: set[str]) -> list[str]:
+    """Calls in ``source`` of any of ``names``, by attribute
+    (``np.random.Philox(...)``) or by imported name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
             name = (func.attr if isinstance(func, ast.Attribute)
                     else func.id if isinstance(func, ast.Name) else None)
-            if name in GENERATORS:
+            if name in names:
                 found.append(f"{name} (line {node.lineno})")
     return found
 
@@ -130,7 +130,7 @@ def test_guard_flags_a_generator_built_outside_awb():
         "def draw(key, rng: np.random.Generator):\n"
         "    return np.random.Generator(np.random.Philox(key=key)), Philox(1)\n"
     )
-    assert generators_built(planted) == [
+    assert calls_named(planted, GENERATORS) == [
         "Generator (line 4)", "Philox (line 4)", "Philox (line 4)"]
 
 
@@ -139,5 +139,28 @@ def test_generators_built_only_in_awb(module):
     # Building a Philox reads OS entropy for a seed sequence its key then
     # discards; awb re-keys one generator per thread instead, so no other
     # module builds one per replicate.
-    built = generators_built((SOURCE / module).read_text())
+    built = calls_named((SOURCE / module).read_text(), GENERATORS)
     assert built == [] or module == "awb.py"
+
+
+RAW_VIEWS = {"ndarray", "as_strided"}
+
+
+def test_guard_flags_a_raw_strided_view():
+    planted = (
+        "import numpy as np\n"
+        "from numpy.lib.stride_tricks import as_strided, sliding_window_view\n"
+        "def view(x: np.ndarray, w: int) -> np.ndarray:\n"
+        "    assert isinstance(x, np.ndarray)\n"
+        "    rows = np.ndarray((x.shape[0] - w + 1, w), x.dtype, x, 0, x.strides * 2)\n"
+        "    return rows, as_strided(x, rows.shape), sliding_window_view(x, w)\n"
+    )
+    assert calls_named(planted, RAW_VIEWS) == ["ndarray (line 5)", "as_strided (line 6)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
+def test_no_raw_strided_views(module):
+    # The ndarray constructor and as_strided lay an array over a raw buffer
+    # with hand-set strides and check no bounds. sliding_window_view gives a
+    # read-only, bounds-checked view instead.
+    assert calls_named((SOURCE / module).read_text(), RAW_VIEWS) == []
