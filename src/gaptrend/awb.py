@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -212,6 +211,8 @@ def run_replicates(
 
     if cfg.threads == 1:
         return collect(map(one, range(cfg.n_boot)))
+    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
+
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return collect(pool.map(one, range(cfg.n_boot)))
 

@@ -12,7 +12,6 @@ modules.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -53,6 +52,8 @@ EXIT_NUMERICAL = 3
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # loads OpenSSL: not at import
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):

@@ -332,9 +332,14 @@ class UStatEngine:
     points are added in order; this keeps x and tau small against r, so
     the quadratic form loses few digits. Only signs enter u1: the band sums
     of sign * (1, o, o^2) come from dense blocks of the events sorted by
-    band start, a block's signs zeroed outside each band. Their partial sums
-    are integers below K T^2, exact in any order while K T^2 < 2^53; the
-    engine refuses a design past that bound.
+    band start, each with a stored mask of its bands. On a band, sign(y_j -
+    y_i) = 2 [y_j > y_i] - 1 + [y_j = y_i], so the sums are twice those of
+    one comparison, less the mask-only sums built from the same blocks at
+    set-up, plus the sums of the ties, which are formed only when two
+    values are equal. Every term and partial sum is an integer of magnitude
+    below K T^2, so each sum, the doubling and the final difference are
+    exact in any order while K T^2 < 2^53; the engine refuses a design past
+    that bound.
     """
 
     def __init__(
@@ -401,17 +406,30 @@ class UStatEngine:
         self._form = form
 
         # Band sums run over the events sorted by band start, in dense blocks
-        # that keep their entries outside the bands and (1, o, o^2).
+        # that keep their band mask and (1, o, o^2); the mask's own sums are
+        # the -1 of every sign.
         by_start = np.argsort(band_start, kind="stable")
         self._time_order = np.argsort(by_start)
         self._point = point[by_start]
         band_start, band_end = band_start[by_start], band_end[by_start]
         powers = np.stack((np.ones(o.shape[0]), o, o * o), axis=1)
         self._u1_blocks = []
+        self._band_powers = np.empty((point.shape[0], 3))
         for r0, r1, c0, c1 in _dense_blocks(band_start, band_end):
             cols = np.arange(c0, c1)
-            outside = (cols < band_start[r0:r1, None]) | (cols >= band_end[r0:r1, None])
-            self._u1_blocks.append((r0, r1, c0, c1, outside, powers[c0:c1]))
+            inside = (cols >= band_start[r0:r1, None]) & (cols < band_end[r0:r1, None])
+            np.matmul(inside, powers[c0:c1], out=self._band_powers[r0:r1])
+            self._u1_blocks.append((r0, r1, c0, c1, inside, powers[c0:c1]))
+
+    def _band_sums(self, compare: np.ufunc, y_obs: np.ndarray) -> np.ndarray:
+        """Band sums of [compare(y_partner, y_point)] * (1, o, o^2), one row per event."""
+        sums = np.empty((self._point.shape[0], 3))
+        y_point = y_obs[self._point]
+        for r0, r1, c0, c1, inside, powers in self._u1_blocks:
+            hit = compare(y_obs[c0:c1], y_point[r0:r1, None])
+            hit &= inside
+            np.matmul(hit, powers, out=sums[r0:r1])
+        return sums
 
     def profiles(self, y_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sign-based and magnitude-based profiles at every evaluation position."""
@@ -421,14 +439,13 @@ class UStatEngine:
         for r0, r1, c0, c1, coef in self._u2_blocks:
             u2[r0:r1] = coef @ (y_obs[c0:c1] - y_obs[c0:c0 + 1])
 
-        # Band sums of sign * o^p for p = 0, 1, 2.
-        sums = np.empty((self._point.shape[0], 3))
-        y_point = y_obs[self._point]
-        for r0, r1, c0, c1, outside, powers in self._u1_blocks:
-            sgn = y_obs[c0:c1] - y_point[r0:r1, None]
-            np.sign(sgn, out=sgn)
-            np.copyto(sgn, 0.0, where=outside)
-            np.matmul(sgn, powers, out=sums[r0:r1])
+        # Band sums of sign * o^p for p = 0, 1, 2: 2 [>] - 1 + [=] on a band.
+        sums = self._band_sums(np.greater, y_obs)
+        sums *= 2.0
+        sums -= self._band_powers
+        ordered = np.sort(y_obs)
+        if (ordered[1:] == ordered[:-1]).any():
+            sums += self._band_sums(np.equal, y_obs)
 
         # D = band sums of sign * (1, x, x^2) about the segment origin c.
         d = sums[self._time_order]

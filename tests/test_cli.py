@@ -397,7 +397,7 @@ class TestArtifacts:
         def no_pool(*_args, **_kwargs):
             raise AssertionError("mc started a thread pool")
 
-        monkeypatch.setattr("gaptrend.awb.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
         assert run(["--out", str(tmp_path), "--threads", "2", "mc", "--panel", "B",
                     "--replications", "1", "--B", "19"]) == 0
 

@@ -165,13 +165,10 @@ class ReferenceLayoutEngine:
             self.chunks.append((e0, e1, width, full, tail, windows(pos, width),
                                 windows(pos2, width)))
 
-    def profiles(self, y_obs):
+    def band_sums(self, y_obs):
+        """Band sums of sign(y_partner - y_point) * (1, o, o^2), in time order."""
         windows = np.lib.stride_tricks.sliding_window_view
         y_pad = np.concatenate((y_obs, self.pad))
-        yb = windows(y_pad, self.span)[self.block_lo]
-        yb -= yb[:, :1]
-        u2 = np.matmul(self.u2_coef, yb[:, :, None]).reshape(-1)[: self.n_eval]
-
         sums = np.empty((self.point.shape[0], 3))
         y_point = y_obs[self.point]
         for e0, e1, width, full, tail, pos, pos2 in self.chunks:
@@ -183,8 +180,16 @@ class ReferenceLayoutEngine:
             sums[e0:e1, 0] = sgn.sum(axis=1)
             sums[e0:e1, 1] = np.einsum("ek,ek->e", sgn, pos[start])
             sums[e0:e1, 2] = np.einsum("ek,ek->e", sgn, pos2[start])
+        return sums[self.time_order]
 
-        d = sums[self.time_order]
+    def profiles(self, y_obs):
+        windows = np.lib.stride_tricks.sliding_window_view
+        y_pad = np.concatenate((y_obs, self.pad))
+        yb = windows(y_pad, self.span)[self.block_lo]
+        yb -= yb[:, :1]
+        u2 = np.matmul(self.u2_coef, yb[:, :, None]).reshape(-1)[: self.n_eval]
+
+        d = self.band_sums(y_obs)
         s0, s1, s2 = d.T
         c = self.origin
         d1 = s1 - c * s0
@@ -563,19 +568,29 @@ class TestDenseBlocks:
     @pytest.mark.parametrize("T", [285, 666, 3000, 12000])
     @pytest.mark.parametrize("fraction", [0.3, 0.7])
     def test_matches_the_reference_layout(self, T, fraction):
-        # u1 is a sum of exact integers, so it must match bit for bit, ties
-        # (values on a 0.1 grid) included; u2 moves in its last digits.
-        series = gappy_series(np.random.default_rng([T, int(10 * fraction)]), T, fraction)
+        # u1 is a sum of exact integers, so it must match the sign pass bit
+        # for bit: on the series, on tie-free normals, on values on a 0.1
+        # grid (ties inside the bands) and on a constant (every pair tied);
+        # u2 moves in its last digits.
+        rng = np.random.default_rng([T, int(10 * fraction)])
+        series = gappy_series(rng, T, fraction)
         obs = np.flatnonzero(series.mask == 1)
         eval_pos = np.arange(T // 4, T)
         h_u = u_stat_bandwidth(T)
         engine = shapetests.UStatEngine(obs, eval_pos, T, h_u)
         reference = ReferenceLayoutEngine(obs, eval_pos, T, h_u)
-        for y in (series.values[obs], np.round(series.values[obs], 1)):
+        normal = rng.normal(size=obs.size)
+        assert np.unique(normal).size == obs.size
+        rounded = np.round(series.values[obs], 1)
+        for y in (series.values[obs], normal, rounded, np.full(obs.size, 2.5)):
             p1, p2 = engine.profiles(y)
             r1, r2 = reference.profiles(y)
             np.testing.assert_array_equal(p1, r1)
             assert np.abs(p2 - r2).max() <= 1e-12 * np.abs(r2).max()
+        # The rounded values tie inside the bands: without the tie term the
+        # band sums are not the sign sums.
+        untied = 2.0 * engine._band_sums(np.greater, rounded) - engine._band_powers
+        assert not np.array_equal(untied[engine._time_order], reference.band_sums(rounded))
 
     def test_memory_within_the_reference_layout(self):
         # The station-monotone design: T = 3000, about 25% observed with a
@@ -604,6 +619,22 @@ class TestDenseBlocks:
         with pytest.raises(ValueError, match=r"2\^53"):
             shapetests.UStatEngine(np.array([5, 70, 900]), eval_pos, 2**27,
                                    u_stat_bandwidth(2**27))
+
+    @pytest.mark.parametrize("end", [False, True])
+    def test_exact_at_the_largest_accepted_design(self, end):
+        # The 7-point design above, and its mirror at the end of the grid,
+        # where o^2 is near 2^50 and twice the comparison sums pass 2^53.
+        T = 2**25
+        h_u = u_stat_bandwidth(T)
+        obs, eval_pos = np.arange(7) * 1000, np.arange(5)
+        if end:
+            obs, eval_pos = T - 1 - obs[::-1], T - 1 - eval_pos[::-1]
+        engine = shapetests.UStatEngine(obs, eval_pos, T, h_u)
+        reference = ReferenceLayoutEngine(obs, eval_pos, T, h_u)
+        tied = np.array([0.5, 0.5, 0.2, 0.9, 0.2, 0.5, 0.1])
+        untied = np.random.default_rng(7).normal(size=7)
+        for y in (tied, untied):
+            np.testing.assert_array_equal(engine.profiles(y)[0], reference.profiles(y)[0])
 
 
 class TestMonotonicityTests:

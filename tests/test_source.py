@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,3 +167,17 @@ def test_no_raw_strided_views(module):
     # with hand-set strides and check no bounds. sliding_window_view gives a
     # read-only, bounds-checked view instead.
     assert calls_named((SOURCE / module).read_text(), RAW_VIEWS) == []
+
+
+LAZY_MODULES = ("concurrent.futures", "logging", "hashlib")
+
+
+def test_cli_import_loads_no_lazy_module():
+    # Every command pays for importing gaptrend.cli. A thread pool (which
+    # loads logging) and hashlib (which loads OpenSSL) serve only some
+    # commands, so they are imported where they are used.
+    code = f"import sys, gaptrend.cli; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
+    path = os.pathsep.join(filter(None, (str(SOURCE.parent), os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path})
+    assert run.stdout.strip() == "[]"
