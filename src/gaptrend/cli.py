@@ -425,6 +425,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
             "simultaneous_joint_coverage": bands.joint_coverage,
             "mcv_local_minima": [float(scan.grid[i]) for i in scan.local_minima],
             "mcv_no_interior_minimum": scan.no_interior_minimum,
+            "mcv_inf_score_bandwidths": scan.grid[np.isinf(scan.scores)],
             "n_undefined_positions": int((~np.isfinite(fit.g_hat)).sum()),
             "trend_bands": "trend_bands.csv",
             "fit_artifact": artifact.name,

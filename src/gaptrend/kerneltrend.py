@@ -8,9 +8,9 @@ the window) are reported as undefined rather than filled in, and a window
 holding one observation gives that observation exactly.
 
 Every kernel sum (smoothing, the cross-validation windows, bootstrap
-re-smoothing) comes from block-local prefix sums of x, o*x and o^2*x: the
-kernel is quadratic in the offset o, so a window sum costs O(1) and a whole
-pass O(T), whatever the bandwidth.
+re-smoothing) comes from prefix sums of x, o*x and o^2*x within
+non-overlapping blocks: the kernel is quadratic in the offset o, so a window
+sum costs O(1) and a whole pass, reading each value once, O(T).
 
 The pointwise and simultaneous bands read one (B, T) matrix of bootstrap
 deviations from the pilot and one copy of it sorted along the replicates.
@@ -50,21 +50,22 @@ def _window_sums(x: np.ndarray, h: float, leave_out: int | None = None) -> np.nd
     """Epanechnikov-weighted sums of ``x`` over the window around every grid position.
 
     The weight 0.75 * (1 - (d/m)^2) at offset d, m = h*T, is quadratic in
-    d, so a window sum is a fixed combination of the window moments
-    S_p = sum x_j o_j^p, p = 0, 1, 2. The grid is cut into blocks of
-    L = q + 1 centres, q = r - 1 for r the widest offset with positive
-    weight. Each block reads its L + 2q values as one row and takes
-    row-wise cumulative sums of x, o*x and o^2*x, with o counted from the
-    block's first centre; centre i of the block then gets
-    0.75/m^2 * [(m^2 - i^2) S0 + 2i S1 - S2] over the offsets |d| <= q.
-    The block-local origin keeps |o| <= 2q, so the cumulative sums keep
-    their digits at any T. The two outermost offsets +-r are added on
-    their own: their weight is as small as rounding when hT lies just above
-    an integer, too small to survive the cancellation in the moment
-    combination. The cost is O(T) for any h.
+    d, so a window sum combines the moments S_p = sum x_j o_j^p, p = 0, 1, 2.
+    The grid, padded by one block on each side, is cut into blocks of
+    L = max(r, 1) positions, r the widest offset with positive weight, and
+    each block takes cumulative sums of x, o*x and o^2*x, o counted from its
+    first position. The offsets |d| < L of centre i of block b cover block
+    b-1 after offset i, all of block b and block b+1 before offset i; each
+    piece is a difference of cumulative sums, weighted in its own block's
+    origin as (m^2 - c^2) S0 + 2c S1 - S2, c = i + L, i, i - L. As |o| < L
+    and |c| < 2L, no scaled term exceeds 3 (L/m)^2 times the sum of |x| over
+    the three blocks, and each value is read once: O(T) for any h. The
+    outermost offsets +-r are added on their own: their weight is as small
+    as rounding when hT lies just above an integer, too small to survive
+    the cancellation in the moment combination.
 
     With ``leave_out = k`` the positions within k grid steps of the centre
-    are dropped: the moments are summed over the two sides of that hole
+    are dropped: each piece is summed over the two sides of that hole
     before the weights are applied, so a window whose nonzero values all
     lie in the hole, like one with none at all, reads exactly 0.
     This is the one place kernel sums are formed.
@@ -72,26 +73,31 @@ def _window_sums(x: np.ndarray, h: float, leave_out: int | None = None) -> np.nd
     T = x.shape[0]
     r = _reach(h, T)
     m = h * T
-    q = max(r - 1, 0)
-    L = q + 1
+    L = max(r, 1)
     n_blocks = -(-T // L)
-    xp = np.zeros(n_blocks * L + 2 * q)
-    xp[q: q + T] = x
-    rows = np.lib.stride_tricks.sliding_window_view(xp, L + 2 * q)[::L]
-    o = np.arange(-q, L + q, dtype=np.float64)
-    cum = np.zeros((3, n_blocks, L + 2 * q + 1))
-    np.cumsum(rows * np.stack([np.ones_like(o), o, o * o])[:, None, :], axis=2,
-              out=cum[:, :, 1:])
-    if leave_out is None:
-        s = cum[:, :, 2 * q + 1:] - cum[:, :, :L]
-    else:
-        k = min(leave_out, q)
-        s = ((cum[:, :, 2 * q + 1:] - cum[:, :, q + k + 1: q + k + 1 + L])
-             + (cum[:, :, q - k: q - k + L] - cum[:, :, :L]))
-    i = np.arange(L, dtype=np.float64)
-    sums = (0.75 / (m * m)) * ((m * m - i * i) * s[0] + 2.0 * i * s[1] - s[2])
-    sums = sums.reshape(-1)[:T]
-    if r > q and (leave_out is None or leave_out < r):
+    o = np.arange(L, dtype=np.float64)
+    cum = np.zeros((3, n_blocks + 2, L + 1))
+    cum[0, 1:, 1:] = np.concatenate([x, np.zeros((n_blocks + 1) * L - T)]).reshape(-1, L)
+    cum[1:, :, 1:] = cum[0, :, 1:] * np.stack([o, o * o])[:, None]
+    np.cumsum(cum, axis=2, out=cum)
+    before = cum[:, :-2, L:] - cum[:, :-2, 1:]
+    whole = cum[:, 1:-1, L:]
+    after = cum[:, 2:, :L]
+    if leave_out is not None:
+        # The hole [i - k, i + k] shortens the first k centres' piece of block
+        # b-1 and the last k centres' piece of block b+1, and splits block b;
+        # ``after`` views ``cum``, so it is edited last.
+        k = min(leave_out, L - 1)
+        before[..., :k] = cum[:, :-2, L - k: L] - cum[:, :-2, 1: k + 1]
+        whole = np.zeros((3, n_blocks, L))
+        np.subtract(cum[:, 1:-1, L:], cum[:, 1:-1, k + 1:], out=whole[..., :L - k])
+        whole[..., k:] += cum[:, 1:-1, :L - k]
+        after[..., L - k:] -= cum[:, 2:, 1: k + 1]
+    sums = np.zeros((n_blocks, L))
+    for c, piece in ((o + L, before), (o, whole), (o - L, after)):
+        sums += np.einsum("pbi,pi->bi", piece, np.stack([m * m - c * c, 2.0 * c, -np.ones(L)]))
+    sums = (0.75 / (m * m)) * sums.reshape(-1)[:T]
+    if r > 0 and (leave_out is None or leave_out < r):
         edges = np.zeros(T)
         edges[r:] += x[:T - r]
         edges[:T - r] += x[r:]
@@ -197,34 +203,24 @@ def mcv_scan(eps: ObservedSeries, grid: np.ndarray, k: int | None = None) -> Mcv
     if k < 0:
         raise ValueError("k must be >= 0")
 
-    T = len(eps)
     mask_f = eps.mask.astype(np.float64)
     obs = eps.mask == 1
     scores = np.empty(grid.size)
     for i, h in enumerate(grid):
         num = _window_sums(eps.values, h, leave_out=k)
         den = _window_sums(mask_f, h, leave_out=k)
-        ok = obs & (den > 0.0)
-        if not ok.any():
+        ok = np.flatnonzero(obs & (den > 0.0))
+        if ok.size == 0:
             warnings.warn(
                 f"bandwidth {h:g}: every evaluation point has an empty leave-out window",
                 stacklevel=2,
             )
             scores[i] = np.inf
             continue
-        g = np.zeros(T)
-        g[ok] = num[ok] / den[ok]
-        scores[i] = float(((g[ok] - eps.values[ok]) ** 2).sum()) / T
+        scores[i] = float(((num[ok] / den[ok] - eps.values[ok]) ** 2).sum()) / len(eps)
 
-    interior = np.flatnonzero(
-        (scores[1:-1] < scores[:-2]) & (scores[1:-1] <= scores[2:])
-    ) + 1 if scores.size >= 3 else np.empty(0, dtype=np.int64)
-    return McvResult(
-        grid=grid,
-        scores=scores,
-        k=k,
-        local_minima=np.asarray(interior, dtype=np.int64),
-    )
+    interior = np.flatnonzero((scores[1:-1] < scores[:-2]) & (scores[1:-1] <= scores[2:])) + 1
+    return McvResult(grid=grid, scores=scores, k=k, local_minima=interior)
 
 
 def bandwidth_grid(lo: float = 0.01, hi: float = 0.25, step: float = 0.005) -> np.ndarray:

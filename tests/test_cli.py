@@ -195,6 +195,20 @@ class TestArtifacts:
         assert (tmp_path / "svg" / "trend_bands.svg").exists()
         assert not (tmp_path / "svg" / "mcv_scores.svg").exists()
 
+    def test_smooth_report_lists_infinite_cv_scores(self, toy_csv, tmp_path):
+        # At T=420 the default leave-out half-width is 14, so every leave-out
+        # window of h <= 0.03 is empty, and none of h = 0.05 is.
+        args = ["--out", str(tmp_path), "smooth", "--input", toy_csv,
+                "--mcv-grid", "0.01:0.05:0.01", "--bandwidth", "0.1", "--B", "19"]
+        with pytest.warns(UserWarning, match="empty leave-out") as caught:
+            assert run(args) == 0
+        rep = json.loads((tmp_path / "smooth_report.json").read_text())["results"]
+        with open(tmp_path / "mcv_scores.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        inf = [float(row["bandwidth"]) for row in rows if row["score"] == "inf"]
+        assert rep["mcv_inf_score_bandwidths"] == inf == pytest.approx([0.01, 0.02, 0.03])
+        assert sum("empty leave-out" in str(w.message) for w in caught) == len(inf)
+
     def test_monotest_interval_parsing(self, toy_csv, tmp_path):
         base = ["--out", str(tmp_path), "--seed", "5"]
         assert run(base + ["smooth", "--input", toy_csv, "--bandwidth", "0.08",

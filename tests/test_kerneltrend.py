@@ -80,7 +80,9 @@ def direct_window_sums(x, h, leave_out=None, chunk=256):
         centres = np.arange(lo, min(lo + chunk, T))
         near = np.arange(max(lo - reach, 0), min(centres[-1] + reach + 1, T))
         d = near[None, :] - centres[:, None]
-        w = np.where(np.abs(d) <= m, 0.75 * (1.0 - (d / m) ** 2), 0.0)
+        # (m - d)(m + d) keeps the digits of the outermost weights, which
+        # 1 - (d/m)^2 loses when hT lies just above an integer.
+        w = np.where(np.abs(d) <= m, 0.75 * (m - d) * (m + d) / (m * m), 0.0)
         if leave_out is not None:
             w[np.abs(d) <= leave_out] = 0.0
         out[centres] = w @ cols[near]
@@ -157,6 +159,37 @@ class TestWindowSums:
             assert np.all(got[support == 0] == 0.0), name
         if h == 0.01:
             assert (support == 0).any()  # the exact-zero check was exercised
+
+    # Blocks are L = max(r, 1) long, r = min(ceil(hT) - 1, T - 1) the reach:
+    # hT = 0.999 and 1.798 give one-position blocks; 0.035 * T lies just
+    # above an integer at T = 3000 and 12000; h >= 1 caps the reach at T - 1;
+    # and T is no multiple of L except at L = 1 and at (12000, 0.0007), L = 8.
+    @pytest.mark.parametrize("T, h", [
+        (285, 0.05), (285, 1.0), (666, 0.0015), (666, 0.0027), (666, 2.0),
+        (3000, 0.013), (3000, 0.035), (12000, 0.0007), (12000, 0.035),
+    ])
+    # "edges" leaves only the two outermost offsets, "reach" nothing at all.
+    @pytest.mark.parametrize("leave_out", [None, 0, "default", "edges", "reach"])
+    def test_matches_direct_sums_across_sizes(self, T, h, leave_out):
+        rng = np.random.default_rng(T)
+        mask = (rng.random(T) < 0.25).astype(np.float64)
+        mask[T // 6: T // 6 + T // 20] = 0.0
+        mask[T // 6 + T // 40] = 1.0
+        r = min(int(np.ceil(h * T)) - 1, T - 1)
+        k = {"default": default_leave_out(T), "edges": max(r - 1, 0), "reach": r}.get(
+            leave_out, leave_out)
+        for x in (mask, mask * rng.uniform(0.5, 3.0, T), mask * rng.normal(0.0, 1.0, T)):
+            got = _window_sums(x, h, k)
+            want, scale, support = direct_window_sums(x, h, k)
+            assert np.all(np.abs(got - want) <= 1e-10 * scale)
+            assert np.all(got[support == 0] == 0.0)
+
+    @pytest.mark.parametrize("h", [0.01, 0.05])
+    def test_peak_memory_within_eleven_series(self, inputs, h):
+        # The padded blocks' three prefix sums (3.1-3.3 T), the difference
+        # piece of the block before (3 T), the output and one weighted piece.
+        peak = traced_peak(lambda: _window_sums(inputs["signed"], h))
+        assert peak <= 11 * self.T * 8
 
     def test_window_of_two_outermost_observations(self):
         # hT = 105 + 1.4e-14: two observations 210 days apart with none
