@@ -14,7 +14,8 @@ The break test's statistic, critical value and p-value come as one
 The test and the intervals bootstrap the same residuals with the same
 multiplier paths; only the base differs, the no-break fit for the test and
 the broken fit for the intervals. :func:`break_analysis`, the CLI's entry,
-draws each multiplier path once and scans it under both bases.
+draws each multiplier path once and scans it under both bases. A fit carries
+the series it was scanned on, so the intervals take the fit alone.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class BrokenTrendFit:
     ``beta`` and ``delta`` are per grid step (one day); multiply by 365.25
     for per-year rates. The fitted trend is continuous at ``break_index`` by
     construction of the hinge regressor.
-    ``scan`` is the candidate scan the fit was chosen on; bootstrap
-    intervals rescan its candidates.
+    ``scan`` is the candidate scan the fit was chosen on and ``series``
+    the series it was scanned on; bootstrap intervals resample that
+    series' residuals and rescan the candidates.
     """
 
     alpha: float
@@ -81,6 +83,7 @@ class BrokenTrendFit:
     seasonal: SeasonalFit
     ssr: float
     scan: BreakScan = field(repr=False, compare=False)
+    series: ObservedSeries = field(repr=False, compare=False)
 
     def trend_values(self) -> np.ndarray:
         t = np.arange(1, self.scan.n_time + 1, dtype=np.float64)
@@ -291,26 +294,27 @@ class BreakScan:
             "ssr": max(state.ssr0 - red, 0.0),
         }
 
-    def fit(self, state: ScanState, break_at: int) -> BrokenTrendFit:
-        """The fit of the scanned response with the break at ``break_at``."""
+    def fit(self, series: ObservedSeries, state: ScanState, break_at: int) -> BrokenTrendFit:
+        """The fit of ``series``, scanned into ``state``, with the break at ``break_at``."""
         coef = self.coefficients_at(state, break_at)
         S, harmonics = self.n_harmonics, coef["harmonics"]
         seasonal = SeasonalFit(harmonics[:S], harmonics[S:], S, self._Z[:, 2:] @ harmonics)
         return BrokenTrendFit(
             alpha=coef["alpha"], beta=coef["beta"], delta=coef["delta"], break_index=break_at,
-            seasonal=seasonal, ssr=coef["ssr"], scan=self,
+            seasonal=seasonal, ssr=coef["ssr"], scan=self, series=series,
         )
 
 
 def _best_fit(
     series: ObservedSeries, trim: np.ndarray | None, n_harmonics: int
-) -> tuple[BrokenTrendFit, ScanState]:
-    """Best one-break fit over the trimming set, with the scan state it came from."""
+) -> tuple[BrokenTrendFit, float, np.ndarray]:
+    """Best one-break fit over the trimming set, with its SSR reduction (the
+    break-test statistic) and the fitted values of the no-break model."""
     if trim is None:
         trim = trimming_set(len(series))
     scan = BreakScan(series.mask, series.calendar_years(), trim, n_harmonics)
     state = scan.scan(series.values)
-    return scan.fit(state, state.best), state
+    return scan.fit(series, state, state.best), state.f_stat, scan._Z @ state.beta0
 
 
 def estimate_break(
@@ -342,13 +346,13 @@ def _broken_draw(scan: BreakScan, y: np.ndarray) -> tuple[int, float, float, flo
     return state.best, coef["alpha"], coef["beta"], coef["delta"]
 
 
-def _replicate_pass(series: ObservedSeries, fit: BrokenTrendFit, cfg: AwbConfig,
+def _replicate_pass(fit: BrokenTrendFit, cfg: AwbConfig,
                     passes: list[tuple[np.ndarray, Callable]]) -> np.ndarray:
     """One bootstrap pass on the residuals of ``fit`` over every (base, draw)
     pair of ``passes``: each replicate draws its multiplier path once, and
     each draw scans that path's series on its base. Returns (B, n) draws,
     the columns of every pair in order."""
-    u_hat = series.with_values(series.values - fit.fitted_values())
+    u_hat = fit.series.with_values(fit.series.values - fit.fitted_values())
 
     def statistic(ys: np.ndarray) -> list:
         return [v for (_, draw), y in zip(passes, ys) for v in draw(fit.scan, y)]
@@ -405,25 +409,24 @@ def break_test(
     as ``test``.
     """
     check_rate("alpha", alpha)
-    fit, state = _best_fit(series, trim, n_harmonics)
-    null_base = fit.scan._Z @ state.beta0
-    draws = _replicate_pass(series, fit, cfg or AwbConfig(), [(null_base, _null_draw)])
-    return BreakTestResult(bootstrap_test(state.f_stat, draws[:, 0], alpha), fit)
+    fit, f_stat, null_base = _best_fit(series, trim, n_harmonics)
+    draws = _replicate_pass(fit, cfg or AwbConfig(), [(null_base, _null_draw)])
+    return BreakTestResult(bootstrap_test(f_stat, draws[:, 0], alpha), fit)
 
 
 def break_ci(
-    series: ObservedSeries,
     fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
 ) -> BreakDateCi:
     """Bootstrap confidence intervals for the break position and the slopes.
 
-    Samples are regenerated with the estimated break imposed; each
-    replicate re-estimates the break over the candidates the fit was
-    chosen from (``fit.scan``; for an imposed break that is the break
-    alone) and reads off its coefficients at that break, so the
-    uncertainty of the break location flows into the slope intervals.
+    Samples are regenerated from the residuals of ``fit`` on
+    ``fit.series`` with the estimated break imposed; each replicate
+    re-estimates the break over the candidates the fit was chosen from
+    (``fit.scan``; for an imposed break that is the break alone) and reads
+    off its coefficients at that break, so the uncertainty of the break
+    location flows into the slope intervals.
     Every interval comes from the quantiles of the centered replicate
     values; for the break position that is the basic interval
     [T1 - q(1-a/2), T1 - q(a/2)], whose ends are then clipped to the
@@ -433,7 +436,7 @@ def break_ci(
     end collapses to that end's candidate.
     """
     check_rate("level", level)
-    draws = _replicate_pass(series, fit, cfg or AwbConfig(), [(fit.fitted_values(), _broken_draw)])
+    draws = _replicate_pass(fit, cfg or AwbConfig(), [(fit.fitted_values(), _broken_draw)])
     return _date_ci(fit, draws, level)
 
 
@@ -455,20 +458,18 @@ def break_analysis(
     """
     check_rate("alpha", alpha)
     check_rate("level", level)
-    fit, state = _best_fit(series, trim, n_harmonics)
-    null_base = fit.scan._Z @ state.beta0
-    draws = _replicate_pass(series, fit, cfg or AwbConfig(),
+    fit, f_stat, null_base = _best_fit(series, trim, n_harmonics)
+    draws = _replicate_pass(fit, cfg or AwbConfig(),
                             [(null_base, _null_draw), (fit.fitted_values(), _broken_draw)])
-    test = BreakTestResult(bootstrap_test(state.f_stat, draws[:, 0], alpha), fit)
+    test = BreakTestResult(bootstrap_test(f_stat, draws[:, 0], alpha), fit)
     return test, _date_ci(fit, draws[:, 1:], level)
 
 
 def slope_cis(
-    series: ObservedSeries,
     fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
 ) -> SlopeCis:
     """Bootstrap intervals for the trend coefficients; see :func:`break_ci`,
     whose replicates they come from."""
-    return break_ci(series, fit, cfg, level).slopes
+    return break_ci(fit, cfg, level).slopes

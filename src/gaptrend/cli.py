@@ -141,28 +141,16 @@ def _write_svg(out_dir: Path, name: str, curves: list[tuple[str, np.ndarray, np.
     (out_dir / name).write_text("\n".join(parts) + "\n")
 
 
-def _series_payload(series: ObservedSeries) -> dict:
-    return {
-        "t0": series.t0.isoformat(),
-        "values": [float(v) if m else None for v, m in zip(series.values, series.mask)],
-        "mask": series.mask.tolist(),
-    }
-
-
-def _series_from_payload(payload: dict) -> ObservedSeries:
-    """The series of a payload; a ``grid_step`` key, written by older
-    versions, is ignored (the grid is always one position per day)."""
-    import datetime as dt
-
-    mask = np.asarray(payload["mask"], dtype=np.uint8)
-    values = np.array([0.0 if v is None else float(v) for v in payload["values"]])
-    return ObservedSeries(values, mask, dt.date.fromisoformat(payload["t0"]))
-
-
-def _write_fit_artifact(out_dir: Path, eps: ObservedSeries, fit: KernelTrendFit) -> Path:
+def _write_fit_artifact(out_dir: Path, fit: KernelTrendFit) -> Path:
+    """Write ``trend_fit.json``: the fit and the series it was estimated on."""
+    eps = fit.series
     payload = {
         "schema": "gaptrend-trend-fit-v1",
-        "series": _series_payload(eps),
+        "series": {
+            "t0": eps.t0.isoformat(),
+            "values": [float(v) if m else None for v, m in zip(eps.values, eps.mask)],
+            "mask": eps.mask.tolist(),
+        },
         "fit": {
             "h": fit.h,
             "kernel": "epanechnikov",
@@ -174,13 +162,20 @@ def _write_fit_artifact(out_dir: Path, eps: ObservedSeries, fit: KernelTrendFit)
     return path
 
 
-def load_fit_artifact(path: str) -> tuple[ObservedSeries, KernelTrendFit]:
+def load_fit_artifact(path: str) -> KernelTrendFit:
+    """The fit of a ``trend_fit.json``, with its series; a ``grid_step`` key,
+    written by older versions, is ignored (the grid is one position per day)."""
+    import datetime as dt
+
     payload = json.loads(Path(path).read_text())
     if payload.get("schema") != "gaptrend-trend-fit-v1":
         raise ValueError(f"{path}: not a trend-fit artifact")
-    eps = _series_from_payload(payload["series"])
-    g = np.array([np.nan if v is None else float(v) for v in payload["fit"]["g_hat"]])
-    return eps, KernelTrendFit(g_hat=g, h=payload["fit"]["h"])
+    series, fit = payload["series"], payload["fit"]
+    values = np.array([0.0 if v is None else float(v) for v in series["values"]])
+    eps = ObservedSeries(values, np.asarray(series["mask"], dtype=np.uint8),
+                         dt.date.fromisoformat(series["t0"]))
+    g = np.array([np.nan if v is None else float(v) for v in fit["g_hat"]])
+    return KernelTrendFit(g_hat=g, h=fit["h"], series=eps)
 
 
 def _awb_config(ctx: click.Context, **kw) -> AwbConfig:
@@ -398,7 +393,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         )
 
     fit = nw_estimate(eps, bandwidth)
-    bands = confidence_bands(eps, fit, _awb_config(ctx), level)
+    bands = confidence_bands(fit, _awb_config(ctx), level)
 
     curves = {"trend": fit.g_hat, "pointwise_lower": bands.pointwise_lower,
               "pointwise_upper": bands.pointwise_upper, "simultaneous_lower": bands.lower,
@@ -414,7 +409,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
             ("lower", days, bands.lower),
             ("upper", days, bands.upper),
         ])
-    artifact = _write_fit_artifact(out_dir, eps, fit)
+    artifact = _write_fit_artifact(out_dir, fit)
 
     _write_report(
         ctx, {"bandwidth": bandwidth, "mcv_grid": mcv_grid, "mcv_k": scan.k,
@@ -446,9 +441,9 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
 @click.pass_context
 def extremum(ctx, fit_path, kind, n_boot, level) -> None:
     """Confidence interval for the position of the trend extremum."""
-    eps, fit = load_fit_artifact(fit_path)
-    res = extremum_ci(eps, fit, _awb_config(ctx), kind, level)
-    date, lower, upper = (eps.date_at(i).isoformat()
+    fit = load_fit_artifact(fit_path)
+    res = extremum_ci(fit, _awb_config(ctx), kind, level)
+    date, lower, upper = (fit.series.date_at(i).isoformat()
                           for i in (res.location, res.lower_index, res.upper_index))
     _write_report(
         ctx, {"kind": kind, "level": level},
@@ -470,8 +465,8 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
 @click.pass_context
 def lintest(ctx, fit_path, n_boot, alpha) -> None:
     """Test a linear trend from the trend minimum to the sample end."""
-    eps, fit = load_fit_artifact(fit_path)
-    res = linearity_test(eps, fit, trend_minimum(fit), _awb_config(ctx), alpha)
+    fit = load_fit_artifact(fit_path)
+    res = linearity_test(fit, trend_minimum(fit), _awb_config(ctx), alpha)
     _write_report(
         ctx, {"alpha": alpha},
         {
@@ -479,7 +474,7 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
             **_test_keys(res.sup, "q_sup", "cv_sup", "p_sup"),
             "slope_per_rescaled_time": res.slope,
             "anchor_index": res.anchor_index,
-            "test_window": [res.anchor_index, len(eps)],
+            "test_window": [res.anchor_index, len(fit.series)],
         },
     )
     click.echo(f"linearity: p_ave={res.ave.p_value:.4f} p_sup={res.sup.p_value:.4f}")
@@ -494,14 +489,11 @@ def lintest(ctx, fit_path, n_boot, alpha) -> None:
 @click.pass_context
 def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
     """Tests of a monotonically increasing trend over an interval."""
-    eps, fit = load_fit_artifact(fit_path)
-    if interval is None:
-        positions = (trend_minimum(fit).location, len(eps))
-    else:
-        positions = _interval_to_positions(eps, interval)
-    res = monotonicity_tests(eps, positions, _awb_config(ctx), h=fit.h, alpha=alpha)
+    fit = load_fit_artifact(fit_path)
+    positions = None if interval is None else _interval_to_positions(fit.series, interval)
+    res = monotonicity_tests(fit, positions, _awb_config(ctx), alpha)
     _write_report(
-        ctx, {"interval": list(positions), "alpha": alpha},
+        ctx, {"interval": list(res.interval), "alpha": alpha},
         {
             **_test_keys(res.sign, "u1", "cv1", "p1"),
             **_test_keys(res.magnitude, "u2", "cv2", "p2"),

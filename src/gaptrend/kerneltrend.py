@@ -14,12 +14,13 @@ sum costs O(1) and a whole pass, reading each value once, O(T).
 
 The pointwise and simultaneous bands read one (B, T) matrix of bootstrap
 deviations from the pilot and one copy of it sorted along the replicates.
+A fit carries the series it was estimated on, so the bands take the fit alone.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -140,10 +141,13 @@ class KernelTrendFit:
 
     ``g_hat`` is NaN wherever the kernel window holds no observation;
     every defined value is a convex combination of observed points.
+    ``series`` is the series it was estimated on; every bootstrap of the
+    estimate resamples its residuals around the pilot of bandwidth ``h``.
     """
 
     g_hat: np.ndarray
     h: float
+    series: ObservedSeries = field(repr=False, compare=False)
 
     @property
     def defined(self) -> np.ndarray:
@@ -153,7 +157,7 @@ class KernelTrendFit:
 def nw_estimate(eps: ObservedSeries, h: float) -> KernelTrendFit:
     """Kernel-weighted local average of the observed points at t/T, t = 1..T."""
     g = nw_smoother(eps.mask, h)(eps.values)
-    return KernelTrendFit(g_hat=g, h=float(h))
+    return KernelTrendFit(g_hat=g, h=float(h), series=eps)
 
 
 def default_leave_out(n_time: int) -> int:
@@ -257,22 +261,19 @@ class BandResult:
     pointwise_upper: np.ndarray
 
 
-def pilot_residuals(eps: ObservedSeries, h: float) -> tuple[np.ndarray, ObservedSeries]:
+def pilot_residuals(fit: KernelTrendFit) -> tuple[np.ndarray, ObservedSeries]:
     """Oversmoothed pilot fit at bandwidth 0.5 * h^(5/9) and its residuals.
 
-    Returns (pilot values on every position, residuals on ``eps``'s grid
-    and mask). Every bootstrap of the kernel trend and the shape tests
-    resamples these residuals.
+    Returns (pilot values on every position, residuals on the grid and
+    mask of ``fit.series``). Every bootstrap of the kernel trend and the
+    shape tests resamples these residuals.
     """
-    pilot = nw_smoother(eps.mask, pilot_bandwidth(h))(eps.values)
+    eps = fit.series
+    pilot = nw_smoother(eps.mask, pilot_bandwidth(fit.h))(eps.values)
     return pilot, eps.with_values(eps.values - pilot)
 
 
-def trend_bootstrap_paths(
-    eps: ObservedSeries,
-    fit: KernelTrendFit,
-    cfg: AwbConfig,
-) -> np.ndarray:
+def trend_bootstrap_paths(fit: KernelTrendFit, cfg: AwbConfig) -> np.ndarray:
     """Bootstrap deviations of the trend re-estimates from an oversmoothed pilot.
 
     Residuals are taken from the pilot fit at bandwidth 0.5 * h^(5/9);
@@ -282,8 +283,8 @@ def trend_bootstrap_paths(
     Returns the (B, T) matrix of replicate trend estimates minus the
     pilot, the pilot subtracted in place.
     """
-    pilot, u_hat = pilot_residuals(eps, fit.h)
-    deviations = run_replicates(cfg, pilot, u_hat, nw_smoother(eps.mask, fit.h))
+    pilot, u_hat = pilot_residuals(fit)
+    deviations = run_replicates(cfg, pilot, u_hat, nw_smoother(fit.series.mask, fit.h))
     deviations -= pilot
     return deviations
 
@@ -346,7 +347,6 @@ def simultaneous_bands(
 
 
 def confidence_bands(
-    eps: ObservedSeries,
     fit: KernelTrendFit,
     cfg: AwbConfig | None = None,
     level: float = 0.95,
@@ -359,7 +359,7 @@ def confidence_bands(
     under-covers, and even rate 1/B may under-cover.
     """
     check_rate("level", level)
-    deviations = trend_bootstrap_paths(eps, fit, cfg or AwbConfig())
+    deviations = trend_bootstrap_paths(fit, cfg or AwbConfig())
     n_boot = deviations.shape[0]
     ordered, pointwise_lower, pointwise_upper = pointwise_bands(fit.g_hat, deviations, level)
     alpha_s, coverage, lower, upper = simultaneous_bands(fit.g_hat, deviations, ordered, level)

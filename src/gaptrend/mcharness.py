@@ -310,7 +310,7 @@ def run_break_ci_cell(design: McDesign) -> CellResult:
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, int]:
         fit = estimate_break(s, trim, N_HARMONICS)
-        ci = break_ci(s, fit, cfg, level=LEVEL)
+        ci = break_ci(fit, cfg, level=LEVEL)
         return ci.lower_index <= truth <= ci.upper_index, ci.length
 
     return _run_cell(design, ("coverage", "mean_length"), outcome)
@@ -322,7 +322,7 @@ def run_linearity_cell(design: McDesign) -> CellResult:
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
         fit = nw_estimate(s, h)
-        res = linearity_test(s, fit, trend_minimum(fit), cfg, alpha=ALPHA)
+        res = linearity_test(fit, trend_minimum(fit), cfg, alpha=ALPHA)
         return res.ave.reject, res.sup.reject
 
     return _run_cell(design, ("rejection_rate_ave", "rejection_rate_sup"), outcome)
@@ -333,9 +333,7 @@ def run_monotonicity_cell(design: McDesign) -> CellResult:
     h = _require_bandwidth(design)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
-        fit = nw_estimate(s, h)
-        interval = (trend_minimum(fit).location, design.n_time)
-        res = monotonicity_tests(s, interval, cfg, h=h, alpha=ALPHA)
+        res = monotonicity_tests(nw_estimate(s, h), cfg=cfg, alpha=ALPHA)
         return res.sign.reject, res.magnitude.reject
 
     return _run_cell(design, ("rejection_rate_sign", "rejection_rate_magnitude"), outcome)

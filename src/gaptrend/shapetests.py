@@ -6,7 +6,8 @@ the tail of the sample, and two kernel-weighted pairwise tests of
 monotonicity (one using only the signs of increments, one their
 magnitudes). Pairwise statistics run over observed pairs only. Each
 statistic of the linearity and monotonicity tests comes back as one
-``awb.BootstrapTest`` record.
+``awb.BootstrapTest`` record. Each tool takes a kernel-trend fit alone and
+resamples the residuals of its series around the pilot at its bandwidth.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .awb import (AwbConfig, BootstrapTest, bootstrap_test, check_rate, empirical_quantile,
+from .awb import (AwbConfig, BootstrapTest, bootstrap_test, check_rate, quantile_row,
                   run_replicates)
 from .exceptions import NoInteriorExtremumError
 from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals, window_bounds
-from .series import ObservedSeries
 
 
 def u_stat_bandwidth(n_time: int) -> float:
@@ -111,7 +111,6 @@ class ExtremumResult:
 
 
 def extremum_ci(
-    eps: ObservedSeries,
     fit: KernelTrendFit,
     cfg: AwbConfig | None = None,
     kind: str = "min",
@@ -144,8 +143,8 @@ def extremum_ci(
     t_ext = int(cands[np.argmin(at) if kind == "min" else np.argmax(at)])
     value = float(g[t_ext - 1])
 
-    pilot, u_hat = pilot_residuals(eps, fit.h)
-    smooth = nw_smoother(eps.mask, fit.h)
+    pilot, u_hat = pilot_residuals(fit)
+    smooth = nw_smoother(fit.series.mask, fit.h)
 
     def position(eps_star: np.ndarray) -> int:
         g_star = smooth(eps_star)
@@ -155,8 +154,8 @@ def extremum_ci(
         return nearest_extremum(cands, t_ext)
 
     locs = run_replicates(cfg, pilot, u_hat, position).astype(np.int64)
-    a = 1.0 - level
-    lo, hi = (int(empirical_quantile(locs, q)) for q in (a / 2.0, 1.0 - a / 2.0))
+    ordered, a = np.sort(locs), 1.0 - level
+    lo, hi = (int(ordered[quantile_row(q, locs.size)]) for q in (a / 2.0, 1.0 - a / 2.0))
     return ExtremumResult(
         location=t_ext,
         value=value,
@@ -185,7 +184,6 @@ class ShapeTestResult:
 
 
 def linearity_test(
-    eps: ObservedSeries,
     fit: KernelTrendFit,
     anchor: TrendAnchor | ExtremumResult,
     cfg: AwbConfig | None = None,
@@ -211,6 +209,7 @@ def linearity_test(
     """
     check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
+    eps = fit.series
     T = len(eps)
     t_min = int(anchor.location)
     g_min = float(anchor.value)
@@ -247,7 +246,7 @@ def linearity_test(
 
     composite = fit.g_hat.copy()
     composite[window] = line
-    _, u_hat = pilot_residuals(eps, fit.h)
+    _, u_hat = pilot_residuals(fit)
     smooth = nw_smoother(eps.mask, fit.h)
 
     def statistic(eps_star: np.ndarray) -> tuple[float, float]:
@@ -478,33 +477,32 @@ class MonotonicityResult:
 
 
 def monotonicity_tests(
-    eps: ObservedSeries,
-    interval: tuple[int, int],
+    fit: KernelTrendFit,
+    interval: tuple[int, int] | None = None,
     cfg: AwbConfig | None = None,
-    *,
-    h: float,
     alpha: float = 0.05,
 ) -> MonotonicityResult:
-    """Bootstrap tests of a monotonically increasing trend over ``interval``.
+    """Bootstrap tests of a monotonically increasing trend of ``fit.series``
+    over ``interval``.
 
     The statistics are suprema over the interval of kernel-weighted
-    pairwise sums (sign version and magnitude version). Critical values
-    come from bootstrap samples whose trend is set to zero, so the null
-    of no decreasing segment is imposed; residuals are taken around an
-    oversmoothed pilot fit at bandwidth 0.5 * h^(5/9).
+    pairwise sums (sign version and magnitude version), at the bandwidth
+    ``u_stat_bandwidth(T)``. Critical values come from bootstrap samples
+    whose trend is set to zero, so the null of no decreasing segment is
+    imposed; residuals are taken around the oversmoothed pilot fit at
+    bandwidth 0.5 * fit.h^(5/9).
 
     Parameters
     ----------
-    interval : (int, int)
-        1-based inclusive grid range to test.
-    h : float
-        Trend bandwidth whose oversmoothed pilot supplies the residuals. The
-        pairwise sums use the bandwidth ``u_stat_bandwidth(T)``.
+    interval : (int, int), optional
+        1-based inclusive grid range to test; by default from the trend
+        minimum (:func:`trend_minimum`) to the end of the sample.
     """
     check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
+    eps = fit.series
     T = len(eps)
-    lo, hi = int(interval[0]), int(interval[1])
+    lo, hi = map(int, (trend_minimum(fit).location, T) if interval is None else interval)
     if not (1 <= lo <= hi <= T):
         raise ValueError("interval outside the sample")
     h_u = u_stat_bandwidth(T)
@@ -513,14 +511,14 @@ def monotonicity_tests(
     prof1, prof2 = engine.profiles(eps.values[obs_pos])
     u1, u2 = float(prof1.max()), float(prof2.max())
 
-    _, u_hat = pilot_residuals(eps, h)
+    _, u_hat = pilot_residuals(fit)
 
     def statistic(y_star: np.ndarray) -> tuple[float, float]:
         p1, p2 = engine.profiles(y_star[obs_pos])
         return float(p1.max()), float(p2.max())
 
     # The null trend is zero: no decreasing segment.
-    stats = run_replicates(cfg, np.zeros(len(eps)), u_hat, statistic)
+    stats = run_replicates(cfg, np.zeros(T), u_hat, statistic)
     return MonotonicityResult(
         sign=bootstrap_test(u1, stats[:, 0], alpha),
         magnitude=bootstrap_test(u2, stats[:, 1], alpha),

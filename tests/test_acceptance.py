@@ -229,7 +229,7 @@ def test_criterion_7_noiseless_exactness():
     # Symmetric V with isolated observations: degenerate extremum interval.
     v_series, _ = isolated_v_series()
     v_fit = nw_estimate(v_series, 0.02)
-    res = extremum_ci(v_series, v_fit, AwbConfig(seed=2, n_boot=99), kind="min")
+    res = extremum_ci(v_fit, AwbConfig(seed=2, n_boot=99), kind="min")
     v_ok = res.lower_index == res.location == res.upper_index
 
     report(
@@ -272,8 +272,8 @@ def test_criterion_8_invariant_property_suites():
     d = fit.defined
     equiv = np.allclose(shifted.g_hat[d], fit.g_hat[d] + 3.0, atol=1e-10)
     cfg_k = AwbConfig(seed=10, n_boot=99)
-    b95 = confidence_bands(series, fit, cfg_k, level=0.95)
-    b99 = confidence_bands(series, fit, cfg_k, level=0.99)
+    b95 = confidence_bands(fit, cfg_k, level=0.95)
+    b99 = confidence_bands(fit, cfg_k, level=0.99)
     nesting = np.all(b99.lower[d] <= b95.lower[d] + 1e-12) and np.all(
         b99.upper[d] >= b95.upper[d] - 1e-12
     )
@@ -295,8 +295,8 @@ def test_criterion_8_invariant_property_suites():
     t_serial = break_test(series_d, cfg=cfg_serial, n_harmonics=0)
     t_thread = break_test(series_d, cfg=cfg_thread, n_harmonics=0)
     fit_d = nw_estimate(series_d, 0.15)
-    band_serial = confidence_bands(series_d, fit_d, cfg_serial)
-    band_thread = confidence_bands(series_d, fit_d, cfg_thread)
+    band_serial = confidence_bands(fit_d, cfg_serial)
+    band_thread = confidence_bands(fit_d, cfg_thread)
     checks["parallel determinism"] = np.array_equal(
         t_serial.test.draws, t_thread.test.draws
     ) and np.allclose(band_serial.lower, band_thread.lower, atol=0, rtol=0, equal_nan=True)

@@ -302,7 +302,7 @@ class TestBreakCi:
     def test_noiseless_degenerate_interval(self):
         series = make_series(kinked_line(100))
         fit = estimate_break(series, n_harmonics=0)
-        ci = break_ci(series, fit, AwbConfig(seed=3, n_boot=49))
+        ci = break_ci(fit, AwbConfig(seed=3, n_boot=49))
         assert ci.lower_index == ci.upper_index == 60
         assert ci.length == 0
         assert np.all(ci.bootstrap_indices == 60)
@@ -311,7 +311,7 @@ class TestBreakCi:
         values = kinked_line(200, beta=-0.2, delta=0.5, kink=120) + rng.normal(0, 1.5, 200)
         series = make_series(values)
         fit = estimate_break(series, n_harmonics=0)
-        ci = break_ci(series, fit, AwbConfig(seed=5, n_boot=99))
+        ci = break_ci(fit, AwbConfig(seed=5, n_boot=99))
         assert ci.lower_index <= fit.break_index <= ci.upper_index
         assert not ci.clipped
         assert (ci.lower_index, ci.upper_index) == (ci.basic_lower, ci.basic_upper)
@@ -324,7 +324,7 @@ class TestBreakCi:
         for lam in (0.05, 0.10):
             trim = trimming_set(300, lam)
             fit = estimate_break(series, trim, n_harmonics=0)
-            out[lam] = break_ci(series, fit, cfg)
+            out[lam] = break_ci(fit, cfg)
         a, b = out[0.05], out[0.10]
         assert max(a.lower_index, b.lower_index) <= min(a.upper_index, b.upper_index)
         la, lb = max(a.length, 1), max(b.length, 1)
@@ -335,7 +335,7 @@ class TestBreakCi:
         series = make_series(0.1 * np.arange(1, 201) + rng.normal(0, 4.0, 200))
         trim = trimming_set(200, 0.3)
         fit = estimate_break(series, trim, n_harmonics=0)
-        ci = break_ci(series, fit, AwbConfig(seed=7, n_boot=99))
+        ci = break_ci(fit, AwbConfig(seed=7, n_boot=99))
         assert set(ci.bootstrap_indices.tolist()) <= set(trim.tolist())
 
     @pytest.mark.parametrize("cell, level, collapses", [(3, 0.95, False), (12, 0.95, False),
@@ -351,7 +351,7 @@ class TestBreakCi:
         series = simulate_series(design, 0)
         trim = trimming_set(design.n_time, TRIM_FRACTION)
         fit = estimate_break(series, trim, N_HARMONICS)
-        ci = break_ci(series, fit, bootstrap_config(design, 0), level=level)
+        ci = break_ci(fit, bootstrap_config(design, 0), level=level)
         assert trim[0] <= ci.lower_index <= fit.break_index <= ci.upper_index <= trim[-1]
         assert ci.basic_lower < trim[0] and ci.clipped
         assert ci.lower_index == trim[0]
@@ -382,7 +382,7 @@ class TestBreakAnalysis:
         test, ci = break_analysis(series, trim, cfg, n_harmonics=2, alpha=0.1, level=0.8)
         assert sorted(multiplier_draws) == list(range(cfg.n_boot))
         ref = break_test(series, trim, cfg, n_harmonics=2, alpha=0.1)
-        ref_ci = break_ci(series, ref.fit, cfg, level=0.8)
+        ref_ci = break_ci(ref.fit, cfg, level=0.8)
 
         for name in ("statistic", "critical_value", "p_value", "alpha"):
             assert getattr(test.test, name) == getattr(ref.test, name)
@@ -419,7 +419,7 @@ class TestSlopeCis:
         trim = trimming_set(150, 0.2)
         fit = estimate_break(series, trim, n_harmonics=1)
         cfg = AwbConfig(seed=12, n_boot=9)
-        ci = break_ci(series, fit, cfg, level=0.8)
+        ci = break_ci(fit, cfg, level=0.8)
 
         scan = BreakScan(series.mask, series.calendar_years(), trim, 1)
         fitted = fit.fitted_values()
@@ -445,12 +445,12 @@ class TestSlopeCis:
             (ci.slopes.slope_after, fit.beta + fit.delta, betas + deltas),
         ):
             assert (got.lower, got.upper) == interval(estimate, boot)
-        assert slope_cis(series, fit, cfg, level=0.8) == ci.slopes
+        assert slope_cis(fit, cfg, level=0.8) == ci.slopes
 
     def test_noiseless_zero_width_at_truth(self):
         series = make_series(kinked_line(100, alpha=2.0, beta=-0.4, delta=0.9, kink=60))
         fit = estimate_break(series, n_harmonics=0)
-        cis = slope_cis(series, fit, AwbConfig(seed=3, n_boot=29))
+        cis = slope_cis(fit, AwbConfig(seed=3, n_boot=29))
         assert cis.slope_before.estimate == pytest.approx(-0.4, abs=1e-8)
         assert cis.slope_change.estimate == pytest.approx(0.9, abs=1e-8)
         for ci in (cis.intercept, cis.slope_before, cis.slope_change, cis.slope_after):
@@ -461,7 +461,7 @@ class TestSlopeCis:
         values = kinked_line(200, beta=-0.5, delta=1.0, kink=120) + rng.normal(0, 1.0, 200)
         series = make_series(values)
         fit = estimate_break(series, n_harmonics=0)
-        cis = slope_cis(series, fit, AwbConfig(seed=4, n_boot=49))
+        cis = slope_cis(fit, AwbConfig(seed=4, n_boot=49))
         assert cis.slope_before.upper < 0.0
         assert cis.slope_after.lower > 0.0
         per_year = cis.per_year()
@@ -487,7 +487,7 @@ class TestSlopeCis:
         for draw in range(design.replications):
             series = simulate_series(design, draw)
             fit = estimate_break(series, trim, n_harmonics=0)
-            cis = slope_cis(series, fit, bootstrap_config(design, draw))
+            cis = slope_cis(fit, bootstrap_config(design, draw))
             covered += int(cis.slope_before.lower <= -0.5 <= cis.slope_before.upper)
         assert 0.90 <= covered / design.replications <= 0.98
 

@@ -167,9 +167,9 @@ class TestArtifacts:
         rep = json.loads((tmp_path / "smooth_report.json").read_text())
         assert 0.0 < rep["results"]["simultaneous_joint_coverage"] <= 1.0
         fit_path = tmp_path / "trend_fit.json"
-        eps, fit = load_fit_artifact(str(fit_path))
+        fit = load_fit_artifact(str(fit_path))
         assert fit.h == 0.08
-        assert len(eps) == 420
+        assert len(fit.series) == 420
 
         assert run(base + ["extremum", "--fit", str(fit_path), "--B", "29"]) == 0
         rep = json.loads((tmp_path / "extremum_report.json").read_text())
@@ -297,9 +297,9 @@ class TestArtifacts:
             ci = cis.per_year()["slope_change"]
             return [ci.lower, ci.upper]
 
-        assert reported == change_ci(slope_cis(series, fit, cfg))
+        assert reported == change_ci(slope_cis(fit, cfg))
         default_fit = estimate_break(series, n_harmonics=0)
-        assert reported != change_ci(slope_cis(series, default_fit, cfg))
+        assert reported != change_ci(slope_cis(default_fit, cfg))
 
     def test_every_report_names_its_inputs(self, toy_csv, fit_json, tmp_path):
         # Walk the group: each report names its --input or --fit file (mc has
@@ -401,7 +401,8 @@ class TestArtifacts:
                         "--B", "19"]) == 0
             results.append(json.loads((out / "extremum_report.json").read_text())["results"])
         assert results[0] == results[1]
-        (eps, fit), (old_eps, old_fit) = load_fit_artifact(fit_json), load_fit_artifact(str(old))
+        fit, old_fit = load_fit_artifact(fit_json), load_fit_artifact(str(old))
+        eps, old_eps = fit.series, old_fit.series
         assert old_eps.t0 == eps.t0 and np.array_equal(old_eps.mask, eps.mask)
         assert np.array_equal(old_eps.values, eps.values)
         assert np.array_equal(old_fit.g_hat, fit.g_hat, equal_nan=True) and old_fit.h == fit.h

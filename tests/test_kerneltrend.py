@@ -391,7 +391,7 @@ class TestBands:
     def test_zero_residuals_give_zero_width(self):
         series, _ = isolated_v_series()
         fit = nw_estimate(series, 0.02)
-        band = confidence_bands(series, fit, AwbConfig(seed=1, n_boot=29), level=0.95)
+        band = confidence_bands(fit, AwbConfig(seed=1, n_boot=29), level=0.95)
         d = fit.defined
         np.testing.assert_allclose(band.pointwise_lower[d], fit.g_hat[d], atol=1e-12)
         np.testing.assert_allclose(band.pointwise_upper[d], fit.g_hat[d], atol=1e-12)
@@ -399,7 +399,7 @@ class TestBands:
     def test_simultaneous_contains_pointwise(self, rng):
         series = random_masked_series(rng, 200, observed_fraction=0.6)
         fit = nw_estimate(series, 0.1)
-        band = confidence_bands(series, fit, AwbConfig(seed=2, n_boot=99))
+        band = confidence_bands(fit, AwbConfig(seed=2, n_boot=99))
         d = fit.defined
         assert np.all(band.lower[d] <= band.pointwise_lower[d] + 1e-12)
         assert np.all(band.upper[d] >= band.pointwise_upper[d] - 1e-12)
@@ -411,8 +411,8 @@ class TestBands:
         series = random_masked_series(rng, 150, observed_fraction=0.7)
         fit = nw_estimate(series, 0.12)
         cfg = AwbConfig(seed=3, n_boot=199)
-        b95 = confidence_bands(series, fit, cfg, level=0.95)
-        b99 = confidence_bands(series, fit, cfg, level=0.99)
+        b95 = confidence_bands(fit, cfg, level=0.95)
+        b99 = confidence_bands(fit, cfg, level=0.99)
         d = fit.defined
         assert np.all(b99.lower[d] <= b95.lower[d] + 1e-12)
         assert np.all(b99.upper[d] >= b95.upper[d] - 1e-12)
@@ -470,7 +470,7 @@ class TestBands:
         series = random_masked_series(np.random.default_rng(1), 600, observed_fraction=0.6)
         fit = nw_estimate(series, 0.02)
         with pytest.warns(UserWarning, match="Monte Carlo error 0.034"):
-            band = confidence_bands(series, fit, AwbConfig(seed=1, n_boot=40), level=0.95)
+            band = confidence_bands(fit, AwbConfig(seed=1, n_boot=40), level=0.95)
         assert (band.alpha_s, band.joint_coverage) == (pytest.approx(1 / 40), 1.0)
 
     def test_no_warning_within_monte_carlo_error(self):
@@ -480,7 +480,7 @@ class TestBands:
         fit = nw_estimate(series, 0.4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            band = confidence_bands(series, fit, AwbConfig(seed=3, n_boot=199), level=0.95)
+            band = confidence_bands(fit, AwbConfig(seed=3, n_boot=199), level=0.95)
         assert band.joint_coverage == pytest.approx(188 / 199)
 
     def test_memory_one_deviation_matrix_sorted_once(self):
@@ -490,7 +490,7 @@ class TestBands:
         series = gappy_series(np.random.default_rng(3), T, 0.6, gaps=[(1400, 1700)])
         fit = nw_estimate(series, 0.04)
         assert not fit.defined.all()
-        peak = traced_peak(lambda: confidence_bands(series, fit, AwbConfig(seed=1, n_boot=B)))
+        peak = traced_peak(lambda: confidence_bands(fit, AwbConfig(seed=1, n_boot=B)))
         assert peak <= 2.5 * B * T * 8
 
     @pytest.mark.slow
@@ -512,7 +512,7 @@ class TestBands:
             fit = nw_estimate(series, 0.1)
             if not np.isfinite(fit.g_hat[mid]):
                 continue
-            band = confidence_bands(series, fit, bootstrap_config(design, draw), level=0.95)
+            band = confidence_bands(fit, bootstrap_config(design, draw), level=0.95)
             n_ok += 1
             covered += int(band.pointwise_lower[mid] <= truth[mid] <= band.pointwise_upper[mid])
         assert n_ok > 250
@@ -532,7 +532,7 @@ class TestBands:
         for draw in range(design.replications):
             series = simulate_series(design, draw)
             fit = nw_estimate(series, 0.1)
-            band = confidence_bands(series, fit, bootstrap_config(design, draw), level=0.95)
+            band = confidence_bands(fit, bootstrap_config(design, draw), level=0.95)
             seg = slice(60, 240)
             lo, hi = band.lower[seg], band.upper[seg]
             ok = np.isfinite(lo) & np.isfinite(hi)

@@ -295,7 +295,7 @@ class TestExtremumCi:
         # original trend.
         series = isolated_series([3.0, 2.0, 1.0, 2.0, 3.0])
         fit = nw_estimate(series, 0.03)
-        res = extremum_ci(series, fit, AwbConfig(seed=2, n_boot=49), kind="min")
+        res = extremum_ci(fit, AwbConfig(seed=2, n_boot=49), kind="min")
         assert res.location == res.lower_index == res.upper_index
         assert np.all(res.bootstrap_locations == res.location)
         assert res.value == 1.0
@@ -304,24 +304,24 @@ class TestExtremumCi:
         series = isolated_series([1.0, 2.0, 3.0, 4.0, 5.0])
         fit = nw_estimate(series, 0.03)
         with pytest.raises(NoInteriorExtremumError):
-            extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+            extremum_ci(fit, AwbConfig(seed=2, n_boot=19), kind="min")
 
     def test_decreasing_trend_raises(self):
         series = isolated_series([5.0, 4.0, 3.0, 2.0, 1.0])
         fit = nw_estimate(series, 0.03)
         with pytest.raises(NoInteriorExtremumError):
-            extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+            extremum_ci(fit, AwbConfig(seed=2, n_boot=19), kind="min")
 
     def test_monotone_trend_raises_for_maximum(self):
         series = isolated_series([1.0, 2.0, 3.0, 4.0, 5.0])
         fit = nw_estimate(series, 0.03)
         with pytest.raises(NoInteriorExtremumError):
-            extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="max")
+            extremum_ci(fit, AwbConfig(seed=2, n_boot=19), kind="max")
 
     def test_maximum_kind(self):
         series = isolated_series([1.0, 2.0, 4.0, 2.0, 1.0])
         fit = nw_estimate(series, 0.03)
-        res = extremum_ci(series, fit, AwbConfig(seed=2, n_boot=29), kind="max")
+        res = extremum_ci(fit, AwbConfig(seed=2, n_boot=29), kind="max")
         assert res.location == res.lower_index == res.upper_index
         assert res.value == 4.0
 
@@ -336,7 +336,7 @@ class TestExtremumCi:
         assert np.isnan(fit.g_hat[119:231]).all()
         assert local_extrema(fit.g_hat, "min").size == 0
         with pytest.raises(NoInteriorExtremumError):
-            extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+            extremum_ci(fit, AwbConfig(seed=2, n_boot=19), kind="min")
 
     def test_estimate_is_lowest_interior_extremum(self):
         # The trend is lowest at the sample end, which is no interior minimum.
@@ -347,19 +347,18 @@ class TestExtremumCi:
         assert int(np.nanargmin(fit.g_hat)) + 1 == T
         cands = local_extrema(fit.g_hat, "min")
         lowest = int(cands[np.argmin(fit.g_hat[cands - 1])])
-        res = extremum_ci(series, fit, AwbConfig(seed=1, n_boot=49), kind="min")
+        res = extremum_ci(fit, AwbConfig(seed=1, n_boot=49), kind="min")
         assert res.location == lowest
         assert res.value == fit.g_hat[lowest - 1]
         assert res.lower_index <= res.location <= res.upper_index
         flipped = make_series(-series.values)
-        res_max = extremum_ci(flipped, nw_estimate(flipped, 0.05), AwbConfig(seed=1, n_boot=49),
-                              kind="max")
+        res_max = extremum_ci(nw_estimate(flipped, 0.05), AwbConfig(seed=1, n_boot=49), kind="max")
         assert res_max.location == lowest
 
     def test_estimate_ties_go_to_the_earliest(self):
         series = isolated_series([3.0, 1.0, 2.0, 1.0, 3.0])
         fit = nw_estimate(series, 0.03)
-        res = extremum_ci(series, fit, AwbConfig(seed=2, n_boot=19), kind="min")
+        res = extremum_ci(fit, AwbConfig(seed=2, n_boot=19), kind="min")
         assert res.location == local_extrema(fit.g_hat, "min")[0] < 100
 
     def test_interval_orders_and_dates(self, rng):
@@ -368,7 +367,7 @@ class TestExtremumCi:
         trend = (t - 0.5) ** 2 * 8.0
         series = make_series(trend + rng.normal(0, 0.3, T))
         fit = nw_estimate(series, 0.12)
-        res = extremum_ci(series, fit, AwbConfig(seed=5, n_boot=99), kind="min")
+        res = extremum_ci(fit, AwbConfig(seed=5, n_boot=99), kind="min")
         assert res.lower_index <= res.location <= res.upper_index
         assert abs(res.location - 150) < 60
 
@@ -388,7 +387,7 @@ class TestExtremumCi:
             series = simulate_series(design, draw)
             fit = nw_estimate(series, 0.1)
             try:
-                res = extremum_ci(series, fit, bootstrap_config(design, draw), kind="min")
+                res = extremum_ci(fit, bootstrap_config(design, draw), kind="min")
             except NoInteriorExtremumError:
                 continue
             n_ok += 1
@@ -402,7 +401,7 @@ class TestExtremumCi:
         T, B = 3000, 199
         series = gappy_series(np.random.default_rng(3), T, 0.6, gaps=[(1400, 1700)])
         fit = nw_estimate(series, 0.04)
-        peak = traced_peak(lambda: extremum_ci(series, fit, AwbConfig(seed=1, n_boot=B)))
+        peak = traced_peak(lambda: extremum_ci(fit, AwbConfig(seed=1, n_boot=B)))
         assert peak <= 0.5 * B * T * 8
 
 
@@ -415,7 +414,7 @@ class TestLinearityTest:
         series = make_series(values)
         fit = nw_estimate(series, 2.5 / T)
         anchor = TrendAnchor(location=kink, value=float(fit.g_hat[kink - 1]))
-        res = linearity_test(series, fit, anchor, AwbConfig(seed=3, n_boot=29))
+        res = linearity_test(fit, anchor, AwbConfig(seed=3, n_boot=29))
         spread = values.max() - values.min()
         assert res.sup.statistic < (spread * 0.05) ** 2
         assert res.ave.statistic <= res.sup.statistic
@@ -424,16 +423,16 @@ class TestLinearityTest:
         series = random_masked_series(rng, 240, observed_fraction=0.7)
         fit = nw_estimate(series, 0.1)
         anchor = TrendAnchor(location=20, value=float(fit.g_hat[19]))
-        res = linearity_test(series, fit, anchor, AwbConfig(seed=4, n_boot=39))
+        res = linearity_test(fit, anchor, AwbConfig(seed=4, n_boot=39))
         assert 0.0 <= res.ave.statistic <= res.sup.statistic
 
     def test_requires_points_after_anchor(self, rng):
         series = random_masked_series(rng, 100)
         fit = nw_estimate(series, 0.1)
         with pytest.raises(ValueError, match="observed points after"):
-            linearity_test(series, fit, TrendAnchor(99, 0.0), AwbConfig(seed=1, n_boot=9))
+            linearity_test(fit, TrendAnchor(99, 0.0), AwbConfig(seed=1, n_boot=9))
         with pytest.raises(ValueError, match="anchor position"):
-            linearity_test(series, fit, TrendAnchor(150, 0.0), AwbConfig(seed=1, n_boot=9))
+            linearity_test(fit, TrendAnchor(150, 0.0), AwbConfig(seed=1, n_boot=9))
 
     def test_strong_curvature_rejected(self, rng):
         T = 400
@@ -441,7 +440,7 @@ class TestLinearityTest:
         trend = 2.0 * np.sin(np.pi * t)  # rises then falls: nothing like a line
         series = make_series(trend + rng.normal(0, 0.15, T))
         fit = nw_estimate(series, 0.1)
-        res = linearity_test(series, fit, trend_minimum(fit), AwbConfig(seed=6, n_boot=99))
+        res = linearity_test(fit, trend_minimum(fit), AwbConfig(seed=6, n_boot=99))
         assert res.ave.p_value <= 0.05
         assert res.ave.reject
 
@@ -451,14 +450,14 @@ class TestLinearityTest:
         monkeypatch.setattr(shapetests, "run_replicates", None)
         for alpha in (0.0, 1.0, 1.2):
             with pytest.raises(ValueError, match="alpha must lie in"):
-                linearity_test(series, fit, trend_minimum(fit), AwbConfig(n_boot=9), alpha)
+                linearity_test(fit, trend_minimum(fit), AwbConfig(n_boot=9), alpha)
             with pytest.raises(ValueError, match="alpha must lie in"):
-                monotonicity_tests(series, (20, 140), AwbConfig(n_boot=9), h=0.12, alpha=alpha)
+                monotonicity_tests(fit, (20, 140), AwbConfig(n_boot=9), alpha)
 
     def test_pvalue_convention(self, rng):
         series = random_masked_series(rng, 150, observed_fraction=0.8)
         fit = nw_estimate(series, 0.12)
-        res = linearity_test(series, fit, trend_minimum(fit), AwbConfig(seed=7, n_boot=19))
+        res = linearity_test(fit, trend_minimum(fit), AwbConfig(seed=7, n_boot=19))
         assert 1.0 / 20.0 <= res.ave.p_value <= 1.0
         assert 1.0 / 20.0 <= res.sup.p_value <= 1.0
 
@@ -642,14 +641,14 @@ class TestMonotonicityTests:
         series = random_masked_series(rng, 60)
         cfg = AwbConfig(seed=1, n_boot=9)
         with pytest.raises(ValueError, match="interval"):
-            monotonicity_tests(series, (0, 50), cfg, h=0.1)
+            monotonicity_tests(nw_estimate(series, 0.1), (0, 50), cfg)
         with pytest.raises(ValueError, match="interval"):
-            monotonicity_tests(series, (10, 61), cfg, h=0.1)
+            monotonicity_tests(nw_estimate(series, 0.1), (10, 61), cfg)
 
     def test_increasing_trend_not_rejected(self, rng):
         T = 300
         series = make_series(0.5 * np.arange(1, T + 1) / T + rng.normal(0, 0.1, T))
-        res = monotonicity_tests(series, (30, 270), AwbConfig(seed=2, n_boot=49), h=0.1)
+        res = monotonicity_tests(nw_estimate(series, 0.1), (30, 270), AwbConfig(seed=2, n_boot=49))
         assert res.sign.statistic < res.sign.critical_value
         assert res.magnitude.statistic < res.magnitude.critical_value
         assert not res.sign.reject and not res.magnitude.reject
@@ -659,28 +658,40 @@ class TestMonotonicityTests:
         t = np.arange(1, T + 1) / T
         trend = np.where(t < 0.5, t, 1.0 - t) * 4.0
         series = make_series(trend + rng.normal(0, 0.1, T))
-        res = monotonicity_tests(series, (30, 270), AwbConfig(seed=3, n_boot=99), h=0.08)
+        res = monotonicity_tests(nw_estimate(series, 0.08), (30, 270), AwbConfig(seed=3, n_boot=99))
         assert res.sign.reject
         assert res.magnitude.reject
         assert res.sign.p_value <= 0.05 and res.magnitude.p_value <= 0.05
 
     def test_default_bandwidth_recorded(self, rng):
         series = random_masked_series(rng, 200)
-        res = monotonicity_tests(series, (20, 180), AwbConfig(seed=4, n_boot=19), h=0.1)
+        res = monotonicity_tests(nw_estimate(series, 0.1), (20, 180), AwbConfig(seed=4, n_boot=19))
         assert res.h_u == pytest.approx(u_stat_bandwidth(200))
         assert res.interval == (20, 180)
 
+    def test_default_interval_runs_from_the_trend_minimum_to_the_end(self, rng):
+        series = random_masked_series(rng, 200)
+        fit = nw_estimate(series, 0.1)
+        cfg = AwbConfig(seed=4, n_boot=19)
+        res = monotonicity_tests(fit, cfg=cfg)
+        assert res.interval == (trend_minimum(fit).location, 200)
+        explicit = monotonicity_tests(fit, res.interval, cfg)
+        assert np.array_equal(res.sign.draws, explicit.sign.draws)
+        assert np.array_equal(res.magnitude.draws, explicit.magnitude.draws)
+
     def test_threads_identical(self, rng):
         series = random_masked_series(rng, 150)
-        a = monotonicity_tests(series, (15, 135), AwbConfig(seed=5, n_boot=24, threads=1), h=0.1)
-        b = monotonicity_tests(series, (15, 135), AwbConfig(seed=5, n_boot=24, threads=3), h=0.1)
+        fit = nw_estimate(series, 0.1)
+        a = monotonicity_tests(fit, (15, 135), AwbConfig(seed=5, n_boot=24, threads=1))
+        b = monotonicity_tests(fit, (15, 135), AwbConfig(seed=5, n_boot=24, threads=3))
         assert np.array_equal(a.sign.draws, b.sign.draws)
         assert np.array_equal(a.magnitude.draws, b.magnitude.draws)
 
     def test_threads_identical_at_realistic_size(self):
         rng = np.random.default_rng(7)
         series = gappy_series(rng, 2000, 0.4, gaps=[(900, 1200)])
-        a = monotonicity_tests(series, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=1), h=0.08)
-        b = monotonicity_tests(series, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=2), h=0.08)
+        fit = nw_estimate(series, 0.08)
+        a = monotonicity_tests(fit, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=1))
+        b = monotonicity_tests(fit, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=2))
         assert np.array_equal(a.sign.draws, b.sign.draws)
         assert np.array_equal(a.magnitude.draws, b.magnitude.draws)

@@ -181,3 +181,57 @@ def test_cli_import_loads_no_lazy_module():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path})
     assert run.stdout.strip() == "[]"
+
+
+FIT_TYPES = {"KernelTrendFit", "BrokenTrendFit"}
+
+
+def series_beside_fit(source: str) -> list[str]:
+    """Public functions and methods of ``source`` with a parameter annotated
+    ``ObservedSeries`` beside another annotated ``KernelTrendFit`` or
+    ``BrokenTrendFit``, read off the annotations (quoted ones included)."""
+
+    def annotated(arg: ast.arg) -> set[str]:
+        names = set()
+        for node in ast.walk(arg.annotation) if arg.annotation else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                node = ast.parse(node.value, mode="eval").body
+            names |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                      if isinstance(n, (ast.Name, ast.Attribute))}
+        return names
+
+    tree = ast.parse(source)
+    scopes = [("", tree)] + [(f"{c.name}.", c) for c in tree.body if isinstance(c, ast.ClassDef)]
+    found = []
+    for prefix, scope in scopes:
+        for fn in scope.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            kinds = [annotated(a) for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
+            series = [i for i, k in enumerate(kinds) if "ObservedSeries" in k]
+            fits = [i for i, k in enumerate(kinds) if k & FIT_TYPES]
+            if any(i != j for i in series for j in fits):
+                found.append(f"{prefix}{fn.name} (line {fn.lineno})")
+    return found
+
+
+def test_guard_flags_a_series_beside_a_fit():
+    planted = (
+        "def bands(eps: ObservedSeries, fit: KernelTrendFit, cfg=None): ...\n"
+        "def ci(fit: 'BrokenTrendFit', s: gaptrend.ObservedSeries | None = None): ...\n"
+        "def _private(eps: ObservedSeries, fit: KernelTrendFit): ...\n"
+        "def alone(fit: KernelTrendFit, values: np.ndarray) -> ObservedSeries: ...\n"
+        "def either(x: ObservedSeries | KernelTrendFit): ...\n"
+        "class Scan:\n"
+        "    def fit(self, series: ObservedSeries, state) -> BrokenTrendFit: ...\n"
+        "    def refit(self, fit: BrokenTrendFit, *, series: ObservedSeries): ...\n"
+    )
+    assert series_beside_fit(planted) == ["bands (line 1)", "ci (line 2)", "Scan.refit (line 8)"]
+
+
+@pytest.mark.parametrize("module", ["breaktrend.py", "kerneltrend.py", "shapetests.py"])
+def test_no_procedure_takes_a_series_beside_a_fit(module):
+    # A fit carries the series it was estimated on, and every bootstrap of
+    # the estimate resamples that series: a second series argument could
+    # only disagree with it.
+    assert series_beside_fit((SOURCE / module).read_text()) == []
