@@ -163,19 +163,18 @@ def _write_fit_artifact(out_dir: Path, fit: KernelTrendFit) -> Path:
 
 
 def load_fit_artifact(path: str) -> KernelTrendFit:
-    """The fit of a ``trend_fit.json``, with its series; a ``grid_step`` key,
-    written by older versions, is ignored (the grid is one position per day)."""
+    """The fit of a ``trend_fit.json``, re-estimated from its series and ``h``;
+    its ``g_hat``, and an older version's ``grid_step`` key, are not read."""
     import datetime as dt
 
     payload = json.loads(Path(path).read_text())
     if payload.get("schema") != "gaptrend-trend-fit-v1":
         raise ValueError(f"{path}: not a trend-fit artifact")
-    series, fit = payload["series"], payload["fit"]
+    series = payload["series"]
     values = np.array([0.0 if v is None else float(v) for v in series["values"]])
     eps = ObservedSeries(values, np.asarray(series["mask"], dtype=np.uint8),
                          dt.date.fromisoformat(series["t0"]))
-    g = np.array([np.nan if v is None else float(v) for v in fit["g_hat"]])
-    return KernelTrendFit(g_hat=g, h=fit["h"], series=eps)
+    return nw_estimate(eps, payload["fit"]["h"])
 
 
 def _awb_config(ctx: click.Context, **kw) -> AwbConfig:

@@ -12,15 +12,17 @@ re-smoothing) comes from prefix sums of x, o*x and o^2*x within
 non-overlapping blocks: the kernel is quadratic in the offset o, so a window
 sum costs O(1) and a whole pass, reading each value once, O(T).
 
-The pointwise and simultaneous bands read one (B, T) matrix of bootstrap
-deviations from the pilot and one copy of it sorted along the replicates.
-A fit carries the series it was estimated on, so the bands take the fit alone.
+A fit is built from its series and bandwidth alone and runs every bootstrap
+of the estimate through ``fit.bootstrap``, around its pilot ``fit.pilot``.
+The bands read one (B, T) matrix of bootstrap deviations from the pilot
+and one copy of it sorted along the replicates.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -137,27 +139,44 @@ def nw_smoother(mask: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray
 
 @dataclass(frozen=True)
 class KernelTrendFit:
-    """Local-constant trend estimate on the full grid.
+    """Local-constant trend estimate of ``series`` at bandwidth ``h``.
 
+    Its smoother ``smooth`` and trend ``g_hat`` are built at construction.
     ``g_hat`` is NaN wherever the kernel window holds no observation;
-    every defined value is a convex combination of observed points.
-    ``series`` is the series it was estimated on; every bootstrap of the
-    estimate resamples its residuals around the pilot of bandwidth ``h``.
+    every defined value is a convex combination of observed points. Every
+    bootstrap of the estimate runs through ``bootstrap``, around ``pilot``.
     """
 
-    g_hat: np.ndarray
-    h: float
     series: ObservedSeries = field(repr=False, compare=False)
+    h: float
+    smooth: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False, compare=False)
+    g_hat: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        smooth = nw_smoother(self.series.mask, self.h)
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "g_hat", smooth(self.series.values))
 
     @property
     def defined(self) -> np.ndarray:
         return np.isfinite(self.g_hat)
 
+    @cached_property
+    def pilot(self) -> np.ndarray:
+        """Oversmoothed trend at bandwidth 0.5 * h^(5/9), on every position."""
+        return nw_smoother(self.series.mask, pilot_bandwidth(self.h))(self.series.values)
+
+    def bootstrap(self, cfg: AwbConfig, base: np.ndarray,
+                  statistic: Callable[[np.ndarray], object]) -> np.ndarray:
+        """``run_replicates`` of ``statistic`` on replicate series built on
+        ``base`` from the residuals of ``series`` around the pilot."""
+        eps = self.series
+        return run_replicates(cfg, base, eps.with_values(eps.values - self.pilot), statistic)
+
 
 def nw_estimate(eps: ObservedSeries, h: float) -> KernelTrendFit:
     """Kernel-weighted local average of the observed points at t/T, t = 1..T."""
-    g = nw_smoother(eps.mask, h)(eps.values)
-    return KernelTrendFit(g_hat=g, h=float(h), series=eps)
+    return KernelTrendFit(eps, float(h))
 
 
 def default_leave_out(n_time: int) -> int:
@@ -244,48 +263,31 @@ def pilot_bandwidth(h: float) -> float:
 class BandResult:
     """Pointwise intervals and simultaneous bands for the trend curve.
 
-    ``alpha_s`` is the calibrated pointwise error rate whose per-point
-    intervals hold jointly at the requested level; it never exceeds
-    1 - level, so the simultaneous band contains the pointwise band.
-    ``joint_coverage`` is the fraction of bootstrap deviation paths that
-    lie inside the simultaneous band at every defined position.
+    ``alpha_s`` is the calibrated pointwise error rate at which the share of
+    bootstrap deviation paths inside the per-point intervals at every
+    defined position, ``joint_coverage`` (the report's
+    ``simultaneous_joint_coverage``), comes closest to the requested level.
+    It never exceeds 1 - level, so the simultaneous band contains the pointwise band.
     """
 
     level: float
     alpha_s: float
     joint_coverage: float
-    g_hat: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
     pointwise_lower: np.ndarray
     pointwise_upper: np.ndarray
 
 
-def pilot_residuals(fit: KernelTrendFit) -> tuple[np.ndarray, ObservedSeries]:
-    """Oversmoothed pilot fit at bandwidth 0.5 * h^(5/9) and its residuals.
-
-    Returns (pilot values on every position, residuals on the grid and
-    mask of ``fit.series``). Every bootstrap of the kernel trend and the
-    shape tests resamples these residuals.
-    """
-    eps = fit.series
-    pilot = nw_smoother(eps.mask, pilot_bandwidth(fit.h))(eps.values)
-    return pilot, eps.with_values(eps.values - pilot)
-
-
 def trend_bootstrap_paths(fit: KernelTrendFit, cfg: AwbConfig) -> np.ndarray:
-    """Bootstrap deviations of the trend re-estimates from an oversmoothed pilot.
+    """Bootstrap deviations of the trend re-estimates from the fit's pilot.
 
-    Residuals are taken from the pilot fit at bandwidth 0.5 * h^(5/9);
-    replicate series are rebuilt on the pilot by ``run_replicates`` and
-    re-smoothed at the original bandwidth.
-
-    Returns the (B, T) matrix of replicate trend estimates minus the
-    pilot, the pilot subtracted in place.
+    Replicate series are rebuilt on the pilot by ``fit.bootstrap`` and
+    re-smoothed by ``fit.smooth``. Returns the (B, T) matrix of replicate
+    trend estimates minus the pilot, the pilot subtracted in place.
     """
-    pilot, u_hat = pilot_residuals(fit)
-    deviations = run_replicates(cfg, pilot, u_hat, nw_smoother(fit.series.mask, fit.h))
-    deviations -= pilot
+    deviations = fit.bootstrap(cfg, fit.pilot, fit.smooth)
+    deviations -= fit.pilot
     return deviations
 
 
@@ -378,7 +380,6 @@ def confidence_bands(
         level=level,
         alpha_s=alpha_s,
         joint_coverage=coverage,
-        g_hat=fit.g_hat,
         lower=lower,
         upper=upper,
         pointwise_lower=pointwise_lower,

@@ -7,7 +7,7 @@ monotonicity (one using only the signs of increments, one their
 magnitudes). Pairwise statistics run over observed pairs only. Each
 statistic of the linearity and monotonicity tests comes back as one
 ``awb.BootstrapTest`` record. Each tool takes a kernel-trend fit alone and
-resamples the residuals of its series around the pilot at its bandwidth.
+resamples through ``fit.bootstrap``, around the fit's pilot ``fit.pilot``.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .awb import (AwbConfig, BootstrapTest, bootstrap_test, check_rate, quantile_row,
-                  run_replicates)
+from .awb import AwbConfig, BootstrapTest, bootstrap_test, check_rate, quantile_row
 from .exceptions import NoInteriorExtremumError
-from .kerneltrend import KernelTrendFit, nw_smoother, pilot_residuals, window_bounds
+from .kerneltrend import KernelTrendFit, window_bounds
 
 
 def u_stat_bandwidth(n_time: int) -> float:
@@ -143,17 +142,14 @@ def extremum_ci(
     t_ext = int(cands[np.argmin(at) if kind == "min" else np.argmax(at)])
     value = float(g[t_ext - 1])
 
-    pilot, u_hat = pilot_residuals(fit)
-    smooth = nw_smoother(fit.series.mask, fit.h)
-
     def position(eps_star: np.ndarray) -> int:
-        g_star = smooth(eps_star)
+        g_star = fit.smooth(eps_star)
         cands = local_extrema(g_star, kind)
         if cands.size == 0:
             return int(np.nanargmin(g_star) if kind == "min" else np.nanargmax(g_star)) + 1
         return nearest_extremum(cands, t_ext)
 
-    locs = run_replicates(cfg, pilot, u_hat, position).astype(np.int64)
+    locs = fit.bootstrap(cfg, fit.pilot, position).astype(np.int64)
     ordered, a = np.sort(locs), 1.0 - level
     lo, hi = (int(ordered[quantile_row(q, locs.size)]) for q in (a / 2.0, 1.0 - a / 2.0))
     return ExtremumResult(
@@ -246,16 +242,14 @@ def linearity_test(
 
     composite = fit.g_hat.copy()
     composite[window] = line
-    _, u_hat = pilot_residuals(fit)
-    smooth = nw_smoother(eps.mask, fit.h)
 
     def statistic(eps_star: np.ndarray) -> tuple[float, float]:
-        g_star = smooth(eps_star)
+        g_star = fit.smooth(eps_star)
         pin_star = int(hunt[np.argmin(g_star[hunt])])
         ave, sup, _, _ = gap_stats(eps_star, g_star, pin_star)
         return ave, sup
 
-    stats = run_replicates(cfg, composite, u_hat, statistic)
+    stats = fit.bootstrap(cfg, composite, statistic)
     return ShapeTestResult(
         ave=bootstrap_test(q_ave, stats[:, 0], alpha),
         sup=bootstrap_test(q_sup, stats[:, 1], alpha),
@@ -496,13 +490,15 @@ def monotonicity_tests(
     ----------
     interval : (int, int), optional
         1-based inclusive grid range to test; by default from the trend
-        minimum (:func:`trend_minimum`) to the end of the sample.
+        minimum (:func:`trend_minimum`) to the end, refused when that is day T.
     """
     check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
     eps = fit.series
     T = len(eps)
     lo, hi = map(int, (trend_minimum(fit).location, T) if interval is None else interval)
+    if interval is None and lo == T:
+        raise ValueError(f"trend minimum at the sample end (day {T}): pass an interval to test")
     if not (1 <= lo <= hi <= T):
         raise ValueError("interval outside the sample")
     h_u = u_stat_bandwidth(T)
@@ -511,14 +507,12 @@ def monotonicity_tests(
     prof1, prof2 = engine.profiles(eps.values[obs_pos])
     u1, u2 = float(prof1.max()), float(prof2.max())
 
-    _, u_hat = pilot_residuals(fit)
-
     def statistic(y_star: np.ndarray) -> tuple[float, float]:
         p1, p2 = engine.profiles(y_star[obs_pos])
         return float(p1.max()), float(p2.max())
 
     # The null trend is zero: no decreasing segment.
-    stats = run_replicates(cfg, np.zeros(T), u_hat, statistic)
+    stats = fit.bootstrap(cfg, np.zeros(T), statistic)
     return MonotonicityResult(
         sign=bootstrap_test(u1, stats[:, 0], alpha),
         magnitude=bootstrap_test(u2, stats[:, 1], alpha),

@@ -137,6 +137,25 @@ class TestExitCodes:
                         "--bandwidth", bandwidth]) == 2
             assert list(out.iterdir()) == []
 
+    def test_monotest_refuses_a_trend_minimum_on_the_last_day(self, tmp_path):
+        # A falling series: the default interval, from the trend minimum to
+        # the end, would hold the last day alone.
+        T = 800
+        rng = np.random.default_rng(3)
+        mask = (rng.random(T) < 0.6).astype(np.uint8)
+        mask[[0, -1]] = 1
+        values = -0.01 * np.arange(T) + rng.normal(0.0, 0.3, T)
+        falling = gaptrend.ObservedSeries(values, mask, dt.date(2000, 1, 1))
+        data = write_draw_csv(tmp_path / "falling.csv", falling)
+        base = ["--out", str(tmp_path), "--seed", "1"]
+        assert run(base + ["smooth", "--input", data, "--bandwidth", "0.08", "--B", "9"]) == 0
+        fit = str(tmp_path / "trend_fit.json")
+        assert gaptrend.trend_minimum(load_fit_artifact(fit)).location == T
+        assert run(base + ["monotest", "--fit", fit, "--B", "49"]) == 2
+        assert not (tmp_path / "monotest_report.json").exists()
+        assert run(base + ["monotest", "--fit", fit, "--B", "49",
+                           "--interval", "2001-06-01:2002-03-10"]) == 0
+
     def test_threads_below_one(self, toy_csv, tmp_path):
         for threads in ("0", "-3"):
             assert run(["--out", str(tmp_path), "--threads", threads, "ingest",
@@ -406,6 +425,37 @@ class TestArtifacts:
         assert old_eps.t0 == eps.t0 and np.array_equal(old_eps.mask, eps.mask)
         assert np.array_equal(old_eps.values, eps.values)
         assert np.array_equal(old_fit.g_hat, fit.g_hat, equal_nan=True) and old_fit.h == fit.h
+
+    def test_reloaded_fit_reproduces_the_written_trend(self, fit_json, tmp_path):
+        # The loader re-estimates the trend from the artifact's series and
+        # bandwidth; the g_hat it stores is never read.
+        payload = json.loads(Path(fit_json).read_text())
+        written = np.array([np.nan if v is None else v for v in payload["fit"]["g_hat"]])
+        fit = load_fit_artifact(fit_json)
+        assert np.array_equal(fit.g_hat, written, equal_nan=True)
+        payload["fit"]["g_hat"] = [None] * len(written)
+        blank = tmp_path / "trend_fit.json"
+        blank.write_text(json.dumps(payload, sort_keys=True) + "\n")
+        reloaded = load_fit_artifact(str(blank))
+        assert np.array_equal(reloaded.g_hat, fit.g_hat, equal_nan=True)
+        assert reloaded.h == fit.h and np.array_equal(reloaded.series.values, fit.series.values)
+
+    def test_smooth_builds_two_smoothers(self, toy_csv, tmp_path, monkeypatch):
+        # One at the fit's bandwidth, for the trend and every replicate, and
+        # one at the pilot bandwidth.
+        from gaptrend import kerneltrend
+
+        built = []
+        build = kerneltrend.nw_smoother
+
+        def counted(mask, h):
+            built.append(h)
+            return build(mask, h)
+
+        monkeypatch.setattr(kerneltrend, "nw_smoother", counted)
+        assert run(["--out", str(tmp_path), "smooth", "--input", toy_csv, "--bandwidth", "0.08",
+                    "--B", "9"]) == 0
+        assert built == [0.08, kerneltrend.pilot_bandwidth(0.08)]
 
     def test_mc_runs_serially_at_any_thread_count(self, tmp_path, monkeypatch):
         # The panel series are too short for a replicate pool to pay off.

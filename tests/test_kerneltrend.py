@@ -19,9 +19,10 @@ from gaptrend import (
     nw_estimate,
     pilot_bandwidth,
     pointwise_bands,
+    run_replicates,
     simultaneous_bands,
 )
-from gaptrend.kerneltrend import _window_sums, window_bounds
+from gaptrend.kerneltrend import _window_sums, nw_smoother, window_bounds
 
 from conftest import gappy_series, make_series, random_masked_series, traced_peak
 
@@ -372,6 +373,21 @@ class TestPilotBandwidth:
         assert pilot_bandwidth(0.1) == pytest.approx(0.139128, abs=1e-6)
         assert pilot_bandwidth(0.1) == pytest.approx(oracle, abs=1e-14)
         assert pilot_bandwidth(0.1) > 0.1  # oversmoothing by construction
+
+    def test_fit_pilot_is_the_trend_at_the_pilot_bandwidth(self):
+        series = gappy_series(np.random.default_rng(5), 1500, 0.4, gaps=[(600, 700)])
+        fit = nw_estimate(series, 0.03)
+        expected = nw_smoother(series.mask, pilot_bandwidth(0.03))(series.values)
+        assert np.array_equal(fit.pilot, expected, equal_nan=True)
+        assert fit.pilot is fit.pilot  # formed once
+
+    def test_fit_bootstrap_resamples_the_residuals_around_the_pilot(self, rng):
+        series = random_masked_series(rng, 300)
+        fit = nw_estimate(series, 0.1)
+        cfg = AwbConfig(seed=3, n_boot=7)
+        residuals = series.with_values(series.values - fit.pilot)
+        expected = run_replicates(cfg, fit.pilot, residuals, lambda y: y.copy())
+        assert np.array_equal(fit.bootstrap(cfg, fit.pilot, lambda y: y.copy()), expected)
 
 
 def isolated_v_series(spacing=30, n_points=9, h=0.05):

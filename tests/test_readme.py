@@ -45,6 +45,7 @@ def test_library_quick_start_runs(tmp_path, monkeypatch):
     exec(compile(quick_start_code(), str(README), "exec"), names)
     assert names["cfg"].threads == 1
     assert names["bands"].level == 0.95
+    assert names["peaks"].shape == (names["cfg"].n_boot,)
     assert names["start"] <= names["series"].date_at(names["fit"].break_index)
     assert names["imposed"].break_index == 200
     assert 1 <= names["minimum"].location <= len(names["eps"])

@@ -20,7 +20,7 @@ from gaptrend import (
     trend_minimum,
     u_stat_bandwidth,
 )
-from gaptrend import shapetests
+from gaptrend import kerneltrend, shapetests
 from gaptrend.shapetests import TrendAnchor, nearest_extremum
 
 from conftest import gappy_series, make_series, random_masked_series, traced_peak
@@ -447,7 +447,7 @@ class TestLinearityTest:
     def test_alpha_outside_unit_interval_raises_before_any_replicate(self, rng, monkeypatch):
         series = random_masked_series(rng, 150, observed_fraction=0.8)
         fit = nw_estimate(series, 0.12)
-        monkeypatch.setattr(shapetests, "run_replicates", None)
+        monkeypatch.setattr(kerneltrend, "run_replicates", None)
         for alpha in (0.0, 1.0, 1.2):
             with pytest.raises(ValueError, match="alpha must lie in"):
                 linearity_test(fit, trend_minimum(fit), AwbConfig(n_boot=9), alpha)
@@ -678,6 +678,23 @@ class TestMonotonicityTests:
         explicit = monotonicity_tests(fit, res.interval, cfg)
         assert np.array_equal(res.sign.draws, explicit.sign.draws)
         assert np.array_equal(res.magnitude.draws, explicit.magnitude.draws)
+
+    def test_default_interval_refused_when_the_minimum_is_the_last_day(self):
+        # A falling trend: its minimum is day T, and the default interval
+        # from there to the end would hold that one day.
+        T = 800
+        rng = np.random.default_rng(3)
+        mask = (rng.random(T) < 0.6).astype(np.uint8)
+        mask[[0, -1]] = 1
+        series = make_series(-0.01 * np.arange(T) + rng.normal(0.0, 0.3, T), mask)
+        fit = nw_estimate(series, 0.08)
+        assert trend_minimum(fit).location == T
+        cfg = AwbConfig(n_boot=49)
+        with pytest.raises(ValueError, match="trend minimum at the sample end"):
+            monotonicity_tests(fit, cfg=cfg)
+        # An explicit interval keeps its meaning, a one-day one included.
+        assert monotonicity_tests(fit, (T, T), cfg).interval == (T, T)
+        assert monotonicity_tests(fit, (600, T), cfg).interval == (600, T)
 
     def test_threads_identical(self, rng):
         series = random_masked_series(rng, 150)

@@ -235,3 +235,35 @@ def test_no_procedure_takes_a_series_beside_a_fit(module):
     # the estimate resamples that series: a second series argument could
     # only disagree with it.
     assert series_beside_fit((SOURCE / module).read_text()) == []
+
+
+RUNNER_MODULES = {"awb.py", "breaktrend.py", "kerneltrend.py"}
+PILOT_PARTS = {"nw_smoother", "pilot_bandwidth"}
+
+
+def test_guard_flags_a_shape_test_that_builds_its_own_bootstrap():
+    planted = (
+        "from .awb import run_replicates\n"
+        "from .kerneltrend import nw_smoother, pilot_bandwidth\n"
+        "def extremum_ci(fit, cfg):\n"
+        "    pilot = nw_smoother(fit.series.mask, pilot_bandwidth(fit.h))(fit.series.values)\n"
+        "    smooth = kerneltrend.nw_smoother\n"
+        "    return awb.run_replicates(cfg, pilot, fit.series, fit.smooth)\n"
+        "def linearity_test(fit, cfg):\n"
+        "    return fit.bootstrap(cfg, fit.pilot, fit.smooth)\n"
+    )
+    assert calls_named(planted, {"run_replicates"}) == ["run_replicates (line 6)"]
+    assert draws_outside_runner(planted, None, PILOT_PARTS) == [
+        "nw_smoother (line 4)", "pilot_bandwidth (line 4)", "nw_smoother (line 5)"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
+def test_replicates_run_only_in_the_runner_modules(module):
+    # A kernel trend's bootstraps all run through KernelTrendFit.bootstrap,
+    # which resamples the residuals around the fit's one pilot; the shape
+    # tests reach the replicate runner, the smoother and the pilot only
+    # through the fit.
+    source = (SOURCE / module).read_text()
+    assert calls_named(source, {"run_replicates"}) == [] or module in RUNNER_MODULES
+    if module == "shapetests.py":
+        assert draws_outside_runner(source, None, PILOT_PARTS) == []
