@@ -18,7 +18,6 @@ from .awb import (
 )
 from .breaktrend import (
     BreakDateCi,
-    BreakTestResult,
     BrokenTrendFit,
     ParamCi,
     SlopeCis,
@@ -79,7 +78,6 @@ __all__ = [
     "BandResult",
     "BootstrapTest",
     "BreakDateCi",
-    "BreakTestResult",
     "BrokenTrendFit",
     "ExtremumResult",
     "KernelTrendFit",

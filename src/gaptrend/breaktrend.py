@@ -8,14 +8,18 @@ break candidate. The scan exploits the fact that only the hinge column
 changes between candidates: with the fixed-column Gram matrix factorized
 once, each candidate costs a rank-one update built from suffix sums, so a
 full scan is O(T + |candidates| * p^2) instead of |candidates| full refits.
-The break test's statistic, critical value and p-value come as one
-``awb.BootstrapTest`` record beside the fit.
+The break is estimated once, by :func:`estimate_break`; the fit carries
+the series it was scanned on and that scan's state, the break-test
+statistic and the no-break coefficients among it, so the test and the
+intervals take the fit alone. The test's statistic, critical value and
+p-value come as one ``awb.BootstrapTest`` record.
 
 The test and the intervals bootstrap the same residuals with the same
 multiplier paths; only the base differs, the no-break fit for the test and
-the broken fit for the intervals. :func:`break_analysis`, the CLI's entry,
-draws each multiplier path once and scans it under both bases. A fit carries
-the series it was scanned on, so the intervals take the fit alone.
+the broken fit for the intervals. Their replicates rescan the candidates
+the fit was chosen from, so on a fit with an imposed break the test tests
+that break alone. :func:`break_analysis`, the CLI's entry, draws each
+multiplier path once and scans it under both bases.
 """
 
 from __future__ import annotations
@@ -71,9 +75,11 @@ class BrokenTrendFit:
     ``beta`` and ``delta`` are per grid step (one day); multiply by 365.25
     for per-year rates. The fitted trend is continuous at ``break_index`` by
     construction of the hinge regressor.
-    ``scan`` is the candidate scan the fit was chosen on and ``series``
-    the series it was scanned on; bootstrap intervals resample that
-    series' residuals and rescan the candidates.
+    ``scan`` is the candidate scan the fit was chosen on, ``series`` the
+    series it was scanned on and ``state`` that scan of the series, which
+    holds the break-test statistic and the no-break fit; the break test
+    and the bootstrap intervals resample that series' residuals and
+    rescan the candidates.
     """
 
     alpha: float
@@ -84,6 +90,7 @@ class BrokenTrendFit:
     ssr: float
     scan: BreakScan = field(repr=False, compare=False)
     series: ObservedSeries = field(repr=False, compare=False)
+    state: ScanState = field(repr=False, compare=False)
 
     def trend_values(self) -> np.ndarray:
         t = np.arange(1, self.scan.n_time + 1, dtype=np.float64)
@@ -91,15 +98,6 @@ class BrokenTrendFit:
 
     def fitted_values(self) -> np.ndarray:
         return self.trend_values() + self.seasonal.fitted
-
-
-@dataclass(frozen=True)
-class BreakTestResult:
-    """The bootstrap test of the SSR reduction and the best one-break fit of
-    the observed series."""
-
-    test: BootstrapTest
-    fit: BrokenTrendFit
 
 
 @dataclass(frozen=True)
@@ -202,6 +200,9 @@ class BreakScan:
         Z = np.hstack([np.ones((T, 1)), tau[:, None], fourier_design(calendar_years, n_harmonics)])
         self.n_harmonics = n_harmonics
         self.n_params = Z.shape[1] + 1  # fixed columns plus the hinge
+        n_observed = int(np.count_nonzero(mask))
+        if n_observed <= self.n_params:
+            raise ValueError(f"need more than {self.n_params} observed points, have {n_observed}")
         self._m = m
         self._tau = tau
         self._Z = Z
@@ -301,20 +302,8 @@ class BreakScan:
         seasonal = SeasonalFit(harmonics[:S], harmonics[S:], S, self._Z[:, 2:] @ harmonics)
         return BrokenTrendFit(
             alpha=coef["alpha"], beta=coef["beta"], delta=coef["delta"], break_index=break_at,
-            seasonal=seasonal, ssr=coef["ssr"], scan=self, series=series,
+            seasonal=seasonal, ssr=coef["ssr"], scan=self, series=series, state=state,
         )
-
-
-def _best_fit(
-    series: ObservedSeries, trim: np.ndarray | None, n_harmonics: int
-) -> tuple[BrokenTrendFit, float, np.ndarray]:
-    """Best one-break fit over the trimming set, with its SSR reduction (the
-    break-test statistic) and the fitted values of the no-break model."""
-    if trim is None:
-        trim = trimming_set(len(series))
-    scan = BreakScan(series.mask, series.calendar_years(), trim, n_harmonics)
-    state = scan.scan(series.values)
-    return scan.fit(series, state, state.best), state.f_stat, scan._Z @ state.beta0
 
 
 def estimate_break(
@@ -331,7 +320,11 @@ def estimate_break(
     is significant is the test's job. A one-candidate array imposes the
     break there.
     """
-    return _best_fit(series, trim, n_harmonics)[0]
+    if trim is None:
+        trim = trimming_set(len(series))
+    scan = BreakScan(series.mask, series.calendar_years(), trim, n_harmonics)
+    state = scan.scan(series.values)
+    return scan.fit(series, state, state.best)
 
 
 def _null_draw(scan: BreakScan, y: np.ndarray) -> tuple[float]:
@@ -387,31 +380,29 @@ def _date_ci(fit: BrokenTrendFit, draws: np.ndarray, level: float) -> BreakDateC
 
 
 def break_test(
-    series: ObservedSeries,
-    trim: np.ndarray | None = None,
+    fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
-    n_harmonics: int = 3,
     alpha: float = 0.05,
-) -> BreakTestResult:
+) -> BootstrapTest:
     """Bootstrap test of a single slope change against a straight trend.
 
     The statistic is the drop in the observed-point sum of squared
-    residuals from the best one-break model relative to the no-break
-    model. Bootstrap samples are regenerated under the no-break null;
-    each replicate reruns the full candidate scan. Rejection: statistic
-    above the (1 - alpha) bootstrap quantile.
+    residuals from the best one-break model, ``fit``, relative to the
+    no-break model, both read off the scan ``fit`` was chosen on.
+    Bootstrap samples are regenerated under the no-break null; each
+    replicate rescans the candidates the fit was chosen from
+    (``fit.scan``), so on an imposed break the test tests that break
+    alone. Rejection: statistic above the (1 - alpha) bootstrap quantile.
 
-    The bootstrap errors are the residuals of the best one-break fit,
-    which keeps break-like noise patterns out of the resampled errors:
-    with no-break residuals, a draw whose noise happens to look
-    break-like would inflate its own critical value. That fit, the
-    estimate of :func:`estimate_break`, is returned as ``fit``, the test
-    as ``test``.
+    The bootstrap errors are the residuals of ``fit``, the best one-break
+    fit, which keeps break-like noise patterns out of the resampled
+    errors: with no-break residuals, a draw whose noise happens to look
+    break-like would inflate its own critical value.
     """
     check_rate("alpha", alpha)
-    fit, f_stat, null_base = _best_fit(series, trim, n_harmonics)
+    null_base = fit.scan._Z @ fit.state.beta0
     draws = _replicate_pass(fit, cfg or AwbConfig(), [(null_base, _null_draw)])
-    return BreakTestResult(bootstrap_test(f_stat, draws[:, 0], alpha), fit)
+    return bootstrap_test(fit.state.f_stat, draws[:, 0], alpha)
 
 
 def break_ci(
@@ -441,28 +432,25 @@ def break_ci(
 
 
 def break_analysis(
-    series: ObservedSeries,
-    trim: np.ndarray | None = None,
+    fit: BrokenTrendFit,
     cfg: AwbConfig | None = None,
-    n_harmonics: int = 3,
     alpha: float = 0.05,
     level: float = 0.95,
-) -> tuple[BreakTestResult, BreakDateCi]:
-    """:func:`break_test` and then :func:`break_ci` on its fit, bit for bit,
+) -> tuple[BootstrapTest, BreakDateCi]:
+    """:func:`break_test` and then :func:`break_ci` on ``fit``, bit for bit,
     from one bootstrap pass.
 
-    Both bootstrap the residuals of the best one-break fit with the
-    multiplier paths of ids 0..B-1; only the base differs. Each replicate
-    therefore draws its path once and scans it twice: on the no-break fit
-    for the test statistic and on the broken fit for the intervals.
+    Both bootstrap the residuals of ``fit`` with the multiplier paths of
+    ids 0..B-1; only the base differs. Each replicate therefore draws its
+    path once and scans it twice: on the no-break fit for the test
+    statistic and on the broken fit for the intervals.
     """
     check_rate("alpha", alpha)
     check_rate("level", level)
-    fit, f_stat, null_base = _best_fit(series, trim, n_harmonics)
+    null_base = fit.scan._Z @ fit.state.beta0
     draws = _replicate_pass(fit, cfg or AwbConfig(),
                             [(null_base, _null_draw), (fit.fitted_values(), _broken_draw)])
-    test = BreakTestResult(bootstrap_test(f_stat, draws[:, 0], alpha), fit)
-    return test, _date_ci(fit, draws[:, 1:], level)
+    return bootstrap_test(fit.state.f_stat, draws[:, 0], alpha), _date_ci(fit, draws[:, 1:], level)
 
 
 def slope_cis(

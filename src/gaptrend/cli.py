@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .awb import AwbConfig, BootstrapTest
-from .breaktrend import break_analysis, trimming_set
+from .breaktrend import break_analysis, estimate_break, trimming_set
 from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .kerneltrend import (
     KernelTrendFit,
@@ -302,10 +302,8 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     out_dir: Path = ctx.obj["out"]
     series = ingest_csv(input_path, date_column, value_column)
     cfg = _awb_config(ctx, theta=theta)
-    trim = trimming_set(len(series), trim_fraction)
-
-    result, ci = break_analysis(series, trim, cfg, n_harmonics, alpha, level)
-    test, fit = result.test, result.fit
+    fit = estimate_break(series, trimming_set(len(series), trim_fraction), n_harmonics)
+    test, ci = break_analysis(fit, cfg, alpha, level)
     slopes = ci.slopes
     per_year = slopes.per_year()
 

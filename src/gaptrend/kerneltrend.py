@@ -267,7 +267,11 @@ class BandResult:
     bootstrap deviation paths inside the per-point intervals at every
     defined position, ``joint_coverage`` (the report's
     ``simultaneous_joint_coverage``), comes closest to the requested level.
-    It never exceeds 1 - level, so the simultaneous band contains the pointwise band.
+    It is at most max(1 - level, 1/B). Where 1 - level is at least 1/B, the
+    simultaneous band therefore contains the pointwise band; where it is
+    finer (B < 1/(1 - level)), ``alpha_s`` is 1/B, the band is the full
+    replicate envelope, and :func:`simultaneous_bands` warns that the
+    level is finer than 1/B.
     """
 
     level: float

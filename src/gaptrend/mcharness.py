@@ -298,7 +298,7 @@ def run_break_test_cell(design: McDesign) -> CellResult:
     trim = trimming_set(design.n_time, TRIM_FRACTION)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool]:
-        return (break_test(s, trim, cfg, n_harmonics=N_HARMONICS, alpha=ALPHA).test.reject,)
+        return (break_test(estimate_break(s, trim, N_HARMONICS), cfg, ALPHA).reject,)
 
     return _run_cell(design, ("rejection_rate",), outcome)
 

@@ -223,7 +223,7 @@ def test_criterion_7_noiseless_exactness():
 
     # Exactly linear data: zero statistic and p-value one.
     line = make_series(2.0 + 0.25 * np.arange(1, 121))
-    test = break_test(line, cfg=AwbConfig(seed=1, n_boot=99), n_harmonics=0).test
+    test = break_test(estimate_break(line, n_harmonics=0), AwbConfig(seed=1, n_boot=99))
     line_ok = test.statistic == 0.0 and test.p_value == 1.0
 
     # Symmetric V with isolated observations: degenerate extremum interval.
@@ -256,9 +256,8 @@ def test_criterion_8_invariant_property_suites():
     noise = rng.normal(0, 1.0, 90)
     base_vals = kinked_line(90, kink=50) + noise
     cfg_b = AwbConfig(seed=9, n_boot=29)
-    r1 = break_test(make_series(base_vals), cfg=cfg_b, n_harmonics=0).test
-    r2 = break_test(make_series(base_vals + 77.0), cfg=cfg_b, n_harmonics=0).test
-    r3 = break_test(make_series(base_vals * 2.0), cfg=cfg_b, n_harmonics=0).test
+    r1, r2, r3 = (break_test(estimate_break(make_series(v), n_harmonics=0), cfg_b)
+                  for v in (base_vals, base_vals + 77.0, base_vals * 2.0))
     checks["break shift/scale"] = (
         abs(r1.statistic - r2.statistic) < 1e-6 * max(r1.statistic, 1.0)
         and r1.p_value == r2.p_value == r3.p_value
@@ -292,13 +291,14 @@ def test_criterion_8_invariant_property_suites():
     series_d = random_masked_series(rng, 120, observed_fraction=0.6)
     cfg_serial = AwbConfig(seed=11, n_boot=24, threads=1)
     cfg_thread = AwbConfig(seed=11, n_boot=24, threads=4)
-    t_serial = break_test(series_d, cfg=cfg_serial, n_harmonics=0)
-    t_thread = break_test(series_d, cfg=cfg_thread, n_harmonics=0)
+    fit_b = estimate_break(series_d, n_harmonics=0)
+    t_serial = break_test(fit_b, cfg_serial)
+    t_thread = break_test(fit_b, cfg_thread)
     fit_d = nw_estimate(series_d, 0.15)
     band_serial = confidence_bands(fit_d, cfg_serial)
     band_thread = confidence_bands(fit_d, cfg_thread)
     checks["parallel determinism"] = np.array_equal(
-        t_serial.test.draws, t_thread.test.draws
+        t_serial.draws, t_thread.draws
     ) and np.allclose(band_serial.lower, band_thread.lower, atol=0, rtol=0, equal_nan=True)
 
     ok = all(checks.values())

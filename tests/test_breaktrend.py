@@ -229,17 +229,22 @@ class TestEstimateBreak:
         assert close / 200 >= 0.7
 
 
+def line_test(series, cfg):
+    """The break test of the best no-harmonics fit over the default trimming set."""
+    return break_test(estimate_break(series, n_harmonics=0), cfg)
+
+
 class TestBreakTest:
     def test_exact_line_gives_zero_statistic_and_p_one(self):
         series = make_series(2.0 + 0.25 * np.arange(1, 121))
-        res = break_test(series, cfg=AwbConfig(seed=3, n_boot=49), n_harmonics=0).test
+        res = line_test(series, AwbConfig(seed=3, n_boot=49))
         assert res.statistic == 0.0
         assert res.p_value == 1.0
         assert not res.reject
 
     def test_statistic_nonnegative_and_pvalue_range(self, rng):
         series = make_series(rng.normal(0, 1, 80))
-        res = break_test(series, cfg=AwbConfig(seed=4, n_boot=39), n_harmonics=0).test
+        res = line_test(series, AwbConfig(seed=4, n_boot=39))
         assert res.statistic >= 0.0
         B = 39
         assert 1.0 / (B + 1) <= res.p_value <= 1.0
@@ -247,7 +252,7 @@ class TestBreakTest:
     def test_clear_break_rejected(self, rng):
         values = kinked_line(200, beta=-0.3, delta=0.6, kink=120) + rng.normal(0, 1.0, 200)
         series = make_series(values)
-        res = break_test(series, cfg=AwbConfig(seed=5, n_boot=99), n_harmonics=0).test
+        res = line_test(series, AwbConfig(seed=5, n_boot=99))
         assert res.reject
         assert res.p_value <= 0.05
 
@@ -256,8 +261,8 @@ class TestBreakTest:
         a = make_series(kinked_line(90, kink=50) + noise)
         b = make_series(kinked_line(90, kink=50) + noise + 123.0)
         cfg = AwbConfig(seed=8, n_boot=29)
-        ra = break_test(a, cfg=cfg, n_harmonics=0).test
-        rb = break_test(b, cfg=cfg, n_harmonics=0).test
+        ra = line_test(a, cfg)
+        rb = line_test(b, cfg)
         assert ra.statistic == pytest.approx(rb.statistic, rel=1e-7)
         assert ra.p_value == rb.p_value
         fa = estimate_break(a, n_harmonics=0)
@@ -271,31 +276,35 @@ class TestBreakTest:
         noise = rng.normal(0, 1.0, 90)
         values = kinked_line(90, kink=50) + noise
         cfg = AwbConfig(seed=8, n_boot=29)
-        ra = break_test(make_series(values), cfg=cfg, n_harmonics=0).test
-        rb = break_test(make_series(3.0 * values), cfg=cfg, n_harmonics=0).test
+        ra = line_test(make_series(values), cfg)
+        rb = line_test(make_series(3.0 * values), cfg)
         assert rb.statistic == pytest.approx(9.0 * ra.statistic, rel=1e-9)
         assert rb.p_value == ra.p_value
 
     def test_threads_do_not_change_results(self, rng):
         series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
-        serial = break_test(series, cfg=AwbConfig(seed=12, n_boot=32, threads=1), n_harmonics=0)
-        threaded = break_test(series, cfg=AwbConfig(seed=12, n_boot=32, threads=4), n_harmonics=0)
-        assert np.array_equal(serial.test.draws, threaded.test.draws)
+        serial = line_test(series, AwbConfig(seed=12, n_boot=32, threads=1))
+        threaded = line_test(series, AwbConfig(seed=12, n_boot=32, threads=4))
+        assert np.array_equal(serial.draws, threaded.draws)
 
     def test_alpha_outside_unit_interval_raises_before_any_scan(self, rng, scan_calls):
-        series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
+        # The fit's own scan is the only one: a refused alpha rescans nothing.
+        fit = estimate_break(make_series(kinked_line(100) + rng.normal(0, 0.5, 100)),
+                             n_harmonics=0)
         for alpha in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError, match="alpha must lie in"):
-                break_test(series, cfg=AwbConfig(seed=1, n_boot=9), n_harmonics=0, alpha=alpha)
-        assert scan_calls == {"init": 0, "scan": 0}
+                break_test(fit, AwbConfig(seed=1, n_boot=9), alpha)
+        assert scan_calls == {"init": 1, "scan": 1}
 
-    def test_returns_the_estimated_fit(self, rng):
+    def test_statistic_is_the_fits_ssr_reduction(self, rng):
+        # Oracle: the no-break and the broken fit by direct least squares.
         series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
-        fit = break_test(series, cfg=AwbConfig(seed=1, n_boot=9), n_harmonics=0).fit
-        ref = estimate_break(series, n_harmonics=0)
-        assert (fit.break_index, fit.alpha, fit.beta, fit.delta, fit.ssr) == (
-            ref.break_index, ref.alpha, ref.beta, ref.delta, ref.ssr
-        )
+        fit = estimate_break(series, n_harmonics=0)
+        res = break_test(fit, AwbConfig(seed=1, n_boot=9))
+        best, best_ssr, ssr0 = naive_scan(series, trimming_set(100), 0)
+        assert (fit.break_index, fit.ssr) == (best, pytest.approx(best_ssr, rel=1e-9))
+        assert res.statistic == fit.state.f_stat
+        assert res.statistic == pytest.approx(ssr0 - best_ssr, rel=1e-9)
 
 
 class TestBreakCi:
@@ -378,17 +387,16 @@ class TestBreakAnalysis:
         # replicate's break.
         series = gappy_series(np.random.default_rng(41), 397, 0.6, gaps=[(150, 215)])
         trim = np.array([230]) if imposed else trimming_set(397, 0.15)
+        fit = estimate_break(series, trim, n_harmonics=2)
         cfg = AwbConfig(seed=8, n_boot=29, threads=threads)
-        test, ci = break_analysis(series, trim, cfg, n_harmonics=2, alpha=0.1, level=0.8)
+        test, ci = break_analysis(fit, cfg, alpha=0.1, level=0.8)
         assert sorted(multiplier_draws) == list(range(cfg.n_boot))
-        ref = break_test(series, trim, cfg, n_harmonics=2, alpha=0.1)
-        ref_ci = break_ci(ref.fit, cfg, level=0.8)
+        ref = break_test(fit, cfg, alpha=0.1)
+        ref_ci = break_ci(fit, cfg, level=0.8)
 
         for name in ("statistic", "critical_value", "p_value", "alpha"):
-            assert getattr(test.test, name) == getattr(ref.test, name)
-        assert np.array_equal(test.test.draws, ref.test.draws)
-        for name in ("alpha", "beta", "delta", "break_index", "ssr"):
-            assert getattr(test.fit, name) == getattr(ref.fit, name)
+            assert getattr(test, name) == getattr(ref, name)
+        assert np.array_equal(test.draws, ref.draws)
         for name in ("break_index", "lower_index", "upper_index", "basic_lower", "basic_upper",
                      "level"):
             assert getattr(ci, name) == getattr(ref_ci, name)
@@ -401,13 +409,15 @@ class TestBreakAnalysis:
             assert ci.clipped and ci.basic_lower < ci.lower_index == trim[0]
 
     def test_rates_checked_before_any_scan(self, rng, scan_calls):
-        series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
+        # The fit's own scan is the only one: a refused rate rescans nothing.
+        fit = estimate_break(make_series(kinked_line(100) + rng.normal(0, 0.5, 100)),
+                             n_harmonics=0)
         cfg = AwbConfig(seed=1, n_boot=9)
         with pytest.raises(ValueError, match="alpha must lie in"):
-            break_analysis(series, cfg=cfg, n_harmonics=0, alpha=1.0)
+            break_analysis(fit, cfg, alpha=1.0)
         with pytest.raises(ValueError, match="level must lie in"):
-            break_analysis(series, cfg=cfg, n_harmonics=0, level=1.5)
-        assert scan_calls == {"init": 0, "scan": 0}
+            break_analysis(fit, cfg, level=1.5)
+        assert scan_calls == {"init": 1, "scan": 1}
 
 
 class TestSlopeCis:
@@ -502,17 +512,22 @@ class TestScanInternals:
 
     @pytest.mark.parametrize("design", ["fewer_days_than_columns", "one_day_of_year"])
     def test_singular_fixed_design_raises(self, design):
+        # Too few observed days is bad input, refused before any
+        # factorization; ten days on one day of the year leave the
+        # harmonics collinear, a singular design.
         if design == "fewer_days_than_columns":
             T = 400
             mask = np.zeros(T, dtype=np.uint8)
-            mask[[0, 50, 100, 200, 300, 399]] = 1  # 6 days, 8 fixed columns
+            mask[[0, 50, 100, 200, 300, 399]] = 1  # 6 days, 8 fixed columns and the hinge
+            error, match = ValueError, "need more than 9 observed points, have 6"
         else:
             step = 4 * 365 + 1  # leap-cycle spacing keeps the year fraction fixed
             T = step * 9 + 1
             mask = np.zeros(T, dtype=np.uint8)
             mask[::step] = 1
+            error, match = SingularDesignError, "fixed design is singular"
         series = make_series(np.ones(T), mask)
-        with pytest.raises(SingularDesignError, match="fixed design is singular"):
+        with pytest.raises(error, match=match):
             BreakScan(mask, series.calendar_years(), trimming_set(T), 3)
 
     def test_null_fit_and_statistic_match_lstsq_on_short_harmonic_design(self):

@@ -80,6 +80,18 @@ class TestExitCodes:
                   "--B", "9"])
         assert rc == 2
 
+    def test_fewer_days_than_parameters(self, tmp_path, capsys):
+        # Four observed days: too few for either command's design, which is
+        # bad input (exit 2), not a numerical failure.
+        path = tmp_path / "four.csv"
+        path.write_text("date,value\n2000-01-01,1.0\n2000-03-01,2.0\n"
+                        "2000-06-01,1.5\n2000-12-31,3.0\n")
+        for command, option, n_params in (("break", ["--B", "9"], 9),
+                                          ("smooth", ["--bandwidth", "0.1"], 6)):
+            assert run(["--out", str(tmp_path / command), command, "--input", str(path),
+                        *option]) == 2
+            assert f"need more than {n_params} observed points, have 4" in capsys.readouterr().err
+
     def test_smooth_requires_bandwidth_decision(self, toy_csv, tmp_path):
         rc = run(["--out", str(tmp_path), "smooth", "--input", toy_csv, "--B", "19"])
         assert rc == 2

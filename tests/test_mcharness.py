@@ -198,6 +198,18 @@ class TestSimulation:
         rate = result.estimates["rejection_rate"][0]
         assert rate in (0.0, 1.0)
 
+    def test_break_test_cell_builds_one_scan_per_draw(self, scan_calls):
+        # The test bootstraps the draw's fit: its replicates rescan the
+        # fit's own scan, and the series is scanned once, by the estimate.
+        design = McDesign(
+            n_time=120, missing="30%", sigma_eta=26.0,
+            trend=LinearTrendSpec(4000.0, -0.5, 0.5, 0.6, "grid"),
+            replications=3, n_boot=9, seed=3,
+        )
+        result = run_break_test_cell(design)
+        assert (result.n_effective, result.failures) == (3, 0)
+        assert scan_calls == {"init": 3, "scan": 3 * (9 + 1)}
+
     def test_break_ci_cell_builds_one_scan_per_draw(self, scan_calls):
         design = McDesign(
             n_time=120, missing="30%", sigma_eta=26.0,

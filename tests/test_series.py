@@ -11,6 +11,7 @@ from gaptrend import (
     AwbConfig,
     ObservedSeries,
     break_test,
+    estimate_break,
     fit_seasonal,
     ingest_csv,
     mcv_scan,
@@ -191,7 +192,7 @@ class TestContainer:
         assert np.array_equal(mcv_scan(zero, grid).scores, mcv_scan(nan, grid).scores)
         assert np.array_equal(fit_seasonal(zero).fitted, fit_seasonal(nan).fitted)
         trim = trimming_set(T, 0.1)
-        tests = [break_test(s, trim, AwbConfig(seed=1, n_boot=19), n_harmonics=1).test
+        tests = [break_test(estimate_break(s, trim, n_harmonics=1), AwbConfig(seed=1, n_boot=19))
                  for s in (zero, nan)]
         assert np.isfinite(tests[0].statistic)
         assert tests[0].statistic == tests[1].statistic

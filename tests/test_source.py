@@ -186,10 +186,10 @@ def test_cli_import_loads_no_lazy_module():
 FIT_TYPES = {"KernelTrendFit", "BrokenTrendFit"}
 
 
-def series_beside_fit(source: str) -> list[str]:
+def params_annotated(source: str, first: set[str], second: set[str]) -> list[str]:
     """Public functions and methods of ``source`` with a parameter annotated
-    ``ObservedSeries`` beside another annotated ``KernelTrendFit`` or
-    ``BrokenTrendFit``, read off the annotations (quoted ones included)."""
+    with a name of ``first`` beside another annotated with a name of
+    ``second``, read off the annotations (quoted ones included)."""
 
     def annotated(arg: ast.arg) -> set[str]:
         names = set()
@@ -208,11 +208,23 @@ def series_beside_fit(source: str) -> list[str]:
             if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
                 continue
             kinds = [annotated(a) for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs]
-            series = [i for i, k in enumerate(kinds) if "ObservedSeries" in k]
-            fits = [i for i, k in enumerate(kinds) if k & FIT_TYPES]
-            if any(i != j for i in series for j in fits):
+            firsts = [i for i, k in enumerate(kinds) if k & first]
+            seconds = [i for i, k in enumerate(kinds) if k & second]
+            if any(i != j for i in firsts for j in seconds):
                 found.append(f"{prefix}{fn.name} (line {fn.lineno})")
     return found
+
+
+def series_beside_fit(source: str) -> list[str]:
+    """Procedures of ``source`` that take an ``ObservedSeries`` beside a
+    ``KernelTrendFit`` or ``BrokenTrendFit``."""
+    return params_annotated(source, {"ObservedSeries"}, FIT_TYPES)
+
+
+def series_beside_config(source: str) -> list[str]:
+    """Procedures of ``source`` that take an ``ObservedSeries`` beside an
+    ``AwbConfig``: a bootstrap of a series rather than of a fit."""
+    return params_annotated(source, {"ObservedSeries"}, {"AwbConfig"})
 
 
 def test_guard_flags_a_series_beside_a_fit():
@@ -229,12 +241,35 @@ def test_guard_flags_a_series_beside_a_fit():
     assert series_beside_fit(planted) == ["bands (line 1)", "ci (line 2)", "Scan.refit (line 8)"]
 
 
+def test_guard_flags_a_series_beside_a_bootstrap_config():
+    planted = (
+        "def test(series: ObservedSeries, trim=None, cfg: AwbConfig | None = None): ...\n"
+        "def both(s: 'ObservedSeries', cfg: 'awb.AwbConfig | None' = None) -> BootstrapTest: ...\n"
+        "def _private(series: ObservedSeries, cfg: AwbConfig): ...\n"
+        "def fit_first(fit: BrokenTrendFit, cfg: AwbConfig | None = None): ...\n"
+        "def returns(cfg: AwbConfig) -> ObservedSeries: ...\n"
+        "def either(x: ObservedSeries | AwbConfig): ...\n"
+        "class Fit:\n"
+        "    def bootstrap(self, cfg: AwbConfig, *, series: ObservedSeries): ...\n"
+    )
+    assert series_beside_config(planted) == ["test (line 1)", "both (line 2)",
+                                             "Fit.bootstrap (line 8)"]
+
+
 @pytest.mark.parametrize("module", ["breaktrend.py", "kerneltrend.py", "shapetests.py"])
 def test_no_procedure_takes_a_series_beside_a_fit(module):
     # A fit carries the series it was estimated on, and every bootstrap of
     # the estimate resamples that series: a second series argument could
     # only disagree with it.
     assert series_beside_fit((SOURCE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", ["breaktrend.py", "kerneltrend.py", "shapetests.py"])
+def test_no_procedure_bootstraps_a_series(module):
+    # Every bootstrap procedure takes an estimate alone: it is estimated
+    # once, and the bootstrap resamples the series the fit carries, so no
+    # procedure takes a bootstrap configuration beside a series.
+    assert series_beside_config((SOURCE / module).read_text()) == []
 
 
 RUNNER_MODULES = {"awb.py", "breaktrend.py", "kerneltrend.py"}
