@@ -62,7 +62,6 @@ from .shapetests import (
     ExtremumResult,
     MonotonicityResult,
     ShapeTestResult,
-    TrendAnchor,
     extremum_ci,
     linearity_test,
     local_extrema,
@@ -94,7 +93,6 @@ __all__ = [
     "SingularDesignError",
     "SlopeCis",
     "SmoothTransitionSpec",
-    "TrendAnchor",
     "bandwidth_grid",
     "break_analysis",
     "break_ci",

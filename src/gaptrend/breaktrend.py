@@ -238,12 +238,6 @@ class BreakScan:
         if not self._valid.any():
             raise SingularDesignError("every break candidate is unidentified on this mask")
         self.n_skipped = int((~self._valid).sum())
-        if self.n_skipped:
-            warnings.warn(
-                f"{self.n_skipped} break candidate(s) skipped: hinge not identified on the "
-                "observed points",
-                stacklevel=2,
-            )
         # Observed-point support at the trimming edges; the hinge needs
         # identifying variation on both sides of every candidate.
         n_left = s_m[0] - s_m[self.candidates[0]]
@@ -318,11 +312,15 @@ def estimate_break(
     other array raises ``ValueError``. Ties are broken toward the smallest
     candidate position. The estimator always returns a break; whether it
     is significant is the test's job. A one-candidate array imposes the
-    break there.
+    break there. Candidates whose hinge the mask does not identify are
+    skipped, with a warning that names the caller's line.
     """
     if trim is None:
         trim = trimming_set(len(series))
     scan = BreakScan(series.mask, series.calendar_years(), trim, n_harmonics)
+    if scan.n_skipped:
+        warnings.warn(f"{scan.n_skipped} break candidate(s) skipped: hinge not identified on "
+                      "the observed points", stacklevel=2)
     state = scan.scan(series.values)
     return scan.fit(series, state, state.best)
 

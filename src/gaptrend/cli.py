@@ -35,12 +35,7 @@ from .kerneltrend import (
 from .mcharness import PANEL_FIELDS, run_panel
 from .seasonal import deseasonalize, fit_seasonal
 from .series import ObservedSeries, ingest_csv, series_columns, write_canonical_csv, write_csv
-from .shapetests import (
-    extremum_ci,
-    linearity_test,
-    monotonicity_tests,
-    trend_minimum,
-)
+from .shapetests import extremum_ci, linearity_test, monotonicity_tests
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -164,17 +159,22 @@ def _write_fit_artifact(out_dir: Path, fit: KernelTrendFit) -> Path:
 
 def load_fit_artifact(path: str) -> KernelTrendFit:
     """The fit of a ``trend_fit.json``, re-estimated from its series and ``h``;
-    its ``g_hat``, and an older version's ``grid_step`` key, are not read."""
+    its ``g_hat``, and an older version's ``grid_step`` key, are not read.
+    A file without the artifact's fields raises ``ValueError``."""
     import datetime as dt
 
     payload = json.loads(Path(path).read_text())
-    if payload.get("schema") != "gaptrend-trend-fit-v1":
+    if not isinstance(payload, dict) or payload.get("schema") != "gaptrend-trend-fit-v1":
         raise ValueError(f"{path}: not a trend-fit artifact")
-    series = payload["series"]
-    values = np.array([0.0 if v is None else float(v) for v in series["values"]])
-    eps = ObservedSeries(values, np.asarray(series["mask"], dtype=np.uint8),
-                         dt.date.fromisoformat(series["t0"]))
-    return nw_estimate(eps, payload["fit"]["h"])
+    try:
+        series, h = payload["series"], float(payload["fit"]["h"])
+        values = np.array([0.0 if v is None else float(v) for v in series["values"]])
+        eps = ObservedSeries(values, np.asarray(series["mask"], dtype=np.uint8),
+                             dt.date.fromisoformat(series["t0"]))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed trend-fit artifact ({type(exc).__name__}: "
+                         f"{exc})") from None
+    return nw_estimate(eps, h)
 
 
 def _awb_config(ctx: click.Context, **kw) -> AwbConfig:
@@ -463,7 +463,7 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
 def lintest(ctx, fit_path, n_boot, alpha) -> None:
     """Test a linear trend from the trend minimum to the sample end."""
     fit = load_fit_artifact(fit_path)
-    res = linearity_test(fit, trend_minimum(fit), _awb_config(ctx), alpha)
+    res = linearity_test(fit, _awb_config(ctx), alpha)
     _write_report(
         ctx, {"alpha": alpha},
         {

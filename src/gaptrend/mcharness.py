@@ -23,7 +23,7 @@ from .breaktrend import break_ci, break_test, estimate_break, trimming_set
 from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS, ReplicateError
 from .kerneltrend import nw_estimate
 from .series import ObservedSeries
-from .shapetests import linearity_test, monotonicity_tests, trend_minimum
+from .shapetests import linearity_test, monotonicity_tests
 
 # Markov transition matrices of the missingness modes, keyed by the share
 # of days without an observation; rows = from state, columns = to state,
@@ -321,8 +321,7 @@ def run_linearity_cell(design: McDesign) -> CellResult:
     h = _require_bandwidth(design)
 
     def outcome(s: ObservedSeries, cfg: AwbConfig) -> tuple[bool, bool]:
-        fit = nw_estimate(s, h)
-        res = linearity_test(fit, trend_minimum(fit), cfg, alpha=ALPHA)
+        res = linearity_test(nw_estimate(s, h), cfg, alpha=ALPHA)
         return res.ave.reject, res.sup.reject
 
     return _run_cell(design, ("rejection_rate_ave", "rejection_rate_sup"), outcome)

@@ -1,13 +1,15 @@
 """Inference on the shape of the nonparametric trend.
 
 Three tools, all sharing the bootstrap engine: a confidence interval for
-the position of a trend extremum, a test of an anchored linear shape over
-the tail of the sample, and two kernel-weighted pairwise tests of
-monotonicity (one using only the signs of increments, one their
+the position of a trend extremum, a test of a linear shape from the trend
+minimum to the end of the sample, and two kernel-weighted pairwise tests
+of monotonicity (one using only the signs of increments, one their
 magnitudes). Pairwise statistics run over observed pairs only. Each
 statistic of the linearity and monotonicity tests comes back as one
 ``awb.BootstrapTest`` record. Each tool takes a kernel-trend fit alone and
 resamples through ``fit.bootstrap``, around the fit's pilot ``fit.pilot``.
+Both tail tests (linearity, and monotonicity without an interval) run from
+the trend minimum to day T by one rule, which refuses a minimum on day T.
 """
 
 from __future__ import annotations
@@ -32,18 +34,20 @@ def u_stat_bandwidth(n_time: int) -> float:
 # Extremum location
 
 
-@dataclass(frozen=True)
-class TrendAnchor:
-    """A pinned point (grid position, trend value) used to anchor a null shape."""
-
-    location: int
-    value: float
+def trend_minimum(fit: KernelTrendFit) -> int:
+    """1-based position of the global minimum of the defined trend values
+    (boundary allowed)."""
+    return int(np.nanargmin(fit.g_hat)) + 1
 
 
-def trend_minimum(fit: KernelTrendFit) -> TrendAnchor:
-    """Global minimum of the defined trend values (boundary allowed)."""
-    pos = int(np.nanargmin(fit.g_hat))
-    return TrendAnchor(location=pos + 1, value=float(fit.g_hat[pos]))
+def _tail_window(fit: KernelTrendFit) -> tuple[int, int]:
+    """1-based inclusive window from the trend minimum to day T, which both
+    tail tests run on; refused when the minimum is day T."""
+    T = len(fit.series)
+    t_min = trend_minimum(fit)
+    if t_min == T:
+        raise ValueError(f"trend minimum at the sample end (day {T}): no days after it to test")
+    return t_min, T
 
 
 def local_extrema(values: np.ndarray, kind: str = "min") -> np.ndarray:
@@ -106,7 +110,7 @@ class ExtremumResult:
     level: float
     lower_index: int
     upper_index: int
-    bootstrap_locations: np.ndarray = field(repr=False, default=None)
+    bootstrap_locations: np.ndarray = field(repr=False)
 
 
 def extremum_ci(
@@ -164,32 +168,33 @@ def extremum_ci(
 
 
 # ---------------------------------------------------------------------------
-# Anchored linear shape test
+# Linear shape test from the trend minimum
 
 
 @dataclass(frozen=True)
 class ShapeTestResult:
     """Bootstrap tests of the average and supremum squared gaps, with the
-    null line's slope (per rescaled time) and anchor."""
+    null line's slope (per rescaled time) and the trend minimum it is
+    pinned at."""
 
     ave: BootstrapTest
     sup: BootstrapTest
     slope: float
     anchor_index: int
-    anchor_value: float
 
 
 def linearity_test(
     fit: KernelTrendFit,
-    anchor: TrendAnchor | ExtremumResult,
     cfg: AwbConfig | None = None,
     alpha: float = 0.05,
 ) -> ShapeTestResult:
-    """Test whether the trend is linear from the anchor to the sample end.
+    """Test whether the trend is linear from its global minimum
+    (:func:`trend_minimum`) to the sample end; a minimum on day T is
+    refused.
 
-    The null shape is the least-squares line through the anchor point
-    (only the slope is free, fitted to the observed values on the test
-    window). The pointwise statistic is the squared gap between the
+    The null shape is the least-squares line through the trend at its
+    minimum (only the slope is free, fitted to the observed values on the
+    test window). The pointwise statistic is the squared gap between the
     smoothed trend and that line; its average and supremum over the
     window are compared against bootstrap replicates regenerated from a
     composite trend equal to the null line on the window and the
@@ -198,7 +203,7 @@ def linearity_test(
     absorb stays in the statistic rather than inflating the bootstrap
     errors. Each replicate re-applies the anchoring rule: its line is
     pinned where its own re-smoothed trend is lowest within a few kernel
-    windows of the original anchor (the locational resolution of a
+    windows of the original minimum (the locational resolution of a
     smoothed minimum), so the low bias that pinning at a minimum
     produces under the null is reproduced in the critical values instead
     of inflating the statistic relative to them.
@@ -206,30 +211,24 @@ def linearity_test(
     check_rate("alpha", alpha)
     cfg = cfg or AwbConfig()
     eps = fit.series
-    T = len(eps)
-    t_min = int(anchor.location)
-    g_min = float(anchor.value)
-    if not 1 <= t_min <= T:
-        raise ValueError("anchor position outside the sample")
+    t_min, T = _tail_window(fit)
     window = np.arange(t_min - 1, T)
     obs_w = window[eps.mask[window] == 1]
     if obs_w.size < 3:
-        raise ValueError("fewer than 3 observed points after the anchor")
+        raise ValueError("fewer than 3 observed points from the trend minimum to the end")
 
     tau = np.arange(1, T + 1, dtype=np.float64) / T
     defined_w = np.isfinite(fit.g_hat[window])
     defined_pos = window[defined_w]
-    # Replicates re-pin within this many smoothing windows of the anchor.
+    # Replicates re-pin within this many smoothing windows of the minimum.
     hunt_radius = int(round(3.0 * fit.h * T))
     hunt = defined_pos[np.abs(defined_pos - (t_min - 1)) <= hunt_radius]
     if hunt.size == 0:
         hunt = defined_pos
 
-    def gap_stats(
-        values: np.ndarray, g_hat: np.ndarray, pin_pos: int, pin_val: float | None = None
-    ) -> tuple[float, float, float, np.ndarray]:
-        if pin_val is None:
-            pin_val = float(g_hat[pin_pos])
+    def gap_stats(values: np.ndarray, g_hat: np.ndarray,
+                  pin_pos: int) -> tuple[float, float, float, np.ndarray]:
+        pin_val = float(g_hat[pin_pos])
         x = tau[window] - tau[pin_pos]
         x_obs = tau[obs_w] - tau[pin_pos]
         denom = float((x_obs * x_obs).sum())
@@ -238,7 +237,7 @@ def linearity_test(
         gaps = (g_hat[window][defined_w] - line[defined_w]) ** 2
         return float(gaps.mean()), float(gaps.max()), slope, line
 
-    q_ave, q_sup, slope, line = gap_stats(eps.values, fit.g_hat, t_min - 1, g_min)
+    q_ave, q_sup, slope, line = gap_stats(eps.values, fit.g_hat, t_min - 1)
 
     composite = fit.g_hat.copy()
     composite[window] = line
@@ -255,7 +254,6 @@ def linearity_test(
         sup=bootstrap_test(q_sup, stats[:, 1], alpha),
         slope=slope,
         anchor_index=t_min,
-        anchor_value=g_min,
     )
 
 
@@ -496,9 +494,7 @@ def monotonicity_tests(
     cfg = cfg or AwbConfig()
     eps = fit.series
     T = len(eps)
-    lo, hi = map(int, (trend_minimum(fit).location, T) if interval is None else interval)
-    if interval is None and lo == T:
-        raise ValueError(f"trend minimum at the sample end (day {T}): pass an interval to test")
+    lo, hi = _tail_window(fit) if interval is None else map(int, interval)
     if not (1 <= lo <= hi <= T):
         raise ValueError("interval outside the sample")
     h_u = u_stat_bandwidth(T)

@@ -577,8 +577,9 @@ class TestScanInternals:
         series = make_series(np.arange(T, dtype=float) % 7, mask)
         trim = np.arange(1461 * 11 + 2, T - 40)
         monkeypatch.setattr(breaktrend, "_SCHUR_RTOL", 1e-8)
-        with pytest.warns(UserWarning, match=r"^1 break candidate\(s\) skipped"):
-            scan = BreakScan(mask, series.calendar_years(), trim, 3)
+        with pytest.warns(UserWarning, match=r"^1 break candidate\(s\) skipped") as caught:
+            scan = estimate_break(series, trim).scan
+        assert caught[0].filename == __file__
         assert scan.n_skipped == 1
         assert trim[~scan._valid].tolist() == [c0]
 

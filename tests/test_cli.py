@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import ast
 import csv
 import datetime as dt
 import hashlib
-import importlib
 import json
 import math
 import os
@@ -149,9 +147,9 @@ class TestExitCodes:
                         "--bandwidth", bandwidth]) == 2
             assert list(out.iterdir()) == []
 
-    def test_monotest_refuses_a_trend_minimum_on_the_last_day(self, tmp_path):
-        # A falling series: the default interval, from the trend minimum to
-        # the end, would hold the last day alone.
+    def test_monotest_refuses_a_trend_minimum_on_the_last_day(self, tmp_path, capsys):
+        # A falling series: the tail window, from the trend minimum to the
+        # end, would hold the last day alone.
         T = 800
         rng = np.random.default_rng(3)
         mask = (rng.random(T) < 0.6).astype(np.uint8)
@@ -162,11 +160,32 @@ class TestExitCodes:
         base = ["--out", str(tmp_path), "--seed", "1"]
         assert run(base + ["smooth", "--input", data, "--bandwidth", "0.08", "--B", "9"]) == 0
         fit = str(tmp_path / "trend_fit.json")
-        assert gaptrend.trend_minimum(load_fit_artifact(fit)).location == T
-        assert run(base + ["monotest", "--fit", fit, "--B", "49"]) == 2
-        assert not (tmp_path / "monotest_report.json").exists()
+        assert gaptrend.trend_minimum(load_fit_artifact(fit)) == T
+        for command in ("monotest", "lintest"):  # one rule, one cause
+            capsys.readouterr()
+            assert run(base + [command, "--fit", fit, "--B", "49"]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: trend minimum at the sample end (day {T})"), command
+            assert not (tmp_path / f"{command}_report.json").exists()
         assert run(base + ["monotest", "--fit", fit, "--B", "49",
                            "--interval", "2001-06-01:2002-03-10"]) == 0
+
+    @pytest.mark.parametrize("section, key", [(None, None), ("series", "values"), ("fit", "h")],
+                             ids=["json_list", "no_series_values", "no_fit_h"])
+    def test_malformed_fit_artifact(self, section, key, fit_json, tmp_path, capsys):
+        # Each names the file and exits 2, like any other invalid input.
+        payload = json.loads(Path(fit_json).read_text())
+        if section is None:
+            payload = [payload]
+        else:
+            del payload[section][key]
+        bad = tmp_path / "bad_fit.json"
+        bad.write_text(json.dumps(payload))
+        for command in ("extremum", "lintest", "monotest"):
+            capsys.readouterr()
+            assert run(["--out", str(tmp_path / command), command, "--fit", str(bad),
+                        "--B", "9"]) == 2, command
+            assert str(bad) in capsys.readouterr().err, command
 
     def test_threads_below_one(self, toy_csv, tmp_path):
         for threads in ("0", "-3"):
@@ -298,10 +317,10 @@ class TestArtifacts:
         monkeypatch.setattr(breaktrend, "_SCHUR_RTOL", 1e-3)
         series = ingest_csv(toy_csv)
         with pytest.warns(UserWarning, match="skipped") as caught:
-            scan = breaktrend.BreakScan(series.mask, series.calendar_years(),
-                                        trimming_set(len(series)), 3)
+            scan = breaktrend.estimate_break(series, trimming_set(len(series))).scan
         assert 0 < scan.n_skipped < scan.candidates.size
         assert str(caught[0].message).startswith(f"{scan.n_skipped} break candidate(s)")
+        assert caught[0].filename == __file__
         with pytest.warns(UserWarning, match="skipped"):
             assert run(["--out", str(tmp_path), "break", "--input", toy_csv, "--B", "9"]) == 0
         res = json.loads((tmp_path / "break_report.json").read_text())["results"]
@@ -582,21 +601,3 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, gaptrend.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
-
-
-def test_bench_trace_targets_resolve():
-    # The benchmark's tracer wraps these library names; it must find each one.
-    tracing = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-    tree = ast.parse(tracing.read_text())
-    targets = next(
-        ast.literal_eval(node.value) for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
-    )
-    assert targets
-    for module_name, attr in targets:
-        owner = importlib.import_module(module_name)
-        *owners, name = attr.split(".")
-        for part in owners:
-            owner = getattr(owner, part)
-        found = vars(owner).get(name)
-        assert callable(found), f"{module_name}.{attr}"

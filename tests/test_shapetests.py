@@ -1,4 +1,4 @@
-"""Extremum location, anchored-linearity test, and monotonicity tests."""
+"""Extremum location, linearity test from the trend minimum, and monotonicity tests."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from gaptrend import (
     u_stat_bandwidth,
 )
 from gaptrend import kerneltrend, shapetests
-from gaptrend.shapetests import TrendAnchor, nearest_extremum
+from gaptrend.shapetests import nearest_extremum
 
 from conftest import gappy_series, make_series, random_masked_series, traced_peak
 
@@ -413,26 +413,27 @@ class TestLinearityTest:
         values = np.where(t <= kink, kink - t, t - kink) / T
         series = make_series(values)
         fit = nw_estimate(series, 2.5 / T)
-        anchor = TrendAnchor(location=kink, value=float(fit.g_hat[kink - 1]))
-        res = linearity_test(fit, anchor, AwbConfig(seed=3, n_boot=29))
+        res = linearity_test(fit, AwbConfig(seed=3, n_boot=29))
+        assert res.anchor_index == trend_minimum(fit) == kink
         spread = values.max() - values.min()
         assert res.sup.statistic < (spread * 0.05) ** 2
         assert res.ave.statistic <= res.sup.statistic
 
     def test_sup_dominates_ave(self, rng):
-        series = random_masked_series(rng, 240, observed_fraction=0.7)
-        fit = nw_estimate(series, 0.1)
-        anchor = TrendAnchor(location=20, value=float(fit.g_hat[19]))
-        res = linearity_test(fit, anchor, AwbConfig(seed=4, n_boot=39))
+        noise = random_masked_series(rng, 240, observed_fraction=0.7)
+        fit = nw_estimate(noise.with_values(noise.values + np.abs(np.arange(240) - 120) / 60), 0.1)
+        res = linearity_test(fit, AwbConfig(seed=4, n_boot=39))
         assert 0.0 <= res.ave.statistic <= res.sup.statistic
 
-    def test_requires_points_after_anchor(self, rng):
-        series = random_masked_series(rng, 100)
-        fit = nw_estimate(series, 0.1)
-        with pytest.raises(ValueError, match="observed points after"):
-            linearity_test(fit, TrendAnchor(99, 0.0), AwbConfig(seed=1, n_boot=9))
-        with pytest.raises(ValueError, match="anchor position"):
-            linearity_test(fit, TrendAnchor(150, 0.0), AwbConfig(seed=1, n_boot=9))
+    def test_requires_points_after_anchor(self):
+        # At h*T = 1 the trend is the series itself, lowest on day T-1:
+        # the window from there to the end holds two days.
+        T = 100
+        values = np.r_[np.arange(T - 1, 0, -1.0), 5.0]
+        fit = nw_estimate(make_series(values), 1.0 / T)
+        assert trend_minimum(fit) == T - 1
+        with pytest.raises(ValueError, match="fewer than 3 observed points"):
+            linearity_test(fit, AwbConfig(seed=1, n_boot=9))
 
     def test_strong_curvature_rejected(self, rng):
         T = 400
@@ -440,7 +441,7 @@ class TestLinearityTest:
         trend = 2.0 * np.sin(np.pi * t)  # rises then falls: nothing like a line
         series = make_series(trend + rng.normal(0, 0.15, T))
         fit = nw_estimate(series, 0.1)
-        res = linearity_test(fit, trend_minimum(fit), AwbConfig(seed=6, n_boot=99))
+        res = linearity_test(fit, AwbConfig(seed=6, n_boot=99))
         assert res.ave.p_value <= 0.05
         assert res.ave.reject
 
@@ -450,14 +451,14 @@ class TestLinearityTest:
         monkeypatch.setattr(kerneltrend, "run_replicates", None)
         for alpha in (0.0, 1.0, 1.2):
             with pytest.raises(ValueError, match="alpha must lie in"):
-                linearity_test(fit, trend_minimum(fit), AwbConfig(n_boot=9), alpha)
+                linearity_test(fit, AwbConfig(n_boot=9), alpha)
             with pytest.raises(ValueError, match="alpha must lie in"):
                 monotonicity_tests(fit, (20, 140), AwbConfig(n_boot=9), alpha)
 
     def test_pvalue_convention(self, rng):
         series = random_masked_series(rng, 150, observed_fraction=0.8)
         fit = nw_estimate(series, 0.12)
-        res = linearity_test(fit, trend_minimum(fit), AwbConfig(seed=7, n_boot=19))
+        res = linearity_test(fit, AwbConfig(seed=7, n_boot=19))
         assert 1.0 / 20.0 <= res.ave.p_value <= 1.0
         assert 1.0 / 20.0 <= res.sup.p_value <= 1.0
 
@@ -674,7 +675,7 @@ class TestMonotonicityTests:
         fit = nw_estimate(series, 0.1)
         cfg = AwbConfig(seed=4, n_boot=19)
         res = monotonicity_tests(fit, cfg=cfg)
-        assert res.interval == (trend_minimum(fit).location, 200)
+        assert res.interval == (trend_minimum(fit), 200)
         explicit = monotonicity_tests(fit, res.interval, cfg)
         assert np.array_equal(res.sign.draws, explicit.sign.draws)
         assert np.array_equal(res.magnitude.draws, explicit.magnitude.draws)
@@ -688,10 +689,11 @@ class TestMonotonicityTests:
         mask[[0, -1]] = 1
         series = make_series(-0.01 * np.arange(T) + rng.normal(0.0, 0.3, T), mask)
         fit = nw_estimate(series, 0.08)
-        assert trend_minimum(fit).location == T
+        assert trend_minimum(fit) == T
         cfg = AwbConfig(n_boot=49)
-        with pytest.raises(ValueError, match="trend minimum at the sample end"):
-            monotonicity_tests(fit, cfg=cfg)
+        for tail_test in (monotonicity_tests, linearity_test):
+            with pytest.raises(ValueError, match=rf"^trend minimum at the sample end \(day {T}\)"):
+                tail_test(fit, cfg=cfg)
         # An explicit interval keeps its meaning, a one-day one included.
         assert monotonicity_tests(fit, (T, T), cfg).interval == (T, T)
         assert monotonicity_tests(fit, (600, T), cfg).interval == (600, T)

@@ -302,3 +302,55 @@ def test_replicates_run_only_in_the_runner_modules(module):
     assert calls_named(source, {"run_replicates"}) == [] or module in RUNNER_MODULES
     if module == "shapetests.py":
         assert draws_outside_runner(source, None, PILOT_PARTS) == []
+
+
+def unresolved_targets(tracing: str, modules: dict[str, str]) -> list[str]:
+    """Entries ``(module, attr)`` of the ``TARGETS`` list in ``tracing`` that
+    the source of ``module`` in ``modules`` does not define: ``attr`` is a
+    top-level function or class, or ``Class.method`` a function in that
+    class's body."""
+    targets = next(ast.literal_eval(node.value) for node in ast.parse(tracing).body
+                   if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+    missing = []
+    for module, attr in targets:
+        scope = ast.parse(modules[module]) if module in modules else None
+        for part in attr.split("."):
+            scope = next((node for node in getattr(scope, "body", ())
+                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                          and node.name == part), None)
+        if scope is None:
+            missing.append(f"{module}.{attr}")
+    return missing
+
+
+def test_guard_flags_a_trace_target_the_source_lacks():
+    tracing = (
+        "import time\n"
+        "TARGETS = [\n"
+        "    ('gaptrend.shapetests', 'trend_minimum'),\n"
+        "    ('gaptrend.shapetests', 'TrendAnchor'),\n"
+        "    ('gaptrend.shapetests', 'UStatEngine.profiles'),\n"
+        "    ('gaptrend.shapetests', 'UStatEngine.u3'),\n"
+        "    ('gaptrend.shapetests', 'profiles'),\n"
+        "    ('gaptrend.trends', 'nw_estimate'),\n"
+        "]\n"
+    )
+    shapetests = (
+        "def trend_minimum(fit): ...\n"
+        "class UStatEngine:\n"
+        "    def profiles(self, y): ...\n"
+        "def _helper():\n"
+        "    class TrendAnchor: ...\n"
+    )
+    assert unresolved_targets(tracing, {"gaptrend.shapetests": shapetests}) == [
+        "gaptrend.shapetests.TrendAnchor", "gaptrend.shapetests.UStatEngine.u3",
+        "gaptrend.shapetests.profiles", "gaptrend.trends.nw_estimate"]
+
+
+def test_bench_trace_targets_resolve():
+    # The benchmark's tracer wraps library functions and methods by name; a
+    # name the package no longer defines would fail only a traced run.
+    tracing = (SOURCE.parents[1] / "bench" / "tracing.py").read_text()
+    modules = {f"gaptrend.{p.stem}": p.read_text() for p in SOURCE.glob("*.py")}
+    assert unresolved_targets(tracing, modules) == []
