@@ -8,18 +8,19 @@ break candidate. The scan exploits the fact that only the hinge column
 changes between candidates: with the fixed-column Gram matrix factorized
 once, each candidate costs a rank-one update built from suffix sums, so a
 full scan is O(T + |candidates| * p^2) instead of |candidates| full refits.
-The break is estimated once, by :func:`estimate_break`; the fit carries
-the series it was scanned on and that scan's state, the break-test
-statistic and the no-break coefficients among it, so the test and the
-intervals take the fit alone. The test's statistic, critical value and
-p-value come as one ``awb.BootstrapTest`` record.
+The break is estimated once, when a :class:`BrokenTrendFit` is built from
+its series and its candidate scan; the fit keeps that scan's state, the
+break-test statistic and the no-break coefficients among it, so the test
+and the intervals take the fit alone. The test's statistic, critical value
+and p-value come as one ``awb.BootstrapTest`` record.
 
-The test and the intervals bootstrap the same residuals with the same
-multiplier paths; only the base differs, the no-break fit for the test and
-the broken fit for the intervals. Their replicates rescan the candidates
-the fit was chosen from, so on a fit with an imposed break the test tests
-that break alone. :func:`break_analysis`, the CLI's entry, draws each
-multiplier path once and scans it under both bases.
+The test and the intervals bootstrap the fit's residuals with the same
+multiplier paths, through the fit's ``bootstrap``; only the base differs,
+the no-break trend ``null_trend`` for the test and the broken fit for the
+intervals. Their replicates rescan the candidates the fit was chosen from,
+so on a fit with an imposed break the test tests that break alone.
+:func:`break_analysis`, the CLI's entry, draws each multiplier path once
+and scans it under both bases.
 """
 
 from __future__ import annotations
@@ -70,27 +71,42 @@ def trimming_set(n_time: int, fraction: float = DEFAULT_TRIM_FRACTION) -> np.nda
 
 @dataclass(frozen=True)
 class BrokenTrendFit:
-    """Joint fit of intercept, slopes, break position, and seasonal pattern.
+    """Joint fit of intercept, slopes, break position, and seasonal pattern
+    of ``series`` over the break candidates of ``scan``.
 
-    ``beta`` and ``delta`` are per grid step (one day); multiply by 365.25
-    for per-year rates. The fitted trend is continuous at ``break_index`` by
-    construction of the hinge regressor.
-    ``scan`` is the candidate scan the fit was chosen on, ``series`` the
-    series it was scanned on and ``state`` that scan of the series, which
-    holds the break-test statistic and the no-break fit; the break test
-    and the bootstrap intervals resample that series' residuals and
-    rescan the candidates.
+    The series is scanned once, at construction: ``state`` is that scan,
+    which holds the break-test statistic and the no-break fit, and the
+    break is its best candidate. ``beta`` and ``delta`` are per grid step
+    (one day); multiply by 365.25 for per-year rates. The fitted trend is
+    continuous at ``break_index`` by construction of the hinge regressor.
+    Every bootstrap of the fit runs through ``bootstrap``, which resamples
+    the residuals of ``series`` around the fit; its statistics rescan the
+    candidates of ``scan``.
     """
 
-    alpha: float
-    beta: float
-    delta: float
-    break_index: int
-    seasonal: SeasonalFit
-    ssr: float
-    scan: BreakScan = field(repr=False, compare=False)
     series: ObservedSeries = field(repr=False, compare=False)
-    state: ScanState = field(repr=False, compare=False)
+    scan: BreakScan = field(repr=False, compare=False)
+    state: ScanState = field(init=False, repr=False, compare=False)
+    alpha: float = field(init=False)
+    beta: float = field(init=False)
+    delta: float = field(init=False)
+    break_index: int = field(init=False)
+    seasonal: SeasonalFit = field(init=False)
+    ssr: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        state = self.scan.scan(self.series.values)
+        coef = self.scan.coefficients(state)
+        S, harmonics = self.scan.n_harmonics, coef.pop("harmonics")
+        seasonal = SeasonalFit(harmonics[:S], harmonics[S:], S, self.scan._Z[:, 2:] @ harmonics)
+        for name, value in dict(coef, state=state, break_index=state.best,
+                                seasonal=seasonal).items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def null_trend(self) -> np.ndarray:
+        """The no-break fit, trend plus seasonal pattern, on every position."""
+        return self.scan._Z @ self.state.beta0
 
     def trend_values(self) -> np.ndarray:
         t = np.arange(1, self.scan.n_time + 1, dtype=np.float64)
@@ -98,6 +114,14 @@ class BrokenTrendFit:
 
     def fitted_values(self) -> np.ndarray:
         return self.trend_values() + self.seasonal.fitted
+
+    def bootstrap(self, cfg: AwbConfig, base: np.ndarray,
+                  statistic: Callable[[np.ndarray], object]) -> np.ndarray:
+        """``run_replicates`` of ``statistic`` on replicate series built on
+        ``base`` from the residuals of ``series`` around the fit."""
+        eps = self.series
+        return run_replicates(cfg, base, eps.with_values(eps.values - self.fitted_values()),
+                              statistic)
 
 
 @dataclass(frozen=True)
@@ -159,7 +183,7 @@ class ScanState(NamedTuple):
     f_stat: float  # largest SSR reduction over the candidates
     best: int  # position of the winning candidate, ties to the smallest
     beta0: np.ndarray  # no-break coefficients, internal scaling
-    num: np.ndarray  # per-candidate hinge numerators, read by coefficients_at
+    num: np.ndarray  # per-candidate hinge numerators, read by coefficients
 
 
 class BreakScan:
@@ -223,6 +247,15 @@ class BreakScan:
                                        m, m * tau, m * tau * tau]))
         s_mz, s_mtz = sums[:p0], sums[p0: 2 * p0]
         s_m, s_mt, s_mtt = sums[2 * p0:]
+        # Observed-point support at the trimming edges; the hinge needs
+        # identifying variation on both sides of every candidate.
+        n_left = s_m[0] - s_m[c[0]]
+        n_right = s_m[c[-1]]
+        if min(n_left, n_right) < self.n_params + 1:
+            raise ValueError(
+                "trimming leaves fewer than n_params + 1 observed points on one side; "
+                "increase the trimming fraction"
+            )
 
         # Hinge cross products for every candidate at once.
         Zd_t = s_mtz[:, c] - tau_c * s_mz[:, c]                # Zd', (p0, n_cand)
@@ -238,15 +271,6 @@ class BreakScan:
         if not self._valid.any():
             raise SingularDesignError("every break candidate is unidentified on this mask")
         self.n_skipped = int((~self._valid).sum())
-        # Observed-point support at the trimming edges; the hinge needs
-        # identifying variation on both sides of every candidate.
-        n_left = s_m[0] - s_m[self.candidates[0]]
-        n_right = s_m[self.candidates[-1]]
-        if min(n_left, n_right) < self.n_params + 1:
-            raise ValueError(
-                "trimming leaves fewer than n_params + 1 observed points on one side; "
-                "increase the trimming fraction"
-            )
 
     def scan(self, y: np.ndarray) -> ScanState:
         """Fit the no-break model and every candidate; return the best break."""
@@ -270,13 +294,10 @@ class BreakScan:
         best = int(red.argmax())
         return ScanState(ssr0, float(red[best]), span.start + best, beta0, num)
 
-    def coefficients_at(self, state: ScanState, break_at: int) -> dict:
-        """Full coefficient vector of the scanned model with the break at ``break_at``."""
-        pos = break_at - self._span.start
-        if not 0 <= pos < self.candidates.size:
-            raise ValueError(f"{break_at} is not among the scan candidates")
-        if not self._valid[pos]:
-            raise SingularDesignError(f"candidate {break_at} is not identified")
+    def coefficients(self, state: ScanState) -> dict:
+        """Full coefficient vector of the scanned model with the break at
+        ``state.best``, the best candidate, which a scan always identifies."""
+        pos = state.best - self._span.start
         delta_tau = float(state.num[pos] / self._schur[pos])
         bz = state.beta0 - self._W[:, pos] * delta_tau
         red = delta_tau * state.num[pos]
@@ -288,16 +309,6 @@ class BreakScan:
             "harmonics": bz[2:].copy(),
             "ssr": max(state.ssr0 - red, 0.0),
         }
-
-    def fit(self, series: ObservedSeries, state: ScanState, break_at: int) -> BrokenTrendFit:
-        """The fit of ``series``, scanned into ``state``, with the break at ``break_at``."""
-        coef = self.coefficients_at(state, break_at)
-        S, harmonics = self.n_harmonics, coef["harmonics"]
-        seasonal = SeasonalFit(harmonics[:S], harmonics[S:], S, self._Z[:, 2:] @ harmonics)
-        return BrokenTrendFit(
-            alpha=coef["alpha"], beta=coef["beta"], delta=coef["delta"], break_index=break_at,
-            seasonal=seasonal, ssr=coef["ssr"], scan=self, series=series, state=state,
-        )
 
 
 def estimate_break(
@@ -321,35 +332,14 @@ def estimate_break(
     if scan.n_skipped:
         warnings.warn(f"{scan.n_skipped} break candidate(s) skipped: hinge not identified on "
                       "the observed points", stacklevel=2)
-    state = scan.scan(series.values)
-    return scan.fit(series, state, state.best)
-
-
-def _null_draw(scan: BreakScan, y: np.ndarray) -> tuple[float]:
-    """A replicate's break-test statistic."""
-    return (scan.scan(y).f_stat,)
+    return BrokenTrendFit(series, scan)
 
 
 def _broken_draw(scan: BreakScan, y: np.ndarray) -> tuple[int, float, float, float]:
     """A replicate's re-estimated break position and its trend coefficients."""
     state = scan.scan(y)
-    coef = scan.coefficients_at(state, state.best)
+    coef = scan.coefficients(state)
     return state.best, coef["alpha"], coef["beta"], coef["delta"]
-
-
-def _replicate_pass(fit: BrokenTrendFit, cfg: AwbConfig,
-                    passes: list[tuple[np.ndarray, Callable]]) -> np.ndarray:
-    """One bootstrap pass on the residuals of ``fit`` over every (base, draw)
-    pair of ``passes``: each replicate draws its multiplier path once, and
-    each draw scans that path's series on its base. Returns (B, n) draws,
-    the columns of every pair in order."""
-    u_hat = fit.series.with_values(fit.series.values - fit.fitted_values())
-
-    def statistic(ys: np.ndarray) -> list:
-        return [v for (_, draw), y in zip(passes, ys) for v in draw(fit.scan, y)]
-
-    bases = np.stack([base for base, _ in passes])
-    return run_replicates(cfg, bases, u_hat, statistic)
 
 
 def _date_ci(fit: BrokenTrendFit, draws: np.ndarray, level: float) -> BreakDateCi:
@@ -387,10 +377,11 @@ def break_test(
     The statistic is the drop in the observed-point sum of squared
     residuals from the best one-break model, ``fit``, relative to the
     no-break model, both read off the scan ``fit`` was chosen on.
-    Bootstrap samples are regenerated under the no-break null; each
-    replicate rescans the candidates the fit was chosen from
-    (``fit.scan``), so on an imposed break the test tests that break
-    alone. Rejection: statistic above the (1 - alpha) bootstrap quantile.
+    Bootstrap samples are regenerated under the no-break null, on
+    ``fit.null_trend``; each replicate rescans the candidates the fit was
+    chosen from (``fit.scan``), so on an imposed break the test tests that
+    break alone. Rejection: statistic above the (1 - alpha) bootstrap
+    quantile.
 
     The bootstrap errors are the residuals of ``fit``, the best one-break
     fit, which keeps break-like noise patterns out of the resampled
@@ -398,9 +389,8 @@ def break_test(
     break-like would inflate its own critical value.
     """
     check_rate("alpha", alpha)
-    null_base = fit.scan._Z @ fit.state.beta0
-    draws = _replicate_pass(fit, cfg or AwbConfig(), [(null_base, _null_draw)])
-    return bootstrap_test(fit.state.f_stat, draws[:, 0], alpha)
+    draws = fit.bootstrap(cfg or AwbConfig(), fit.null_trend, lambda y: fit.scan.scan(y).f_stat)
+    return bootstrap_test(fit.state.f_stat, draws, alpha)
 
 
 def break_ci(
@@ -425,7 +415,8 @@ def break_ci(
     end collapses to that end's candidate.
     """
     check_rate("level", level)
-    draws = _replicate_pass(fit, cfg or AwbConfig(), [(fit.fitted_values(), _broken_draw)])
+    draws = fit.bootstrap(cfg or AwbConfig(), fit.fitted_values(),
+                          lambda y: _broken_draw(fit.scan, y))
     return _date_ci(fit, draws, level)
 
 
@@ -439,15 +430,19 @@ def break_analysis(
     from one bootstrap pass.
 
     Both bootstrap the residuals of ``fit`` with the multiplier paths of
-    ids 0..B-1; only the base differs. Each replicate therefore draws its
-    path once and scans it twice: on the no-break fit for the test
-    statistic and on the broken fit for the intervals.
+    ids 0..B-1; only the base differs. One ``fit.bootstrap`` call stacks
+    the two bases, ``fit.null_trend`` and the broken fit, so each replicate
+    draws its path once and scans it twice: on the no-break fit for the
+    test statistic and on the broken fit for the intervals.
     """
     check_rate("alpha", alpha)
     check_rate("level", level)
-    null_base = fit.scan._Z @ fit.state.beta0
-    draws = _replicate_pass(fit, cfg or AwbConfig(),
-                            [(null_base, _null_draw), (fit.fitted_values(), _broken_draw)])
+
+    def statistic(ys: np.ndarray) -> tuple:
+        return (fit.scan.scan(ys[0]).f_stat, *_broken_draw(fit.scan, ys[1]))
+
+    bases = np.stack([fit.null_trend, fit.fitted_values()])
+    draws = fit.bootstrap(cfg or AwbConfig(), bases, statistic)
     return bootstrap_test(fit.state.f_stat, draws[:, 0], alpha), _date_ci(fit, draws[:, 1:], level)
 
 

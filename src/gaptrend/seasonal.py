@@ -24,8 +24,6 @@ def fourier_design(calendar_years: np.ndarray, n_harmonics: int) -> np.ndarray:
     if n_harmonics < 0:
         raise ValueError("n_harmonics must be >= 0")
     y = np.asarray(calendar_years, dtype=np.float64)
-    if n_harmonics == 0:
-        return np.empty((y.shape[0], 0))
     angles = 2.0 * np.pi * np.outer(y, np.arange(1, n_harmonics + 1))
     return np.hstack([np.cos(angles), np.sin(angles)])
 
@@ -99,7 +97,7 @@ def fit_seasonal(
 
     obs = series.mask == 1
     coef, _, rank, _ = np.linalg.lstsq(design[obs], series.values[obs], rcond=None)
-    if n_params > 0 and rank < n_params:
+    if rank < n_params:
         raise SingularDesignError(
             f"design rank {rank} < {n_params}; observations do not identify the fit"
         )
@@ -110,7 +108,7 @@ def fit_seasonal(
         a=harm[:n_harmonics].copy(),
         b=harm[n_harmonics:].copy(),
         n_harmonics=n_harmonics,
-        fitted=fourier @ harm if n_harmonics else np.zeros(T),
+        fitted=fourier @ harm,
         extra=coef[:k].copy(),
     )
 

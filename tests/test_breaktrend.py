@@ -17,12 +17,13 @@ from gaptrend import (
     empirical_quantile,
     estimate_break,
     fourier_design,
+    run_replicates,
     slope_cis,
     trimming_set,
 )
 from gaptrend import SingularDesignError, gen_mask, simulate_series
 from gaptrend import breaktrend
-from gaptrend.breaktrend import BreakScan
+from gaptrend.breaktrend import BreakScan, BrokenTrendFit
 
 from conftest import gappy_series, make_series
 
@@ -438,7 +439,7 @@ class TestSlopeCis:
         for b in range(cfg.n_boot):
             y = fitted + series.mask * draw_multipliers(cfg, 150, b) * u_hat
             state = scan.scan(y)
-            coef = scan.coefficients_at(state, state.best)
+            coef = scan.coefficients(state)
             rows.append((state.best, coef["alpha"], coef["beta"], coef["delta"]))
         best, alphas, betas, deltas = np.array(rows).T
         assert ci.bootstrap_indices.tolist() == best.astype(int).tolist()
@@ -503,12 +504,31 @@ class TestSlopeCis:
 
 
 class TestScanInternals:
-    def test_coefficients_at_requires_candidate(self, rng):
-        series = make_series(rng.normal(size=60))
-        scan = BreakScan(series.mask, series.calendar_years(), np.arange(20, 24), 0)
-        for break_at in (19, 24):
-            with pytest.raises(ValueError, match="not among"):
-                scan.coefficients_at(scan.scan(series.values), break_at)
+    def test_fit_is_its_series_and_scan(self, rng):
+        values = kinked_line(300, beta=-0.2, delta=0.4, kink=170) + rng.normal(0, 2.0, 300)
+        mask = (rng.random(300) < 0.7).astype(np.uint8)
+        series = make_series(values, mask)
+        trim = trimming_set(300, 0.15)
+        fit = BrokenTrendFit(series, BreakScan(series.mask, series.calendar_years(), trim, 2))
+        ref = estimate_break(series, trim, n_harmonics=2)
+        for name in ("alpha", "beta", "delta", "break_index", "ssr"):
+            assert getattr(fit, name) == getattr(ref, name)
+        for name in ("a", "b", "fitted", "extra"):
+            assert np.array_equal(getattr(fit.seasonal, name), getattr(ref.seasonal, name))
+        assert fit.state.f_stat == ref.state.f_stat and fit.state.best == ref.break_index
+        assert np.array_equal(fit.fitted_values(), ref.fitted_values())
+
+        # Oracle: the no-break least-squares fit on the observed days.
+        t = np.arange(1, 301, dtype=float)
+        Z = np.column_stack([np.ones(300), t, fourier_design(series.calendar_years(), 2)])
+        obs = mask == 1
+        coef, _, _, _ = np.linalg.lstsq(Z[obs], values[obs], rcond=None)
+        assert np.max(np.abs(fit.null_trend - Z @ coef)) <= 1e-10 * np.max(np.abs(Z @ coef))
+
+        cfg = AwbConfig(seed=8, n_boot=7)
+        residuals = series.with_values(values - fit.fitted_values())
+        expected = run_replicates(cfg, fit.null_trend, residuals, lambda y: y.copy())
+        assert np.array_equal(fit.bootstrap(cfg, fit.null_trend, lambda y: y.copy()), expected)
 
     @pytest.mark.parametrize("design", ["fewer_days_than_columns", "one_day_of_year"])
     def test_singular_fixed_design_raises(self, design):

@@ -90,6 +90,22 @@ class TestExitCodes:
                         *option]) == 2
             assert f"need more than {n_params} observed points, have 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("side", ["after", "before"])
+    def test_no_observed_day_beside_the_candidates(self, side, tmp_path, capsys):
+        # 300 observed days and one empty-valued row 3700 days away: every
+        # candidate of the default trimming set has no observed day on one
+        # side. That is a trimming choice the data cannot carry (exit 2),
+        # like one with a few days there, not a numerical failure.
+        d0 = dt.date(2000, 1, 1)
+        days = [(d0 + dt.timedelta(days=i)).isoformat() for i in range(4000)]
+        observed, empty = (days[:300], days[-1]) if side == "after" else (days[-300:], days[0])
+        rows = sorted([f"{day},{1.0 + 0.01 * i}" for i, day in enumerate(observed)]
+                      + [f"{empty},"])
+        path = tmp_path / "edge.csv"
+        path.write_text("date,value\n" + "\n".join(rows) + "\n")
+        assert run(["--out", str(tmp_path), "break", "--input", str(path), "--B", "9"]) == 2
+        assert "increase the trimming fraction" in capsys.readouterr().err
+
     def test_smooth_requires_bandwidth_decision(self, toy_csv, tmp_path):
         rc = run(["--out", str(tmp_path), "smooth", "--input", toy_csv, "--B", "19"])
         assert rc == 2

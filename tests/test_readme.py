@@ -48,6 +48,7 @@ def test_library_quick_start_runs(tmp_path, monkeypatch):
     assert names["peaks"].shape == (names["cfg"].n_boot,)
     assert names["start"] <= names["series"].date_at(names["fit"].break_index)
     assert names["imposed"].break_index == 200
+    assert names["null"].shape == (len(names["series"]),)
     assert 1 <= names["minimum"].location <= len(names["eps"])
     assert 0.0 < names["mono"].sign.p_value <= 1.0
 

@@ -74,6 +74,27 @@ class TestFitSeasonal:
         assert fit.a[0] == pytest.approx(1.0, abs=1e-8)
         assert fit.b[0] == pytest.approx(0.5, abs=1e-8)
 
+    def test_zero_harmonics(self, rng):
+        # No harmonics: a float64 (T, 0) design and a zero curve, with the
+        # regressors fitted alone as plain least squares.
+        T = 200
+        mask = (rng.random(T) < 0.6).astype(np.uint8)
+        series = make_series(2.0 + rng.normal(size=T), mask)
+        design = fourier_design(series.calendar_years(), 0)
+        assert design.shape == (T, 0) and design.dtype == np.float64
+        t = np.arange(1, T + 1, dtype=float)
+        for regressors in (None, np.column_stack([np.ones(T), t])):
+            fit = fit_seasonal(series, regressors=regressors, n_harmonics=0)
+            assert fit.n_harmonics == 0 and fit.a.shape == fit.b.shape == (0,)
+            assert fit.fitted.dtype == np.float64 and np.array_equal(fit.fitted, np.zeros(T))
+            if regressors is None:
+                assert fit.extra.shape == (0,)
+            else:
+                obs = mask == 1
+                expected, _, _, _ = np.linalg.lstsq(regressors[obs], series.values[obs],
+                                                    rcond=None)
+                assert np.allclose(fit.extra, expected, rtol=1e-12, atol=0.0)
+
     def test_too_few_points(self):
         series = make_series(np.ones(10), [1, 1, 1, 0, 0, 0, 0, 0, 0, 0])
         with pytest.raises(ValueError, match="observed points"):

@@ -112,12 +112,17 @@ def test_files_hashed_only_in_the_report_writer(module):
 GENERATORS = {"Philox", "Generator"}
 
 
-def calls_named(source: str, names: set[str]) -> list[str]:
+def calls_named(source: str, names: set[str], outside: str | None = None) -> list[str]:
     """Calls in ``source`` of any of ``names``, by attribute
-    (``np.random.Philox(...)``) or by imported name."""
+    (``np.random.Philox(...)``) or by imported name; given ``outside``,
+    only those outside the body of every class method named ``outside``."""
+    tree = ast.parse(source)
+    exempt = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+              for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == outside
+              for node in ast.walk(fn)}
     found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in exempt:
             func = node.func
             name = (func.attr if isinstance(func, ast.Attribute)
                     else func.id if isinstance(func, ast.Name) else None)
@@ -272,7 +277,6 @@ def test_no_procedure_bootstraps_a_series(module):
     assert series_beside_config((SOURCE / module).read_text()) == []
 
 
-RUNNER_MODULES = {"awb.py", "breaktrend.py", "kerneltrend.py"}
 PILOT_PARTS = {"nw_smoother", "pilot_bandwidth"}
 
 
@@ -292,14 +296,33 @@ def test_guard_flags_a_shape_test_that_builds_its_own_bootstrap():
         "nw_smoother (line 4)", "pilot_bandwidth (line 4)", "nw_smoother (line 5)"]
 
 
+def test_guard_flags_a_replicate_run_outside_a_bootstrap_method():
+    planted = (
+        "from . import awb\n"
+        "from .awb import run_replicates\n"
+        "class Fit:\n"
+        "    def bootstrap(self, cfg, base, statistic):\n"
+        "        return run_replicates(cfg, base, self.series, statistic)\n"
+        "    def refit(self, cfg):\n"
+        "        return awb.run_replicates(cfg, self.base, self.series, len)\n"
+        "def _replicate_pass(fit, cfg, passes):\n"
+        "    return run_replicates(cfg, passes, fit.series, len)\n"
+        "def bootstrap(cfg, base, residuals):\n"
+        "    return run_replicates(cfg, base, residuals, len)\n"
+    )
+    assert calls_named(planted, {"run_replicates"}, outside="bootstrap") == [
+        "run_replicates (line 9)", "run_replicates (line 11)", "run_replicates (line 7)"]
+    assert len(calls_named(planted, {"run_replicates"})) == 4
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in SOURCE.glob("*.py")))
 def test_replicates_run_only_in_the_runner_modules(module):
-    # A kernel trend's bootstraps all run through KernelTrendFit.bootstrap,
-    # which resamples the residuals around the fit's one pilot; the shape
-    # tests reach the replicate runner, the smoother and the pilot only
-    # through the fit.
+    # Every bootstrap of an estimate runs through its fit's own method,
+    # KernelTrendFit.bootstrap or BrokenTrendFit.bootstrap, which forms the
+    # fit's residuals in one place; awb defines the runner. The shape tests
+    # reach the smoother and the pilot only through the fit.
     source = (SOURCE / module).read_text()
-    assert calls_named(source, {"run_replicates"}) == [] or module in RUNNER_MODULES
+    assert module == "awb.py" or calls_named(source, {"run_replicates"}, "bootstrap") == []
     if module == "shapetests.py":
         assert draws_outside_runner(source, None, PILOT_PARTS) == []
 
