@@ -14,6 +14,7 @@ from .awb import (
     dependence_length,
     draw_multipliers,
     empirical_quantile,
+    observed_days,
     run_replicates,
 )
 from .breaktrend import (
@@ -117,6 +118,7 @@ __all__ = [
     "mcv_scan",
     "monotonicity_tests",
     "nw_estimate",
+    "observed_days",
     "pilot_bandwidth",
     "pointwise_bands",
     "run_panel",

@@ -4,13 +4,16 @@ Every inference procedure in the package shares this machinery: an AR(1)
 multiplier process with unit marginal variance, and one replicate runner
 that builds every replicate series, the base on observed days (0 on the
 others) plus multiplier times residual, deterministic for a given seed no
-matter how the replicates are scheduled. Multipliers come from a
-counter-based generator keyed by (seed, replicate id), so replicate b is
-the same whether it runs first, last, serially, or on a worker thread;
-each thread re-keys one generator per draw instead of building one.
-The AR(1) recursion itself is a scaled prefix sum, computed row by row of
-positions with ``numpy.add.accumulate`` from weights built once per
-(T, gamma).
+matter how the replicates are scheduled. A replicate reads its multipliers
+on the observed days alone, so it draws one normal per observed day; the
+AR(1) step across a gap of k days is scaled to keep unit variance.
+Multipliers come from a counter-based generator keyed by (seed, replicate
+id), so replicate b is the same whether it runs first, last, serially, or
+on a worker thread; each thread re-keys one generator per draw instead of
+building one. The AR(1) recursion itself is a scaled prefix sum on the
+calendar grid, computed row by row of positions with
+``numpy.add.accumulate`` from factors built once per (T, gamma) and a
+per-day scale built once per replicate run.
 Every bootstrap test of the package reads its replicate draws into one
 ``BootstrapTest`` record, whose ``reject`` is the only reject rule.
 """
@@ -21,7 +24,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -111,22 +114,22 @@ def _rekeyed_stream(seed: int, replicate_id: int) -> np.random.Generator:
 def _ar1_factors(n_time: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only factors of the multiplier recursion for one (T, gamma).
 
-    The recursion xi_i = gamma xi_(i-1) + x_i, with x_0 = z_0 and
-    x_i = sqrt(1 - gamma^2) z_i, is read as rows of L = floor(ln(1e150) /
-    -ln(gamma)) positions (at least 1, at most T), so that gamma^-i stays
-    below 1e150 within a row. A row is a scaled prefix sum, xi_i = gamma^i
-    sum_(k<=i) gamma^-k x_k, plus the previous row's last value times
-    gamma^(i+1); that last value may leave out the carry from the row
-    before it, because gamma^(L+1) < 1e-150 puts that below rounding.
-    Returns the (rows, L) weights gamma^-i sqrt(1 - gamma^2), with 1 at
-    the very first position, and the row factors gamma^i and gamma^(i+1).
-    All paths of a run, on any thread, share the factors.
+    The calendar recursion xi_i = gamma xi_(i-1) + x_i, with x_i the
+    scaled normal of an observed day and 0 on the others, is read as rows
+    of L = floor(ln(1e150) / -ln(gamma)) positions (at least 1, at most T),
+    so that gamma^-i stays below 1e150 within a row. A row is a scaled
+    prefix sum, xi_i = gamma^i sum_(k<=i) gamma^-k x_k, plus the previous
+    row's last value times gamma^(i+1); that last value may leave out the
+    carry from the row before it, because gamma^(L+1) < 1e-150 puts that
+    below rounding. Returns the (rows, L) weights gamma^-i and the row
+    factors gamma^i and gamma^(i+1); the scale of each day's normal is
+    the mask's, in ``observed_days``. All paths of a run, on any thread,
+    share the factors.
     """
     width = int(min(n_time, max(1, _ROW_LOG_RANGE // -np.log(gamma))))
     i = np.arange(width, dtype=np.float64)
     weights = np.empty((-(-n_time // width), width))
-    weights[:] = gamma**-i * np.sqrt(1.0 - gamma * gamma)
-    weights[0, 0] = 1.0
+    weights[:] = gamma**-i
     decay = gamma**i
     carry = decay * gamma
     for arr in (weights, decay, carry):
@@ -134,29 +137,64 @@ def _ar1_factors(n_time: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.
     return weights, decay, carry
 
 
-def draw_multipliers(cfg: AwbConfig, n_time: int, replicate_id: int) -> np.ndarray:
-    """Generate the multiplier path for one replicate.
+class ObservedDays(NamedTuple):
+    """The observed days of a mask and the weight of each day's normal in
+    the multiplier recursion on a T-day grid, from ``observed_days``."""
 
-    The path starts from a standard normal draw z_0 and evolves as
-    xi_i = gamma xi_(i-1) + sqrt(1 - gamma^2) z_i, so the marginal
-    variance is exactly 1 at every position. The recursion runs as
-    blocked scaled prefix sums (see ``_ar1_factors``): one cumulative sum
-    per row of positions and one vectorised carry into every row, which
-    agrees with the direct recursion to rounding. Identical (seed,
-    replicate_id) keys give identical paths regardless of execution order
-    or worker count: the normal draws are those of ``_stream(cfg.seed,
-    replicate_id)``, read from this thread's re-keyed generator.
+    n_time: int
+    positions: np.ndarray  # 0-based grid positions of the observed days
+    weights: np.ndarray  # gamma^-(i mod L) sqrt(1 - gamma^(2 gap)) at those days
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray]  # _ar1_factors(T, gamma)
+
+
+def observed_days(cfg: AwbConfig, mask: np.ndarray) -> ObservedDays:
+    """What ``draw_multipliers`` needs to draw on the observed days of ``mask``.
+
+    The normal of an observed day is scaled by sqrt(1 - gamma^(2 gap)),
+    gap the days since the previous observed day, and the first by 1, so
+    the path at observed days is the exact recursion xi_k = gamma^gap
+    xi_(k-1) + sqrt(1 - gamma^(2 gap)) z_k: unit variance and correlation
+    gamma^|t - s| between days t and s, the law of the complete-grid path
+    read at those days. 1 - gamma^(2 gap) is formed with ``expm1``, which
+    keeps its digits for gamma near 1.
     """
-    weights, decay, carry = _ar1_factors(n_time, cfg.resolve_gamma(n_time))
+    n_time = mask.shape[0]
+    gamma = cfg.resolve_gamma(n_time)
+    factors = _ar1_factors(n_time, gamma)
+    positions = np.flatnonzero(mask)
+    scale = np.ones(positions.size)
+    scale[1:] = np.sqrt(-np.expm1(2.0 * np.log(gamma) * np.diff(positions)))
+    return ObservedDays(n_time, positions, factors[0].reshape(-1)[positions] * scale, factors)
+
+
+def draw_multipliers(cfg: AwbConfig, days: ObservedDays, replicate_id: int) -> np.ndarray:
+    """Generate the multiplier path for one replicate on the grid of ``days``.
+
+    One standard normal is drawn per observed day, scaled as in
+    ``observed_days``, and the path runs through the calendar recursion
+    xi_i = gamma xi_(i-1) + x_i with x_i 0 on unobserved days; at observed
+    days it has unit variance and correlation gamma^|t - s|, and on a
+    complete grid it is xi_i = gamma xi_(i-1) + sqrt(1 - gamma^2) z_i from
+    xi_0 = z_0. The recursion runs as blocked scaled prefix sums (see
+    ``_ar1_factors``): one cumulative sum per row of positions and one
+    vectorised carry into every row, which agrees with the direct
+    recursion to rounding. Identical (seed, replicate_id) keys give
+    identical paths regardless of execution order or worker count: the
+    normal draws are those of ``_stream(cfg.seed, replicate_id)``, read
+    from this thread's re-keyed generator. ``days`` must come from
+    ``observed_days`` with the same ``cfg``.
+    """
+    weights, decay, carry = days.factors
+    z = _rekeyed_stream(cfg.seed, replicate_id).standard_normal(days.positions.size)
+    z *= days.weights
     buf = np.zeros(weights.size)
-    _rekeyed_stream(cfg.seed, replicate_id).standard_normal(out=buf[:n_time])
+    buf[days.positions] = z
     xi = buf.reshape(weights.shape)
-    xi *= weights
     np.add.accumulate(xi, axis=1, out=xi)
     xi *= decay
     if xi.shape[0] > 1:
         xi[1:] += xi[:-1, -1:] * carry
-    return buf[:n_time]
+    return buf[:days.n_time]
 
 
 def run_replicates(
@@ -168,30 +206,30 @@ def run_replicates(
     """Evaluate ``statistic`` on the replicate series of ids 0..B-1.
 
     Replicate b is the series ``where(mask, base, 0) + xi_b * residuals``,
-    ``xi_b`` the multiplier path of id b and the residuals, an
-    ``ObservedSeries``, 0 on unobserved days. This is the only place a
-    multiplier path is drawn and a replicate series built; the base is
-    masked, and its length checked, once before the first draw. A
-    (k, T) ``base`` is a stack of k bases: each replicate draws its path
-    once and hands the statistic the (k, T) stack of series, row j formed
-    exactly as the 1-D call on ``base[j]`` forms its series. The
-    statistic must not keep the array it is given, or any view of it,
-    past its return. The replicates run on ``cfg.threads`` workers, each
-    drawing from one generator that it re-keys per replicate; the output
-    is identical for any thread count because each replicate depends only
-    on its own counter-based stream. Results are written in replicate-id
-    order into one (B, ...) float64 array shaped by the first result, so
-    the statistic must return the same shape for every replicate; a
-    different shape raises ``ValueError``. A statistic failure is
-    re-raised as ``ReplicateError`` carrying the replicate id.
+    ``xi_b`` the multiplier path of id b on the observed days of the
+    residuals, an ``ObservedSeries``, which are 0 on unobserved days. This
+    is the only place a multiplier path is drawn and a replicate series
+    built. Before the first draw, a base of another shape than the
+    residuals is refused, the base is masked and the observed days' scale
+    is built. The statistic must not keep the array it is given, or any
+    view of it, past its return. The
+    replicates run on ``cfg.threads`` workers, each drawing from one
+    generator that it re-keys per replicate; the output is identical for
+    any thread count because each replicate depends only on its own
+    counter-based stream. Results are written in replicate-id order into
+    one (B, ...) float64 array shaped by the first result, so the
+    statistic must return the same shape for every replicate; a different
+    shape raises ``ValueError``. A statistic failure is re-raised as
+    ``ReplicateError`` carrying the replicate id.
     """
     n_time = len(residuals)
-    if base.shape[-1] != n_time:
-        raise ValueError(f"base has length {base.shape[-1]}, the residuals {n_time}")
+    if base.shape != (n_time,):
+        raise ValueError(f"base has shape {base.shape}, the residuals length {n_time}")
     base = np.where(residuals.mask == 1, base, 0.0)
+    days = observed_days(cfg, residuals.mask)
 
     def one(b: int) -> object:
-        series = base + draw_multipliers(cfg, n_time, b) * residuals.values
+        series = base + draw_multipliers(cfg, days, b) * residuals.values
         try:
             return statistic(series)
         except Exception as exc:  # noqa: BLE001 - re-raised with context

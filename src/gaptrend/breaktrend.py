@@ -6,8 +6,9 @@ minimizes the mask-weighted sum of squared residuals jointly over the trend,
 the slope change, and the seasonal harmonics, scanning every admissible
 break candidate. The scan exploits the fact that only the hinge column
 changes between candidates: with the fixed-column Gram matrix factorized
-once, each candidate costs a rank-one update built from suffix sums, so a
-full scan is O(T + |candidates| * p^2) instead of |candidates| full refits.
+once, each candidate costs a rank-one update built from suffix sums over
+the observed days, so a full scan is O(n_obs * p + |candidates| * p)
+instead of |candidates| full refits.
 The break is estimated once, when a :class:`BrokenTrendFit` is built from
 its series and its candidate scan; the fit keeps that scan's state, the
 break-test statistic and the no-break coefficients among it, so the test
@@ -15,12 +16,14 @@ and the intervals take the fit alone. The test's statistic, critical value
 and p-value come as one ``awb.BootstrapTest`` record.
 
 The test and the intervals bootstrap the fit's residuals with the same
-multiplier paths, through the fit's ``bootstrap``; only the base differs,
-the no-break trend ``null_trend`` for the test and the broken fit for the
-intervals. Their replicates rescan the candidates the fit was chosen from,
-so on a fit with an imposed break the test tests that break alone.
-:func:`break_analysis`, the CLI's entry, draws each multiplier path once
-and scans it under both bases.
+multiplier paths, through the fit's ``bootstrap``, on one base, the
+no-break trend ``null_trend``. Their replicates rescan the candidates the
+fit was chosen from, so on a fit with an imposed break the test tests that
+break alone. The intervals need each replicate on the broken fit instead:
+the scan's sums are linear in the response, so one scan of the replicate
+gives that too, shifted by the fixed difference of the two fits. Every
+replicate is scanned once, and :func:`break_analysis`, the CLI's entry, is
+:func:`break_test` and :func:`break_ci` from one pass.
 """
 
 from __future__ import annotations
@@ -186,16 +189,27 @@ class ScanState(NamedTuple):
     num: np.ndarray  # per-candidate hinge numerators, read by coefficients
 
 
+class ScanShift(NamedTuple):
+    """A fixed shift d of a scan's response and its sums, from
+    :meth:`BreakScan.shift`: the scan of y + d adds them to those of y."""
+
+    d: np.ndarray  # the shift on the observed days
+    dd: float  # d'd
+    u: np.ndarray  # L^-1 Z'd
+    num: np.ndarray  # per-candidate hinge numerators of d
+
+
 class BreakScan:
     """Reusable scan state for one (mask, harmonics, candidates) design.
 
     Everything that does not depend on the response is precomputed here,
-    so that bootstrap replicates pay only O(T * p) per scan. The fixed
-    columns are the intercept, rescaled time t/T, and the Fourier
-    harmonics; each candidate adds one hinge column handled by
-    partitioned regression. The candidates must be one contiguous
-    ascending range of 1-based positions, such as a :func:`trimming_set`
-    or one imposed break, so that a scan reads them as one slice.
+    so that a bootstrap replicate pays O(n_obs * p) per scan over the
+    observed rows, plus O(p) per candidate. The fixed columns are the
+    intercept, rescaled time t/T, and the Fourier harmonics; each
+    candidate adds one hinge column handled by partitioned regression.
+    The candidates must be one contiguous ascending range of 1-based
+    positions, such as a :func:`trimming_set` or one imposed break, so
+    that a candidate's index is its position less the first one's.
     ``n_skipped`` counts the candidates whose hinge is not identified on
     the mask; scans never pick them.
     """
@@ -227,24 +241,29 @@ class BreakScan:
         n_observed = int(np.count_nonzero(mask))
         if n_observed <= self.n_params:
             raise ValueError(f"need more than {self.n_params} observed points, have {n_observed}")
-        self._m = m
-        self._tau = tau
         self._Z = Z
-        self._Zm = Z * m[:, None]
+        Zm = Z * m[:, None]
+        # The scans read the observed rows alone. A hinge at candidate c
+        # reaches the observed days from grid index c on; _at holds, per
+        # candidate, the first of them as an observed index, where its
+        # suffix sums are read.
+        obs = np.flatnonzero(mask)
+        self._obs, self._tau_o = obs, tau[obs]
+        self._Zo_t = np.ascontiguousarray(Z[obs].T)
+        self._at = np.searchsorted(obs, self.candidates)
 
         # The Cholesky factor G = L L^T of the fixed-column Gram matrix
         # fails on a singular G. L^-1 is p0 x p0, so each scan solves for
         # the no-break coefficients with two small matvecs.
         try:
-            self._chol_inv = np.linalg.inv(np.linalg.cholesky(Z.T @ self._Zm))
+            self._chol_inv = np.linalg.inv(np.linalg.cholesky(Z.T @ Zm))
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError(f"fixed design is singular: {exc}") from exc
 
         c = self.candidates
         tau_c = self._tau_c = c / T
         p0 = Z.shape[1]
-        sums = _suffix_sums(np.vstack([self._Zm.T, (self._Zm * tau[:, None]).T,
-                                       m, m * tau, m * tau * tau]))
+        sums = _suffix_sums(np.vstack([Zm.T, (Zm * tau[:, None]).T, m, m * tau, m * tau * tau]))
         s_mz, s_mtz = sums[:p0], sums[p0: 2 * p0]
         s_m, s_mt, s_mtt = sums[2 * p0:]
         # Observed-point support at the trimming edges; the hinge needs
@@ -272,27 +291,50 @@ class BreakScan:
             raise SingularDesignError("every break candidate is unidentified on this mask")
         self.n_skipped = int((~self._valid).sum())
 
-    def scan(self, y: np.ndarray) -> ScanState:
-        """Fit the no-break model and every candidate; return the best break."""
-        # y*m and y*m*tau as the rows of one array for one suffix pass.
-        rows = np.empty((2, self.n_time))
-        ym = np.multiply(y, self._m, out=rows[0])
-        np.multiply(ym, self._tau, out=rows[1])
-        yy = float(ym @ y)
-        u = self._chol_inv @ (self._Zm.T @ y)
+    def _sums(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """y on the observed days, u = L^-1 Z'y and the per-candidate hinge
+        numerators; the last two are linear in y."""
+        # y and y*tau on the observed days as the rows of one array for one
+        # suffix pass.
+        rows = np.empty((2, self._obs.size))
+        # The indices are in range; "clip" spares the copy "raise" makes of out.
+        yo = np.take(y, self._obs, out=rows[0], mode="clip")
+        np.multiply(yo, self._tau_o, out=rows[1])
+        u = self._chol_inv @ (self._Zo_t @ yo)
+        sy, sty = _suffix_sums(rows).take(self._at, axis=1)
+        num = sty - self._tau_c * sy
+        num -= u @ self._V
+        return yo, u, num
+
+    def _state(self, yy: float, u: np.ndarray, num: np.ndarray) -> ScanState:
+        """The no-break fit and the best candidate of a response with sums
+        y'y, u and num."""
         beta0 = self._chol_inv.T @ u
         ssr0 = max(yy - float(u @ u), 0.0)
-
-        sy, sty = _suffix_sums(rows)
-        span = self._span
-        num = sty[span] - self._tau_c * sy[span]
-        num -= u @ self._V
         red = np.full(num.shape, -np.inf)
         np.divide(num * num, self._schur, out=red, where=self._valid)
         red[self._valid & (red < yy * _NOISE_FLOOR)] = 0.0
-
         best = int(red.argmax())
-        return ScanState(ssr0, float(red[best]), span.start + best, beta0, num)
+        return ScanState(ssr0, float(red[best]), self._span.start + best, beta0, num)
+
+    def shift(self, d: np.ndarray) -> ScanShift:
+        """The fixed shift ``d`` of a response, with its sums, for ``scan``."""
+        do, u, num = self._sums(d)
+        return ScanShift(do.copy(), float(do @ do), u, num)
+
+    def scan(self, y: np.ndarray,
+             shift: ScanShift | None = None) -> ScanState | tuple[ScanState, ScanState]:
+        """Fit the no-break model and every candidate to y on the observed
+        days; return the best break. Given a ``shift`` d, return the scans
+        of y and of y + d, the second built from the sums of the first by
+        linearity, with y'y gaining 2 d'y + d'd."""
+        yo, u, num = self._sums(y)
+        yy = float(yo @ yo)
+        state = self._state(yy, u, num)
+        if shift is None:
+            return state
+        return state, self._state(yy + 2.0 * float(shift.d @ yo) + shift.dd, u + shift.u,
+                                  num + shift.num)
 
     def coefficients(self, state: ScanState) -> dict:
         """Full coefficient vector of the scanned model with the break at
@@ -335,15 +377,24 @@ def estimate_break(
     return BrokenTrendFit(series, scan)
 
 
-def _broken_draw(scan: BreakScan, y: np.ndarray) -> tuple[int, float, float, float]:
-    """A replicate's re-estimated break position and its trend coefficients."""
-    state = scan.scan(y)
-    coef = scan.coefficients(state)
-    return state.best, coef["alpha"], coef["beta"], coef["delta"]
+def _replicate_scans(fit: BrokenTrendFit) -> Callable[[np.ndarray], tuple]:
+    """The statistic of a replicate on ``fit.null_trend``, from one scan: its
+    break-test statistic, then, with the replicate shifted onto the broken
+    fit by the fitted values minus ``fit.null_trend``, the re-estimated
+    break position and its trend coefficients."""
+    shift = fit.scan.shift(fit.fitted_values() - fit.null_trend)
+
+    def statistic(y: np.ndarray) -> tuple:
+        null, broken = fit.scan.scan(y, shift)
+        coef = fit.scan.coefficients(broken)
+        return null.f_stat, broken.best, coef["alpha"], coef["beta"], coef["delta"]
+
+    return statistic
 
 
 def _date_ci(fit: BrokenTrendFit, draws: np.ndarray, level: float) -> BreakDateCi:
-    """Break-date and slope intervals from the (B, 4) draws of :func:`_broken_draw`."""
+    """Break-date and slope intervals from the (B, 4) draws of the broken
+    replicates, columns 1-4 of :func:`_replicate_scans`."""
     locs, alphas, betas, deltas = draws.T
     # The break position, then the SlopeCis fields in order: intercept,
     # slope before, slope change and slope after.
@@ -401,8 +452,10 @@ def break_ci(
     """Bootstrap confidence intervals for the break position and the slopes.
 
     Samples are regenerated from the residuals of ``fit`` on
-    ``fit.series`` with the estimated break imposed; each replicate
-    re-estimates the break over the candidates the fit was chosen from
+    ``fit.series`` with the estimated break imposed: the replicates of
+    :func:`break_test`, shifted onto ``fit`` by its fitted values minus
+    ``fit.null_trend``. Each re-estimates the break over the candidates
+    the fit was chosen from
     (``fit.scan``; for an imposed break that is the break alone) and reads
     off its coefficients at that break, so the uncertainty of the break
     location flows into the slope intervals.
@@ -415,9 +468,8 @@ def break_ci(
     end collapses to that end's candidate.
     """
     check_rate("level", level)
-    draws = fit.bootstrap(cfg or AwbConfig(), fit.fitted_values(),
-                          lambda y: _broken_draw(fit.scan, y))
-    return _date_ci(fit, draws, level)
+    draws = fit.bootstrap(cfg or AwbConfig(), fit.null_trend, _replicate_scans(fit))
+    return _date_ci(fit, draws[:, 1:], level)
 
 
 def break_analysis(
@@ -429,20 +481,14 @@ def break_analysis(
     """:func:`break_test` and then :func:`break_ci` on ``fit``, bit for bit,
     from one bootstrap pass.
 
-    Both bootstrap the residuals of ``fit`` with the multiplier paths of
-    ids 0..B-1; only the base differs. One ``fit.bootstrap`` call stacks
-    the two bases, ``fit.null_trend`` and the broken fit, so each replicate
-    draws its path once and scans it twice: on the no-break fit for the
-    test statistic and on the broken fit for the intervals.
+    Both bootstrap the residuals of ``fit`` on ``fit.null_trend`` with the
+    multiplier paths of ids 0..B-1 and scan each replicate once: the test
+    reads the scan's statistic, the intervals its move onto the broken
+    fit. Here one pass keeps both.
     """
     check_rate("alpha", alpha)
     check_rate("level", level)
-
-    def statistic(ys: np.ndarray) -> tuple:
-        return (fit.scan.scan(ys[0]).f_stat, *_broken_draw(fit.scan, ys[1]))
-
-    bases = np.stack([fit.null_trend, fit.fitted_values()])
-    draws = fit.bootstrap(cfg or AwbConfig(), bases, statistic)
+    draws = fit.bootstrap(cfg or AwbConfig(), fit.null_trend, _replicate_scans(fit))
     return bootstrap_test(fit.state.f_stat, draws[:, 0], alpha), _date_ci(fit, draws[:, 1:], level)
 
 

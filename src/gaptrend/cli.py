@@ -5,9 +5,8 @@ Every subcommand writes one self-describing JSON report through
 provenance read off the parsed flags, results) plus CSV data files, each
 written by ``series.write_csv``, so any number in a report can be
 regenerated from the command line alone. Every output file is
-byte-identical across runs and thread counts for a fixed seed; wall-clock
-time goes only to the console. All numerical work happens in the library
-modules.
+byte-identical across runs and thread counts for a fixed seed, and so is
+what a command prints. All numerical work happens in the library modules.
 """
 
 from __future__ import annotations
@@ -15,14 +14,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-import time
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__
-from .awb import AwbConfig, BootstrapTest
+from .awb import AwbConfig, BootstrapTest, dependence_length
 from .breaktrend import break_analysis, estimate_break, trimming_set
 from .exceptions import NUMERICAL_ERRORS, VALIDATION_ERRORS
 from .kerneltrend import (
@@ -76,7 +74,8 @@ def _write_report(ctx: click.Context, params: dict, results: dict) -> None:
     ``params`` plus the provenance every report shares, read off the parsed
     flags (name and SHA-256 of the ``--input`` or ``--fit`` file, plus the
     ``--input`` CSV's column names; B and the group's seed when the command
-    has ``--B``), and its ``results``."""
+    has ``--B``, and the multipliers ``_awb_config`` resolved), and its
+    ``results``."""
     flags = ctx.params
     shared = {}
     for flag, key in (("input_path", "input"), ("fit_path", "fit")):
@@ -84,7 +83,7 @@ def _write_report(ctx: click.Context, params: dict, results: dict) -> None:
             shared.update({key: Path(flags[flag]).name, f"{key}_sha256": _sha256(flags[flag])})
     shared.update({k: flags[k] for k in ("date_column", "value_column") if k in flags})
     if "n_boot" in flags:
-        shared.update(B=flags["n_boot"], seed=ctx.obj["seed"])
+        shared.update(B=flags["n_boot"], seed=ctx.obj["seed"], **ctx.obj.get("multipliers", {}))
     report = {
         "tool": {"name": "gaptrend", "version": __version__},
         "command": ctx.info_name,
@@ -177,10 +176,15 @@ def load_fit_artifact(path: str) -> KernelTrendFit:
     return nw_estimate(eps, h)
 
 
-def _awb_config(ctx: click.Context, **kw) -> AwbConfig:
-    """A subcommand's bootstrap settings: the group's seed and threads, its own B."""
-    return AwbConfig(seed=ctx.obj["seed"], n_boot=ctx.params["n_boot"],
-                     threads=ctx.obj["threads"], **kw)
+def _awb_config(ctx: click.Context, n_time: int, **kw) -> AwbConfig:
+    """A subcommand's bootstrap settings: the group's seed and threads, its own
+    B. The multiplier decay they resolve on a series of ``n_time`` days, and
+    the dependence length 1.75 T^(1/3) behind it, go to the report."""
+    cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=ctx.params["n_boot"],
+                    threads=ctx.obj["threads"], **kw)
+    ctx.obj["multipliers"] = {"gamma": cfg.resolve_gamma(n_time),
+                              "dependence_length": dependence_length(n_time)}
+    return cfg
 
 
 def _interval_to_positions(series: ObservedSeries, spec: str) -> tuple[int, int]:
@@ -301,7 +305,7 @@ def break_cmd(ctx, input_path, date_column, value_column, trim_fraction, n_harmo
     """Broken-trend analysis: break test, date interval, slope intervals."""
     out_dir: Path = ctx.obj["out"]
     series = ingest_csv(input_path, date_column, value_column)
-    cfg = _awb_config(ctx, theta=theta)
+    cfg = _awb_config(ctx, len(series), theta=theta)
     fit = estimate_break(series, trimming_set(len(series), trim_fraction), n_harmonics)
     test, ci = break_analysis(fit, cfg, alpha, level)
     slopes = ci.slopes
@@ -390,7 +394,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
         )
 
     fit = nw_estimate(eps, bandwidth)
-    bands = confidence_bands(fit, _awb_config(ctx), level)
+    bands = confidence_bands(fit, _awb_config(ctx, len(eps)), level)
 
     curves = {"trend": fit.g_hat, "pointwise_lower": bands.pointwise_lower,
               "pointwise_upper": bands.pointwise_upper, "simultaneous_lower": bands.lower,
@@ -439,7 +443,7 @@ def smooth(ctx, input_path, date_column, value_column, bandwidth, pick_minimum,
 def extremum(ctx, fit_path, kind, n_boot, level) -> None:
     """Confidence interval for the position of the trend extremum."""
     fit = load_fit_artifact(fit_path)
-    res = extremum_ci(fit, _awb_config(ctx), kind, level)
+    res = extremum_ci(fit, _awb_config(ctx, len(fit.series)), kind, level)
     date, lower, upper = (fit.series.date_at(i).isoformat()
                           for i in (res.location, res.lower_index, res.upper_index))
     _write_report(
@@ -463,7 +467,7 @@ def extremum(ctx, fit_path, kind, n_boot, level) -> None:
 def lintest(ctx, fit_path, n_boot, alpha) -> None:
     """Test a linear trend from the trend minimum to the sample end."""
     fit = load_fit_artifact(fit_path)
-    res = linearity_test(fit, _awb_config(ctx), alpha)
+    res = linearity_test(fit, _awb_config(ctx, len(fit.series)), alpha)
     _write_report(
         ctx, {"alpha": alpha},
         {
@@ -488,7 +492,7 @@ def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
     """Tests of a monotonically increasing trend over an interval."""
     fit = load_fit_artifact(fit_path)
     positions = None if interval is None else _interval_to_positions(fit.series, interval)
-    res = monotonicity_tests(fit, positions, _awb_config(ctx), alpha)
+    res = monotonicity_tests(fit, positions, _awb_config(ctx, len(fit.series)), alpha)
     _write_report(
         ctx, {"interval": list(res.interval), "alpha": alpha},
         {
@@ -510,13 +514,11 @@ def monotest(ctx, fit_path, interval, n_boot, alpha) -> None:
 def mc(ctx, panel, replications, n_boot) -> None:
     """Synthetic-data validation panels; emits a long-format results table."""
     panel = panel.upper()
-    started = time.perf_counter()
     rows = run_panel(panel, replications, n_boot, ctx.obj["seed"])
     name = f"panel_{panel}.csv"
     write_csv(ctx.obj["out"] / name, {f: [str(r[f]) for r in rows] for f in PANEL_FIELDS})
     _write_report(ctx, {"panel": panel, "replications": replications}, {"table": name})
-    click.echo(f"panel {panel}: {len(rows)} result rows -> {name} "
-               f"({time.perf_counter() - started:.1f} s)")
+    click.echo(f"panel {panel}: {len(rows)} result rows -> {name}")
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -198,8 +198,9 @@ def ingest_csv(
 def series_columns(series: ObservedSeries, name: str) -> dict[str, list[str]]:
     """The ``date`` column of ``series``'s grid and its values under ``name``,
     with full round-trip precision and blank on days without an observation."""
+    start = np.datetime64(series.t0, "D")
     return {
-        "date": [series.date_at(i).isoformat() for i in range(1, len(series) + 1)],
+        "date": np.arange(start, start + len(series)).astype(str).tolist(),
         name: [repr(v) if m else ""
                for v, m in zip(series.values.tolist(), series.mask.tolist())],
     }

@@ -78,9 +78,9 @@ def multiplier_draws(monkeypatch):
     ids = []
     draw = awb.draw_multipliers
 
-    def counted(cfg, n_time, replicate_id):
+    def counted(cfg, days, replicate_id):
         ids.append(replicate_id)
-        return draw(cfg, n_time, replicate_id)
+        return draw(cfg, days, replicate_id)
 
     monkeypatch.setattr(awb, "draw_multipliers", counted)
     return ids

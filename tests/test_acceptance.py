@@ -243,10 +243,11 @@ def test_criterion_8_invariant_property_suites():
     checks = {}
 
     # Multiplier moments: unit variance at both ends, lag-1 correlation.
-    from gaptrend import draw_multipliers
+    from gaptrend import draw_multipliers, observed_days
 
     cfg = AwbConfig(seed=8, gamma=0.8)
-    draws = np.stack([draw_multipliers(cfg, 30, b) for b in range(40_000)])
+    days = observed_days(cfg, np.ones(30, dtype=np.uint8))
+    draws = np.stack([draw_multipliers(cfg, days, b) for b in range(40_000)])
     var_dev = max(abs(draws[:, 0].var() - 1.0), abs(draws[:, -1].var() - 1.0))
     corr = np.corrcoef(draws[:, 14], draws[:, 15])[0, 1]
     checks["multiplier moments"] = var_dev < 0.02 and abs(corr - 0.8) < 0.01

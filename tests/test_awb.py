@@ -20,6 +20,7 @@ from gaptrend import (
     dependence_length,
     draw_multipliers,
     empirical_quantile,
+    observed_days,
     run_replicates,
 )
 from gaptrend import awb
@@ -48,19 +49,30 @@ class TestGammaDefault:
         assert dependence_length(8) == pytest.approx(3.5)
 
 
+def complete(cfg, n_time):
+    """The observed days of a complete grid of ``n_time`` days."""
+    return observed_days(cfg, np.ones(n_time, dtype=np.uint8))
+
+
+def complete_path(cfg, n_time, replicate_id):
+    """The multiplier path of a replicate on a complete grid."""
+    return draw_multipliers(cfg, complete(cfg, n_time), replicate_id)
+
+
 class TestMultipliers:
     def test_iid_limit_variance(self):
         cfg = AwbConfig(seed=11, gamma=1e-12)
-        xi = draw_multipliers(cfg, 10**6, 0)
+        xi = complete_path(cfg, 10**6, 0)
         assert xi.var() == pytest.approx(1.0, rel=0.01)
 
     def test_unit_marginal_variance_beginning_middle_end(self):
         # Oracle: exact stationary AR(1) moments (unit variance everywhere).
         cfg = AwbConfig(seed=5, gamma=0.85)
         T, B = 40, 100_000
+        days = complete(cfg, T)
         cols = np.empty((B, 3))
         for b in range(B):
-            xi = draw_multipliers(cfg, T, b)
+            xi = draw_multipliers(cfg, days, b)
             cols[b] = xi[0], xi[T // 2], xi[-1]
         tol = 3.0 * np.sqrt(2.0 / B)
         for j in range(3):
@@ -69,9 +81,10 @@ class TestMultipliers:
     def test_lag_one_autocorrelation_matches_gamma(self):
         cfg = AwbConfig(seed=6, gamma=0.7)
         B = 100_000
+        days = complete(cfg, 12)
         pairs = np.empty((B, 2))
         for b in range(B):
-            xi = draw_multipliers(cfg, 12, b)
+            xi = draw_multipliers(cfg, days, b)
             pairs[b] = xi[5], xi[6]
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert corr == pytest.approx(0.7, abs=0.01)
@@ -79,10 +92,11 @@ class TestMultipliers:
     def test_marginals_standard_normal(self):
         cfg = AwbConfig(seed=7, gamma=0.6)
         B = 20_000
+        days = complete(cfg, 25)
         first = np.empty(B)
         last = np.empty(B)
         for b in range(B):
-            xi = draw_multipliers(cfg, 25, b)
+            xi = draw_multipliers(cfg, days, b)
             first[b], last[b] = xi[0], xi[-1]
         qs = np.linspace(0.1, 0.9, 9)
         for sample in (first, last):
@@ -91,9 +105,9 @@ class TestMultipliers:
 
     def test_counter_keyed_determinism(self):
         cfg = AwbConfig(seed=42, gamma=0.5)
-        a = draw_multipliers(cfg, 64, 3)
-        b = draw_multipliers(cfg, 64, 3)
-        c = draw_multipliers(cfg, 64, 4)
+        a = complete_path(cfg, 64, 3)
+        b = complete_path(cfg, 64, 3)
+        c = complete_path(cfg, 64, 4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -117,26 +131,66 @@ class TestMultipliers:
                 AwbConfig(threads=threads)
 
 
-def lfilter_multipliers(cfg, n_time, replicate_id):
-    """Oracle: the AR(1) recursion as a direct-form filter on the same draws."""
-    gamma = cfg.resolve_gamma(n_time)
-    z = awb._stream(cfg.seed, replicate_id).standard_normal(n_time)
-    driving = np.concatenate([z[:1], np.sqrt(1.0 - gamma * gamma) * z[1:]])
-    return signal.lfilter([1.0], [1.0, -gamma], driving)
+def gappy_mask(n_time, seed):
+    """A mask whose gaps between observed days run from 1 day to 5000 (or
+    half the grid): mostly single days, some weeks and months, one long
+    gap from a quarter of the grid on, and a first observed day past the
+    grid's start."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.choice([1, 2, 3, 7, 30, 200], p=[0.6, 0.15, 0.1, 0.08, 0.05, 0.02], size=n_time)
+    positions = 3 + np.cumsum(gaps) - gaps[0]
+    mask = np.zeros(n_time, dtype=np.uint8)
+    mask[positions[positions < n_time]] = 1
+    long_gap, lo = min(5000, n_time // 2), n_time // 4
+    mask[lo:lo + long_gap] = 0
+    mask[[lo - 1, lo - 1 + long_gap]] = 1
+    return mask
 
 
-def decimal_multipliers(cfg, n_time, replicate_id):
-    """Oracle: the AR(1) recursion in 40-digit decimal arithmetic."""
-    gamma = cfg.resolve_gamma(n_time)
-    z = awb._stream(cfg.seed, replicate_id).standard_normal(n_time)
-    scale = np.sqrt(1.0 - gamma * gamma)
+def masks(n_time):
+    return {"complete": np.ones(n_time, dtype=np.uint8), "gappy": gappy_mask(n_time, n_time)}
+
+
+def exact_scales(positions, gamma):
+    """sqrt(1 - gamma^(2 gap)) for each observed day after the first, and 1
+    for the first, carried to 40 digits and rounded."""
     with localcontext() as ctx:
         ctx.prec = 40
-        g, s = Decimal(gamma), Decimal(float(scale))
-        out, acc = [], Decimal(0)
-        for i, zi in enumerate(z.tolist()):
-            acc = Decimal(zi) if i == 0 else g * acc + s * Decimal(zi)
+        g = Decimal(gamma)
+        gaps = np.diff(positions).tolist()
+        return np.array([1.0] + [float((1 - g ** (2 * k)).sqrt()) for k in gaps])
+
+
+def lfilter_multipliers(cfg, mask, replicate_id):
+    """Oracle: the calendar AR(1) recursion as a direct-form filter, driven by
+    the scaled normals on observed days and 0 on the others, read at the
+    observed days."""
+    gamma = cfg.resolve_gamma(mask.size)
+    positions = np.flatnonzero(mask)
+    z = awb._stream(cfg.seed, replicate_id).standard_normal(positions.size)
+    driving = np.zeros(mask.size)
+    driving[positions] = exact_scales(positions, gamma) * z
+    return signal.lfilter([1.0], [1.0, -gamma], driving)[positions]
+
+
+def decimal_multipliers(cfg, mask, replicate_id):
+    """Oracle: the recursion xi_k = gamma^gap xi_(k-1) + sqrt(1 - gamma^(2 gap)) z_k
+    over the observed days, in 40-digit decimal arithmetic."""
+    gamma = cfg.resolve_gamma(mask.size)
+    positions = np.flatnonzero(mask)
+    z = awb._stream(cfg.seed, replicate_id).standard_normal(positions.size)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        g = Decimal(gamma)
+        out, acc, prev = [], Decimal(0), None
+        for t, zt in zip(positions.tolist(), z.tolist()):
+            if prev is None:
+                acc = Decimal(zt)
+            else:
+                decay = g ** (t - prev)
+                acc = decay * acc + (1 - decay * decay).sqrt() * Decimal(zt)
             out.append(float(acc))
+            prev = t
     return np.array(out)
 
 
@@ -148,11 +202,12 @@ def rekey_gamma(n_time):
 def fresh_multipliers(seed, replicate_id, n_time):
     """Oracle: the multiplier path drawn from a generator built for its key."""
     cfg = AwbConfig(seed=seed, gamma=rekey_gamma(n_time))
-    weights, decay, carry = awb._ar1_factors(n_time, cfg.resolve_gamma(n_time))
+    days = complete(cfg, n_time)
+    weights, decay, carry = days.factors
     buf = np.zeros(weights.size)
-    awb._stream(seed, replicate_id).standard_normal(out=buf[:n_time])
+    z = awb._stream(seed, replicate_id).standard_normal(days.positions.size)
+    buf[days.positions] = z * days.weights
     xi = buf.reshape(weights.shape)
-    xi *= weights
     np.cumsum(xi, axis=1, out=xi)
     xi *= decay
     if xi.shape[0] > 1:
@@ -161,16 +216,19 @@ def fresh_multipliers(seed, replicate_id, n_time):
 
 
 class TestMultiplierRecursion:
-    """The blocked prefix-sum recursion against direct recursions."""
+    """The blocked prefix-sum recursion against direct recursions, on a
+    complete grid and on a mask with gaps of 1 to 5000 days."""
 
     @pytest.mark.parametrize("n_time", [285, 666, 3000, 12000, 40000])
     @pytest.mark.parametrize("gamma", [0.01, 0.3, None, 0.99])
     def test_matches_lfilter(self, n_time, gamma):
         cfg = AwbConfig(seed=3, gamma=gamma)
-        for b in range(2):
-            ref = lfilter_multipliers(cfg, n_time, b)
-            xi = draw_multipliers(cfg, n_time, b)
-            assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for name, mask in masks(n_time).items():
+            days = observed_days(cfg, mask)
+            for b in range(2):
+                ref = lfilter_multipliers(cfg, mask, b)
+                xi = draw_multipliers(cfg, days, b)[days.positions]
+                assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref)), name
 
     @pytest.mark.parametrize("n_time", [285, 3000, 12000, 40000])
     @pytest.mark.parametrize("gamma", [0.01, None, 0.9999])
@@ -178,12 +236,48 @@ class TestMultiplierRecursion:
         # Near gamma = 1 the rounding of any float recursion, lfilter's
         # included, grows like sqrt(1 / (1 - gamma)) ulps (lfilter's own
         # error reaches 9e-15 of the path at 0.9999), so the reference here
-        # is the recursion carried to 40 digits.
+        # is the recursion over the observed days carried to 40 digits,
+        # scales included: sqrt(1 - gamma^2) formed in floats errs by 5e-13
+        # at 0.9999.
         cfg = AwbConfig(seed=8, gamma=gamma)
-        for b in range(2):
-            ref = decimal_multipliers(cfg, n_time, b)
-            xi = draw_multipliers(cfg, n_time, b)
-            assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref))
+        for name, mask in masks(n_time).items():
+            days = observed_days(cfg, mask)
+            for b in range(2):
+                ref = decimal_multipliers(cfg, mask, b)
+                xi = draw_multipliers(cfg, days, b)[days.positions]
+                assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+    def test_gappy_mask_spans_one_day_to_5000(self):
+        for n_time in (285, 666, 3000, 12000, 40000):
+            mask = gappy_mask(n_time, n_time)
+            gaps = np.diff(np.flatnonzero(mask))
+            assert gaps.min() == 1 and min(5000, n_time // 2) in gaps
+            assert gaps.max() == 5000 if n_time >= 10000 else gaps.max() < 5000
+            assert mask[:4].tolist() == [0, 0, 0, 1]
+
+    def test_covariance_at_observed_days_is_gamma_to_the_gap(self):
+        # Oracle: the stationary AR(1) law read at the observed days, unit
+        # variance and E[xi_t xi_s] = gamma^|t - s|, over pairs whose gap
+        # spans one day to the long gap. A product of two standard normals
+        # with correlation rho has variance 1 + rho^2.
+        cfg = AwbConfig(seed=14, gamma=0.9)
+        mask = gappy_mask(1200, 7)
+        days = observed_days(cfg, mask)
+        B = 40_000
+        paths = np.stack([draw_multipliers(cfg, days, b)[days.positions] for b in range(B)])
+        positions = days.positions
+        gaps = np.diff(positions)
+        # Neighbours one gap of each size apart, the long gap among them,
+        # and days several observed days apart.
+        firsts = [int(np.flatnonzero(gaps == g)[0]) for g in (1, 2, 3, 7, 30, 200, 600)]
+        pairs = [(k, k + 1) for k in firsts] + [(3, 9), (20, 23), (0, 5)]
+        long_gap = firsts[-1]
+        for j, k in pairs:
+            rho = 0.9 ** float(positions[k] - positions[j])
+            got = float(np.mean(paths[:, j] * paths[:, k]))
+            assert abs(got - rho) <= 3.0 * np.sqrt((1.0 + rho * rho) / B), (j, k)
+        for k in (0, long_gap + 1, positions.size - 1):
+            assert abs(np.mean(paths[:, k] ** 2) - 1.0) <= 3.0 * np.sqrt(2.0 / B), k
 
     def test_rows_carry_the_recursion(self):
         # Small gamma cuts the path into rows of 75 positions and the
@@ -193,13 +287,14 @@ class TestMultiplierRecursion:
         assert awb._ar1_factors(12000, default_gamma(12000))[0].shape[0] == 2
         cfg = AwbConfig(seed=2, gamma=0.01)
         z0 = awb._stream(2, 5).standard_normal(1)[0]
-        assert draw_multipliers(cfg, 12000, 5)[0] == z0
+        assert complete_path(cfg, 12000, 5)[0] == z0
 
     def test_identical_for_any_thread_count_and_order(self):
         cfg = AwbConfig(seed=12, n_boot=12)
         T = 12000
-        forward = [draw_multipliers(cfg, T, b) for b in range(cfg.n_boot)]
-        backward = [draw_multipliers(cfg, T, b) for b in reversed(range(cfg.n_boot))]
+        days = complete(cfg, T)
+        forward = [draw_multipliers(cfg, days, b) for b in range(cfg.n_boot)]
+        backward = [draw_multipliers(cfg, days, b) for b in reversed(range(cfg.n_boot))]
         assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
         # Each thread re-keys one generator per draw. Oracle: the path from a
         # fresh generator on the same key, over keys at both ends of the
@@ -212,7 +307,7 @@ class TestMultiplierRecursion:
 
         def draw(case):
             seed, b, n = case
-            return draw_multipliers(AwbConfig(seed=seed, gamma=rekey_gamma(n)), n, b)
+            return complete_path(AwbConfig(seed=seed, gamma=rekey_gamma(n)), n, b)
 
         shuffled = random.Random(5).sample(cases, len(cases))
         ones = make_series(np.ones(T))
@@ -248,7 +343,7 @@ class TestMultiplierRecursion:
 def replicate_oracle(cfg, base, residuals, b):
     """Replicate b built by hand: the base on observed days, 0 elsewhere,
     plus the multiplier path of id b times the residuals."""
-    xi = draw_multipliers(cfg, len(residuals), b)
+    xi = draw_multipliers(cfg, observed_days(cfg, residuals.mask), b)
     return np.where(residuals.mask == 1, base, 0.0) + xi * residuals.values
 
 
@@ -267,7 +362,7 @@ class TestRunReplicates:
         # The results fill one (B, ...) array; a later replicate of another
         # shape is refused, not broadcast into its row.
         cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
-        first = draw_multipliers(cfg, 8, 0)
+        first = complete_path(cfg, 8, 0)
         for later in (2.5, [2.5, 1.0, 0.0]):
             def kernel(y, later=later):
                 return [2.5, 1.0] if np.array_equal(y, first) else later
@@ -286,17 +381,6 @@ class TestRunReplicates:
         for b in range(cfg.n_boot):
             assert out[b].tobytes() == replicate_oracle(cfg, base, residuals, b).tobytes()
 
-    def test_stacked_replicate_series_are_masked_bases_plus_errors(self, rng):
-        # Oracle: row j of every replicate rebuilt by hand on base[j].
-        cfg = AwbConfig(seed=5, gamma=0.6, n_boot=5)
-        residuals = random_masked_series(rng, 23)
-        base = rng.normal(size=(3, 23))
-        out = run_replicates(cfg, base, residuals, lambda ys: ys.copy())
-        for b in range(cfg.n_boot):
-            for j in range(3):
-                expected = replicate_oracle(cfg, base[j], residuals, b)
-                assert out[b, j].tobytes() == expected.tobytes()
-
     def test_zero_residuals_give_the_masked_base(self):
         cfg = AwbConfig(seed=1, gamma=0.5, n_boot=3)
         mask = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
@@ -304,32 +388,16 @@ class TestRunReplicates:
                              lambda y: y.copy())
         assert out.tolist() == [[1.0, 0.0, 3.0, 4.0, 0.0]] * 3
 
-    @pytest.mark.parametrize("shape", [(6,), (2, 6), (4,), (2, 4)],
-                             ids=["longer", "stacked-longer", "shorter", "stacked-shorter"])
+    @pytest.mark.parametrize("shape", [(6,), (2, 6), (4,), (2, 4), (2, 5)],
+                             ids=["longer", "stacked-longer", "shorter", "stacked-shorter",
+                                  "stacked"])
     def test_base_of_another_length_fails_before_any_draw(self, shape, multiplier_draws):
+        # A base is one series of the residuals' length; a stack of bases
+        # is refused too.
         cfg = AwbConfig(seed=1, gamma=0.5, n_boot=3)
-        with pytest.raises(ValueError, match="base has length"):
+        with pytest.raises(ValueError, match=r"base has shape \("):
             run_replicates(cfg, np.zeros(shape), make_series(np.ones(5)), lambda y: 0.0)
         assert multiplier_draws == []
-
-    @pytest.mark.parametrize("threads", [1, 3])
-    def test_stacked_bases_match_one_dimensional_calls(self, rng, threads, multiplier_draws):
-        # Oracle: row j of a (k, T) pass is the 1-D pass on base[j], bit for
-        # bit, and each replicate draws its multiplier path once.
-        cfg = AwbConfig(seed=6, gamma=0.7, n_boot=7, threads=threads)
-        T = 37  # odd, so row 1 of the stack starts off a 16-byte boundary
-        base, residuals = rng.normal(size=(3, T)), random_masked_series(rng, T)
-        stacked = run_replicates(cfg, base, residuals, lambda ys: ys.copy())
-        assert stacked.shape == (cfg.n_boot, 3, T)
-        assert sorted(multiplier_draws) == list(range(cfg.n_boot))
-        dots = run_replicates(cfg, base, residuals,
-                              lambda ys: [float(y[:-1] @ y[1:]) for y in ys])
-        for j in range(3):
-            single = run_replicates(cfg, base[j], residuals, lambda y: y.copy())
-            assert np.array_equal(stacked[:, j], single)
-            single_dots = run_replicates(cfg, base[j], residuals,
-                                         lambda y: float(y[:-1] @ y[1:]))
-            assert np.array_equal(dots[:, j], single_dots)
 
     def test_same_seed_identical(self):
         cfg = AwbConfig(seed=9, gamma=0.4, n_boot=16)
@@ -346,7 +414,7 @@ class TestRunReplicates:
 
     def test_kernel_failure_carries_replicate_id(self):
         cfg = AwbConfig(seed=1, gamma=0.5, n_boot=5)
-        third = draw_multipliers(cfg, 10, 3)
+        third = complete_path(cfg, 10, 3)
 
         def kernel(y):
             if np.array_equal(y, third):

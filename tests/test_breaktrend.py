@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import datetime as dt
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from gaptrend import (
     empirical_quantile,
     estimate_break,
     fourier_design,
+    observed_days,
     run_replicates,
     slope_cis,
     trimming_set,
@@ -409,6 +411,19 @@ class TestBreakAnalysis:
         else:
             assert ci.clipped and ci.basic_lower < ci.lower_index == trim[0]
 
+    def test_each_replicate_draws_and_scans_once(self, scan_calls, multiplier_draws):
+        # Per-replicate call budget: the fit's own scan, then one multiplier
+        # draw and one scan per replicate, for the test, the intervals and
+        # both together.
+        series = gappy_series(np.random.default_rng(42), 397, 0.6, gaps=[(150, 215)])
+        cfg = AwbConfig(seed=3, n_boot=17)
+        for procedure in (break_test, break_ci, break_analysis):
+            scan_calls.update(init=0, scan=0)
+            multiplier_draws.clear()
+            procedure(estimate_break(series, trimming_set(397, 0.15), n_harmonics=2), cfg)
+            assert scan_calls == {"init": 1, "scan": cfg.n_boot + 1}, procedure.__name__
+            assert sorted(multiplier_draws) == list(range(cfg.n_boot)), procedure.__name__
+
     def test_rates_checked_before_any_scan(self, rng, scan_calls):
         # The fit's own scan is the only one: a refused rate rescans nothing.
         fit = estimate_break(make_series(kinked_line(100) + rng.normal(0, 0.5, 100)),
@@ -423,7 +438,12 @@ class TestBreakAnalysis:
 
 class TestSlopeCis:
     def test_one_pass_matches_replicates_rebuilt_by_hand(self, rng):
-        # Oracle: every replicate rebuilt from its multiplier path and rescanned.
+        # Oracle: every replicate rebuilt on the broken fit from its
+        # multiplier path and rescanned. break_ci reaches the same scan by
+        # shifting the scan of the replicate on the no-break fit, so the
+        # breaks agree exactly and the coefficients to rounding: the slope
+        # ends to 1e-12 relative, and the intercept's, whose lower end lies
+        # near 0 here, to 1e-12 of the larger end.
         values = kinked_line(150, beta=-0.3, delta=0.5, kink=90) + rng.normal(0, 2.0, 150)
         mask = (rng.random(150) < 0.7).astype(np.uint8)
         series = make_series(values, mask)
@@ -435,9 +455,10 @@ class TestSlopeCis:
         scan = BreakScan(series.mask, series.calendar_years(), trim, 1)
         fitted = fit.fitted_values()
         u_hat = series.mask * (series.values - fitted)
+        days = observed_days(cfg, series.mask)
         rows = []
         for b in range(cfg.n_boot):
-            y = fitted + series.mask * draw_multipliers(cfg, 150, b) * u_hat
+            y = fitted + series.mask * draw_multipliers(cfg, days, b) * u_hat
             state = scan.scan(y)
             coef = scan.coefficients(state)
             rows.append((state.best, coef["alpha"], coef["beta"], coef["delta"]))
@@ -455,7 +476,10 @@ class TestSlopeCis:
             (ci.slopes.slope_change, fit.delta, deltas),
             (ci.slopes.slope_after, fit.beta + fit.delta, betas + deltas),
         ):
-            assert (got.lower, got.upper) == interval(estimate, boot)
+            lower, upper = interval(estimate, boot)
+            scale = max(abs(lower), abs(upper)) if got is ci.slopes.intercept else 0.0
+            assert got.lower == pytest.approx(lower, rel=1e-12, abs=1e-12 * scale)
+            assert got.upper == pytest.approx(upper, rel=1e-12, abs=1e-12 * scale)
         assert slope_cis(fit, cfg, level=0.8) == ci.slopes
 
     def test_noiseless_zero_width_at_truth(self):
@@ -579,6 +603,67 @@ class TestScanInternals:
         assert state.ssr0 == pytest.approx(r0 @ r0, rel=1e-10)
         assert state.f_stat == pytest.approx(max(reductions), rel=1e-10)
         assert state.best == trim[int(np.argmax(reductions))]
+
+    def test_shifted_scan_matches_a_direct_scan(self):
+        # Oracle: the scan of y + d made directly, where scan(y, shift)
+        # adds d's sums to those of y; the scan of y itself is unchanged.
+        rng = np.random.default_rng(43)
+        series = gappy_series(rng, 397, 0.6, gaps=[(150, 215)])
+        fit = estimate_break(series, trimming_set(397, 0.15), n_harmonics=2)
+        scan = fit.scan
+        d = fit.fitted_values() - fit.null_trend
+        for y in (fit.null_trend + rng.normal(0.0, 0.3, 397), series.values):
+            null, shifted = scan.scan(y, scan.shift(d))
+            alone, direct = scan.scan(y), scan.scan(y + d)
+            assert (null.ssr0, null.f_stat, null.best) == (alone.ssr0, alone.f_stat, alone.best)
+            assert np.array_equal(null.num, alone.num)
+            assert shifted.best == direct.best
+            assert shifted.ssr0 == pytest.approx(direct.ssr0, rel=1e-10)
+            assert shifted.f_stat == pytest.approx(direct.f_stat, rel=1e-10)
+            scale = np.max(np.abs(direct.num))
+            assert np.max(np.abs(shifted.num - direct.num)) <= 1e-10 * scale
+            assert np.allclose(shifted.beta0, direct.beta0, rtol=1e-10, atol=0.0)
+
+    def test_observed_row_scan_matches_lstsq_at_paper_scale(self):
+        # Oracle: least-squares refits on the long station's design, 33
+        # years of days with about a quarter observed, a yearly block gap
+        # on days 160-219 and three harmonics. The SSR the scan gives at
+        # the best break, at 40 candidates spread over the trimming set and
+        # at the best break's neighbours matches the refit, and no refit
+        # beats the best break.
+        rng = np.random.default_rng(12000)
+        T = 12000
+        days = np.datetime64("1986-01-01") + np.arange(T)
+        day_of_year = (days - days.astype("datetime64[Y]")).astype(int) + 1
+        mask = (rng.random(T) < 0.3) & ((day_of_year < 160) | (day_of_year > 219))
+        mask[[0, -1]] = True
+        t = np.arange(1, T + 1, dtype=float)
+        years = 1986.0 + (t - 1.0) / 365.25
+        values = (3.0 - 1.65 * t / 6600 + 2.0 * np.maximum(0.0, t - 6600) / 5400
+                  + 0.32 * np.cos(2 * np.pi * years) + rng.normal(0.0, 0.3, T))
+        series = make_series(values, mask.astype(np.uint8), t0=dt.date(1986, 1, 1))
+        assert 0.23 < series.observed_fraction < 0.27
+        trim = trimming_set(T)
+        fit = estimate_break(series, trim, n_harmonics=3)
+
+        tau = t / T
+        Z = np.column_stack([np.ones(T), tau, fourier_design(series.calendar_years(), 3)])[mask]
+        y = values[mask]
+
+        def refit_ssr(c):
+            X = np.column_stack([Z, np.maximum(0.0, tau - c / T)[mask]])
+            coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
+            r = y - X @ coef
+            return float(r @ r)
+
+        best = fit.break_index
+        spread = set(np.linspace(trim[0], trim[-1], 40).round().astype(int).tolist())
+        for c in sorted(spread | {best - 1, best, best + 1}):
+            ssr = fit.scan.coefficients(fit.state._replace(best=c))["ssr"]
+            ref = refit_ssr(c)
+            assert ssr == pytest.approx(ref, rel=1e-10), c
+            assert fit.ssr <= ref * (1 + 1e-10), c
+        assert fit.ssr == pytest.approx(refit_ssr(best), rel=1e-10)
 
     def test_unidentified_candidates_are_counted_and_never_picked(self, monkeypatch):
         # Observed days: one day of the year every leap cycle (1461 days)

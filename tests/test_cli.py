@@ -52,6 +52,21 @@ def fit_json(toy_csv, tmp_path_factory):
     return str(out / "trend_fit.json")
 
 
+@pytest.fixture(scope="module")
+def bootstrap_reports(toy_csv, fit_json, tmp_path_factory):
+    """The report parameters of every command with --B but mc, on the toy series."""
+    out = tmp_path_factory.mktemp("bootstrap")
+    commands = {"break": ["--input", toy_csv, "--theta", "0.2"],
+                "smooth": ["--input", toy_csv, "--bandwidth", "0.08"],
+                "extremum": ["--fit", fit_json], "lintest": ["--fit", fit_json],
+                "monotest": ["--fit", fit_json]}
+    reports = {}
+    for name, args in commands.items():
+        assert run(["--out", str(out), name, *args, "--B", "9"]) == 0
+        reports[name] = json.loads((out / f"{name}_report.json").read_text())["parameters"]
+    return reports
+
+
 def read(path):
     return path.read_bytes()
 
@@ -318,10 +333,10 @@ class TestArtifacts:
 
     def test_break_scans_its_design_once(self, toy_csv, tmp_path, scan_calls,
                                          multiplier_draws):
-        # One scan of the observed series, then two per replicate, under the
-        # no-break and the broken base, from one multiplier path.
+        # One scan of the observed series, then one per replicate, whose
+        # sums give the replicate under the no-break and the broken fit.
         assert run(["--out", str(tmp_path), "break", "--input", toy_csv, "--B", "19"]) == 0
-        assert scan_calls == {"init": 1, "scan": 2 * 19 + 1}
+        assert scan_calls == {"init": 1, "scan": 19 + 1}
         assert sorted(multiplier_draws) == list(range(19))
 
     def test_break_reports_skipped_candidates(self, toy_csv, tmp_path, monkeypatch):
@@ -411,6 +426,18 @@ class TestArtifacts:
                 assert not {"B", "seed"} & par.keys()
             reported.add(name)
         assert reported == set(cli.commands)
+
+    def test_reports_give_the_multiplier_gamma(self, bootstrap_reports):
+        # Oracle: theta^(1 / (1.75 T^(1/3))) on the 420-day toy series, at
+        # the default theta and at break's --theta.
+        for name, par in bootstrap_reports.items():
+            theta = 0.2 if name == "break" else 0.1
+            assert par["gamma"] == pytest.approx(theta ** (1.0 / (1.75 * 420 ** (1 / 3))),
+                                                 rel=1e-14), name
+
+    def test_reports_give_the_dependence_length(self, bootstrap_reports):
+        for name, par in bootstrap_reports.items():
+            assert par["dependence_length"] == pytest.approx(1.75 * 420 ** (1 / 3), rel=1e-14)
 
     def test_p_values_carry_their_monte_carlo_error(self, toy_csv, fit_json, tmp_path):
         # sqrt(p (1 - p) / B) of each p-value, from the report's own p and B.
@@ -597,6 +624,14 @@ class TestDeterminism:
             assert blobs[0] == blobs[1] == blobs[2], f"{name} differs across runs"
         assert {"canonical.csv", "trend_bands.svg", "mc_report.json", "panel_B.csv"} <= set(
             listings[0])
+
+    def test_mc_prints_the_same_line_every_run(self, tmp_path, capsys):
+        lines = []
+        for i in range(2):
+            assert run(["--out", str(tmp_path / f"run{i}"), "mc", "--panel", "A",
+                        "--replications", "2", "--B", "19"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] == "panel A: 54 result rows -> panel_A.csv\n"
 
     def test_seed_changes_results(self, toy_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -20,7 +20,7 @@ from gaptrend import (
     write_canonical_csv,
 )
 
-from gaptrend.series import GRID_STEP
+from gaptrend.series import GRID_STEP, series_columns
 
 from conftest import make_series
 
@@ -158,6 +158,18 @@ class TestCanonicalRoundTrip:
         write_canonical_csv(make_series([1.5, 99.0, 0.1], [1, 0, 1]), str(out))
         assert out.read_bytes() == (b"date,value,observed\n2000-01-01,1.5,1\n"
                                     b"2000-01-02,,0\n2000-01-03,0.1,1\n")
+
+
+    @pytest.mark.parametrize("t0, n_time", [(dt.date(2011, 12, 20), 900),
+                                             (dt.date(1999, 12, 31), 61),
+                                             (dt.date(1986, 1, 1), 12000)])
+    def test_date_column_is_the_grid_dates(self, t0, n_time):
+        # Oracle: date_at on every position, over year ends and the leap
+        # days of 2000 and 2012 (and, at 12000 days, those from 1988 to 2016).
+        series = make_series(np.zeros(n_time), t0=t0)
+        dates = series_columns(series, "value")["date"]
+        assert dates == [series.date_at(i).isoformat() for i in range(1, n_time + 1)]
+        assert all(type(d) is str for d in dates)
 
 
 class TestContainer:
