@@ -9,11 +9,14 @@ on the observed days alone, so it draws one normal per observed day; the
 AR(1) step across a gap of k days is scaled to keep unit variance.
 Multipliers come from a counter-based generator keyed by (seed, replicate
 id), so replicate b is the same whether it runs first, last, serially, or
-on a worker thread; each thread re-keys one generator per draw instead of
-building one. The AR(1) recursion itself is a scaled prefix sum on the
-calendar grid, computed row by row of positions with
-``numpy.add.accumulate`` from factors built once per (T, gamma) and a
-per-day scale built once per replicate run.
+on a worker thread; each thread re-keys one generator per replicate
+instead of building one. Replicates run in blocks of consecutive ids, a
+number fixed by T alone: one draw gives a block's paths and the statistic
+reads the block as the rows of one array. The AR(1) recursion itself is
+a scaled prefix sum over the observed days of each row of calendar
+positions, run with ``numpy.add.accumulate`` for all paths of a block at
+once, from factors built once per (T, gamma) and a per-day scale built
+once per replicate run.
 Every bootstrap test of the package reads its replicate draws into one
 ``BootstrapTest`` record, whose ``reject`` is the only reject rule.
 """
@@ -24,11 +27,11 @@ import math
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptions import ReplicateError
+from .exceptions import ReplicateError, replicate_ids
 from .series import ObservedSeries
 
 DEFAULT_THETA = 0.1
@@ -138,13 +141,18 @@ def _ar1_factors(n_time: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.
 
 
 class ObservedDays(NamedTuple):
-    """The observed days of a mask and the weight of each day's normal in
-    the multiplier recursion on a T-day grid, from ``observed_days``."""
+    """The observed days of a mask and their factors in the multiplier
+    recursion on a T-day grid, from ``observed_days``. Entry j belongs to
+    the observed day ``positions[j]``, at offset i mod L in its row of L
+    positions (see ``_ar1_factors``)."""
 
     n_time: int
     positions: np.ndarray  # 0-based grid positions of the observed days
-    weights: np.ndarray  # gamma^-(i mod L) sqrt(1 - gamma^(2 gap)) at those days
-    factors: tuple[np.ndarray, np.ndarray, np.ndarray]  # _ar1_factors(T, gamma)
+    weights: np.ndarray  # gamma^-(i mod L) sqrt(1 - gamma^(2 gap))
+    decay: np.ndarray  # gamma^(i mod L)
+    carry: np.ndarray  # gamma^(i mod L + 1)
+    spans: tuple[tuple[int, int], ...]  # [start, end) of each row of L positions, as entries
+    row_decay: float  # gamma^(L - 1), the factor of a row's last position
 
 
 def observed_days(cfg: AwbConfig, mask: np.ndarray) -> ObservedDays:
@@ -160,15 +168,21 @@ def observed_days(cfg: AwbConfig, mask: np.ndarray) -> ObservedDays:
     """
     n_time = mask.shape[0]
     gamma = cfg.resolve_gamma(n_time)
-    factors = _ar1_factors(n_time, gamma)
+    weights, decay, carry = _ar1_factors(n_time, gamma)
+    width = weights.shape[1]
     positions = np.flatnonzero(mask)
     scale = np.ones(positions.size)
     scale[1:] = np.sqrt(-np.expm1(2.0 * np.log(gamma) * np.diff(positions)))
-    return ObservedDays(n_time, positions, factors[0].reshape(-1)[positions] * scale, factors)
+    offset = positions % width
+    bounds = np.searchsorted(positions, np.arange(weights.shape[0] + 1) * width).tolist()
+    return ObservedDays(n_time, positions, weights.reshape(-1)[positions] * scale,
+                        decay[offset], carry[offset], tuple(zip(bounds[:-1], bounds[1:])),
+                        float(decay[-1]))
 
 
-def draw_multipliers(cfg: AwbConfig, days: ObservedDays, replicate_id: int) -> np.ndarray:
-    """Generate the multiplier path for one replicate on the grid of ``days``.
+def draw_multipliers(cfg: AwbConfig, days: ObservedDays, ids: Sequence[int]) -> np.ndarray:
+    """The multiplier paths of the replicate ``ids`` at the observed days of
+    ``days``: one row per id, one column per observed day.
 
     One standard normal is drawn per observed day, scaled as in
     ``observed_days``, and the path runs through the calendar recursion
@@ -176,25 +190,44 @@ def draw_multipliers(cfg: AwbConfig, days: ObservedDays, replicate_id: int) -> n
     days it has unit variance and correlation gamma^|t - s|, and on a
     complete grid it is xi_i = gamma xi_(i-1) + sqrt(1 - gamma^2) z_i from
     xi_0 = z_0. The recursion runs as blocked scaled prefix sums (see
-    ``_ar1_factors``): one cumulative sum per row of positions and one
-    vectorised carry into every row, which agrees with the direct
-    recursion to rounding. Identical (seed, replicate_id) keys give
-    identical paths regardless of execution order or worker count: the
-    normal draws are those of ``_stream(cfg.seed, replicate_id)``, read
-    from this thread's re-keyed generator. ``days`` must come from
-    ``observed_days`` with the same ``cfg``.
+    ``_ar1_factors``) over the observed entries of each row of positions,
+    for all rows of ids at once: the zeros of the unobserved days add
+    nothing, so a row's last prefix sum is that of its last observed day,
+    and that sum times gamma^(L-1) is the carry into the next row. This
+    agrees with the direct recursion to rounding. Each id's row is the
+    same whatever other ids share the call, and identical (seed, id) keys
+    give identical rows regardless of execution order or worker count: a
+    row's normals are those of ``_stream(cfg.seed, id)``, read from this
+    thread's re-keyed generator. ``days`` must come from ``observed_days``
+    with the same ``cfg``.
     """
-    weights, decay, carry = days.factors
-    z = _rekeyed_stream(cfg.seed, replicate_id).standard_normal(days.positions.size)
-    z *= days.weights
-    buf = np.zeros(weights.size)
-    buf[days.positions] = z
-    xi = buf.reshape(weights.shape)
-    np.add.accumulate(xi, axis=1, out=xi)
-    xi *= decay
-    if xi.shape[0] > 1:
-        xi[1:] += xi[:-1, -1:] * carry
-    return buf[:days.n_time]
+    xi = np.empty((len(ids), days.positions.size))
+    for row, replicate_id in zip(xi, ids):
+        _rekeyed_stream(cfg.seed, replicate_id).standard_normal(out=row)
+    xi *= days.weights
+    last = None
+    for lo, hi in days.spans:
+        if lo == hi:
+            last = None
+            continue
+        part = xi[:, lo:hi]
+        np.add.accumulate(part, axis=1, out=part)
+        carried, last = last, part[:, -1:] * days.row_decay
+        part *= days.decay[lo:hi]
+        if carried is not None:
+            part += carried * days.carry[lo:hi]
+    return xi
+
+
+# Replicates run in blocks of about this many calendar values: k =
+# max(1, 2^13 // T) consecutive ids. k depends on T alone, never on the
+# thread count, so a block's rounding is the same on any schedule.
+_BLOCK_VALUES = 2**13
+
+
+def block_size(n_time: int) -> int:
+    """Replicate ids per block on a T-day grid: max(1, 2^13 // T)."""
+    return max(1, _BLOCK_VALUES // n_time)
 
 
 def run_replicates(
@@ -203,56 +236,68 @@ def run_replicates(
     residuals: ObservedSeries,
     statistic: Callable[[np.ndarray], object],
 ) -> np.ndarray:
-    """Evaluate ``statistic`` on the replicate series of ids 0..B-1.
+    """Evaluate ``statistic`` on the replicate series of ids 0..B-1, in
+    blocks of ``block_size(T)`` consecutive ids.
 
     Replicate b is the series ``where(mask, base, 0) + xi_b * residuals``,
     ``xi_b`` the multiplier path of id b on the observed days of the
     residuals, an ``ObservedSeries``, which are 0 on unobserved days. This
     is the only place a multiplier path is drawn and a replicate series
     built. Before the first draw, a base of another shape than the
-    residuals is refused, the base is masked and the observed days' scale
-    is built. The statistic must not keep the array it is given, or any
-    view of it, past its return. The
-    replicates run on ``cfg.threads`` workers, each drawing from one
+    residuals is refused, the base is read on the observed days and the
+    observed days' scale is built. Each block's paths come from one
+    ``draw_multipliers`` call, and ``statistic`` receives the block's
+    replicate series as the rows of one (k, T) array, the last block
+    holding what is left of B; it returns one row per replicate, a (k,
+    ...) array or a sequence of k equal-shaped rows. A statistic that
+    cannot vectorise loops over the rows. It may overwrite the block and
+    return it, but must not keep it, or any view of it, past its return.
+    The blocks run on ``cfg.threads`` workers, each drawing from one
     generator that it re-keys per replicate; the output is identical for
     any thread count because each replicate depends only on its own
-    counter-based stream. Results are written in replicate-id order into
-    one (B, ...) float64 array shaped by the first result, so the
-    statistic must return the same shape for every replicate; a different
-    shape raises ``ValueError``. A statistic failure is re-raised as
-    ``ReplicateError`` carrying the replicate id.
+    counter-based stream and the blocks only on T. Results are written in
+    replicate-id order into one (B, ...) float64 array shaped by the first
+    block's rows, so every row must have that shape; another shape raises
+    ``ValueError``. A statistic failure is re-raised as ``ReplicateError``
+    naming the block's ids.
     """
     n_time = len(residuals)
     if base.shape != (n_time,):
         raise ValueError(f"base has shape {base.shape}, the residuals length {n_time}")
-    base = np.where(residuals.mask == 1, base, 0.0)
     days = observed_days(cfg, residuals.mask)
+    base_o, residuals_o = base[days.positions], residuals.values[days.positions]
+    k = block_size(n_time)
+    blocks = [range(lo, min(lo + k, cfg.n_boot)) for lo in range(0, cfg.n_boot, k)]
 
-    def one(b: int) -> object:
-        series = base + draw_multipliers(cfg, days, b) * residuals.values
+    def one(ids: range) -> object:
+        xi = draw_multipliers(cfg, days, ids)
+        xi *= residuals_o
+        xi += base_o
+        series = np.zeros((len(ids), n_time))
+        series[:, days.positions] = xi
         try:
             return statistic(series)
         except Exception as exc:  # noqa: BLE001 - re-raised with context
-            raise ReplicateError(b, str(exc)) from exc
+            raise ReplicateError(ids, str(exc)) from exc
 
     def collect(results: Iterator[object]) -> np.ndarray:
         out = None
-        for b, result in enumerate(results):
-            row = np.asarray(result, dtype=np.float64)
+        for ids, result in zip(blocks, results):
+            rows = np.asarray(result, dtype=np.float64)
             if out is None:
-                out = np.empty((cfg.n_boot,) + row.shape)
-            elif row.shape != out.shape[1:]:
-                raise ValueError(f"replicate {b} gave shape {row.shape}, replicate 0 gave "
-                                 f"{out.shape[1:]}")
-            out[b] = row
+                out = np.empty((cfg.n_boot,) + rows.shape[1:])
+            if rows.shape != (len(ids),) + out.shape[1:]:
+                raise ValueError(f"{replicate_ids(ids)} gave shape {rows.shape}, expected "
+                                 f"{(len(ids),) + out.shape[1:]}")
+            out[ids.start: ids.stop] = rows
         return out
 
     if cfg.threads == 1:
-        return collect(map(one, range(cfg.n_boot)))
+        return collect(map(one, blocks))
     from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
 
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return collect(pool.map(one, range(cfg.n_boot)))
+        return collect(pool.map(one, blocks))
 
 
 def check_rate(name: str, value: float) -> None:

@@ -22,7 +22,9 @@ fit was chosen from, so on a fit with an imposed break the test tests that
 break alone. The intervals need each replicate on the broken fit instead:
 the scan's sums are linear in the response, so one scan of the replicate
 gives that too, shifted by the fixed difference of the two fits. Every
-replicate is scanned once, and :func:`break_analysis`, the CLI's entry, is
+replicate is scanned once, in one scan of its block of replicates: a scan
+takes a (k, T) block and gives one row per response, and the fit's own
+scan is a block of one. :func:`break_analysis`, the CLI's entry, is
 :func:`break_test` and :func:`break_ci` from one pass.
 """
 
@@ -77,11 +79,12 @@ class BrokenTrendFit:
     """Joint fit of intercept, slopes, break position, and seasonal pattern
     of ``series`` over the break candidates of ``scan``.
 
-    The series is scanned once, at construction: ``state`` is that scan,
-    which holds the break-test statistic and the no-break fit, and the
-    break is its best candidate. ``beta`` and ``delta`` are per grid step
-    (one day); multiply by 365.25 for per-year rates. The fitted trend is
-    continuous at ``break_index`` by construction of the hinge regressor.
+    The series is scanned once, at construction: ``state`` is that scan, a
+    block of one row, which holds the break-test statistic and the
+    no-break fit, and the break is its best candidate. ``beta`` and
+    ``delta`` are per grid step (one day); multiply by 365.25 for per-year
+    rates. The fitted trend is continuous at ``break_index`` by
+    construction of the hinge regressor.
     Every bootstrap of the fit runs through ``bootstrap``, which resamples
     the residuals of ``series`` around the fit; its statistics rescan the
     candidates of ``scan``.
@@ -98,18 +101,19 @@ class BrokenTrendFit:
     ssr: float = field(init=False)
 
     def __post_init__(self) -> None:
-        state = self.scan.scan(self.series.values)
+        state = self.scan.scan(self.series.values[None])
         coef = self.scan.coefficients(state)
-        S, harmonics = self.scan.n_harmonics, coef.pop("harmonics")
+        S, harmonics = self.scan.n_harmonics, coef.pop("harmonics")[0]
         seasonal = SeasonalFit(harmonics[:S], harmonics[S:], S, self.scan._Z[:, 2:] @ harmonics)
-        for name, value in dict(coef, state=state, break_index=state.best,
+        values = {name: float(value[0]) for name, value in coef.items()}
+        for name, value in dict(values, state=state, break_index=int(state.best[0]),
                                 seasonal=seasonal).items():
             object.__setattr__(self, name, value)
 
     @property
     def null_trend(self) -> np.ndarray:
         """The no-break fit, trend plus seasonal pattern, on every position."""
-        return self.scan._Z @ self.state.beta0
+        return self.scan._Z @ self.state.beta0[0]
 
     def trend_values(self) -> np.ndarray:
         t = np.arange(1, self.scan.n_time + 1, dtype=np.float64)
@@ -121,7 +125,9 @@ class BrokenTrendFit:
     def bootstrap(self, cfg: AwbConfig, base: np.ndarray,
                   statistic: Callable[[np.ndarray], object]) -> np.ndarray:
         """``run_replicates`` of ``statistic`` on replicate series built on
-        ``base`` from the residuals of ``series`` around the fit."""
+        ``base`` from the residuals of ``series`` around the fit: the
+        statistic reads a block of replicates as the rows of one (k, T)
+        array and returns one row per replicate."""
         eps = self.series
         return run_replicates(cfg, base, eps.with_values(eps.values - self.fitted_values()),
                               statistic)
@@ -180,13 +186,14 @@ class SlopeCis:
 
 
 class ScanState(NamedTuple):
-    """One scan of a response over every candidate of a :class:`BreakScan`."""
+    """The scans of a block of k responses over every candidate of a
+    :class:`BreakScan`, one row per response."""
 
-    ssr0: float  # no-break SSR
-    f_stat: float  # largest SSR reduction over the candidates
-    best: int  # position of the winning candidate, ties to the smallest
-    beta0: np.ndarray  # no-break coefficients, internal scaling
-    num: np.ndarray  # per-candidate hinge numerators, read by coefficients
+    ssr0: np.ndarray  # (k,) no-break SSR
+    f_stat: np.ndarray  # (k,) largest SSR reduction over the candidates
+    best: np.ndarray  # (k,) position of the winning candidate, ties to the smallest
+    beta0: np.ndarray  # (k, p0) no-break coefficients, internal scaling
+    num: np.ndarray  # (k, n_cand) per-candidate hinge numerators, read by coefficients
 
 
 class ScanShift(NamedTuple):
@@ -195,8 +202,8 @@ class ScanShift(NamedTuple):
 
     d: np.ndarray  # the shift on the observed days
     dd: float  # d'd
-    u: np.ndarray  # L^-1 Z'd
-    num: np.ndarray  # per-candidate hinge numerators of d
+    u: np.ndarray  # (1, p0) L^-1 Z'd
+    num: np.ndarray  # (1, n_cand) per-candidate hinge numerators of d
 
 
 class BreakScan:
@@ -289,67 +296,76 @@ class BreakScan:
         self._valid = schur > np.maximum(dd, 1e-300) * _SCHUR_RTOL
         if not self._valid.any():
             raise SingularDesignError("every break candidate is unidentified on this mask")
-        self.n_skipped = int((~self._valid).sum())
+        # A skipped candidate's reduction divides by inf, then reads -inf.
+        self._skipped = np.flatnonzero(~self._valid)
+        self._schur_valid = np.where(self._valid, schur, np.inf)
+        self.n_skipped = int(self._skipped.size)
 
     def _sums(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """y on the observed days, u = L^-1 Z'y and the per-candidate hinge
-        numerators; the last two are linear in y."""
+        """The (k, T) block y on the observed days, u = L^-1 Z'y and the
+        per-candidate hinge numerators, one row per response; the last two
+        are linear in y."""
         # y and y*tau on the observed days as the rows of one array for one
         # suffix pass.
-        rows = np.empty((2, self._obs.size))
+        rows = np.empty((2, y.shape[0], self._obs.size))
         # The indices are in range; "clip" spares the copy "raise" makes of out.
-        yo = np.take(y, self._obs, out=rows[0], mode="clip")
+        yo = np.take(y, self._obs, axis=1, out=rows[0], mode="clip")
         np.multiply(yo, self._tau_o, out=rows[1])
-        u = self._chol_inv @ (self._Zo_t @ yo)
-        sy, sty = _suffix_sums(rows).take(self._at, axis=1)
+        u = (self._chol_inv @ (self._Zo_t @ yo.T)).T
+        sy, sty = _suffix_sums(rows).take(self._at, axis=-1)
         num = sty - self._tau_c * sy
         num -= u @ self._V
         return yo, u, num
 
-    def _state(self, yy: float, u: np.ndarray, num: np.ndarray) -> ScanState:
-        """The no-break fit and the best candidate of a response with sums
-        y'y, u and num."""
-        beta0 = self._chol_inv.T @ u
-        ssr0 = max(yy - float(u @ u), 0.0)
-        red = np.full(num.shape, -np.inf)
-        np.divide(num * num, self._schur, out=red, where=self._valid)
-        red[self._valid & (red < yy * _NOISE_FLOOR)] = 0.0
-        best = int(red.argmax())
-        return ScanState(ssr0, float(red[best]), self._span.start + best, beta0, num)
+    def _state(self, yy: np.ndarray, u: np.ndarray, num: np.ndarray) -> ScanState:
+        """The no-break fits and the best candidates of responses with sums
+        y'y, u and num, one row each."""
+        beta0 = (self._chol_inv.T @ u.T).T
+        ssr0 = np.maximum(yy - np.vecdot(u, u), 0.0)
+        red = num * num
+        red /= self._schur_valid
+        red[red < yy[:, None] * _NOISE_FLOOR] = 0.0
+        red[:, self._skipped] = -np.inf
+        best = red.argmax(axis=1)
+        f_stat = red[np.arange(best.size), best]
+        return ScanState(ssr0, f_stat, self._span.start + best, beta0, num)
 
     def shift(self, d: np.ndarray) -> ScanShift:
         """The fixed shift ``d`` of a response, with its sums, for ``scan``."""
-        do, u, num = self._sums(d)
-        return ScanShift(do.copy(), float(do @ do), u, num)
+        do, u, num = self._sums(d[None])
+        return ScanShift(do[0].copy(), float(do[0] @ do[0]), u, num)
 
     def scan(self, y: np.ndarray,
              shift: ScanShift | None = None) -> ScanState | tuple[ScanState, ScanState]:
-        """Fit the no-break model and every candidate to y on the observed
-        days; return the best break. Given a ``shift`` d, return the scans
-        of y and of y + d, the second built from the sums of the first by
-        linearity, with y'y gaining 2 d'y + d'd."""
+        """Fit the no-break model and every candidate to each row of the
+        (k, T) block y on the observed days; return the best break of
+        each. Given a ``shift`` d, return the scans of y and of y + d, the
+        second built from the sums of the first by linearity, with y'y
+        gaining 2 d'y + d'd."""
         yo, u, num = self._sums(y)
-        yy = float(yo @ yo)
+        yy = np.vecdot(yo, yo)
         state = self._state(yy, u, num)
         if shift is None:
             return state
-        return state, self._state(yy + 2.0 * float(shift.d @ yo) + shift.dd, u + shift.u,
+        return state, self._state(yy + 2.0 * np.vecdot(yo, shift.d) + shift.dd, u + shift.u,
                                   num + shift.num)
 
     def coefficients(self, state: ScanState) -> dict:
-        """Full coefficient vector of the scanned model with the break at
-        ``state.best``, the best candidate, which a scan always identifies."""
+        """Full coefficient vectors of the scanned models with the break at
+        ``state.best``, the best candidate of each row, which a scan always
+        identifies: one entry per row."""
         pos = state.best - self._span.start
-        delta_tau = float(state.num[pos] / self._schur[pos])
-        bz = state.beta0 - self._W[:, pos] * delta_tau
-        red = delta_tau * state.num[pos]
+        num = state.num[np.arange(pos.size), pos]
+        delta_tau = num / self._schur[pos]
+        bz = state.beta0 - self._W[:, pos].T * delta_tau[:, None]
+        red = delta_tau * num
         T = self.n_time
         return {
-            "alpha": float(bz[0]),
-            "beta": float(bz[1]) / T,
+            "alpha": bz[:, 0],
+            "beta": bz[:, 1] / T,
             "delta": delta_tau / T,
-            "harmonics": bz[2:].copy(),
-            "ssr": max(state.ssr0 - red, 0.0),
+            "harmonics": bz[:, 2:],
+            "ssr": np.maximum(state.ssr0 - red, 0.0),
         }
 
 
@@ -377,17 +393,19 @@ def estimate_break(
     return BrokenTrendFit(series, scan)
 
 
-def _replicate_scans(fit: BrokenTrendFit) -> Callable[[np.ndarray], tuple]:
-    """The statistic of a replicate on ``fit.null_trend``, from one scan: its
-    break-test statistic, then, with the replicate shifted onto the broken
-    fit by the fitted values minus ``fit.null_trend``, the re-estimated
-    break position and its trend coefficients."""
+def _replicate_scans(fit: BrokenTrendFit) -> Callable[[np.ndarray], np.ndarray]:
+    """The statistic of a block of replicates on ``fit.null_trend``, from
+    one scan of the block: per replicate, its break-test statistic, then,
+    with the replicate shifted onto the broken fit by the fitted values
+    minus ``fit.null_trend``, the re-estimated break position and its
+    trend coefficients."""
     shift = fit.scan.shift(fit.fitted_values() - fit.null_trend)
 
-    def statistic(y: np.ndarray) -> tuple:
-        null, broken = fit.scan.scan(y, shift)
+    def statistic(block: np.ndarray) -> np.ndarray:
+        null, broken = fit.scan.scan(block, shift)
         coef = fit.scan.coefficients(broken)
-        return null.f_stat, broken.best, coef["alpha"], coef["beta"], coef["delta"]
+        return np.column_stack((null.f_stat, broken.best, coef["alpha"], coef["beta"],
+                                coef["delta"]))
 
     return statistic
 
@@ -440,8 +458,9 @@ def break_test(
     break-like would inflate its own critical value.
     """
     check_rate("alpha", alpha)
-    draws = fit.bootstrap(cfg or AwbConfig(), fit.null_trend, lambda y: fit.scan.scan(y).f_stat)
-    return bootstrap_test(fit.state.f_stat, draws, alpha)
+    draws = fit.bootstrap(cfg or AwbConfig(), fit.null_trend,
+                          lambda block: fit.scan.scan(block).f_stat)
+    return bootstrap_test(fit.state.f_stat[0], draws, alpha)
 
 
 def break_ci(
@@ -489,7 +508,8 @@ def break_analysis(
     check_rate("alpha", alpha)
     check_rate("level", level)
     draws = fit.bootstrap(cfg or AwbConfig(), fit.null_trend, _replicate_scans(fit))
-    return bootstrap_test(fit.state.f_stat, draws[:, 0], alpha), _date_ci(fit, draws[:, 1:], level)
+    return (bootstrap_test(fit.state.f_stat[0], draws[:, 0], alpha),
+            _date_ci(fit, draws[:, 1:], level))
 
 
 def slope_cis(

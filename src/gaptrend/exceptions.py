@@ -13,12 +13,18 @@ class NoInteriorExtremumError(ValueError):
     """The estimated trend has no interior local extremum of the requested kind."""
 
 
-class ReplicateError(RuntimeError):
-    """A bootstrap replicate failed; carries the replicate id."""
+def replicate_ids(ids: range) -> str:
+    """``replicate b`` for one id, ``replicates a-b`` for a block of them."""
+    return f"replicate {ids[0]}" if len(ids) == 1 else f"replicates {ids[0]}-{ids[-1]}"
 
-    def __init__(self, replicate_id: int, message: str):
-        super().__init__(f"replicate {replicate_id}: {message}")
-        self.replicate_id = replicate_id
+
+class ReplicateError(RuntimeError):
+    """A block of bootstrap replicates failed; names the block's ids and
+    carries the first as ``replicate_id``."""
+
+    def __init__(self, ids: range, message: str):
+        super().__init__(f"{replicate_ids(ids)}: {message}")
+        self.replicate_id = ids[0]
 
 
 # Errors that mean a run cannot go ahead on its input, grouped as the command

@@ -169,7 +169,9 @@ class KernelTrendFit:
     def bootstrap(self, cfg: AwbConfig, base: np.ndarray,
                   statistic: Callable[[np.ndarray], object]) -> np.ndarray:
         """``run_replicates`` of ``statistic`` on replicate series built on
-        ``base`` from the residuals of ``series`` around the pilot."""
+        ``base`` from the residuals of ``series`` around the pilot: the
+        statistic reads a block of replicates as the rows of one (k, T)
+        array and returns one row per replicate."""
         eps = self.series
         return run_replicates(cfg, base, eps.with_values(eps.values - self.pilot), statistic)
 
@@ -287,10 +289,16 @@ def trend_bootstrap_paths(fit: KernelTrendFit, cfg: AwbConfig) -> np.ndarray:
     """Bootstrap deviations of the trend re-estimates from the fit's pilot.
 
     Replicate series are rebuilt on the pilot by ``fit.bootstrap`` and
-    re-smoothed by ``fit.smooth``. Returns the (B, T) matrix of replicate
-    trend estimates minus the pilot, the pilot subtracted in place.
+    re-smoothed by ``fit.smooth``, row by row of each block, in place.
+    Returns the (B, T) matrix of replicate trend estimates minus the
+    pilot, the pilot subtracted in place.
     """
-    deviations = fit.bootstrap(cfg, fit.pilot, fit.smooth)
+    def smooth_rows(block: np.ndarray) -> np.ndarray:
+        for row in block:
+            row[:] = fit.smooth(row)
+        return block
+
+    deviations = fit.bootstrap(cfg, fit.pilot, smooth_rows)
     deviations -= fit.pilot
     return deviations
 

@@ -196,19 +196,27 @@ def gen_errors(design: McDesign, n_time: int, rng: np.random.Generator) -> np.nd
 def gen_mask(mode: str, n_time: int, rng: np.random.Generator) -> np.ndarray:
     """First-order Markov observation indicators, started at stationarity.
 
-    The chain steps over Python floats, which compare exactly as the
-    float64 draws and transition probabilities they come from."""
+    Day t is observed when its uniform draw u_t falls below the chance of
+    an observation after day t-1's state. Both modes give that chance
+    lower after a missing day than after an observed one, so u_t below
+    the first observes and u_t at or above the second misses whatever
+    the previous state, and a draw in between keeps it: every day takes
+    the state of the last day a draw fixed, read with a running maximum
+    of those days' positions. The first day is fixed by the stationary
+    chance. A transition table without that order is refused."""
     if mode not in MISSING_TRANSITIONS:
         raise ValueError(f"mode must be one of {list(MISSING_TRANSITIONS)}")
     P = MISSING_TRANSITIONS[mode]
-    p_obs = P[:, 1].tolist()  # chance of an observation after each state
-    u = rng.random(n_time).tolist()
-    state = 1 if u[0] < float(P[0, 1] / (P[0, 1] + P[1, 0])) else 0
-    states = [state]
-    for x in u[1:]:
-        state = 1 if x < p_obs[state] else 0
-        states.append(state)
-    return np.array(states, dtype=np.uint8)
+    after_missing, after_observed = P[:, 1]  # chance of an observation after each state
+    if not after_missing < after_observed:
+        raise ValueError("an observation must be likelier after an observed day than after "
+                         "a missing one")
+    u = rng.random(n_time)
+    state = u < after_missing
+    fixed = state | (u >= after_observed)
+    state[0], fixed[0] = u[0] < P[0, 1] / (P[0, 1] + P[1, 0]), True
+    last_fixed = np.maximum.accumulate(np.where(fixed, np.arange(n_time), 0))
+    return state[last_fixed].astype(np.uint8)
 
 
 def simulate_series(design: McDesign, draw: int) -> ObservedSeries:

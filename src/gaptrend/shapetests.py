@@ -153,7 +153,8 @@ def extremum_ci(
             return int(np.nanargmin(g_star) if kind == "min" else np.nanargmax(g_star)) + 1
         return nearest_extremum(cands, t_ext)
 
-    locs = fit.bootstrap(cfg, fit.pilot, position).astype(np.int64)
+    locs = fit.bootstrap(cfg, fit.pilot, lambda block: [position(y) for y in block])
+    locs = locs.astype(np.int64)
     ordered, a = np.sort(locs), 1.0 - level
     lo, hi = (int(ordered[quantile_row(q, locs.size)]) for q in (a / 2.0, 1.0 - a / 2.0))
     return ExtremumResult(
@@ -248,7 +249,7 @@ def linearity_test(
         ave, sup, _, _ = gap_stats(eps_star, g_star, pin_star)
         return ave, sup
 
-    stats = fit.bootstrap(cfg, composite, statistic)
+    stats = fit.bootstrap(cfg, composite, lambda block: [statistic(y) for y in block])
     return ShapeTestResult(
         ave=bootstrap_test(q_ave, stats[:, 0], alpha),
         sup=bootstrap_test(q_sup, stats[:, 1], alpha),
@@ -508,7 +509,7 @@ def monotonicity_tests(
         return float(p1.max()), float(p2.max())
 
     # The null trend is zero: no decreasing segment.
-    stats = fit.bootstrap(cfg, np.zeros(T), statistic)
+    stats = fit.bootstrap(cfg, np.zeros(T), lambda block: [statistic(y) for y in block])
     return MonotonicityResult(
         sign=bootstrap_test(u1, stats[:, 0], alpha),
         magnitude=bootstrap_test(u2, stats[:, 1], alpha),

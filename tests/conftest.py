@@ -54,36 +54,53 @@ def traced_peak(fn) -> int:
 
 @pytest.fixture
 def scan_calls(monkeypatch):
-    """Counts of ``BreakScan`` constructions and scans made during a test."""
+    """``BreakScan`` constructions made during a test, and the rows of the
+    block each scan read, one entry per scan."""
     from gaptrend.breaktrend import BreakScan
 
-    counts = {"init": 0, "scan": 0}
+    calls = {"init": 0, "scan": []}
+    init, scan = BreakScan.__init__, BreakScan.scan
 
-    def counted(name, method):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return method(*args, **kwargs)
-        return wrapper
+    def counted_init(*args, **kwargs):
+        calls["init"] += 1
+        return init(*args, **kwargs)
 
-    monkeypatch.setattr(BreakScan, "__init__", counted("init", BreakScan.__init__))
-    monkeypatch.setattr(BreakScan, "scan", counted("scan", BreakScan.scan))
-    return counts
+    def counted_scan(self, y, *args, **kwargs):
+        calls["scan"].append(y.shape[0])
+        return scan(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(BreakScan, "__init__", counted_init)
+    monkeypatch.setattr(BreakScan, "scan", counted_scan)
+    return calls
 
 
 @pytest.fixture
 def multiplier_draws(monkeypatch):
-    """Replicate ids of the multiplier paths drawn during a test, one per draw."""
+    """The replicate ids of each multiplier draw made during a test, one
+    list per call."""
     from gaptrend import awb
 
-    ids = []
+    calls = []
     draw = awb.draw_multipliers
 
-    def counted(cfg, days, replicate_id):
-        ids.append(replicate_id)
-        return draw(cfg, days, replicate_id)
+    def counted(cfg, days, ids):
+        calls.append(list(ids))
+        return draw(cfg, days, ids)
 
     monkeypatch.setattr(awb, "draw_multipliers", counted)
-    return ids
+    return calls
+
+
+def replicate_budget(draws, scans, n_boot, n_time):
+    """Each of ``n_boot`` replicates drawn once and scanned once, after the
+    fit's own one-row scan, in blocks of ``awb.block_size(n_time)`` ids:
+    ceil(B / k) draws, and as many scans after the fit's."""
+    from gaptrend.awb import block_size
+
+    n_blocks = -(-n_boot // block_size(n_time))
+    assert sorted(b for ids in draws for b in ids) == list(range(n_boot))
+    assert len(draws) == n_blocks
+    assert (scans[0], sum(scans), len(scans)) == (1, n_boot + 1, n_blocks + 1)
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import astuple
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
@@ -25,7 +26,7 @@ from gaptrend import (
 )
 from gaptrend import awb
 
-from conftest import make_series, random_masked_series
+from conftest import gappy_series, make_series, random_masked_series
 
 
 class TestGammaDefault:
@@ -56,7 +57,7 @@ def complete(cfg, n_time):
 
 def complete_path(cfg, n_time, replicate_id):
     """The multiplier path of a replicate on a complete grid."""
-    return draw_multipliers(cfg, complete(cfg, n_time), replicate_id)
+    return draw_multipliers(cfg, complete(cfg, n_time), [replicate_id])[0]
 
 
 class TestMultipliers:
@@ -69,11 +70,7 @@ class TestMultipliers:
         # Oracle: exact stationary AR(1) moments (unit variance everywhere).
         cfg = AwbConfig(seed=5, gamma=0.85)
         T, B = 40, 100_000
-        days = complete(cfg, T)
-        cols = np.empty((B, 3))
-        for b in range(B):
-            xi = draw_multipliers(cfg, days, b)
-            cols[b] = xi[0], xi[T // 2], xi[-1]
+        cols = draw_multipliers(cfg, complete(cfg, T), range(B))[:, [0, T // 2, -1]]
         tol = 3.0 * np.sqrt(2.0 / B)
         for j in range(3):
             assert abs(cols[:, j].var() - 1.0) < tol
@@ -81,23 +78,15 @@ class TestMultipliers:
     def test_lag_one_autocorrelation_matches_gamma(self):
         cfg = AwbConfig(seed=6, gamma=0.7)
         B = 100_000
-        days = complete(cfg, 12)
-        pairs = np.empty((B, 2))
-        for b in range(B):
-            xi = draw_multipliers(cfg, days, b)
-            pairs[b] = xi[5], xi[6]
+        pairs = draw_multipliers(cfg, complete(cfg, 12), range(B))[:, [5, 6]]
         corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
         assert corr == pytest.approx(0.7, abs=0.01)
 
     def test_marginals_standard_normal(self):
         cfg = AwbConfig(seed=7, gamma=0.6)
         B = 20_000
-        days = complete(cfg, 25)
-        first = np.empty(B)
-        last = np.empty(B)
-        for b in range(B):
-            xi = draw_multipliers(cfg, days, b)
-            first[b], last[b] = xi[0], xi[-1]
+        paths = draw_multipliers(cfg, complete(cfg, 25), range(B))
+        first, last = paths[:, 0], paths[:, -1]
         qs = np.linspace(0.1, 0.9, 9)
         for sample in (first, last):
             dev = np.quantile(sample, qs) - stats.norm.ppf(qs)
@@ -200,10 +189,11 @@ def rekey_gamma(n_time):
 
 
 def fresh_multipliers(seed, replicate_id, n_time):
-    """Oracle: the multiplier path drawn from a generator built for its key."""
+    """Oracle: the multiplier path drawn from a generator built for its key,
+    its rows of positions run over the whole calendar row."""
     cfg = AwbConfig(seed=seed, gamma=rekey_gamma(n_time))
     days = complete(cfg, n_time)
-    weights, decay, carry = days.factors
+    weights, decay, carry = awb._ar1_factors(n_time, cfg.resolve_gamma(n_time))
     buf = np.zeros(weights.size)
     z = awb._stream(seed, replicate_id).standard_normal(days.positions.size)
     buf[days.positions] = z * days.weights
@@ -217,7 +207,8 @@ def fresh_multipliers(seed, replicate_id, n_time):
 
 class TestMultiplierRecursion:
     """The blocked prefix-sum recursion against direct recursions, on a
-    complete grid and on a mask with gaps of 1 to 5000 days."""
+    complete grid and on a mask with gaps of 1 to 5000 days, for blocks of
+    one id and of several."""
 
     @pytest.mark.parametrize("n_time", [285, 666, 3000, 12000, 40000])
     @pytest.mark.parametrize("gamma", [0.01, 0.3, None, 0.99])
@@ -225,10 +216,13 @@ class TestMultiplierRecursion:
         cfg = AwbConfig(seed=3, gamma=gamma)
         for name, mask in masks(n_time).items():
             days = observed_days(cfg, mask)
-            for b in range(2):
+            paths = draw_multipliers(cfg, days, range(3))
+            for b in range(3):
                 ref = lfilter_multipliers(cfg, mask, b)
-                xi = draw_multipliers(cfg, days, b)[days.positions]
+                xi = paths[b]
                 assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+                # A row does not depend on the ids beside it.
+                assert xi.tobytes() == draw_multipliers(cfg, days, [b])[0].tobytes(), name
 
     @pytest.mark.parametrize("n_time", [285, 3000, 12000, 40000])
     @pytest.mark.parametrize("gamma", [0.01, None, 0.9999])
@@ -242,10 +236,28 @@ class TestMultiplierRecursion:
         cfg = AwbConfig(seed=8, gamma=gamma)
         for name, mask in masks(n_time).items():
             days = observed_days(cfg, mask)
+            paths = draw_multipliers(cfg, days, [1, 0])
             for b in range(2):
                 ref = decimal_multipliers(cfg, mask, b)
-                xi = draw_multipliers(cfg, days, b)[days.positions]
+                xi = paths[1 - b]
                 assert np.max(np.abs(xi - ref)) <= 1e-14 * np.max(np.abs(ref)), name
+
+    def test_a_row_without_observed_days_carries_nothing(self):
+        # Oracle: lfilter over the calendar. Row 1 of L positions holds no
+        # observed day, so the carry into row 2, whose first position is
+        # observed, is gamma^(L+1) of the path at the end of row 0, below
+        # rounding, and no carry from row 0 may reach row 2 directly.
+        cfg = AwbConfig(seed=4, gamma=0.3)
+        width = awb._ar1_factors(1000, 0.3)[0].shape[1]
+        mask = np.zeros(1000, dtype=np.uint8)
+        mask[:width] = 1
+        mask[2 * width:] = 1
+        days = observed_days(cfg, mask)
+        assert days.spans[1][0] == days.spans[1][1] == width
+        paths = draw_multipliers(cfg, days, range(3))
+        for b in range(3):
+            ref = lfilter_multipliers(cfg, mask, b)
+            assert np.max(np.abs(paths[b] - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_gappy_mask_spans_one_day_to_5000(self):
         for n_time in (285, 666, 3000, 12000, 40000):
@@ -264,7 +276,7 @@ class TestMultiplierRecursion:
         mask = gappy_mask(1200, 7)
         days = observed_days(cfg, mask)
         B = 40_000
-        paths = np.stack([draw_multipliers(cfg, days, b)[days.positions] for b in range(B)])
+        paths = draw_multipliers(cfg, days, range(B))
         positions = days.positions
         gaps = np.diff(positions)
         # Neighbours one gap of each size apart, the long gap among them,
@@ -293,8 +305,8 @@ class TestMultiplierRecursion:
         cfg = AwbConfig(seed=12, n_boot=12)
         T = 12000
         days = complete(cfg, T)
-        forward = [draw_multipliers(cfg, days, b) for b in range(cfg.n_boot)]
-        backward = [draw_multipliers(cfg, days, b) for b in reversed(range(cfg.n_boot))]
+        forward = draw_multipliers(cfg, days, range(cfg.n_boot))
+        backward = [draw_multipliers(cfg, days, [b])[0] for b in reversed(range(cfg.n_boot))]
         assert all(np.array_equal(a, b) for a, b in zip(forward, backward[::-1]))
         # Each thread re-keys one generator per draw. Oracle: the path from a
         # fresh generator on the same key, over keys at both ends of the
@@ -319,7 +331,7 @@ class TestMultiplierRecursion:
                 awb._ar1_factors.cache_clear()
                 threaded = AwbConfig(seed=12, n_boot=12, threads=threads)
                 out = run_replicates(threaded, np.zeros(T), ones, lambda y: y.copy())
-                assert np.array_equal(out, np.array(forward))
+                assert np.array_equal(out, forward)
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     paths = list(pool.map(draw, shuffled))
                 for case, xi in zip(shuffled, paths):
@@ -342,8 +354,11 @@ class TestMultiplierRecursion:
 
 def replicate_oracle(cfg, base, residuals, b):
     """Replicate b built by hand: the base on observed days, 0 elsewhere,
-    plus the multiplier path of id b times the residuals."""
-    xi = draw_multipliers(cfg, observed_days(cfg, residuals.mask), b)
+    plus the multiplier path of id b, 0 on unobserved days, times the
+    residuals."""
+    days = observed_days(cfg, residuals.mask)
+    xi = np.zeros(len(residuals))
+    xi[days.positions] = draw_multipliers(cfg, days, [b])[0]
     return np.where(residuals.mask == 1, base, 0.0) + xi * residuals.values
 
 
@@ -355,19 +370,37 @@ class TestRunReplicates:
 
     def test_constant_kernel(self):
         cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
-        out = self.run(cfg, 8, lambda y: 2.5)
+        out = self.run(cfg, 8, lambda block: np.full(len(block), 2.5))
         assert out.tolist() == [2.5, 2.5, 2.5]
 
+    def test_blocks_of_consecutive_ids_fixed_by_the_series_length(self):
+        # k = max(1, 2^13 // T) ids a block, whatever the thread count; the
+        # last block holds what is left of B.
+        assert [awb.block_size(T) for T in (8, 285, 666, 3000, 12000)] == [1024, 28, 12, 2, 1]
+        for threads in (1, 3):
+            seen = []
+
+            def kernel(block):
+                seen.append(block.shape)
+                return block[:, 0]
+
+            self.run(AwbConfig(seed=0, n_boot=49, threads=threads), 666, kernel)
+            assert sorted(seen) == [(1, 666)] + [(12, 666)] * 4
+
     def test_result_shape_fixed_by_the_first_replicate(self):
-        # The results fill one (B, ...) array; a later replicate of another
-        # shape is refused, not broadcast into its row.
+        # The results fill one (B, ...) array; a later block whose rows
+        # have another shape, or that gives another number of rows, is
+        # refused, not broadcast into its rows. At T=4096 a block holds
+        # two ids.
         cfg = AwbConfig(seed=0, gamma=0.5, n_boot=3)
-        first = complete_path(cfg, 8, 0)
-        for later in (2.5, [2.5, 1.0, 0.0]):
-            def kernel(y, later=later):
-                return [2.5, 1.0] if np.array_equal(y, first) else later
-            with pytest.raises(ValueError, match="replicate 1 gave shape"):
-                self.run(cfg, 8, kernel)
+        first = complete_path(cfg, 4096, 0)
+        for later in (np.full((1,), 2.5), np.zeros((1, 3)), np.zeros((2, 2))):
+            def kernel(block, later=later):
+                return np.zeros((2, 2)) if np.array_equal(block[0], first) else later
+            with pytest.raises(ValueError, match=r"replicate 2 gave shape \("):
+                self.run(cfg, 4096, kernel)
+        with pytest.raises(ValueError, match=r"replicates 0-1 gave shape \(\), expected \(2,\)"):
+            self.run(cfg, 4096, lambda block: 2.5)
 
     def test_replicate_series_is_base_plus_masked_errors(self, rng):
         # Oracle: each replicate rebuilt from its own multiplier path. The
@@ -401,28 +434,57 @@ class TestRunReplicates:
 
     def test_same_seed_identical(self):
         cfg = AwbConfig(seed=9, gamma=0.4, n_boot=16)
-        kernel = lambda y: float(y.sum())  # noqa: E731
+        kernel = lambda block: block.sum(axis=1)  # noqa: E731
         assert np.array_equal(self.run(cfg, 30, kernel), self.run(cfg, 30, kernel))
 
     def test_threaded_matches_serial(self):
-        # Oracle: the serial run defines the contract for any schedule.
-        kernel = lambda y: float((y**2).sum())  # noqa: E731
-        serial = self.run(AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=1), 50, kernel)
-        for threads in (2, 5):
-            cfg = AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=threads)
-            assert np.array_equal(serial, self.run(cfg, 50, kernel))
+        # Oracle: the serial run defines the contract for any schedule. At
+        # T=50 the 24 replicates are one block, at T=1000 three of 8.
+        kernel = lambda block: (block**2).sum(axis=1)  # noqa: E731
+        for n_time in (50, 1000):
+            serial = self.run(AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=1), n_time, kernel)
+            for threads in (2, 5):
+                cfg = AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=threads)
+                assert np.array_equal(serial, self.run(cfg, n_time, kernel))
+
+    def test_procedures_identical_for_any_thread_count(self):
+        # At T=666 a block holds 12 ids, so B=49 runs four full blocks and
+        # one of a single id, spread over the workers differently for each
+        # thread count.
+        from gaptrend import break_analysis, estimate_break, monotonicity_tests, nw_estimate
+        from gaptrend.kerneltrend import trend_bootstrap_paths
+
+        rng = np.random.default_rng(666)
+        series = gappy_series(rng, 666, 0.6, gaps=[(200, 260)])
+        fit = estimate_break(series, n_harmonics=1)
+        trend = nw_estimate(series, 0.1)
+        runs = []
+        for threads in (1, 2, 5):
+            cfg = AwbConfig(seed=4, n_boot=49, threads=threads)
+            test, ci = break_analysis(fit, cfg)
+            mono = monotonicity_tests(trend, (300, 666), cfg)
+            runs.append([test.draws, ci.bootstrap_indices,
+                         np.array([astuple(ci.slopes.slope_before), astuple(ci.slopes.intercept)]),
+                         trend_bootstrap_paths(trend, cfg), mono.sign.draws, mono.magnitude.draws])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert got.tobytes() == want.tobytes()
 
     def test_kernel_failure_carries_replicate_id(self):
+        # At T=3000 blocks hold two ids: replicate 3 fails in block 2-3,
+        # whose first id the error carries.
         cfg = AwbConfig(seed=1, gamma=0.5, n_boot=5)
-        third = complete_path(cfg, 10, 3)
+        third = complete_path(cfg, 3000, 3)
 
-        def kernel(y):
-            if np.array_equal(y, third):
+        def kernel(block):
+            if any(np.array_equal(y, third) for y in block):
                 raise RuntimeError("boom")
-            return 0.0
+            return block[:, 0]
 
-        with pytest.raises(ReplicateError, match="replicate 3"):
-            self.run(cfg, 10, kernel)
+        with pytest.raises(ReplicateError, match="^replicates 2-3: boom$") as caught:
+            self.run(cfg, 3000, kernel)
+        assert caught.value.replicate_id == 2
+        assert ReplicateError(range(4, 5), "boom").args == ("replicate 4: boom",)
 
 
 class TestEmpiricalQuantile:

@@ -25,9 +25,10 @@ from gaptrend import (
 )
 from gaptrend import SingularDesignError, gen_mask, simulate_series
 from gaptrend import breaktrend
+from gaptrend.awb import block_size
 from gaptrend.breaktrend import BreakScan, BrokenTrendFit
 
-from conftest import gappy_series, make_series
+from conftest import gappy_series, make_series, replicate_budget
 
 
 def kinked_line(T, alpha=1.0, beta=0.5, delta=0.3, kink=60):
@@ -297,7 +298,7 @@ class TestBreakTest:
         for alpha in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(ValueError, match="alpha must lie in"):
                 break_test(fit, AwbConfig(seed=1, n_boot=9), alpha)
-        assert scan_calls == {"init": 1, "scan": 1}
+        assert scan_calls == {"init": 1, "scan": [1]}
 
     def test_statistic_is_the_fits_ssr_reduction(self, rng):
         # Oracle: the no-break and the broken fit by direct least squares.
@@ -393,7 +394,7 @@ class TestBreakAnalysis:
         fit = estimate_break(series, trim, n_harmonics=2)
         cfg = AwbConfig(seed=8, n_boot=29, threads=threads)
         test, ci = break_analysis(fit, cfg, alpha=0.1, level=0.8)
-        assert sorted(multiplier_draws) == list(range(cfg.n_boot))
+        assert sorted(b for ids in multiplier_draws for b in ids) == list(range(cfg.n_boot))
         ref = break_test(fit, cfg, alpha=0.1)
         ref_ci = break_ci(fit, cfg, level=0.8)
 
@@ -414,15 +415,17 @@ class TestBreakAnalysis:
     def test_each_replicate_draws_and_scans_once(self, scan_calls, multiplier_draws):
         # Per-replicate call budget: the fit's own scan, then one multiplier
         # draw and one scan per replicate, for the test, the intervals and
-        # both together.
+        # both together. At T=397 a block holds 20 ids: B=17 is one block,
+        # B=45 two full blocks and one of 5.
         series = gappy_series(np.random.default_rng(42), 397, 0.6, gaps=[(150, 215)])
-        cfg = AwbConfig(seed=3, n_boot=17)
-        for procedure in (break_test, break_ci, break_analysis):
-            scan_calls.update(init=0, scan=0)
-            multiplier_draws.clear()
-            procedure(estimate_break(series, trimming_set(397, 0.15), n_harmonics=2), cfg)
-            assert scan_calls == {"init": 1, "scan": cfg.n_boot + 1}, procedure.__name__
-            assert sorted(multiplier_draws) == list(range(cfg.n_boot)), procedure.__name__
+        for n_boot in (17, 45):
+            cfg = AwbConfig(seed=3, n_boot=n_boot)
+            for procedure in (break_test, break_ci, break_analysis):
+                scan_calls.update(init=0, scan=[])
+                multiplier_draws.clear()
+                procedure(estimate_break(series, trimming_set(397, 0.15), n_harmonics=2), cfg)
+                assert scan_calls["init"] == 1, procedure.__name__
+                replicate_budget(multiplier_draws, scan_calls["scan"], n_boot, 397)
 
     def test_rates_checked_before_any_scan(self, rng, scan_calls):
         # The fit's own scan is the only one: a refused rate rescans nothing.
@@ -433,7 +436,7 @@ class TestBreakAnalysis:
             break_analysis(fit, cfg, alpha=1.0)
         with pytest.raises(ValueError, match="level must lie in"):
             break_analysis(fit, cfg, level=1.5)
-        assert scan_calls == {"init": 1, "scan": 1}
+        assert scan_calls == {"init": 1, "scan": [1]}
 
 
 class TestSlopeCis:
@@ -458,10 +461,12 @@ class TestSlopeCis:
         days = observed_days(cfg, series.mask)
         rows = []
         for b in range(cfg.n_boot):
-            y = fitted + series.mask * draw_multipliers(cfg, days, b) * u_hat
-            state = scan.scan(y)
+            xi = np.zeros(150)
+            xi[days.positions] = draw_multipliers(cfg, days, [b])[0]
+            y = fitted + series.mask * xi * u_hat
+            state = scan.scan(y[None])
             coef = scan.coefficients(state)
-            rows.append((state.best, coef["alpha"], coef["beta"], coef["delta"]))
+            rows.append((state.best[0], coef["alpha"][0], coef["beta"][0], coef["delta"][0]))
         best, alphas, betas, deltas = np.array(rows).T
         assert ci.bootstrap_indices.tolist() == best.astype(int).tolist()
 
@@ -528,6 +533,41 @@ class TestSlopeCis:
 
 
 class TestScanInternals:
+    @pytest.mark.parametrize("n_time", [285, 666, 3000])
+    @pytest.mark.parametrize("n_harmonics", [0, 3])
+    def test_block_scan_rows_match_one_row_scans(self, n_time, n_harmonics):
+        # Oracle: each row of a block scanned alone, as a block of one, over
+        # the trimming set and over one imposed candidate, with and without
+        # the shift onto a broken fit. The block is one of the runner's
+        # (block_size(T) rows) and never fewer than 5.
+        rng = np.random.default_rng(n_time + n_harmonics)
+        gap = (n_time // 3, n_time // 3 + n_time // 10)
+        series = gappy_series(rng, n_time, 0.6, gaps=[gap])
+        k = max(block_size(n_time), 5)
+        trend = kinked_line(n_time, beta=-0.004, delta=0.01, kink=int(0.6 * n_time))
+        block = (trend + rng.normal(0.0, 0.3, (k, n_time))) * series.mask
+        years = series.calendar_years()
+        for trim in (trimming_set(n_time, 0.15), np.array([n_time // 2])):
+            scan = BreakScan(series.mask, years, trim, n_harmonics)
+            shift = scan.shift(rng.normal(0.0, 0.3, n_time))
+            for extra in ((), (shift,)):
+                state = scan.scan(block, *extra)
+                rows = [scan.scan(y[None], *extra) for y in block]
+                if extra:
+                    state, rows = state[1], [shifted for _, shifted in rows]
+                coef = scan.coefficients(state)
+                for i, one in enumerate(rows):
+                    ref = scan.coefficients(one)
+                    assert state.best[i] == one.best[0], (trim.size, i)
+                    for name in ("f_stat", "ssr0"):
+                        assert getattr(state, name)[i] == pytest.approx(
+                            getattr(one, name)[0], rel=1e-10), name
+                    got = np.r_[coef["alpha"][i], coef["beta"][i] * n_time,
+                                coef["delta"][i] * n_time, coef["harmonics"][i], coef["ssr"][i]]
+                    want = np.r_[ref["alpha"][0], ref["beta"][0] * n_time,
+                                 ref["delta"][0] * n_time, ref["harmonics"][0], ref["ssr"][0]]
+                    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), i
+
     def test_fit_is_its_series_and_scan(self, rng):
         values = kinked_line(300, beta=-0.2, delta=0.4, kink=170) + rng.normal(0, 2.0, 300)
         mask = (rng.random(300) < 0.7).astype(np.uint8)
@@ -585,7 +625,7 @@ class TestScanInternals:
         series = make_series(kinked_line(T, delta=0.1, kink=150) + rng.normal(0, 18.0, T), mask)
         trim = trimming_set(T, 0.1)
         scan = BreakScan(mask, series.calendar_years(), trim, 3)
-        state = scan.scan(series.values)
+        state = scan.scan(series.values[None])
 
         tau = np.arange(1, T + 1) / T
         Z = np.column_stack([np.ones(T), tau, fourier_design(series.calendar_years(), 3)])
@@ -599,30 +639,31 @@ class TestScanInternals:
             coef, _, _, _ = np.linalg.lstsq(X, y, rcond=None)
             r = y - X @ coef
             reductions.append(r0 @ r0 - r @ r)
-        assert np.max(np.abs(state.beta0 - beta0)) <= 1e-10 * np.max(np.abs(beta0))
-        assert state.ssr0 == pytest.approx(r0 @ r0, rel=1e-10)
-        assert state.f_stat == pytest.approx(max(reductions), rel=1e-10)
-        assert state.best == trim[int(np.argmax(reductions))]
+        assert np.max(np.abs(state.beta0[0] - beta0)) <= 1e-10 * np.max(np.abs(beta0))
+        assert state.ssr0[0] == pytest.approx(r0 @ r0, rel=1e-10)
+        assert state.f_stat[0] == pytest.approx(max(reductions), rel=1e-10)
+        assert state.best[0] == trim[int(np.argmax(reductions))]
 
     def test_shifted_scan_matches_a_direct_scan(self):
         # Oracle: the scan of y + d made directly, where scan(y, shift)
         # adds d's sums to those of y; the scan of y itself is unchanged.
+        # The two responses are scanned as one block.
         rng = np.random.default_rng(43)
         series = gappy_series(rng, 397, 0.6, gaps=[(150, 215)])
         fit = estimate_break(series, trimming_set(397, 0.15), n_harmonics=2)
         scan = fit.scan
         d = fit.fitted_values() - fit.null_trend
-        for y in (fit.null_trend + rng.normal(0.0, 0.3, 397), series.values):
-            null, shifted = scan.scan(y, scan.shift(d))
-            alone, direct = scan.scan(y), scan.scan(y + d)
-            assert (null.ssr0, null.f_stat, null.best) == (alone.ssr0, alone.f_stat, alone.best)
-            assert np.array_equal(null.num, alone.num)
-            assert shifted.best == direct.best
-            assert shifted.ssr0 == pytest.approx(direct.ssr0, rel=1e-10)
-            assert shifted.f_stat == pytest.approx(direct.f_stat, rel=1e-10)
-            scale = np.max(np.abs(direct.num))
-            assert np.max(np.abs(shifted.num - direct.num)) <= 1e-10 * scale
-            assert np.allclose(shifted.beta0, direct.beta0, rtol=1e-10, atol=0.0)
+        y = np.stack([fit.null_trend + rng.normal(0.0, 0.3, 397), series.values])
+        null, shifted = scan.scan(y, scan.shift(d))
+        alone, direct = scan.scan(y), scan.scan(y + d)
+        for name in ("ssr0", "f_stat", "best", "num"):
+            assert np.array_equal(getattr(null, name), getattr(alone, name)), name
+        assert np.array_equal(shifted.best, direct.best)
+        np.testing.assert_allclose(shifted.ssr0, direct.ssr0, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(shifted.f_stat, direct.f_stat, rtol=1e-10, atol=0.0)
+        scale = np.max(np.abs(direct.num), axis=1, keepdims=True)
+        assert np.all(np.abs(shifted.num - direct.num) <= 1e-10 * scale)
+        assert np.allclose(shifted.beta0, direct.beta0, rtol=1e-10, atol=0.0)
 
     def test_observed_row_scan_matches_lstsq_at_paper_scale(self):
         # Oracle: least-squares refits on the long station's design, 33
@@ -659,7 +700,7 @@ class TestScanInternals:
         best = fit.break_index
         spread = set(np.linspace(trim[0], trim[-1], 40).round().astype(int).tolist())
         for c in sorted(spread | {best - 1, best, best + 1}):
-            ssr = fit.scan.coefficients(fit.state._replace(best=c))["ssr"]
+            ssr = fit.scan.coefficients(fit.state._replace(best=np.array([c])))["ssr"][0]
             ref = refit_ssr(c)
             assert ssr == pytest.approx(ref, rel=1e-10), c
             assert fit.ssr <= ref * (1 + 1e-10), c
@@ -698,4 +739,4 @@ class TestScanInternals:
             assert ((r @ r) / (h @ h) < 1e-12) == (c == c0)
 
         for y in (series.values, np.where(np.arange(T) >= c0, np.arange(T) - c0, 0.0)):
-            assert scan.scan(y).best != c0
+            assert scan.scan(y[None]).best[0] != c0

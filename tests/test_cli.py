@@ -19,6 +19,8 @@ import pytest
 import gaptrend
 from gaptrend.cli import _load_config, cli, load_fit_artifact, run
 
+from conftest import replicate_budget
+
 
 @pytest.fixture(scope="module")
 def toy_csv(tmp_path_factory):
@@ -334,10 +336,11 @@ class TestArtifacts:
     def test_break_scans_its_design_once(self, toy_csv, tmp_path, scan_calls,
                                          multiplier_draws):
         # One scan of the observed series, then one per replicate, whose
-        # sums give the replicate under the no-break and the broken fit.
+        # sums give the replicate under the no-break and the broken fit;
+        # the 420-day series runs its 19 replicates as one block.
         assert run(["--out", str(tmp_path), "break", "--input", toy_csv, "--B", "19"]) == 0
-        assert scan_calls == {"init": 1, "scan": 19 + 1}
-        assert sorted(multiplier_draws) == list(range(19))
+        assert scan_calls["init"] == 1
+        replicate_budget(multiplier_draws, scan_calls["scan"], 19, 420)
 
     def test_break_reports_skipped_candidates(self, toy_csv, tmp_path, monkeypatch):
         # A hinge counts as unidentified when its Schur complement falls

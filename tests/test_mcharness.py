@@ -124,6 +124,34 @@ class TestMask:
                 assert got.dtype == np.uint8
                 assert np.array_equal(got, scalar_chain(mode, n_time, _stream(seed, 0)))
 
+    @pytest.mark.parametrize("mode", ["30%", "70%"])
+    def test_matches_the_python_float_chain(self, mode):
+        # Oracle: the chain stepped day by day over Python floats, which
+        # compare exactly as the float64 draws and probabilities do, on
+        # grids from one day to the panels' lengths.
+        def python_chain(mode, n_time, rng):
+            P = MISSING_TRANSITIONS[mode]
+            p_obs = P[:, 1].tolist()
+            u = rng.random(n_time).tolist()
+            state = 1 if u[0] < float(P[0, 1] / (P[0, 1] + P[1, 0])) else 0
+            states = [state]
+            for x in u[1:]:
+                state = 1 if x < p_obs[state] else 0
+                states.append(state)
+            return np.array(states, dtype=np.uint8)
+
+        for seed in range(100):
+            for n_time in (1, 2, 285, 666, 3000):
+                got = gen_mask(mode, n_time, _stream(seed, 0))
+                assert got.tobytes() == python_chain(mode, n_time, _stream(seed, 0)).tobytes()
+
+    def test_refuses_a_chain_likelier_to_observe_after_a_gap(self, monkeypatch):
+        # The running-maximum rule needs an observation to be likelier
+        # after an observed day than after a missing one.
+        monkeypatch.setitem(MISSING_TRANSITIONS, "30%", np.array([[0.2, 0.8], [0.55, 0.45]]))
+        with pytest.raises(ValueError, match="likelier after an observed day"):
+            gen_mask("30%", 100, np.random.default_rng(0))
+
 
 class TestTrend:
     def test_logistic_center_is_half(self):
@@ -198,9 +226,11 @@ class TestSimulation:
         rate = result.estimates["rejection_rate"][0]
         assert rate in (0.0, 1.0)
 
-    def test_break_test_cell_builds_one_scan_per_draw(self, scan_calls):
+    def test_break_test_cell_builds_one_scan_per_draw(self, scan_calls, multiplier_draws):
         # The test bootstraps the draw's fit: its replicates rescan the
         # fit's own scan, and the series is scanned once, by the estimate.
+        # At T=120 the 9 replicates of a draw are one block: one draw and
+        # one scan of 9 rows.
         design = McDesign(
             n_time=120, missing="30%", sigma_eta=26.0,
             trend=LinearTrendSpec(4000.0, -0.5, 0.5, 0.6, "grid"),
@@ -208,9 +238,10 @@ class TestSimulation:
         )
         result = run_break_test_cell(design)
         assert (result.n_effective, result.failures) == (3, 0)
-        assert scan_calls == {"init": 3, "scan": 3 * (9 + 1)}
+        assert scan_calls == {"init": 3, "scan": [1, 9] * 3}
+        assert multiplier_draws == [list(range(9))] * 3
 
-    def test_break_ci_cell_builds_one_scan_per_draw(self, scan_calls):
+    def test_break_ci_cell_builds_one_scan_per_draw(self, scan_calls, multiplier_draws):
         design = McDesign(
             n_time=120, missing="30%", sigma_eta=26.0,
             trend=LinearTrendSpec(4000.0, -0.5, 0.5, 0.6, "grid"),
@@ -218,7 +249,8 @@ class TestSimulation:
         )
         result = run_break_ci_cell(design)
         assert (result.n_effective, result.failures) == (3, 0)
-        assert scan_calls == {"init": 3, "scan": 3 * (9 + 1)}
+        assert scan_calls == {"init": 3, "scan": [1, 9] * 3}
+        assert multiplier_draws == [list(range(9))] * 3
 
 
 class TestCells:
@@ -236,7 +268,7 @@ class TestCells:
 
         def failing_replicate(cause):
             def fake(*_args, **_kwargs):
-                raise ReplicateError(0, str(cause)) from cause
+                raise ReplicateError(range(0, 7), str(cause)) from cause
             return fake
 
         monkeypatch.setattr(mc, "break_test", failing_replicate(SingularDesignError("singular")))
