@@ -15,12 +15,15 @@ sum costs O(1) and a whole pass, reading each value once, O(T).
 A fit is built from its series and bandwidth alone and runs every bootstrap
 of the estimate through ``fit.bootstrap``, around its pilot ``fit.pilot``.
 The bands read one (B, T) matrix of bootstrap deviations from the pilot
-and one copy of it sorted along the replicates.
+and, of that matrix sorted along the replicates, only the tail rows that
+some calibration rate reads. Joint coverage never rises along the rates, so
+the simultaneous rate is found by bisection, not by a scan.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -303,61 +306,124 @@ def trend_bootstrap_paths(fit: KernelTrendFit, cfg: AwbConfig) -> np.ndarray:
     return deviations
 
 
+_CHUNK = 256  # columns of the deviation matrix sorted at a time
+_BLOCK = 2**16  # entries of the deviation matrix compared at a time
+
+
+def _calibration_rates(n_boot: int, level: float) -> list[float]:
+    """Candidate pointwise rates k/B, k = 1..floor(B (1 - level)), then
+    1 - level itself when it lies past the last; 1/B alone when 1 - level
+    is finer than 1/B."""
+    alpha = 1.0 - level
+    rates = list(np.arange(1, int(np.floor(n_boot * alpha)) + 1) / n_boot)
+    if not rates:
+        return [1.0 / n_boot]
+    if rates[-1] < alpha:
+        rates.append(alpha)
+    return rates
+
+
+class SortedRows:
+    """Some rows of a (B, T) matrix sorted along its replicates.
+
+    ``self[i]`` is row i of ``np.sort(matrix, axis=0)`` bit for bit, NaN
+    last, for each kept row i; ``shape`` is the whole matrix's, so
+    ``basic_interval`` reads it as it reads the full sort. The kept rows
+    are gathered from column chunks sorted one at a time, so no sorted
+    copy of the whole matrix is ever held.
+    """
+
+    def __init__(self, matrix: np.ndarray, rows: list[int]) -> None:
+        self.shape = matrix.shape
+        self._at = {row: i for i, row in enumerate(rows)}
+        self._values = np.empty((len(rows), matrix.shape[1]))
+        for c in range(0, matrix.shape[1], _CHUNK):
+            lanes = np.ascontiguousarray(matrix[:, c:c + _CHUNK].T)
+            lanes.sort(axis=1)
+            self._values[:, c:c + _CHUNK] = lanes[:, rows].T
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return self._values[self._at[row]]
+
+
 def pointwise_bands(
     g_hat: np.ndarray, deviations: np.ndarray, level: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[SortedRows, np.ndarray, np.ndarray]:
     """Pointwise bootstrap intervals for the trend at every position.
 
     The interval at t/T is [g - q(1-a/2), g - q(a/2)], a = 1 - level, from
-    the (B, T) replicate deviations around the pilot. Returns (deviations
-    sorted along axis 0, lower, upper).
+    the (B, T) replicate deviations around the pilot. Returns (the tail
+    rows of the deviations sorted along axis 0, lower, upper): the rows
+    q(a_p/2) and q(1 - a_p/2) of every calibration rate a_p and of a, the
+    only rows either band reads.
     """
-    ordered = np.sort(deviations, axis=0)
+    n_boot = deviations.shape[0]
+    rows = {quantile_row(q, n_boot) for ap in [*_calibration_rates(n_boot, level), 1.0 - level]
+            for q in (ap / 2.0, 1.0 - ap / 2.0)}
+    ordered = SortedRows(deviations, sorted(rows))
     lower, upper = basic_interval(g_hat, ordered, 1.0 - level)
     return ordered, lower, upper
 
 
 def simultaneous_bands(
-    g_hat: np.ndarray, deviations: np.ndarray, ordered: np.ndarray, level: float
+    g_hat: np.ndarray, deviations: np.ndarray, ordered: SortedRows, level: float
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Calibrate the pointwise error rate until bands hold jointly at ``level``.
 
-    Scans candidate pointwise rates a_p in [1/B, alpha] and, for each,
-    counts the fraction of bootstrap deviation paths lying inside their
+    The joint coverage of a candidate pointwise rate a_p in [1/B, alpha]
+    is the fraction of bootstrap deviation paths lying inside their
     per-point intervals at every defined position simultaneously. The
-    rate whose joint coverage is closest to the target becomes alpha_s
-    (ties to the widest band); :func:`confidence_bands` warns when that
-    coverage still misses the level. Positions where the trend or any
-    deviation path is undefined get NaN bands and put no path outside.
+    intervals shrink as a_p grows, so coverage never rises along the
+    rates, and a bisection finds the first rate whose coverage falls below
+    the level and the first rate of the plateau just above it. Of those
+    two, the one whose coverage is closer to the level becomes alpha_s,
+    the earlier (wider band) on a tie: the first closest rate of a scan
+    over all of them. A rate's coverage is counted once, over a block of
+    paths at a time, so no (B, T) comparison is ever held.
+    :func:`confidence_bands` warns when that coverage still misses the
+    level. Positions where the trend or any deviation path is undefined get
+    NaN bands and put no path outside. ``ordered`` is what
+    :func:`pointwise_bands` returned at the same level.
     Returns (alpha_s, joint coverage at alpha_s, lower, upper).
     """
-    alpha = 1.0 - level
-    B = deviations.shape[0]
-    defined = np.isfinite(g_hat) & np.isfinite(deviations).all(axis=0)
-
-    ks = np.arange(1, int(np.floor(B * alpha)) + 1)
-    grid = list(ks / B)
-    if not grid:
+    B, T = deviations.shape
+    rates = _calibration_rates(B, level)
+    if B * (1.0 - level) < 1.0:
         warnings.warn(
             f"target level {level:g} finer than 1/B with B={B}; using the widest band",
             stacklevel=2,
         )
-        grid = [1.0 / B]
-    elif grid[-1] < alpha:
-        grid.append(alpha)
+    # NaN sorts last and -inf first, so the envelope (rate 1/B) tells the
+    # columns where every path is finite.
+    defined = np.isfinite(g_hat) & np.isfinite(ordered[0]) & np.isfinite(ordered[B - 1])
+    rows = max(1, _BLOCK // T)
+    covered: dict[int, float] = {}
 
-    best_ap, best_score, best_cov = None, np.inf, 0.0
-    for ap in grid:
-        # Undefined columns read (-inf, inf) and NaN compares False: no path falls out there.
-        lo = np.where(defined, ordered[quantile_row(ap / 2.0, B)], -np.inf)
-        hi = np.where(defined, ordered[quantile_row(1.0 - ap / 2.0, B)], np.inf)
-        inside = (~((deviations < lo) | (deviations > hi)).any(axis=1)).mean()
-        score = abs(inside - level)
-        if score < best_score:
-            best_ap, best_score, best_cov = ap, score, inside
+    def coverage(i: int) -> float:
+        if i not in covered:
+            ap = rates[i]
+            # Undefined columns read (-inf, inf) and NaN compares False: no path falls out there.
+            lo = np.where(defined, ordered[quantile_row(ap / 2.0, B)], -np.inf)
+            hi = np.where(defined, ordered[quantile_row(1.0 - ap / 2.0, B)], np.inf)
+            out = np.empty(B, dtype=bool)
+            for r in range(0, B, rows):
+                paths = deviations[r:r + rows]
+                out[r:r + rows] = ((paths < lo) | (paths > hi)).any(axis=1)
+            covered[i] = (~out).mean()
+        return covered[i]
 
-    lower, upper = basic_interval(np.where(defined, g_hat, np.nan), ordered, best_ap)
-    return float(best_ap), float(best_cov), lower, upper
+    below = bisect_left(range(len(rates)), True, key=lambda i: coverage(i) < level)
+    candidates = []
+    if below > 0:  # the first rate of the plateau just above the level
+        plateau = coverage(below - 1)
+        candidates.append(bisect_left(range(below), True, key=lambda i: coverage(i) <= plateau))
+    if below < len(rates):
+        candidates.append(below)
+    # min keeps the first of equal scores: the earlier rate, the wider band.
+    best = min(candidates, key=lambda i: abs(coverage(i) - level))
+
+    lower, upper = basic_interval(np.where(defined, g_hat, np.nan), ordered, rates[best])
+    return float(rates[best]), float(coverage(best)), lower, upper
 
 
 def confidence_bands(
@@ -377,10 +443,6 @@ def confidence_bands(
     n_boot = deviations.shape[0]
     ordered, pointwise_lower, pointwise_upper = pointwise_bands(fit.g_hat, deviations, level)
     alpha_s, coverage, lower, upper = simultaneous_bands(fit.g_hat, deviations, ordered, level)
-    # A first warning reads this module's source into the line cache, which
-    # keeps it; read while the two (B, T) matrices were alive, those lines
-    # raised the smooth command's peak RSS by 8 MB at T=12000, B=149.
-    del deviations, ordered
     error = mc_error(level, n_boot)
     if abs(coverage - level) > error:
         warnings.warn(

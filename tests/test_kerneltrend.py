@@ -22,6 +22,7 @@ from gaptrend import (
     run_replicates,
     simultaneous_bands,
 )
+from gaptrend.awb import basic_interval, quantile_row
 from gaptrend.kerneltrend import _window_sums, nw_smoother, window_bounds
 
 from conftest import gappy_series, make_series, random_masked_series, traced_peak
@@ -403,6 +404,64 @@ def isolated_v_series(spacing=30, n_points=9, h=0.05):
     return make_series(values, mask), positions
 
 
+def scanned_bands(g_hat, deviations, level):
+    """Oracle: the band calibration as a linear scan over every admissible
+    rate, reading the full sort of the deviations. Returns (alpha_s, joint
+    coverage, lower, upper, pointwise lower, pointwise upper)."""
+    alpha = 1.0 - level
+    B = deviations.shape[0]
+    ordered = np.sort(deviations, axis=0)
+    pointwise = basic_interval(g_hat, ordered, alpha)
+    defined = np.isfinite(g_hat) & np.isfinite(deviations).all(axis=0)
+    grid = list(np.arange(1, int(np.floor(B * alpha)) + 1) / B)
+    if not grid:
+        grid = [1.0 / B]
+    elif grid[-1] < alpha:
+        grid.append(alpha)
+    best_ap, best_score, best_cov = None, np.inf, 0.0
+    for ap in grid:
+        lo = np.where(defined, ordered[quantile_row(ap / 2.0, B)], -np.inf)
+        hi = np.where(defined, ordered[quantile_row(1.0 - ap / 2.0, B)], np.inf)
+        inside = (~((deviations < lo) | (deviations > hi)).any(axis=1)).mean()
+        score = abs(inside - level)
+        if score < best_score:
+            best_ap, best_score, best_cov = ap, score, inside
+    lower, upper = basic_interval(np.where(defined, g_hat, np.nan), ordered, best_ap)
+    return (float(best_ap), float(best_cov), lower, upper) + pointwise
+
+
+def calibrated_bands(g_hat, deviations, level):
+    """The two band layers in the order ``confidence_bands`` calls them,
+    returned as :func:`scanned_bands` returns its result."""
+    ordered, pointwise_lower, pointwise_upper = pointwise_bands(g_hat, deviations, level)
+    return simultaneous_bands(g_hat, deviations, ordered, level) + (pointwise_lower,
+                                                                     pointwise_upper)
+
+
+def band_toy(rng, B, T, case):
+    """Smooth deviation paths, three random walks mixed plus a little noise,
+    so joint coverage falls gradually along the rates, with the trend's
+    value 0 and the defects of ``case``: values rounded to 0.1 (``ties``),
+    undefined trend columns, undefined path entries, or no defined column
+    at all."""
+    walks = np.cumsum(rng.normal(size=(3, T)), axis=1) / np.sqrt(T)
+    dev = rng.normal(size=(B, 3)) @ walks + rng.uniform(0.0, 0.1) * rng.normal(size=(B, T))
+    g = np.zeros(T)
+    if case == "ties":
+        dev = np.round(dev, 1)
+    elif case == "nan_trend":
+        g[rng.choice(T, size=T // 5, replace=False)] = np.nan
+    elif case == "nan_paths":
+        dev[rng.integers(0, B, size=T // 4), rng.integers(0, T, size=T // 4)] = np.nan
+    elif case == "undefined":
+        g[:] = np.nan
+    return g, dev
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 class TestBands:
     def test_zero_residuals_give_zero_width(self):
         series, _ = isolated_v_series()
@@ -469,6 +528,62 @@ class TestBands:
         np.testing.assert_array_equal(upper[defined], -s[lo_i])
         assert np.isnan(lower[[2, 6]]).all() and np.isnan(upper[[2, 6]]).all()
 
+    @pytest.mark.parametrize("level", [0.8, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("B", [19, 20, 40, 99, 149, 999])
+    def test_calibration_is_bit_identical_to_a_scan_over_every_rate(self, B, level):
+        # 300 columns cross one chunk boundary of the sort and of the
+        # coverage count.
+        rng = np.random.default_rng(1000 * B + int(100 * level))
+        for case in ("plain", "ties", "nan_trend", "nan_paths", "undefined"):
+            g, dev = band_toy(rng, B, 300, case)
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                expected = scanned_bands(g, dev, level)
+                got = calibrated_bands(g, dev, level)
+            assert got[:2] == expected[:2], case
+            for name, a, b in zip(("lower", "upper", "pointwise lower", "pointwise upper"),
+                                  got[2:], expected[2:]):
+                assert same_bits(a, b), (case, name)
+            assert len(seen) == int(B * (1.0 - level) < 1.0)
+
+    def test_tie_between_plateau_and_first_rate_below_takes_the_plateau(self):
+        # B=16 at level 0.75 admits rates 1/16..4/16, reading rows (0, 15),
+        # (0, 14), (1, 14) and (1, 13). Paths 0 and 1 hold rows 15 and 0 in
+        # every column and paths 2-5 row 14 in one column each, so coverage
+        # runs 1, 14/16, 14/16, 10/16: the plateau at 0.875 and the rate
+        # below it at 0.625 both lie 0.125 from the level, exactly. A scan
+        # takes the first rate of the plateau, 2/16.
+        B, T = 16, 4
+        dev = np.empty((B, T))
+        for t in range(T):
+            top, bottom = (0, 1) if t % 2 == 0 else (1, 0)
+            order = [bottom] + [b for b in range(6, B)] + [b for b in range(2, 6) if b != 2 + t]
+            order += [2 + t, top]
+            dev[order, t] = np.arange(B)
+        g = np.zeros(T)
+        alpha_s, joint, lower, upper, _, _ = calibrated_bands(g, dev, 0.75)
+        assert (alpha_s, joint) == (2 / 16, 0.875)
+        np.testing.assert_array_equal(lower, -np.full(T, 14.0))
+        np.testing.assert_array_equal(upper, np.zeros(T))
+        assert (alpha_s, joint) == scanned_bands(g, dev, 0.75)[:2]
+
+    def test_band_layers_hold_little_beside_the_deviations(self):
+        # The calibration reads the tail rows of the sort and counts
+        # coverage a column chunk at a time: well under half the deviation
+        # matrix beside it, where a sorted copy alone would be all of it.
+        rng = np.random.default_rng(11)
+        B, T = 199, 6000
+        dev = rng.normal(size=(B, T))
+        g = np.zeros(T)
+        g[2000:2400] = np.nan
+        dev[5, 100] = np.nan
+
+        def both():
+            ordered, _, _ = pointwise_bands(g, dev, 0.95)
+            simultaneous_bands(g, dev, ordered, 0.95)
+
+        assert traced_peak(both) <= 0.5 * B * T * 8
+
     def test_widest_band_warning_when_level_unreachable(self, rng):
         dev = rng.normal(size=(9, 4))
         g = np.zeros(4)
@@ -500,8 +615,9 @@ class TestBands:
         assert band.joint_coverage == pytest.approx(188 / 199)
 
     def test_memory_one_deviation_matrix_sorted_once(self):
-        # The bands hold the deviations and one sorted copy, nothing more;
-        # the gap leaves undefined positions, which take no sliced copy.
+        # The bands hold the deviations and the tail rows of their sort,
+        # nothing more; the gap leaves undefined positions, which take no
+        # sliced copy.
         T, B = 3000, 199
         series = gappy_series(np.random.default_rng(3), T, 0.6, gaps=[(1400, 1700)])
         fit = nw_estimate(series, 0.04)
