@@ -2,18 +2,18 @@
 
 Every inference procedure in the package shares this machinery: an AR(1)
 multiplier process with unit marginal variance, and one replicate runner
-that builds every replicate series, the base on observed days (0 on the
-others) plus multiplier times residual, deterministic for a given seed no
-matter how the replicates are scheduled. A replicate reads its multipliers
-on the observed days alone, so it draws one normal per observed day; the
-AR(1) step across a gap of k days is scaled to keep unit variance.
-Multipliers come from a counter-based generator keyed by (seed, replicate
-id), so replicate b is the same whether it runs first, last, serially, or
-on a worker thread; each thread re-keys one generator per replicate
-instead of building one. Replicates run in blocks of consecutive ids, a
-number fixed by T alone: one draw gives a block's paths and the statistic
-reads the block as the rows of one array. The AR(1) recursion itself is
-a scaled prefix sum over the observed days of each row of calendar
+that builds every replicate series on the observed days, the base plus
+multiplier times residual, deterministic for a given seed no matter how
+the replicates are scheduled. A replicate draws one normal per observed
+day; the AR(1) step across a gap of k days is scaled to keep unit
+variance. Multipliers come from a counter-based generator keyed by (seed,
+replicate id), so replicate b is the same whether it runs first, last,
+serially, or on a worker thread; each thread re-keys one generator per
+replicate instead of building one. Replicates run in blocks of
+consecutive ids, a number fixed by T alone: one draw gives a block's
+paths and the statistic reads the block as one (k, n_obs) array, one
+replicate's observed values per row. The AR(1) recursion itself is a
+scaled prefix sum over the observed days of each row of calendar
 positions, run with ``numpy.add.accumulate`` for all paths of a block at
 once, from factors built once per (T, gamma) and a per-day scale built
 once per replicate run.
@@ -142,11 +142,10 @@ def _ar1_factors(n_time: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.
 
 class ObservedDays(NamedTuple):
     """The observed days of a mask and their factors in the multiplier
-    recursion on a T-day grid, from ``observed_days``. Entry j belongs to
-    the observed day ``positions[j]``, at offset i mod L in its row of L
+    recursion on its calendar grid, from ``observed_days``. Entry j belongs
+    to the observed day ``positions[j]``, at offset i mod L in its row of L
     positions (see ``_ar1_factors``)."""
 
-    n_time: int
     positions: np.ndarray  # 0-based grid positions of the observed days
     weights: np.ndarray  # gamma^-(i mod L) sqrt(1 - gamma^(2 gap))
     decay: np.ndarray  # gamma^(i mod L)
@@ -175,7 +174,7 @@ def observed_days(cfg: AwbConfig, mask: np.ndarray) -> ObservedDays:
     scale[1:] = np.sqrt(-np.expm1(2.0 * np.log(gamma) * np.diff(positions)))
     offset = positions % width
     bounds = np.searchsorted(positions, np.arange(weights.shape[0] + 1) * width).tolist()
-    return ObservedDays(n_time, positions, weights.reshape(-1)[positions] * scale,
+    return ObservedDays(positions, weights.reshape(-1)[positions] * scale,
                         decay[offset], carry[offset], tuple(zip(bounds[:-1], bounds[1:])),
                         float(decay[-1]))
 
@@ -239,15 +238,15 @@ def run_replicates(
     """Evaluate ``statistic`` on the replicate series of ids 0..B-1, in
     blocks of ``block_size(T)`` consecutive ids.
 
-    Replicate b is the series ``where(mask, base, 0) + xi_b * residuals``,
-    ``xi_b`` the multiplier path of id b on the observed days of the
-    residuals, an ``ObservedSeries``, which are 0 on unobserved days. This
-    is the only place a multiplier path is drawn and a replicate series
-    built. Before the first draw, a base of another shape than the
-    residuals is refused, the base is read on the observed days and the
-    observed days' scale is built. Each block's paths come from one
-    ``draw_multipliers`` call, and ``statistic`` receives the block's
-    replicate series as the rows of one (k, T) array, the last block
+    Replicate b is the series ``base + xi_b * residuals`` on the observed
+    days of the residuals, an ``ObservedSeries``, ``xi_b`` the multiplier
+    path of id b on those days. This is the only place a multiplier path
+    is drawn and a replicate series built. Before the first draw, a base of
+    another shape than the residuals is refused, the base is read on the
+    observed days and the observed days' scale is built. Each block's
+    paths come from one ``draw_multipliers`` call, and ``statistic``
+    receives the block's replicates as the rows of one (k, n_obs) array of
+    their values on the observed days, in grid order, the last block
     holding what is left of B; it returns one row per replicate, a (k,
     ...) array or a sequence of k equal-shaped rows. A statistic that
     cannot vectorise loops over the rows. It may overwrite the block and
@@ -273,10 +272,8 @@ def run_replicates(
         xi = draw_multipliers(cfg, days, ids)
         xi *= residuals_o
         xi += base_o
-        series = np.zeros((len(ids), n_time))
-        series[:, days.positions] = xi
         try:
-            return statistic(series)
+            return statistic(xi)
         except Exception as exc:  # noqa: BLE001 - re-raised with context
             raise ReplicateError(ids, str(exc)) from exc
 

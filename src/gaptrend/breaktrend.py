@@ -23,9 +23,10 @@ break alone. The intervals need each replicate on the broken fit instead:
 the scan's sums are linear in the response, so one scan of the replicate
 gives that too, shifted by the fixed difference of the two fits. Every
 replicate is scanned once, in one scan of its block of replicates: a scan
-takes a (k, T) block and gives one row per response, and the fit's own
-scan is a block of one. :func:`break_analysis`, the CLI's entry, is
-:func:`break_test` and :func:`break_ci` from one pass.
+takes a (k, n_obs) block of values on the observed days and gives one row
+per response, and the fit's own scan is a block of one.
+:func:`break_analysis`, the CLI's entry, is :func:`break_test` and
+:func:`break_ci` from one pass.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ class BrokenTrendFit:
     ssr: float = field(init=False)
 
     def __post_init__(self) -> None:
-        state = self.scan.scan(self.series.values[None])
+        state = self.scan.scan(self.series.values[None, self.scan._obs])
         coef = self.scan.coefficients(state)
         S, harmonics = self.scan.n_harmonics, coef.pop("harmonics")[0]
         seasonal = SeasonalFit(harmonics[:S], harmonics[S:], S, self.scan._Z[:, 2:] @ harmonics)
@@ -126,8 +127,8 @@ class BrokenTrendFit:
                   statistic: Callable[[np.ndarray], object]) -> np.ndarray:
         """``run_replicates`` of ``statistic`` on replicate series built on
         ``base`` from the residuals of ``series`` around the fit: the
-        statistic reads a block of replicates as the rows of one (k, T)
-        array and returns one row per replicate."""
+        statistic reads a block of replicates as the rows of one (k, n_obs)
+        array of their observed values and returns one row per replicate."""
         eps = self.series
         return run_replicates(cfg, base, eps.with_values(eps.values - self.fitted_values()),
                               statistic)
@@ -302,14 +303,13 @@ class BreakScan:
         self.n_skipped = int(self._skipped.size)
 
     def _sums(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The (k, T) block y on the observed days, u = L^-1 Z'y and the
-        per-candidate hinge numerators, one row per response; the last two
-        are linear in y."""
-        # y and y*tau on the observed days as the rows of one array for one
-        # suffix pass.
+        """A copy of the (k, n_obs) block y of observed values, u = L^-1 Z'y
+        and the per-candidate hinge numerators, one row per response; the
+        last two are linear in y."""
+        # y and y*tau as the rows of one array for one suffix pass.
         rows = np.empty((2, y.shape[0], self._obs.size))
-        # The indices are in range; "clip" spares the copy "raise" makes of out.
-        yo = np.take(y, self._obs, axis=1, out=rows[0], mode="clip")
+        yo = rows[0]
+        yo[:] = y
         np.multiply(yo, self._tau_o, out=rows[1])
         u = (self._chol_inv @ (self._Zo_t @ yo.T)).T
         sy, sty = _suffix_sums(rows).take(self._at, axis=-1)
@@ -331,17 +331,18 @@ class BreakScan:
         return ScanState(ssr0, f_stat, self._span.start + best, beta0, num)
 
     def shift(self, d: np.ndarray) -> ScanShift:
-        """The fixed shift ``d`` of a response, with its sums, for ``scan``."""
-        do, u, num = self._sums(d[None])
+        """The fixed shift ``d`` of a response on every grid position, with
+        its sums, for ``scan``."""
+        do, u, num = self._sums(d[None, self._obs])
         return ScanShift(do[0].copy(), float(do[0] @ do[0]), u, num)
 
     def scan(self, y: np.ndarray,
              shift: ScanShift | None = None) -> ScanState | tuple[ScanState, ScanState]:
         """Fit the no-break model and every candidate to each row of the
-        (k, T) block y on the observed days; return the best break of
-        each. Given a ``shift`` d, return the scans of y and of y + d, the
-        second built from the sums of the first by linearity, with y'y
-        gaining 2 d'y + d'd."""
+        (k, n_obs) block y of values on the observed days; return the best
+        break of each. Given a ``shift`` d, return the scans of y and of
+        y + d, the second built from the sums of the first by linearity,
+        with y'y gaining 2 d'y + d'd."""
         yo, u, num = self._sums(y)
         yy = np.vecdot(yo, yo)
         state = self._state(yy, u, num)

@@ -117,23 +117,26 @@ def nw_smoother(mask: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray
     The observed-weight sums and the observation count of every window
     are formed once, so smoothing many series that share the mask
     (bootstrap replicates) costs one window sum each. The returned
-    function takes masked values (zero where unobserved) and gives NaN
-    wherever the kernel window holds no observation, and the observation
-    itself, exactly, wherever it holds one.
-    """
+    function takes a series' values on the observed days and gives its
+    trend on every day: NaN wherever the kernel window holds no
+    observation, and the observation itself, exactly, wherever it holds
+    one. Each call scatters the values into a fresh grid, so threads may
+    share the function."""
     T = mask.shape[0]
     pos = np.flatnonzero(mask)
     first, end = window_bounds(pos, np.arange(T), h, T)
     count = end - first
     undefined = count == 0
     single = np.flatnonzero(count == 1)
-    source = pos[first[single]]
+    source = first[single]
     den = _window_sums(mask.astype(np.float64), h)
 
-    def smooth(masked_values: np.ndarray) -> np.ndarray:
+    def smooth(values: np.ndarray) -> np.ndarray:
+        grid = np.zeros(T)
+        grid[pos] = values
         with np.errstate(divide="ignore", invalid="ignore"):
-            g = _window_sums(masked_values, h) / den
-        g[single] = masked_values[source]
+            g = _window_sums(grid, h) / den
+        g[single] = values[source]
         g[undefined] = np.nan
         return g
 
@@ -158,7 +161,7 @@ class KernelTrendFit:
     def __post_init__(self) -> None:
         smooth = nw_smoother(self.series.mask, self.h)
         object.__setattr__(self, "smooth", smooth)
-        object.__setattr__(self, "g_hat", smooth(self.series.values))
+        object.__setattr__(self, "g_hat", smooth(self.series.values[self.series.mask == 1]))
 
     @property
     def defined(self) -> np.ndarray:
@@ -167,14 +170,15 @@ class KernelTrendFit:
     @cached_property
     def pilot(self) -> np.ndarray:
         """Oversmoothed trend at bandwidth 0.5 * h^(5/9), on every position."""
-        return nw_smoother(self.series.mask, pilot_bandwidth(self.h))(self.series.values)
+        eps = self.series
+        return nw_smoother(eps.mask, pilot_bandwidth(self.h))(eps.values[eps.mask == 1])
 
     def bootstrap(self, cfg: AwbConfig, base: np.ndarray,
                   statistic: Callable[[np.ndarray], object]) -> np.ndarray:
         """``run_replicates`` of ``statistic`` on replicate series built on
         ``base`` from the residuals of ``series`` around the pilot: the
-        statistic reads a block of replicates as the rows of one (k, T)
-        array and returns one row per replicate."""
+        statistic reads a block of replicates as the rows of one (k, n_obs)
+        array of their observed values and returns one row per replicate."""
         eps = self.series
         return run_replicates(cfg, base, eps.with_values(eps.values - self.pilot), statistic)
 
@@ -292,16 +296,12 @@ def trend_bootstrap_paths(fit: KernelTrendFit, cfg: AwbConfig) -> np.ndarray:
     """Bootstrap deviations of the trend re-estimates from the fit's pilot.
 
     Replicate series are rebuilt on the pilot by ``fit.bootstrap`` and
-    re-smoothed by ``fit.smooth``, row by row of each block, in place.
-    Returns the (B, T) matrix of replicate trend estimates minus the
-    pilot, the pilot subtracted in place.
+    re-smoothed by ``fit.smooth``, which takes each row of a block, a
+    replicate's observed values, back to the (T,) grid. Returns the (B, T)
+    matrix of replicate trend estimates minus the pilot, the pilot
+    subtracted in place.
     """
-    def smooth_rows(block: np.ndarray) -> np.ndarray:
-        for row in block:
-            row[:] = fit.smooth(row)
-        return block
-
-    deviations = fit.bootstrap(cfg, fit.pilot, smooth_rows)
+    deviations = fit.bootstrap(cfg, fit.pilot, lambda block: [fit.smooth(y) for y in block])
     deviations -= fit.pilot
     return deviations
 

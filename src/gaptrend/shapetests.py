@@ -214,8 +214,9 @@ def linearity_test(
     eps = fit.series
     t_min, T = _tail_window(fit)
     window = np.arange(t_min - 1, T)
-    obs_w = window[eps.mask[window] == 1]
-    if obs_w.size < 3:
+    obs = np.flatnonzero(eps.mask)
+    tail = int(np.searchsorted(obs, t_min - 1))  # the window's observed days: obs[tail:]
+    if obs.size - tail < 3:
         raise ValueError("fewer than 3 observed points from the trend minimum to the end")
 
     tau = np.arange(1, T + 1, dtype=np.float64) / T
@@ -231,14 +232,14 @@ def linearity_test(
                   pin_pos: int) -> tuple[float, float, float, np.ndarray]:
         pin_val = float(g_hat[pin_pos])
         x = tau[window] - tau[pin_pos]
-        x_obs = tau[obs_w] - tau[pin_pos]
+        x_obs = tau[obs[tail:]] - tau[pin_pos]
         denom = float((x_obs * x_obs).sum())
-        slope = float(((values[obs_w] - pin_val) * x_obs).sum() / denom)
+        slope = float(((values[tail:] - pin_val) * x_obs).sum() / denom)
         line = pin_val + slope * x
         gaps = (g_hat[window][defined_w] - line[defined_w]) ** 2
         return float(gaps.mean()), float(gaps.max()), slope, line
 
-    q_ave, q_sup, slope, line = gap_stats(eps.values, fit.g_hat, t_min - 1)
+    q_ave, q_sup, slope, line = gap_stats(eps.values[obs], fit.g_hat, t_min - 1)
 
     composite = fit.g_hat.copy()
     composite[window] = line
@@ -505,7 +506,7 @@ def monotonicity_tests(
     u1, u2 = float(prof1.max()), float(prof2.max())
 
     def statistic(y_star: np.ndarray) -> tuple[float, float]:
-        p1, p2 = engine.profiles(y_star[obs_pos])
+        p1, p2 = engine.profiles(y_star)
         return float(p1.max()), float(p2.max())
 
     # The null trend is zero: no decreasing segment.

@@ -52,13 +52,23 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
+class ScanCalls(dict):
+    """``init`` and ``scan`` counts, with the columns of each scan's block
+    in ``columns``, an attribute beside the two keys, so a test comparing
+    the whole dict reads the counts alone."""
+
+    columns: list
+
+
 @pytest.fixture
 def scan_calls(monkeypatch):
     """``BreakScan`` constructions made during a test, and the rows of the
-    block each scan read, one entry per scan."""
+    block each scan read, one entry per scan; ``scan_calls.columns`` holds
+    each block's column count."""
     from gaptrend.breaktrend import BreakScan
 
-    calls = {"init": 0, "scan": []}
+    calls = ScanCalls(init=0, scan=[])
+    calls.columns = []
     init, scan = BreakScan.__init__, BreakScan.scan
 
     def counted_init(*args, **kwargs):
@@ -67,6 +77,7 @@ def scan_calls(monkeypatch):
 
     def counted_scan(self, y, *args, **kwargs):
         calls["scan"].append(y.shape[0])
+        calls.columns.append(y.shape[1])
         return scan(self, y, *args, **kwargs)
 
     monkeypatch.setattr(BreakScan, "__init__", counted_init)

@@ -352,14 +352,12 @@ class TestMultiplierRecursion:
                 arr[0] = 0.0
 
 
-def replicate_oracle(cfg, base, residuals, b):
-    """Replicate b built by hand: the base on observed days, 0 elsewhere,
-    plus the multiplier path of id b, 0 on unobserved days, times the
-    residuals."""
+def replicate_oracle(cfg, base, residuals, ids):
+    """The replicates ``ids`` built by hand on the observed days: the base
+    there plus each id's multiplier path times the residuals there."""
     days = observed_days(cfg, residuals.mask)
-    xi = np.zeros(len(residuals))
-    xi[days.positions] = draw_multipliers(cfg, days, [b])[0]
-    return np.where(residuals.mask == 1, base, 0.0) + xi * residuals.values
+    obs = days.positions
+    return base[obs] + draw_multipliers(cfg, days, ids) * residuals.values[obs]
 
 
 class TestRunReplicates:
@@ -403,23 +401,34 @@ class TestRunReplicates:
             self.run(cfg, 4096, lambda block: 2.5)
 
     def test_replicate_series_is_base_plus_masked_errors(self, rng):
-        # Oracle: each replicate rebuilt from its own multiplier path. The
-        # base is unmasked, NaN included, so the runner's own masking shows.
-        cfg = AwbConfig(seed=4, gamma=0.6, n_boot=6)
-        residuals = random_masked_series(rng, 20)
-        base = rng.normal(size=20)
+        # Oracle: each block rebuilt from its own multiplier paths. At
+        # T=1000 a block holds 8 ids; the statistic receives every block as
+        # the replicates' values on the observed days, (k, n_obs), and the
+        # base is NaN off them, so any read of an unobserved day shows.
+        cfg = AwbConfig(seed=4, gamma=0.6, n_boot=20)
+        residuals = random_masked_series(rng, 1000, observed_fraction=0.4)
+        base = rng.normal(size=1000)
         base[residuals.mask == 0] = np.nan
-        out = run_replicates(cfg, base, residuals, lambda y: y.copy())
-        assert not np.isnan(out).any()
-        for b in range(cfg.n_boot):
-            assert out[b].tobytes() == replicate_oracle(cfg, base, residuals, b).tobytes()
+        blocks = []
+        out = run_replicates(cfg, base, residuals, lambda y: blocks.append(y.copy()) or y)
+        assert [block.shape for block in blocks] == [(8, residuals.n_observed)] * 2 + [
+            (4, residuals.n_observed)]
+        for lo, block in zip(range(0, 20, 8), blocks):
+            ids = range(lo, min(lo + 8, 20))
+            assert block.tobytes() == replicate_oracle(cfg, base, residuals, ids).tobytes()
+        assert out.tobytes() == np.vstack(blocks).tobytes()
 
-    def test_zero_residuals_give_the_masked_base(self):
-        cfg = AwbConfig(seed=1, gamma=0.5, n_boot=3)
-        mask = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
-        out = run_replicates(cfg, np.arange(1.0, 6.0), make_series(np.zeros(5), mask),
-                             lambda y: y.copy())
-        assert out.tolist() == [[1.0, 0.0, 3.0, 4.0, 0.0]] * 3
+    def test_zero_residuals_give_the_masked_base(self, rng):
+        cfg = AwbConfig(seed=1, gamma=0.5, n_boot=10)
+        mask = (rng.random(1000) < 0.4).astype(np.uint8)
+        base = rng.normal(size=1000)
+        blocks = []
+        run_replicates(cfg, base, make_series(np.zeros(1000), mask),
+                       lambda y: blocks.append(y.copy()) or y)
+        observed = base[mask == 1]
+        assert [block.shape for block in blocks] == [(8, observed.size), (2, observed.size)]
+        for block in blocks:
+            assert all(row.tobytes() == observed.tobytes() for row in block)
 
     @pytest.mark.parametrize("shape", [(6,), (2, 6), (4,), (2, 4), (2, 5)],
                              ids=["longer", "stacked-longer", "shorter", "stacked-shorter",

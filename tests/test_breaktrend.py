@@ -464,7 +464,7 @@ class TestSlopeCis:
             xi = np.zeros(150)
             xi[days.positions] = draw_multipliers(cfg, days, [b])[0]
             y = fitted + series.mask * xi * u_hat
-            state = scan.scan(y[None])
+            state = scan.scan(y[None, days.positions])
             coef = scan.coefficients(state)
             rows.append((state.best[0], coef["alpha"][0], coef["beta"][0], coef["delta"][0]))
         best, alphas, betas, deltas = np.array(rows).T
@@ -545,7 +545,7 @@ class TestScanInternals:
         series = gappy_series(rng, n_time, 0.6, gaps=[gap])
         k = max(block_size(n_time), 5)
         trend = kinked_line(n_time, beta=-0.004, delta=0.01, kink=int(0.6 * n_time))
-        block = (trend + rng.normal(0.0, 0.3, (k, n_time))) * series.mask
+        block = (trend + rng.normal(0.0, 0.3, (k, n_time)))[:, series.mask == 1]
         years = series.calendar_years()
         for trim in (trimming_set(n_time, 0.15), np.array([n_time // 2])):
             scan = BreakScan(series.mask, years, trim, n_harmonics)
@@ -625,7 +625,7 @@ class TestScanInternals:
         series = make_series(kinked_line(T, delta=0.1, kink=150) + rng.normal(0, 18.0, T), mask)
         trim = trimming_set(T, 0.1)
         scan = BreakScan(mask, series.calendar_years(), trim, 3)
-        state = scan.scan(series.values[None])
+        state = scan.scan(series.values[None, mask == 1])
 
         tau = np.arange(1, T + 1) / T
         Z = np.column_stack([np.ones(T), tau, fourier_design(series.calendar_years(), 3)])
@@ -654,8 +654,9 @@ class TestScanInternals:
         scan = fit.scan
         d = fit.fitted_values() - fit.null_trend
         y = np.stack([fit.null_trend + rng.normal(0.0, 0.3, 397), series.values])
+        y = y[:, series.mask == 1]
         null, shifted = scan.scan(y, scan.shift(d))
-        alone, direct = scan.scan(y), scan.scan(y + d)
+        alone, direct = scan.scan(y), scan.scan(y + d[series.mask == 1])
         for name in ("ssr0", "f_stat", "best", "num"):
             assert np.array_equal(getattr(null, name), getattr(alone, name)), name
         assert np.array_equal(shifted.best, direct.best)
@@ -664,6 +665,16 @@ class TestScanInternals:
         scale = np.max(np.abs(direct.num), axis=1, keepdims=True)
         assert np.all(np.abs(shifted.num - direct.num) <= 1e-10 * scale)
         assert np.allclose(shifted.beta0, direct.beta0, rtol=1e-10, atol=0.0)
+
+    def test_scan_refuses_a_grid_length_row_on_a_gappy_mask(self):
+        # A scan reads the values on the observed days alone; a row of the
+        # whole grid is refused, not read at some of its positions.
+        series = gappy_series(np.random.default_rng(44), 397, 0.6, gaps=[(150, 215)])
+        fit = estimate_break(series, trimming_set(397, 0.15), n_harmonics=2)
+        with pytest.raises(ValueError):
+            fit.scan.scan(series.values[None])
+        again = fit.scan.scan(series.values[None, series.mask == 1])
+        assert np.array_equal(again.num, fit.state.num)
 
     def test_observed_row_scan_matches_lstsq_at_paper_scale(self):
         # Oracle: least-squares refits on the long station's design, 33
@@ -739,4 +750,4 @@ class TestScanInternals:
             assert ((r @ r) / (h @ h) < 1e-12) == (c == c0)
 
         for y in (series.values, np.where(np.arange(T) >= c0, np.arange(T) - c0, 0.0)):
-            assert scan.scan(y[None]).best[0] != c0
+            assert scan.scan(y[None, obs]).best[0] != c0

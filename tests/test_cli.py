@@ -337,10 +337,13 @@ class TestArtifacts:
                                          multiplier_draws):
         # One scan of the observed series, then one per replicate, whose
         # sums give the replicate under the no-break and the broken fit;
-        # the 420-day series runs its 19 replicates as one block.
+        # the 420-day series runs its 19 replicates as one block. Every
+        # scan, the fit's own too, reads the values on the observed days.
         assert run(["--out", str(tmp_path), "break", "--input", toy_csv, "--B", "19"]) == 0
         assert scan_calls["init"] == 1
         replicate_budget(multiplier_draws, scan_calls["scan"], 19, 420)
+        n_obs = gaptrend.ingest_csv(toy_csv).n_observed
+        assert n_obs < 420 and scan_calls.columns == [n_obs] * 2
 
     def test_break_reports_skipped_candidates(self, toy_csv, tmp_path, monkeypatch):
         # A hinge counts as unidentified when its Schur complement falls

@@ -259,6 +259,25 @@ class TestNwEstimate:
         assert local_extrema(fit.g_hat, "min").tolist() == [801 - 59]
         assert local_extrema(fit.g_hat, "max").size == 0
 
+    def test_smoother_takes_the_observed_values(self):
+        # The smoother reads a series' values on the observed days and gives
+        # the trend on the whole grid: a 400-day gap holding one lone day
+        # puts undefined, one-observation and averaged windows side by side.
+        # h T = 60.9 keeps every day off the window's zero-weight edge, where
+        # the oracle's rounding may count a day the smoother leaves out.
+        # A grid-length row on this mask is refused, not read.
+        T = 3000
+        series = gappy_series(np.random.default_rng(T), T, 0.4, gaps=[(1000, 1400)],
+                              singles=[1200])
+        fit = nw_estimate(series, 0.0203)
+        trend = fit.smooth(series.values[series.mask == 1])
+        assert trend.tobytes() == fit.g_hat.tobytes()
+        np.testing.assert_allclose(trend, naive_nw(series.values, series.mask, 0.0203, T),
+                                   rtol=0.0, atol=1e-12, equal_nan=True)
+        assert trend[1200] == series.values[1200] and np.isnan(trend[1100])
+        with pytest.raises(ValueError):
+            fit.smooth(series.values)
+
     def test_toy_matches_hand_table(self):
         series = make_series([1.0, 2.0, 0.0, 4.0, 5.0], [1, 1, 0, 1, 1])
         fit = nw_estimate(series, 0.45)
@@ -378,7 +397,7 @@ class TestPilotBandwidth:
     def test_fit_pilot_is_the_trend_at_the_pilot_bandwidth(self):
         series = gappy_series(np.random.default_rng(5), 1500, 0.4, gaps=[(600, 700)])
         fit = nw_estimate(series, 0.03)
-        expected = nw_smoother(series.mask, pilot_bandwidth(0.03))(series.values)
+        expected = nw_smoother(series.mask, pilot_bandwidth(0.03))(series.values[series.mask == 1])
         assert np.array_equal(fit.pilot, expected, equal_nan=True)
         assert fit.pilot is fit.pilot  # formed once
 
