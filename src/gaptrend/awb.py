@@ -15,8 +15,7 @@ paths and the statistic reads the block as one (k, n_obs) array, one
 replicate's observed values per row. The AR(1) recursion itself is a
 scaled prefix sum over the observed days of each row of calendar
 positions, run with ``numpy.add.accumulate`` for all paths of a block at
-once, from factors built once per (T, gamma) and a per-day scale built
-once per replicate run.
+once, from factors and a per-day scale built once per replicate run.
 Every bootstrap test of the package reads its replicate draws into one
 ``BootstrapTest`` record, whose ``reject`` is the only reject rule.
 """
@@ -26,7 +25,6 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -113,38 +111,11 @@ def _rekeyed_stream(seed: int, replicate_id: int) -> np.random.Generator:
     return gen
 
 
-@lru_cache(maxsize=32)
-def _ar1_factors(n_time: int, gamma: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only factors of the multiplier recursion for one (T, gamma).
-
-    The calendar recursion xi_i = gamma xi_(i-1) + x_i, with x_i the
-    scaled normal of an observed day and 0 on the others, is read as rows
-    of L = floor(ln(1e150) / -ln(gamma)) positions (at least 1, at most T),
-    so that gamma^-i stays below 1e150 within a row. A row is a scaled
-    prefix sum, xi_i = gamma^i sum_(k<=i) gamma^-k x_k, plus the previous
-    row's last value times gamma^(i+1); that last value may leave out the
-    carry from the row before it, because gamma^(L+1) < 1e-150 puts that
-    below rounding. Returns the (rows, L) weights gamma^-i and the row
-    factors gamma^i and gamma^(i+1); the scale of each day's normal is
-    the mask's, in ``observed_days``. All paths of a run, on any thread,
-    share the factors.
-    """
-    width = int(min(n_time, max(1, _ROW_LOG_RANGE // -np.log(gamma))))
-    i = np.arange(width, dtype=np.float64)
-    weights = np.empty((-(-n_time // width), width))
-    weights[:] = gamma**-i
-    decay = gamma**i
-    carry = decay * gamma
-    for arr in (weights, decay, carry):
-        arr.flags.writeable = False
-    return weights, decay, carry
-
-
 class ObservedDays(NamedTuple):
     """The observed days of a mask and their factors in the multiplier
     recursion on its calendar grid, from ``observed_days``. Entry j belongs
     to the observed day ``positions[j]``, at offset i mod L in its row of L
-    positions (see ``_ar1_factors``)."""
+    positions."""
 
     positions: np.ndarray  # 0-based grid positions of the observed days
     weights: np.ndarray  # gamma^-(i mod L) sqrt(1 - gamma^(2 gap))
@@ -157,6 +128,14 @@ class ObservedDays(NamedTuple):
 def observed_days(cfg: AwbConfig, mask: np.ndarray) -> ObservedDays:
     """What ``draw_multipliers`` needs to draw on the observed days of ``mask``.
 
+    The calendar recursion xi_i = gamma xi_(i-1) + x_i, with x_i the
+    scaled normal of an observed day and 0 on the others, is read as rows
+    of L = floor(ln(1e150) / -ln(gamma)) positions (at least 1, at most T),
+    so that gamma^-i stays below 1e150 within a row: a row is the scaled
+    prefix sum xi_i = gamma^i sum_(k<=i) gamma^-k x_k plus the previous
+    row's last value times gamma^(i+1), a value that may leave out the
+    carry from the row before, below rounding as gamma^(L+1) < 1e-150.
+
     The normal of an observed day is scaled by sqrt(1 - gamma^(2 gap)),
     gap the days since the previous observed day, and the first by 1, so
     the path at observed days is the exact recursion xi_k = gamma^gap
@@ -167,16 +146,15 @@ def observed_days(cfg: AwbConfig, mask: np.ndarray) -> ObservedDays:
     """
     n_time = mask.shape[0]
     gamma = cfg.resolve_gamma(n_time)
-    weights, decay, carry = _ar1_factors(n_time, gamma)
-    width = weights.shape[1]
+    width = int(min(n_time, max(1, _ROW_LOG_RANGE // -np.log(gamma))))
     positions = np.flatnonzero(mask)
     scale = np.ones(positions.size)
     scale[1:] = np.sqrt(-np.expm1(2.0 * np.log(gamma) * np.diff(positions)))
     offset = positions % width
-    bounds = np.searchsorted(positions, np.arange(weights.shape[0] + 1) * width).tolist()
-    return ObservedDays(positions, weights.reshape(-1)[positions] * scale,
-                        decay[offset], carry[offset], tuple(zip(bounds[:-1], bounds[1:])),
-                        float(decay[-1]))
+    decay = gamma ** np.append(offset, width - 1)
+    bounds = np.searchsorted(positions, np.arange(-(-n_time // width) + 1) * width).tolist()
+    return ObservedDays(positions, gamma**-offset * scale, decay[:-1], decay[:-1] * gamma,
+                        tuple(zip(bounds[:-1], bounds[1:])), float(decay[-1]))
 
 
 def draw_multipliers(cfg: AwbConfig, days: ObservedDays, ids: Sequence[int]) -> np.ndarray:
@@ -189,7 +167,7 @@ def draw_multipliers(cfg: AwbConfig, days: ObservedDays, ids: Sequence[int]) -> 
     days it has unit variance and correlation gamma^|t - s|, and on a
     complete grid it is xi_i = gamma xi_(i-1) + sqrt(1 - gamma^2) z_i from
     xi_0 = z_0. The recursion runs as blocked scaled prefix sums (see
-    ``_ar1_factors``) over the observed entries of each row of positions,
+    ``observed_days``) over the observed entries of each row of positions,
     for all rows of ids at once: the zeros of the unobserved days add
     nothing, so a row's last prefix sum is that of its last observed day,
     and that sum times gamma^(L-1) is the carry into the next row. This

@@ -293,6 +293,14 @@ def _dense_blocks(starts: np.ndarray, ends: np.ndarray) -> list[tuple[int, int, 
     return blocks
 
 
+def _window_forms(cum: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Sums ``cum[upper] - cum[lower]`` of running sums, each contracted with its weight row."""
+    sums = cum[upper]
+    sums -= cum[lower]
+    return np.einsum("nk,nk->n", weights, sums)
+
+
 class UStatEngine:
     """Kernel-weighted pairwise sums over observed pairs, for many centres.
 
@@ -303,36 +311,38 @@ class UStatEngine:
     bootstrap values costs O(m * K) each, with m the observed points the
     windows touch and K the most points in one window.
 
+    The Epanechnikov weight is quadratic in position. With an integer origin
+    c, x = o - c and tau = t - c, it is proportional to (r^2 - tau^2) +
+    2 tau x - x^2 = a(t) . phi for r = h_u T and phi = (1, x, x^2), so both
+    statistics are proportional to a(t)' M(t) a(t), M(t) a 3x3 moment matrix
+    of the window, a difference of running sums (``_window_forms``). The
+    origin restarts every h_u T positions (a segment), which keeps x and tau
+    small against r, so the quadratic form loses few digits.
+
     u2 is linear in the values: sum_{i<j} (y_j - y_i) w_i w_j equals
     sum_k y_k w_k (2 C_k + w_k - W), with C_k the window weight before k
-    and W the window total, so it is one product with a precomputed
-    coefficient matrix. Both sums read the values in dense blocks
-    (``_dense_blocks``), each one matrix product; u2's rows are the
-    evaluation positions.
+    and W the window total. With P_k the sum of phi before point k in its
+    segment, M = sum_k y_k phi_k (2 P_k + phi_k - P_lo - P_hi)' over the
+    window [lo, hi): per segment, the running sums of the values times the
+    12 columns (phi (2 P + phi)', phi), read at the window's ends.
 
-    u1 uses that the Epanechnikov weight is quadratic in position. With an
-    integer origin c, x = o - c and tau = t - c, the weight is proportional
-    to (r^2 - tau^2) + 2 tau x - x^2 = a(t) . (1, x, x^2) for r = h_u T, so
-    u1(t) is proportional to a(t)' M(t) a(t) with
-    M = sum_{i<j in window} sign(y_j - y_i) phi_i phi_j', phi = (1, x, x^2).
+    For u1, M = sum_{i<j in window} sign(y_j - y_i) phi_i phi_j'.
     M changes only where a point leaves or enters the window. A point
     leaving removes its pairs with the later points of the previous window;
     a point entering adds its pairs with the earlier points of the new
     window. Each such event adds the rank-one term -D phi' (only the
     symmetric part enters the quadratic form), where D sums
     sign(y_partner - y_point) phi_partner over the event's band of
-    partners. The origin restarts every h_u T positions, where the window's
-    points are added in order; this keeps x and tau small against r, so
-    the quadratic form loses few digits. Only signs enter u1: the band sums
-    of sign * (1, o, o^2) come from dense blocks of the events sorted by
-    band start, each with a stored mask of its bands. On a band, sign(y_j -
-    y_i) = 2 [y_j > y_i] - 1 + [y_j = y_i], so the sums are twice those of
-    one comparison, less the mask-only sums built from the same blocks at
-    set-up, plus the sums of the ties, which are formed only when two
-    values are equal. Every term and partial sum is an integer of magnitude
-    below K T^2, so each sum, the doubling and the final difference are
-    exact in any order while K T^2 < 2^53; the engine refuses a design past
-    that bound.
+    partners. At a segment's start the window's points are added in order.
+    Only signs enter u1: the band sums of sign * (1, o, o^2) come from
+    dense blocks of the events sorted by band start, each with a stored
+    mask of its bands. On a band, sign(y_j - y_i) = 2 [y_j > y_i] - 1 +
+    [y_j = y_i], so the sums are twice those of one comparison, less the
+    mask-only sums built from the same blocks at set-up, plus the sums of
+    the ties, which are formed only when two values are equal. Every term
+    and partial sum is an integer of magnitude below K T^2, so each sum,
+    the doubling and the final difference are exact in any order while
+    K T^2 < 2^53; the engine refuses a design past that bound.
     """
 
     def __init__(
@@ -345,7 +355,7 @@ class UStatEngine:
         """``obs_positions`` and ``eval_positions`` are ascending 0-based grid positions."""
         o = np.asarray(obs_positions, dtype=np.int64)
         t = np.asarray(eval_positions, dtype=np.int64)
-        self.n_eval = n = t.shape[0]
+        n = t.shape[0]
         scale = -2.0 / (n_time * (n_time - 1.0))
         r = h_u * n_time
         # Window of position k: observed indices lo[k] <= i < hi[k].
@@ -353,15 +363,6 @@ class UStatEngine:
         most = int((hi - lo).max()) if n else 0
         if most * int(n_time) ** 2 >= 2**53:
             raise ValueError(f"{most} points in one window of {n_time} days: sign sums pass 2^53")
-
-        # u2 coefficients, one (positions, points) matrix per dense block.
-        self._u2_blocks = []
-        for r0, r1, c0, c1 in _dense_blocks(lo, hi):
-            z = (o[c0:c1] - t[r0:r1, None]) / n_time / h_u
-            w = np.maximum(0.75 * (1.0 - z * z), 0.0) / h_u
-            before = np.cumsum(w, axis=1) - w
-            coef = w * (2.0 * before + w - w.sum(axis=1, keepdims=True)) * scale
-            self._u2_blocks.append((r0, r1, c0, c1, coef))
 
         # u1 events. A segment starts where the origin restarts; there the
         # previous window counts as empty and every window point is added.
@@ -398,6 +399,27 @@ class UStatEngine:
         form[hi - lo < 2] = 0.0  # no pair: exactly zero
         self._form = form
 
+        # u2: row s of ``_points`` holds segment s's points, padded to the
+        # longest segment; no window reads a running sum past its segment's
+        # last point. P sums at most 2K integers below 4 r^2 (the windows of
+        # a segment's ends hold its points, within 2r of its origin): exact
+        # while 8 K r^2 < 2^53, as the refusal above makes it for h_u < 0.35.
+        starts, segment = np.flatnonzero(restart), np.cumsum(restart) - 1
+        first, last = lo[starts], hi[np.append(starts[1:], n) - 1]
+        points = first[:, None] + np.arange((last - first).max())
+        self._points = np.minimum(points, max(o.shape[0] - 1, 0))
+        x = (o[self._points] - origin[starts, None]).astype(np.float64)
+        phi = np.stack((np.ones_like(x), x, x * x), axis=2)
+        prefix = np.zeros((phi.shape[0], phi.shape[1] + 1, 3))
+        np.cumsum(phi, axis=1, out=prefix[:, 1:])
+        pairs = phi[..., :, None] * (2.0 * prefix[:, :-1] + phi)[..., None, :]
+        self._u2_columns = np.concatenate((pairs.reshape(phi.shape[:2] + (9,)), phi), axis=2)
+        row = segment * prefix.shape[1] - first[segment]
+        lower, upper = row + lo, row + hi
+        ends = prefix.reshape(-1, 3)
+        both = np.einsum("nij,nj->ni", form.reshape(n, 3, 3), ends[lower] + ends[upper])
+        self._u2 = lower, upper, np.concatenate((-form, both), axis=1)
+
         # Band sums run over the events sorted by band start, in dense blocks
         # that keep their band mask and (1, o, o^2); the mask's own sums are
         # the -1 of every sign.
@@ -426,11 +448,12 @@ class UStatEngine:
 
     def profiles(self, y_obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sign-based and magnitude-based profiles at every evaluation position."""
-        # A window's u2 coefficients sum to zero, so shifting a block's values
-        # by its first one changes nothing but the rounding.
-        u2 = np.empty(self.n_eval)
-        for r0, r1, c0, c1, coef in self._u2_blocks:
-            u2[r0:r1] = coef @ (y_obs[c0:c1] - y_obs[c0:c0 + 1])
+        # A shift of a window's values leaves u2 unchanged: read a segment less its first point.
+        y = y_obs[self._points] - y_obs[self._points[:, :1]]
+        cum = np.zeros((y.shape[0], y.shape[1] + 1, 12))
+        np.multiply(self._u2_columns, y[..., None], out=cum[:, 1:])
+        np.cumsum(cum[:, 1:], axis=1, out=cum[:, 1:])
+        u2 = _window_forms(cum.reshape(-1, 12), *self._u2)
 
         # Band sums of sign * o^p for p = 0, 1, 2: 2 [>] - 1 + [=] on a band.
         sums = self._band_sums(np.greater, y_obs)
@@ -450,9 +473,7 @@ class UStatEngine:
         steps = (d[:, :, None] * self._phi[:, None, :]).reshape(-1, 9)
         cum = np.zeros((steps.shape[0] + 1, 9))
         np.cumsum(steps, axis=0, out=cum[1:])
-        moments = cum[self._through]
-        moments -= cum[self._before]
-        return np.einsum("nk,nk->n", self._form, moments), u2
+        return _window_forms(cum, self._before, self._through, self._form), u2
 
 
 @dataclass(frozen=True)

@@ -189,16 +189,22 @@ def rekey_gamma(n_time):
 
 
 def fresh_multipliers(seed, replicate_id, n_time):
-    """Oracle: the multiplier path drawn from a generator built for its key,
-    its rows of positions run over the whole calendar row."""
+    """Oracle: the multiplier path on a complete grid, drawn from a generator
+    built for its key, in rows of L positions over which gamma^-i stays
+    below 1e150, each a scaled prefix sum run over the whole row."""
     cfg = AwbConfig(seed=seed, gamma=rekey_gamma(n_time))
-    days = complete(cfg, n_time)
-    weights, decay, carry = awb._ar1_factors(n_time, cfg.resolve_gamma(n_time))
-    buf = np.zeros(weights.size)
-    z = awb._stream(seed, replicate_id).standard_normal(days.positions.size)
-    buf[days.positions] = z * days.weights
-    xi = buf.reshape(weights.shape)
+    gamma = cfg.resolve_gamma(n_time)
+    width = int(min(n_time, max(1, np.log(1e150) // -np.log(gamma))))
+    i = np.arange(width, dtype=np.float64)
+    scale = np.full(n_time, np.sqrt(-np.expm1(2.0 * np.log(gamma))))
+    scale[0] = 1.0
+    weights = np.tile(gamma**-i, -(-n_time // width))[:n_time] * scale
+    buf = np.zeros(-(-n_time // width) * width)
+    buf[:n_time] = awb._stream(seed, replicate_id).standard_normal(n_time) * weights
+    xi = buf.reshape(-1, width)
     np.cumsum(xi, axis=1, out=xi)
+    decay = gamma**i
+    carry = decay * gamma
     xi *= decay
     if xi.shape[0] > 1:
         xi[1:] += xi[:-1, -1:] * carry
@@ -248,7 +254,7 @@ class TestMultiplierRecursion:
         # observed, is gamma^(L+1) of the path at the end of row 0, below
         # rounding, and no carry from row 0 may reach row 2 directly.
         cfg = AwbConfig(seed=4, gamma=0.3)
-        width = awb._ar1_factors(1000, 0.3)[0].shape[1]
+        width = complete(cfg, 1000).spans[0][1]
         mask = np.zeros(1000, dtype=np.uint8)
         mask[:width] = 1
         mask[2 * width:] = 1
@@ -295,9 +301,10 @@ class TestMultiplierRecursion:
         # Small gamma cuts the path into rows of 75 positions and the
         # default into two rows, so the oracles above cover the carry
         # between rows; the first value is z_0 itself.
-        assert awb._ar1_factors(12000, 0.01)[0].shape == (160, 75)
-        assert awb._ar1_factors(12000, default_gamma(12000))[0].shape[0] == 2
         cfg = AwbConfig(seed=2, gamma=0.01)
+        spans = complete(cfg, 12000).spans
+        assert (len(spans), spans[0]) == (160, (0, 75))
+        assert len(complete(AwbConfig(), 12000).spans) == 2
         z0 = awb._stream(2, 5).standard_normal(1)[0]
         assert complete_path(cfg, 12000, 5)[0] == z0
 
@@ -327,8 +334,6 @@ class TestMultiplierRecursion:
         try:
             sys.setswitchinterval(1e-6)
             for threads in (1, 2, 4):
-                # A cold cache lets the threads race to build the weights.
-                awb._ar1_factors.cache_clear()
                 threaded = AwbConfig(seed=12, n_boot=12, threads=threads)
                 out = run_replicates(threaded, np.zeros(T), ones, lambda y: y.copy())
                 assert np.array_equal(out, forward)
@@ -345,11 +350,6 @@ class TestMultiplierRecursion:
         for case in shuffled[:8]:
             assert draw(case).tobytes() == expected[case].tobytes(), case
             assert np.array_equal(held.standard_normal(3), reference.standard_normal(3))
-
-    def test_weights_are_read_only(self):
-        for arr in awb._ar1_factors(666, 0.9):
-            with pytest.raises(ValueError):
-                arr[0] = 0.0
 
 
 def replicate_oracle(cfg, base, residuals, ids):
