@@ -7,9 +7,9 @@ multiplier times residual, deterministic for a given seed no matter how
 the replicates are scheduled. A replicate draws one normal per observed
 day; the AR(1) step across a gap of k days is scaled to keep unit
 variance. Multipliers come from a counter-based generator keyed by (seed,
-replicate id), so replicate b is the same whether it runs first, last,
-serially, or on a worker thread; each thread re-keys one generator per
-replicate instead of building one. Replicates run in blocks of
+replicate id), so replicate b is the same whether it runs first, last, or
+on a caller's thread; each thread re-keys one generator per replicate
+instead of building one. Replicates run on one thread, in blocks of
 consecutive ids, a number fixed by T alone: one draw gives a block's
 paths and the statistic reads the block as one (k, n_obs) array, one
 replicate's observed values per row. The AR(1) recursion itself is a
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,19 +57,16 @@ def default_gamma(n_time: int, theta: float = DEFAULT_THETA) -> float:
 
 @dataclass(frozen=True)
 class AwbConfig:
-    """Bootstrap tuning: multiplier decay, replicate count, seed, and the
-    worker threads that run the replicates.
+    """Bootstrap tuning: multiplier decay, replicate count and seed.
 
     ``gamma`` may be left unset, in which case it is resolved per series
-    as ``theta ** (1 / (1.75 T^(1/3)))``. ``threads`` changes how fast the
-    replicates run, never what they give.
+    as ``theta ** (1 / (1.75 T^(1/3)))``.
     """
 
     seed: int = 0
     gamma: float | None = None
     theta: float = DEFAULT_THETA
     n_boot: int = DEFAULT_N_BOOT
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
@@ -78,8 +75,6 @@ class AwbConfig:
             raise ValueError("theta must lie in (0, 1)")
         if self.n_boot < 1:
             raise ValueError("n_boot must be at least 1")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
 
     def resolve_gamma(self, n_time: int) -> float:
         return self.gamma if self.gamma is not None else default_gamma(n_time, self.theta)
@@ -173,7 +168,7 @@ def draw_multipliers(cfg: AwbConfig, days: ObservedDays, ids: Sequence[int]) -> 
     and that sum times gamma^(L-1) is the carry into the next row. This
     agrees with the direct recursion to rounding. Each id's row is the
     same whatever other ids share the call, and identical (seed, id) keys
-    give identical rows regardless of execution order or worker count: a
+    give identical rows regardless of execution order or calling thread: a
     row's normals are those of ``_stream(cfg.seed, id)``, read from this
     thread's re-keyed generator. ``days`` must come from ``observed_days``
     with the same ``cfg``.
@@ -197,8 +192,8 @@ def draw_multipliers(cfg: AwbConfig, days: ObservedDays, ids: Sequence[int]) -> 
 
 
 # Replicates run in blocks of about this many calendar values: k =
-# max(1, 2^13 // T) consecutive ids. k depends on T alone, never on the
-# thread count, so a block's rounding is the same on any schedule.
+# max(1, 2^13 // T) consecutive ids. k depends on T alone, so a block's
+# rounding is the same for any caller.
 _BLOCK_VALUES = 2**13
 
 
@@ -229,13 +224,11 @@ def run_replicates(
     ...) array or a sequence of k equal-shaped rows. A statistic that
     cannot vectorise loops over the rows. It may overwrite the block and
     return it, but must not keep it, or any view of it, past its return.
-    The blocks run on ``cfg.threads`` workers, each drawing from one
-    generator that it re-keys per replicate; the output is identical for
-    any thread count because each replicate depends only on its own
-    counter-based stream and the blocks only on T. Results are written in
-    replicate-id order into one (B, ...) float64 array shaped by the first
-    block's rows, so every row must have that shape; another shape raises
-    ``ValueError``. A statistic failure is re-raised as ``ReplicateError``
+    The blocks run one after another on the calling thread; each replicate
+    depends only on its own counter-based stream and the blocks only on T.
+    Results are written in replicate-id order into one (B, ...) float64
+    array shaped by the first block's rows, so every row must have that
+    shape; another shape raises ``ValueError``. A statistic failure is re-raised as ``ReplicateError``
     naming the block's ids.
     """
     n_time = len(residuals)
@@ -244,35 +237,24 @@ def run_replicates(
     days = observed_days(cfg, residuals.mask)
     base_o, residuals_o = base[days.positions], residuals.values[days.positions]
     k = block_size(n_time)
-    blocks = [range(lo, min(lo + k, cfg.n_boot)) for lo in range(0, cfg.n_boot, k)]
-
-    def one(ids: range) -> object:
+    out = None
+    for lo in range(0, cfg.n_boot, k):
+        ids = range(lo, min(lo + k, cfg.n_boot))
         xi = draw_multipliers(cfg, days, ids)
         xi *= residuals_o
         xi += base_o
         try:
-            return statistic(xi)
+            result = statistic(xi)
         except Exception as exc:  # noqa: BLE001 - re-raised with context
             raise ReplicateError(ids, str(exc)) from exc
-
-    def collect(results: Iterator[object]) -> np.ndarray:
-        out = None
-        for ids, result in zip(blocks, results):
-            rows = np.asarray(result, dtype=np.float64)
-            if out is None:
-                out = np.empty((cfg.n_boot,) + rows.shape[1:])
-            if rows.shape != (len(ids),) + out.shape[1:]:
-                raise ValueError(f"{replicate_ids(ids)} gave shape {rows.shape}, expected "
-                                 f"{(len(ids),) + out.shape[1:]}")
-            out[ids.start: ids.stop] = rows
-        return out
-
-    if cfg.threads == 1:
-        return collect(map(one, blocks))
-    from concurrent.futures import ThreadPoolExecutor  # loads logging: not at import
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return collect(pool.map(one, blocks))
+        rows = np.asarray(result, dtype=np.float64)
+        if out is None:
+            out = np.empty((cfg.n_boot,) + rows.shape[1:])
+        if rows.shape != (len(ids),) + out.shape[1:]:
+            raise ValueError(f"{replicate_ids(ids)} gave shape {rows.shape}, expected "
+                             f"{(len(ids),) + out.shape[1:]}")
+        out[lo: ids.stop] = rows
+    return out
 
 
 def check_rate(name: str, value: float) -> None:

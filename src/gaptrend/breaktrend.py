@@ -256,8 +256,9 @@ class BreakScan:
         # candidate, the first of them as an observed index, where its
         # suffix sums are read.
         obs = np.flatnonzero(mask)
+        Zo = Z[obs]
         self._obs, self._tau_o = obs, tau[obs]
-        self._Zo_t = np.ascontiguousarray(Z[obs].T)
+        self._Zo_t = np.ascontiguousarray(Zo.T)
         self._at = np.searchsorted(obs, self.candidates)
 
         # The Cholesky factor G = L L^T of the fixed-column Gram matrix
@@ -268,25 +269,23 @@ class BreakScan:
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError(f"fixed design is singular: {exc}") from exc
 
-        c = self.candidates
-        tau_c = self._tau_c = c / T
-        p0 = Z.shape[1]
-        sums = _suffix_sums(np.vstack([Zm.T, (Zm * tau[:, None]).T, m, m * tau, m * tau * tau]))
-        s_mz, s_mtz = sums[:p0], sums[p0: 2 * p0]
-        s_m, s_mt, s_mtt = sums[2 * p0:]
         # Observed-point support at the trimming edges; the hinge needs
         # identifying variation on both sides of every candidate.
-        n_left = s_m[0] - s_m[c[0]]
-        n_right = s_m[c[-1]]
-        if min(n_left, n_right) < self.n_params + 1:
+        if min(self._at[0], n_observed - self._at[-1]) < self.n_params + 1:
             raise ValueError(
                 "trimming leaves fewer than n_params + 1 observed points on one side; "
                 "increase the trimming fraction"
             )
 
-        # Hinge cross products for every candidate at once.
-        Zd_t = s_mtz[:, c] - tau_c * s_mz[:, c]                # Zd', (p0, n_cand)
-        dd = s_mtt[c] - 2.0 * tau_c * s_mt[c] + tau_c**2 * s_m[c]
+        # Hinge cross products for every candidate at once, from the suffix
+        # sums of Z and Z tau over the observed rows at each candidate. Z's
+        # first two columns are 1 and tau, so rows 0 and 1 of each are the
+        # sums of 1, tau and tau^2.
+        tau_c = self._tau_c = self.candidates / T
+        sums = _suffix_sums(np.vstack([Zo.T, (Zo * self._tau_o[:, None]).T]))
+        s_z, s_tz = np.split(sums.take(self._at, axis=-1), 2)
+        Zd_t = s_tz - tau_c * s_z                              # Zd', (p0, n_cand)
+        dd = s_tz[1] - 2.0 * tau_c * s_z[1] + tau_c**2 * s_z[0]
         # Hinge cross products in the whitened basis, V = L^-1 Zd'. The
         # Schur complement dd - |V|^2 cancels most of dd, so it is formed
         # from V rather than from G^-1 Zd', which loses digits there.

@@ -5,8 +5,10 @@ Every subcommand writes one self-describing JSON report through
 provenance read off the parsed flags, results) plus CSV data files, each
 written by ``series.write_csv``, so any number in a report can be
 regenerated from the command line alone. Every output file is
-byte-identical across runs and thread counts for a fixed seed, and so is
-what a command prints. All numerical work happens in the library modules.
+byte-identical across runs for a fixed seed, and so is what a command
+prints. Replicates run on one thread; ``--threads`` accepts only 1 and
+does nothing, until the benchmark stops passing it. All numerical work
+happens in the library modules.
 """
 
 from __future__ import annotations
@@ -177,11 +179,10 @@ def load_fit_artifact(path: str) -> KernelTrendFit:
 
 
 def _awb_config(ctx: click.Context, n_time: int, **kw) -> AwbConfig:
-    """A subcommand's bootstrap settings: the group's seed and threads, its own
-    B. The multiplier decay they resolve on a series of ``n_time`` days, and
-    the dependence length 1.75 T^(1/3) behind it, go to the report."""
-    cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=ctx.params["n_boot"],
-                    threads=ctx.obj["threads"], **kw)
+    """A subcommand's bootstrap settings: the group's seed, its own B. The
+    multiplier decay they resolve on a series of ``n_time`` days, and the
+    dependence length 1.75 T^(1/3) behind it, go to the report."""
+    cfg = AwbConfig(seed=ctx.obj["seed"], n_boot=ctx.params["n_boot"], **kw)
     ctx.obj["multipliers"] = {"gamma": cfg.resolve_gamma(n_time),
                               "dependence_length": dependence_length(n_time)}
     return cfg
@@ -240,15 +241,15 @@ def _load_config(ctx: click.Context, _param: click.Parameter, value: str | None)
 @click.option("--out", envvar="GAPTREND_OUT", default="gaptrend_out",
               show_default=True, help="Output directory for reports and data files.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Bootstrap seed.")
-@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-              help="Worker threads for bootstrap replicates; mc runs serially.")
+# bench/worker.py still passes --threads 1; any other value is a usage error.
+@click.option("--threads", type=click.IntRange(1, 1), hidden=True, expose_value=False)
 @click.pass_context
-def cli(ctx: click.Context, out: str, seed: int, threads: int) -> None:
+def cli(ctx: click.Context, out: str, seed: int) -> None:
     """Trend inference for gappy daily time series."""
     ctx.ensure_object(dict)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ctx.obj.update(out=out_dir, seed=seed, threads=threads)
+    ctx.obj.update(out=out_dir, seed=seed)
 
 
 _RATE = click.FloatRange(0, 1, min_open=True, max_open=True)

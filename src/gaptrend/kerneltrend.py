@@ -120,8 +120,8 @@ def nw_smoother(mask: np.ndarray, h: float) -> Callable[[np.ndarray], np.ndarray
     function takes a series' values on the observed days and gives its
     trend on every day: NaN wherever the kernel window holds no
     observation, and the observation itself, exactly, wherever it holds
-    one. Each call scatters the values into a fresh grid, so threads may
-    share the function."""
+    one. Each call scatters the values into a fresh grid, so a caller's
+    own threads may share the function."""
     T = mask.shape[0]
     pos = np.flatnonzero(mask)
     first, end = window_bounds(pos, np.arange(T), h, T)

@@ -428,11 +428,8 @@ def run_panel(
     n_boot: int = 999,
     seed: int = 0,
 ) -> list[dict]:
-    """Run every cell of a panel; returns long-format rows for the CSV table.
-
-    Draws run one after another and each bootstrap on one thread: the
-    series are too short for a worker pool to pay for itself.
-    """
+    """Run every cell of a panel, one draw after another; returns
+    long-format rows for the CSV table."""
     if replications < 1:
         raise ValueError("replications must be at least 1")
     panel = panel.upper()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import astuple
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
@@ -26,7 +25,7 @@ from gaptrend import (
 )
 from gaptrend import awb
 
-from conftest import gappy_series, make_series, random_masked_series
+from conftest import make_series, random_masked_series
 
 
 class TestGammaDefault:
@@ -112,12 +111,6 @@ class TestMultipliers:
             AwbConfig(theta=0.0)
         with pytest.raises(ValueError):
             AwbConfig(n_boot=0)
-
-    def test_threads_must_be_positive(self):
-        assert AwbConfig().threads == 1
-        for threads in (0, -3):
-            with pytest.raises(ValueError, match="threads"):
-                AwbConfig(threads=threads)
 
 
 def gappy_mask(n_time, seed):
@@ -329,14 +322,13 @@ class TestMultiplierRecursion:
             return complete_path(AwbConfig(seed=seed, gamma=rekey_gamma(n)), n, b)
 
         shuffled = random.Random(5).sample(cases, len(cases))
-        ones = make_series(np.ones(T))
+        out = run_replicates(cfg, np.zeros(T), make_series(np.ones(T)), lambda y: y.copy())
+        assert np.array_equal(out, forward)
+        # Draws on a caller's own threads, switched as often as possible.
         interval = sys.getswitchinterval()
         try:
             sys.setswitchinterval(1e-6)
-            for threads in (1, 2, 4):
-                threaded = AwbConfig(seed=12, n_boot=12, threads=threads)
-                out = run_replicates(threaded, np.zeros(T), ones, lambda y: y.copy())
-                assert np.array_equal(out, forward)
+            for threads in (2, 4):
                 with ThreadPoolExecutor(max_workers=threads) as pool:
                     paths = list(pool.map(draw, shuffled))
                 for case, xi in zip(shuffled, paths):
@@ -372,18 +364,17 @@ class TestRunReplicates:
         assert out.tolist() == [2.5, 2.5, 2.5]
 
     def test_blocks_of_consecutive_ids_fixed_by_the_series_length(self):
-        # k = max(1, 2^13 // T) ids a block, whatever the thread count; the
-        # last block holds what is left of B.
+        # k = max(1, 2^13 // T) ids a block, in id order; the last block
+        # holds what is left of B.
         assert [awb.block_size(T) for T in (8, 285, 666, 3000, 12000)] == [1024, 28, 12, 2, 1]
-        for threads in (1, 3):
-            seen = []
+        seen = []
 
-            def kernel(block):
-                seen.append(block.shape)
-                return block[:, 0]
+        def kernel(block):
+            seen.append(block.shape)
+            return block[:, 0]
 
-            self.run(AwbConfig(seed=0, n_boot=49, threads=threads), 666, kernel)
-            assert sorted(seen) == [(1, 666)] + [(12, 666)] * 4
+        self.run(AwbConfig(seed=0, n_boot=49), 666, kernel)
+        assert seen == [(12, 666)] * 4 + [(1, 666)]
 
     def test_result_shape_fixed_by_the_first_replicate(self):
         # The results fill one (B, ...) array; a later block whose rows
@@ -445,39 +436,6 @@ class TestRunReplicates:
         cfg = AwbConfig(seed=9, gamma=0.4, n_boot=16)
         kernel = lambda block: block.sum(axis=1)  # noqa: E731
         assert np.array_equal(self.run(cfg, 30, kernel), self.run(cfg, 30, kernel))
-
-    def test_threaded_matches_serial(self):
-        # Oracle: the serial run defines the contract for any schedule. At
-        # T=50 the 24 replicates are one block, at T=1000 three of 8.
-        kernel = lambda block: (block**2).sum(axis=1)  # noqa: E731
-        for n_time in (50, 1000):
-            serial = self.run(AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=1), n_time, kernel)
-            for threads in (2, 5):
-                cfg = AwbConfig(seed=9, gamma=0.4, n_boot=24, threads=threads)
-                assert np.array_equal(serial, self.run(cfg, n_time, kernel))
-
-    def test_procedures_identical_for_any_thread_count(self):
-        # At T=666 a block holds 12 ids, so B=49 runs four full blocks and
-        # one of a single id, spread over the workers differently for each
-        # thread count.
-        from gaptrend import break_analysis, estimate_break, monotonicity_tests, nw_estimate
-        from gaptrend.kerneltrend import trend_bootstrap_paths
-
-        rng = np.random.default_rng(666)
-        series = gappy_series(rng, 666, 0.6, gaps=[(200, 260)])
-        fit = estimate_break(series, n_harmonics=1)
-        trend = nw_estimate(series, 0.1)
-        runs = []
-        for threads in (1, 2, 5):
-            cfg = AwbConfig(seed=4, n_boot=49, threads=threads)
-            test, ci = break_analysis(fit, cfg)
-            mono = monotonicity_tests(trend, (300, 666), cfg)
-            runs.append([test.draws, ci.bootstrap_indices,
-                         np.array([astuple(ci.slopes.slope_before), astuple(ci.slopes.intercept)]),
-                         trend_bootstrap_paths(trend, cfg), mono.sign.draws, mono.magnitude.draws])
-        for run in runs[1:]:
-            for got, want in zip(run, runs[0]):
-                assert got.tobytes() == want.tobytes()
 
     def test_kernel_failure_carries_replicate_id(self):
         # At T=3000 blocks hold two ids: replicate 3 fails in block 2-3,

@@ -285,12 +285,6 @@ class TestBreakTest:
         assert rb.statistic == pytest.approx(9.0 * ra.statistic, rel=1e-9)
         assert rb.p_value == ra.p_value
 
-    def test_threads_do_not_change_results(self, rng):
-        series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
-        serial = line_test(series, AwbConfig(seed=12, n_boot=32, threads=1))
-        threaded = line_test(series, AwbConfig(seed=12, n_boot=32, threads=4))
-        assert np.array_equal(serial.draws, threaded.draws)
-
     def test_alpha_outside_unit_interval_raises_before_any_scan(self, rng, scan_calls):
         # The fit's own scan is the only one: a refused alpha rescans nothing.
         fit = estimate_break(make_series(kinked_line(100) + rng.normal(0, 0.5, 100)),
@@ -381,9 +375,8 @@ class TestBreakCi:
 
 
 class TestBreakAnalysis:
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("imposed", [False, True])
-    def test_matches_break_test_then_break_ci(self, threads, imposed, multiplier_draws):
+    def test_matches_break_test_then_break_ci(self, imposed, multiplier_draws):
         # Oracle: the two public bootstrap passes, one after the other, on a
         # gappy T=397 series with two harmonics. Over the 0.15 trimming set
         # the basic break-date interval starts before the candidates, so
@@ -392,7 +385,7 @@ class TestBreakAnalysis:
         series = gappy_series(np.random.default_rng(41), 397, 0.6, gaps=[(150, 215)])
         trim = np.array([230]) if imposed else trimming_set(397, 0.15)
         fit = estimate_break(series, trim, n_harmonics=2)
-        cfg = AwbConfig(seed=8, n_boot=29, threads=threads)
+        cfg = AwbConfig(seed=8, n_boot=29)
         test, ci = break_analysis(fit, cfg, alpha=0.1, level=0.8)
         assert sorted(b for ids in multiplier_draws for b in ids) == list(range(cfg.n_boot))
         ref = break_test(fit, cfg, alpha=0.1)

@@ -221,9 +221,13 @@ class TestExitCodes:
             assert str(bad) in capsys.readouterr().err, command
 
     def test_threads_below_one(self, toy_csv, tmp_path):
-        for threads in ("0", "-3"):
-            assert run(["--out", str(tmp_path), "--threads", threads, "ingest",
+        # Replicates run on one thread: --threads takes 1 alone, and any
+        # other value is refused before the output directory is made.
+        out = tmp_path / "out"
+        for threads in ("0", "-3", "2"):
+            assert run(["--out", str(out), "--threads", threads, "ingest",
                         "--input", toy_csv]) == 2
+            assert not out.exists()
 
     def test_ingest_ok(self, toy_csv, tmp_path):
         # The report's values are read off the ingested series itself.
@@ -537,15 +541,6 @@ class TestArtifacts:
                     "--B", "9"]) == 0
         assert built == [0.08, kerneltrend.pilot_bandwidth(0.08)]
 
-    def test_mc_runs_serially_at_any_thread_count(self, tmp_path, monkeypatch):
-        # The panel series are too short for a replicate pool to pay off.
-        def no_pool(*_args, **_kwargs):
-            raise AssertionError("mc started a thread pool")
-
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
-        assert run(["--out", str(tmp_path), "--threads", "2", "mc", "--panel", "B",
-                    "--replications", "1", "--B", "19"]) == 0
-
     def test_config_file_defaults(self, toy_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("smooth.bandwidth = 0.08\nsmooth.B = 19\n")
@@ -570,7 +565,7 @@ class TestConfig:
         lines, expected = [], {}
         for name, command in commands.items():
             for param in command.params:
-                if param.name == "config":
+                if not param.expose_value:  # --config and the inert --threads
                     continue
                 for opt in param.opts:
                     key = opt.removeprefix("--") if name is None else f"{name}.{opt[2:]}"
@@ -598,7 +593,8 @@ class TestConfig:
         assert (par["fit"], par["B"]) == ("trend_fit.json", 9)
 
     @pytest.mark.parametrize("key", ["break.lamda", "brake.B", "lamda", "break.B.x",
-                                     "break.n_boot", "smooth.no-svg", "config", "break.help"])
+                                     "break.n_boot", "smooth.no-svg", "config", "break.help",
+                                     "threads"])
     def test_unknown_key_exits_2(self, key, toy_csv, tmp_path, capsys):
         cfg = self.write(tmp_path, f"{key} = 1")
         out = tmp_path / "out"
@@ -610,9 +606,9 @@ class TestConfig:
 class TestDeterminism:
     def test_reports_byte_identical_across_runs_and_threads(self, toy_csv, tmp_path):
         outs = [tmp_path / f"run{i}" for i in range(3)]
-        threads = ["1", "1", "4"]
-        for out, th in zip(outs, threads):
-            base = ["--out", str(out), "--seed", "7", "--threads", th]
+        # --threads 1 is accepted and changes nothing.
+        for out, threads in zip(outs, (["--threads", "1"], [], [])):
+            base = ["--out", str(out), "--seed", "7", *threads]
             assert run(base + ["ingest", "--input", toy_csv]) == 0
             assert run(base + ["break", "--input", toy_csv, "--B", "39"]) == 0
             assert run(base + ["smooth", "--input", toy_csv, "--bandwidth", "0.08",

@@ -43,7 +43,6 @@ def test_library_quick_start_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     names: dict = {}
     exec(compile(quick_start_code(), str(README), "exec"), names)
-    assert names["cfg"].threads == 1
     assert names["bands"].level == 0.95
     assert names["peaks"].shape == (names["cfg"].n_boot,)
     assert names["start"] <= names["series"].date_at(names["fit"].break_index)

@@ -704,20 +704,3 @@ class TestMonotonicityTests:
         # An explicit interval keeps its meaning, a one-day one included.
         assert monotonicity_tests(fit, (T, T), cfg).interval == (T, T)
         assert monotonicity_tests(fit, (600, T), cfg).interval == (600, T)
-
-    def test_threads_identical(self, rng):
-        series = random_masked_series(rng, 150)
-        fit = nw_estimate(series, 0.1)
-        a = monotonicity_tests(fit, (15, 135), AwbConfig(seed=5, n_boot=24, threads=1))
-        b = monotonicity_tests(fit, (15, 135), AwbConfig(seed=5, n_boot=24, threads=3))
-        assert np.array_equal(a.sign.draws, b.sign.draws)
-        assert np.array_equal(a.magnitude.draws, b.magnitude.draws)
-
-    def test_threads_identical_at_realistic_size(self):
-        rng = np.random.default_rng(7)
-        series = gappy_series(rng, 2000, 0.4, gaps=[(900, 1200)])
-        fit = nw_estimate(series, 0.08)
-        a = monotonicity_tests(fit, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=1))
-        b = monotonicity_tests(fit, (600, 2000), AwbConfig(seed=6, n_boot=19, threads=2))
-        assert np.array_equal(a.sign.draws, b.sign.draws)
-        assert np.array_equal(a.magnitude.draws, b.magnitude.draws)

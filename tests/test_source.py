@@ -178,9 +178,9 @@ LAZY_MODULES = ("concurrent.futures", "logging", "hashlib")
 
 
 def test_cli_import_loads_no_lazy_module():
-    # Every command pays for importing gaptrend.cli. A thread pool (which
-    # loads logging) and hashlib (which loads OpenSSL) serve only some
-    # commands, so they are imported where they are used.
+    # Every command pays for importing gaptrend.cli. concurrent.futures and
+    # the logging it loads serve no command, and hashlib (which loads
+    # OpenSSL) only those that hash an input, where it is imported.
     code = f"import sys, gaptrend.cli; print([m for m in {LAZY_MODULES!r} if m in sys.modules])"
     path = os.pathsep.join(filter(None, (str(SOURCE.parent), os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
