@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import datetime as dt
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,6 +21,26 @@ def make_series(values, mask=None, t0=T0) -> ObservedSeries:
     if mask is None:
         mask = np.ones(values.shape[0], dtype=np.uint8)
     return ObservedSeries(values, np.asarray(mask, dtype=np.uint8), t0)
+
+
+def on_caller_threads(procedure, threads):
+    """``procedure()`` called once on each of ``threads`` threads of the
+    caller's own, started together and switched as often as possible; the
+    results in thread order."""
+    start = threading.Barrier(threads)
+
+    def call():
+        start.wait(timeout=60)
+        return procedure()
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(call) for _ in range(threads)]
+            return [future.result(timeout=300) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def random_masked_series(rng, n_time, observed_fraction=0.6, scale=1.0):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import astuple
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal, localcontext
@@ -25,7 +26,7 @@ from gaptrend import (
 )
 from gaptrend import awb
 
-from conftest import make_series, random_masked_series
+from conftest import gappy_series, make_series, on_caller_threads, random_masked_series
 
 
 class TestGammaDefault:
@@ -436,6 +437,44 @@ class TestRunReplicates:
         cfg = AwbConfig(seed=9, gamma=0.4, n_boot=16)
         kernel = lambda block: block.sum(axis=1)  # noqa: E731
         assert np.array_equal(self.run(cfg, 30, kernel), self.run(cfg, 30, kernel))
+
+    def test_threaded_matches_serial(self):
+        # Oracle: the run on the test's own thread. The same run made on
+        # several caller threads at once gives it on each. At T=50 the 24
+        # replicates are one block, at T=1000 three of 8.
+        kernel = lambda block: (block**2).sum(axis=1)  # noqa: E731
+        cfg = AwbConfig(seed=9, gamma=0.4, n_boot=24)
+        for n_time in (50, 1000):
+            serial = self.run(cfg, n_time, kernel)
+            for threads in (2, 5):
+                for out in on_caller_threads(lambda: self.run(cfg, n_time, kernel), threads):
+                    assert out.tobytes() == serial.tobytes()
+
+    def test_procedures_identical_for_any_thread_count(self):
+        # Every bootstrap procedure run on 1, 2 and 5 caller threads at
+        # once. At T=666 a block holds 12 ids, so B=49 runs four full blocks
+        # and one of a single id, interleaved differently for each count.
+        from gaptrend import break_analysis, estimate_break, monotonicity_tests, nw_estimate
+        from gaptrend.kerneltrend import trend_bootstrap_paths
+
+        rng = np.random.default_rng(666)
+        series = gappy_series(rng, 666, 0.6, gaps=[(200, 260)])
+        fit = estimate_break(series, n_harmonics=1)
+        trend = nw_estimate(series, 0.1)
+        cfg = AwbConfig(seed=4, n_boot=49)
+
+        def procedures():
+            test, ci = break_analysis(fit, cfg)
+            mono = monotonicity_tests(trend, (300, 666), cfg)
+            return [test.draws, ci.bootstrap_indices,
+                    np.array([astuple(ci.slopes.slope_before), astuple(ci.slopes.intercept)]),
+                    trend_bootstrap_paths(trend, cfg), mono.sign.draws, mono.magnitude.draws]
+
+        serial = procedures()
+        for threads in (1, 2, 5):
+            for run in on_caller_threads(procedures, threads):
+                for got, want in zip(run, serial, strict=True):
+                    assert got.tobytes() == want.tobytes()
 
     def test_kernel_failure_carries_replicate_id(self):
         # At T=3000 blocks hold two ids: replicate 3 fails in block 2-3,

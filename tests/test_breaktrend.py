@@ -28,7 +28,7 @@ from gaptrend import breaktrend
 from gaptrend.awb import block_size
 from gaptrend.breaktrend import BreakScan, BrokenTrendFit
 
-from conftest import gappy_series, make_series, replicate_budget
+from conftest import gappy_series, make_series, on_caller_threads, replicate_budget
 
 
 def kinked_line(T, alpha=1.0, beta=0.5, delta=0.3, kink=60):
@@ -285,6 +285,15 @@ class TestBreakTest:
         assert rb.statistic == pytest.approx(9.0 * ra.statistic, rel=1e-9)
         assert rb.p_value == ra.p_value
 
+    def test_threads_do_not_change_results(self, rng):
+        # The test run on four caller threads at once gives the serial draws.
+        series = make_series(kinked_line(100) + rng.normal(0, 0.5, 100))
+        cfg = AwbConfig(seed=12, n_boot=32)
+        serial = line_test(series, cfg)
+        for threaded in on_caller_threads(lambda: line_test(series, cfg), 4):
+            assert np.array_equal(serial.draws, threaded.draws)
+            assert (threaded.statistic, threaded.p_value) == (serial.statistic, serial.p_value)
+
     def test_alpha_outside_unit_interval_raises_before_any_scan(self, rng, scan_calls):
         # The fit's own scan is the only one: a refused alpha rescans nothing.
         fit = estimate_break(make_series(kinked_line(100) + rng.normal(0, 0.5, 100)),
@@ -375,35 +384,39 @@ class TestBreakCi:
 
 
 class TestBreakAnalysis:
+    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("imposed", [False, True])
-    def test_matches_break_test_then_break_ci(self, imposed, multiplier_draws):
+    def test_matches_break_test_then_break_ci(self, threads, imposed, multiplier_draws):
         # Oracle: the two public bootstrap passes, one after the other, on a
         # gappy T=397 series with two harmonics. Over the 0.15 trimming set
         # the basic break-date interval starts before the candidates, so
         # clipping moves its lower end; one imposed candidate pins every
-        # replicate's break.
+        # replicate's break. The joint pass runs on ``threads`` caller
+        # threads at once, each drawing every replicate once.
         series = gappy_series(np.random.default_rng(41), 397, 0.6, gaps=[(150, 215)])
         trim = np.array([230]) if imposed else trimming_set(397, 0.15)
         fit = estimate_break(series, trim, n_harmonics=2)
         cfg = AwbConfig(seed=8, n_boot=29)
-        test, ci = break_analysis(fit, cfg, alpha=0.1, level=0.8)
-        assert sorted(b for ids in multiplier_draws for b in ids) == list(range(cfg.n_boot))
+        runs = on_caller_threads(lambda: break_analysis(fit, cfg, alpha=0.1, level=0.8), threads)
+        assert sorted(b for ids in multiplier_draws for b in ids) == sorted(
+            list(range(cfg.n_boot)) * threads)
         ref = break_test(fit, cfg, alpha=0.1)
         ref_ci = break_ci(fit, cfg, level=0.8)
 
-        for name in ("statistic", "critical_value", "p_value", "alpha"):
-            assert getattr(test, name) == getattr(ref, name)
-        assert np.array_equal(test.draws, ref.draws)
-        for name in ("break_index", "lower_index", "upper_index", "basic_lower", "basic_upper",
-                     "level"):
-            assert getattr(ci, name) == getattr(ref_ci, name)
-        assert np.array_equal(ci.bootstrap_indices, ref_ci.bootstrap_indices)
-        assert ci.bootstrap_indices.dtype == ref_ci.bootstrap_indices.dtype
-        assert ci.slopes == ref_ci.slopes
-        if imposed:
-            assert ci.bootstrap_indices.tolist() == [230] * cfg.n_boot
-        else:
-            assert ci.clipped and ci.basic_lower < ci.lower_index == trim[0]
+        for test, ci in runs:
+            for name in ("statistic", "critical_value", "p_value", "alpha"):
+                assert getattr(test, name) == getattr(ref, name)
+            assert np.array_equal(test.draws, ref.draws)
+            for name in ("break_index", "lower_index", "upper_index", "basic_lower",
+                         "basic_upper", "level"):
+                assert getattr(ci, name) == getattr(ref_ci, name)
+            assert np.array_equal(ci.bootstrap_indices, ref_ci.bootstrap_indices)
+            assert ci.bootstrap_indices.dtype == ref_ci.bootstrap_indices.dtype
+            assert ci.slopes == ref_ci.slopes
+            if imposed:
+                assert ci.bootstrap_indices.tolist() == [230] * cfg.n_boot
+            else:
+                assert ci.clipped and ci.basic_lower < ci.lower_index == trim[0]
 
     def test_each_replicate_draws_and_scans_once(self, scan_calls, multiplier_draws):
         # Per-replicate call budget: the fit's own scan, then one multiplier

@@ -541,6 +541,17 @@ class TestArtifacts:
                     "--B", "9"]) == 0
         assert built == [0.08, kerneltrend.pilot_bandwidth(0.08)]
 
+    def test_mc_runs_serially_at_any_thread_count(self, tmp_path, monkeypatch):
+        # Replicates and panel replications run on the calling thread, with
+        # --threads 1 and without the flag.
+        def no_pool(*_args, **_kwargs):
+            raise AssertionError("mc started a thread pool")
+
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", no_pool)
+        for i, threads in enumerate((["--threads", "1"], [])):
+            assert run(["--out", str(tmp_path / f"run{i}"), *threads, "mc", "--panel", "B",
+                        "--replications", "1", "--B", "19"]) == 0
+
     def test_config_file_defaults(self, toy_csv, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("smooth.bandwidth = 0.08\nsmooth.B = 19\n")

@@ -23,7 +23,13 @@ from gaptrend import (
 from gaptrend import kerneltrend, shapetests
 from gaptrend.shapetests import nearest_extremum
 
-from conftest import gappy_series, make_series, random_masked_series, traced_peak
+from conftest import (
+    gappy_series,
+    make_series,
+    on_caller_threads,
+    random_masked_series,
+    traced_peak,
+)
 
 
 def u_stat_profiles(series, interval, h_u=None):
@@ -704,3 +710,23 @@ class TestMonotonicityTests:
         # An explicit interval keeps its meaning, a one-day one included.
         assert monotonicity_tests(fit, (T, T), cfg).interval == (T, T)
         assert monotonicity_tests(fit, (600, T), cfg).interval == (600, T)
+
+    def test_threads_identical(self, rng):
+        # The tests run on three caller threads at once give the serial draws.
+        series = random_masked_series(rng, 150)
+        fit = nw_estimate(series, 0.1)
+        cfg = AwbConfig(seed=5, n_boot=24)
+        a = monotonicity_tests(fit, (15, 135), cfg)
+        for b in on_caller_threads(lambda: monotonicity_tests(fit, (15, 135), cfg), 3):
+            assert np.array_equal(a.sign.draws, b.sign.draws)
+            assert np.array_equal(a.magnitude.draws, b.magnitude.draws)
+
+    def test_threads_identical_at_realistic_size(self):
+        rng = np.random.default_rng(7)
+        series = gappy_series(rng, 2000, 0.4, gaps=[(900, 1200)])
+        fit = nw_estimate(series, 0.08)
+        cfg = AwbConfig(seed=6, n_boot=19)
+        a = monotonicity_tests(fit, (600, 2000), cfg)
+        for b in on_caller_threads(lambda: monotonicity_tests(fit, (600, 2000), cfg), 2):
+            assert np.array_equal(a.sign.draws, b.sign.draws)
+            assert np.array_equal(a.magnitude.draws, b.magnitude.draws)
